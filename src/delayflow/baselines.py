@@ -18,7 +18,7 @@ from delayflow.algorithms import (
 )
 from delayflow.decompose import PRUNE_TOL
 from delayflow.graph import FEAS_TOL, Network, Path, shortest_path_by_delay
-from delayflow.lp import LinearProgram, solve_lp
+from delayflow.lp import SparseRows, solve_lp
 from delayflow.problem import (
     FlowSolution,
     Objective,
@@ -157,7 +157,8 @@ def _exact_lp(
 
     mode "utility": maximize the spec's throughput objective subject to
     |f_i| >= R_i. mode "scale": maximize t subject to |f_i| >= t*profile_i.
-    Returns (LpSolution-like status, per-commodity arc flows, aux info).
+    Returns (LpSolution, time-expanded graphs, first column of each
+    commodity's arcs), or (None, graphs) when a graph has no path.
     """
     net = spec.network
     comms = spec.commodities
@@ -169,10 +170,10 @@ def _exact_lp(
         if not te.feasible and (mode == "scale" or c.R > 0):
             return None, tes
 
-    arc_var: list[dict[int, int]] = []
+    arc_base: list[int] = []  # first column of each commodity's arcs
     nvars = 0
     for te in tes:
-        arc_var.append({j: nvars + j for j in range(len(te.arcs))})
+        arc_base.append(nvars)
         nvars += len(te.arcs)
     rate_var = [nvars + i for i in range(K)]
     nvars += K
@@ -189,95 +190,63 @@ def _exact_lp(
         scale_var = nvars
         nvars += 1
 
-    rows, rels, rhs = [], [], []
-
-    def new_row():
-        r = np.zeros(nvars)
-        rows.append(r)
-        return r
-
+    lp_rows = SparseRows(nvars)
     for i, te in enumerate(tes):
         in_arcs: dict[tuple[int, float], list[int]] = {}
         out_arcs: dict[tuple[int, float], list[int]] = {}
         for j, (src, _, dst) in enumerate(te.arcs):
             out_arcs.setdefault(src, []).append(j)
             in_arcs.setdefault(dst, []).append(j)
+        base = arc_base[i]
         source = (te.s, 0.0)
+        sink_in: list[int] = []
         for st in te.states:
+            outs, ins = out_arcs.get(st, []), in_arcs.get(st, [])
             if st[0] == te.t:
+                sink_in += ins
                 continue
-            r = new_row()
-            for j in out_arcs.get(st, []):
-                r[arc_var[i][j]] += 1.0
-            for j in in_arcs.get(st, []):
-                r[arc_var[i][j]] -= 1.0
+            cols = [base + j for j in outs + ins]
+            vals = [1.0] * len(outs) + [-1.0] * len(ins)
             if st == source:
-                r[rate_var[i]] = -1.0
-            rels.append("=")
-            rhs.append(0.0)
+                cols.append(rate_var[i])
+                vals.append(-1.0)
+            lp_rows.add(cols, vals, "=", 0.0)
         # Rate also equals total inflow into sink states.
-        r = new_row()
-        for st in te.states:
-            if st[0] != te.t:
-                continue
-            for j in in_arcs.get(st, []):
-                r[arc_var[i][j]] += 1.0
-        r[rate_var[i]] = -1.0
-        rels.append("=")
-        rhs.append(0.0)
+        lp_rows.add([base + j for j in sink_in] + [rate_var[i]],
+                    [1.0] * len(sink_in) + [-1.0], "=", 0.0)
 
-    # Capacity coupling across commodities and layers.
-    for k, e in enumerate(net.edges):
-        r = new_row()
-        used = False
-        for i, te in enumerate(tes):
-            for j, (_, ke, _) in enumerate(te.arcs):
-                if ke == k:
-                    r[arc_var[i][j]] += 1.0
-                    used = True
-        if used:
-            rels.append("<=")
-            rhs.append(e.capacity)
-        else:
-            rows.pop()
+    # Capacity coupling across commodities and layers: one row per edge
+    # that some arc uses, in edge order.
+    arcs_of_edge: dict[int, list[int]] = {}
+    for base, te in zip(arc_base, tes):
+        for j, (_, k, _) in enumerate(te.arcs):
+            arcs_of_edge.setdefault(k, []).append(base + j)
+    for k in sorted(arcs_of_edge):
+        cols = arcs_of_edge[k]
+        lp_rows.add(cols, [1.0] * len(cols), "<=", net.edges[k].capacity)
 
     objective = np.zeros(nvars)
     if mode == "utility":
         for i, c in enumerate(comms):
             if c.R > 0:
-                r = new_row()
-                r[rate_var[i]] = 1.0
-                rels.append(">=")
-                rhs.append(c.R)
+                lp_rows.add([rate_var[i]], [1.0], ">=", c.R)
             for slope, intercept in c.utility_t.segments():
-                r = new_row()
-                r[aux_var[i]] = 1.0
-                r[rate_var[i]] = -slope
-                rels.append("<=")
-                rhs.append(intercept)
+                lp_rows.add([aux_var[i], rate_var[i]], [1.0, -slope], "<=", intercept)
         if bound_var is None:
             for i in range(K):
                 objective[aux_var[i]] = 1.0
         else:
             objective[bound_var] = 1.0
             for i in range(K):
-                r = new_row()
-                r[bound_var] = 1.0
-                r[aux_var[i]] = -1.0
-                rels.append("<=")
-                rhs.append(0.0)
+                lp_rows.add([bound_var, aux_var[i]], [1.0, -1.0], "<=", 0.0)
     else:
         for i in range(K):
-            r = new_row()
-            r[rate_var[i]] = 1.0
-            r[scale_var] = -profile[i]
-            rels.append(">=")
-            rhs.append(0.0)
+            lp_rows.add([rate_var[i], scale_var], [1.0, -profile[i]], ">=", 0.0)
         objective[scale_var] = 1.0
 
-    lp = LinearProgram("max", objective, np.array(rows), tuple(rels), np.array(rhs))
+    lp = lp_rows.program("max", objective)
     sol = solve_lp(lp)
-    return (sol, tes, arc_var, rate_var)
+    return (sol, tes, arc_base)
 
 
 def _extract_paths(
@@ -398,8 +367,7 @@ def solve_exact(
             raise InfeasibleError("no feasible flow within the delay bounds")
         if sol.status != "optimal":
             raise RuntimeError(f"exact LP status {sol.status}")
-        _, _, arc_var, rate_var = out
-        flows = _flows_from_arcs(net, tes, arc_var, sol.x)
+        flows = _flows_from_arcs(net, tes, out[2], sol.x)
         return _exact_report(spec, flows, t0)
 
     # Delay objective: best-first over candidate deadline vectors.
@@ -468,8 +436,8 @@ def solve_exact(
                     spec, [cands[i][idx[i]] for i in range(len(comms))],
                     "scale", profile,
                 )
-            sol, tes, arc_var, rate_var = out
-            flows = _flows_from_arcs(net, tes, arc_var, sol.x)
+            sol, tes, arc_base = out
+            flows = _flows_from_arcs(net, tes, arc_base, sol.x)
             # Trim surplus rate from the slowest paths so |f_i| = R_i.
             trimmed = []
             for pf, c in zip(flows, comms):
@@ -487,10 +455,10 @@ def solve_exact(
     raise InfeasibleError("throughput requirements cannot be met")
 
 
-def _flows_from_arcs(net, tes, arc_var, x):
+def _flows_from_arcs(net, tes, arc_base, x):
     flows = []
     for i, te in enumerate(tes):
-        arc_flow = np.array([x[arc_var[i][j]] for j in range(len(te.arcs))])
+        arc_flow = x[arc_base[i] : arc_base[i] + len(te.arcs)]
         flows.append(_extract_paths(net, te, arc_flow))
     return flows
 

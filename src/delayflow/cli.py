@@ -83,7 +83,21 @@ def _flows_to_json(net: Network, flows) -> list:
     return out
 
 
-def _flows_from_json(doc) -> FlowSolution:
+def _flows_from_json(doc, spec: ProblemSpec) -> FlowSolution:
+    if len(doc) != len(spec.commodities):
+        raise ValueError(
+            f"corrupt report: {len(doc)} path-flow lists for "
+            f"{len(spec.commodities)} commodities"
+        )
+    n_edges = len(spec.network.edges)
+    for pf in doc:
+        for p in pf:
+            for k in p["edges"]:
+                if type(k) is not int or not 0 <= k < n_edges:
+                    raise ValueError(
+                        f"corrupt report: path edge index {k!r} is not an "
+                        f"edge of the topology (0..{n_edges - 1})"
+                    )
     return FlowSolution(
         tuple(
             tuple((Path(tuple(p["edges"])), float(p["rate"])) for p in pf)
@@ -127,7 +141,7 @@ def verify_report(doc: dict) -> list[str]:
     tol = verify_tol()
     net = load_topology(doc["topology"])
     spec = problem_from_json(doc["problem"], net)
-    sol = _flows_from_json(doc["flows"])
+    sol = _flows_from_json(doc["flows"], spec)
     issues = sol.check_feasible(net, spec.commodities, tol)
     metrics = evaluate_metrics(net, sol)
     for i, (m, rec) in enumerate(zip(metrics, doc["metrics"])):
@@ -149,7 +163,7 @@ def verify_report(doc: dict) -> list[str]:
     algo = doc["algorithm"]
     hat = None
     if "counterpart_flows" in doc:
-        hat = _flows_from_json(doc["counterpart_flows"])
+        hat = _flows_from_json(doc["counterpart_flows"], spec)
         issues += [
             "counterpart: " + s
             for s in hat.check_feasible(net, spec.commodities, tol)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,6 +45,8 @@ class Network:
                 raise TopologyError("edge endpoint out of range")
             if e.u == e.v:
                 raise TopologyError("self-loops are not allowed")
+            if not (math.isfinite(e.delay) and math.isfinite(e.capacity)):
+                raise TopologyError("non-finite delay or capacity")
             if e.delay < 0:
                 raise TopologyError("negative delay")
             if e.capacity < 0:
@@ -102,6 +105,8 @@ def _parse_number(token: str, what: str, lineno: int) -> float:
         value = float(token)
     except ValueError:
         raise TopologyError(f"line {lineno}: bad {what} {token!r}") from None
+    if not math.isfinite(value):
+        raise TopologyError(f"line {lineno}: non-finite {what} {token!r}")
     if value < 0:
         raise TopologyError(f"line {lineno}: negative {what}")
     return value

@@ -1,10 +1,11 @@
 """Self-contained linear-program solving.
 
 Two engines behind one contract: a from-scratch two-phase dense-tableau
-simplex (Bland's rule, deterministic; the pivot loop lives in _kernels and
-is numba-compiled), and scipy's HiGHS for instances too large for a dense
-tableau. ``engine="auto"`` picks by tableau size, so identical inputs always
-take the same route and yield bit-identical solutions.
+simplex (Bland's rule, deterministic, each pivot one numpy rank-1 update),
+and scipy's HiGHS, given the sparse constraint matrix, for instances too
+large for a dense tableau. ``engine="auto"`` picks by tableau size, so
+identical inputs always take the same route and yield bit-identical
+solutions.
 """
 
 from __future__ import annotations
@@ -12,14 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.optimize import linprog
 
-from delayflow._kernels import (
-    PIVOT_TOL,
-    STATUS_OPTIMAL,
-    STATUS_UNBOUNDED,
-    simplex_iterations,
-)
+#: Pivot tolerance for the tableau simplex.
+PIVOT_TOL = 1e-9
 
 #: Absolute feasibility tolerance for solutions (after row scaling).
 SOLUTION_TOL = 1e-7
@@ -29,12 +27,20 @@ _AUTO_TABLEAU_CELLS = 250_000
 
 _MAX_ITER = 200_000
 
+STATUS_OPTIMAL = 0
+STATUS_UNBOUNDED = 1
+STATUS_ITER_LIMIT = 2
+
 
 @dataclass
 class LinearProgram:
+    """``sense`` c.x subject to rows[i].x <relations[i]> rhs[i] and
+    lower <= x <= upper. ``rows`` may be given dense or sparse; it is
+    stored as a ``scipy.sparse.csr_array`` without explicit zeros."""
+
     sense: str  # "min" or "max"
     objective: np.ndarray
-    rows: np.ndarray
+    rows: sp.csr_array
     relations: tuple[str, ...]
     rhs: np.ndarray
     lower: np.ndarray = field(default=None)
@@ -45,7 +51,23 @@ class LinearProgram:
             raise ValueError("sense must be 'min' or 'max'")
         self.objective = np.asarray(self.objective, dtype=np.float64)
         n = self.objective.shape[0]
-        self.rows = np.asarray(self.rows, dtype=np.float64).reshape(-1, n)
+        if sp.issparse(self.rows):
+            rows = self.rows
+            if not (
+                isinstance(rows, sp.csr_array)
+                and rows.dtype == np.float64
+                and rows.has_canonical_format
+                and rows.data.all()
+            ):
+                rows = sp.csr_array(rows, dtype=np.float64, copy=True)
+                rows.sum_duplicates()
+                rows.eliminate_zeros()
+            if rows.shape[1] != n:
+                raise ValueError("row/objective dimension mismatch")
+        else:
+            dense = np.asarray(self.rows, dtype=np.float64).reshape(-1, n)
+            rows = sp.csr_array(dense)
+        self.rows = rows
         self.rhs = np.asarray(self.rhs, dtype=np.float64)
         self.relations = tuple(self.relations)
         m = self.rows.shape[0]
@@ -53,7 +75,7 @@ class LinearProgram:
             raise ValueError("row/relation/rhs dimension mismatch")
         if any(r not in ("<=", "=", ">=") for r in self.relations):
             raise ValueError("relations must be one of <=, =, >=")
-        if not np.all(np.isfinite(self.rhs)):
+        if not np.isfinite(self.rhs).all():
             raise ValueError("rhs must be finite")
         if self.lower is None:
             self.lower = np.zeros(n)
@@ -63,7 +85,7 @@ class LinearProgram:
         self.upper = np.asarray(self.upper, dtype=np.float64)
         if self.lower.shape != (n,) or self.upper.shape != (n,):
             raise ValueError("bounds dimension mismatch")
-        if np.any(self.lower > self.upper):
+        if (self.lower > self.upper).any():
             raise ValueError("lower bound exceeds upper bound")
 
     @property
@@ -73,6 +95,42 @@ class LinearProgram:
     @property
     def num_rows(self) -> int:
         return self.rows.shape[0]
+
+
+class SparseRows:
+    """Collects constraint rows as (row, column, value) triplets and
+    assembles them into a LinearProgram; repeated entries are summed."""
+
+    def __init__(self, num_vars: int):
+        self._num_vars = num_vars
+        self._relations: list[str] = []
+        self._rhs: list[float] = []
+        self._row_of: list[int] = []
+        self._cols: list[int] = []
+        self._vals: list[float] = []
+
+    def add(self, cols: list[int], vals: list[float], rel: str, rhs: float) -> None:
+        """Append one row with ``vals[k]`` in column ``cols[k]``."""
+        self._row_of += [len(self._rhs)] * len(cols)
+        self._cols += cols
+        self._vals += vals
+        self._relations.append(rel)
+        self._rhs.append(rhs)
+
+    def program(self, sense: str, objective: np.ndarray) -> LinearProgram:
+        row_of = np.array(self._row_of, dtype=np.int64)
+        cols = np.array(self._cols, dtype=np.int64)
+        vals = np.array(self._vals, dtype=np.float64)
+        keep = vals != 0.0
+        if not keep.all():
+            row_of, cols, vals = row_of[keep], cols[keep], vals[keep]
+        # CSR built directly: entries sorted by (row, column).
+        order = np.lexsort((cols, row_of))
+        m = len(self._rhs)
+        indptr = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(np.bincount(row_of, minlength=m), out=indptr[1:])
+        rows = sp.csr_array((vals[order], cols[order], indptr), shape=(m, self._num_vars))
+        return LinearProgram(sense, objective, rows, tuple(self._relations), np.array(self._rhs))
 
 
 @dataclass
@@ -98,24 +156,19 @@ def solve_lp(lp: LinearProgram, engine: str = "auto") -> LpSolution:
 
 def _solve_highs(lp: LinearProgram) -> LpSolution:
     c = lp.objective if lp.sense == "min" else -lp.objective
-    a_ub, b_ub, a_eq, b_eq = [], [], [], []
-    for row, rel, b in zip(lp.rows, lp.relations, lp.rhs):
-        if rel == "<=":
-            a_ub.append(row)
-            b_ub.append(b)
-        elif rel == ">=":
-            a_ub.append(-row)
-            b_ub.append(-b)
-        else:
-            a_eq.append(row)
-            b_eq.append(b)
-    bounds = list(zip(lp.lower, lp.upper))
+    rel = np.array(lp.relations, dtype=object)
+    ub = np.flatnonzero(rel != "=")
+    eq = np.flatnonzero(rel == "=")
+    # ">=" rows enter A_ub negated; rows keep their relative order.
+    sign = np.where(rel[ub] == ">=", -1.0, 1.0)
+    a_ub = lp.rows[ub]  # row indexing copies, so negating in place is safe
+    a_ub.data *= np.repeat(sign, np.diff(a_ub.indptr))
     kwargs = dict(
-        A_ub=np.array(a_ub) if a_ub else None,
-        b_ub=np.array(b_ub) if b_ub else None,
-        A_eq=np.array(a_eq) if a_eq else None,
-        b_eq=np.array(b_eq) if b_eq else None,
-        bounds=bounds,
+        A_ub=a_ub if ub.size else None,
+        b_ub=sign * lp.rhs[ub] if ub.size else None,
+        A_eq=lp.rows[eq] if eq.size else None,
+        b_eq=lp.rhs[eq] if eq.size else None,
+        bounds=np.column_stack((lp.lower, lp.upper)),
         method="highs",
     )
     res = linprog(c, **kwargs)
@@ -133,128 +186,153 @@ def _solve_highs(lp: LinearProgram) -> LpSolution:
     return LpSolution("optimal", x, float(lp.objective @ x))
 
 
+def _pivot(T: np.ndarray, row: int, col: int) -> None:
+    """Pivot T on (row, col): scale the row, then one rank-1 update of the
+    rows whose entry in ``col`` is nonzero (rows with a zero there keep
+    every cell untouched)."""
+    T[row] /= T[row, col]
+    f = T[:, col].copy()
+    f[row] = 0.0
+    hit = f.nonzero()[0]
+    T[hit] -= f[hit, None] * T[row]
+
+
+def simplex_iterations(T: np.ndarray, basis: np.ndarray, n_enterable: int, max_iter: int) -> int:
+    """Run Bland-rule simplex pivots on tableau T in place.
+
+    T has shape (m+1, n+1): m constraint rows plus the objective row last,
+    n columns plus the rhs column last. The objective row holds reduced
+    costs for a maximization; a column j with T[m, j] < -PIVOT_TOL can
+    improve. Only columns < n_enterable may enter (artificials stay out
+    in phase 2). Returns a status code.
+    """
+    m = T.shape[0] - 1
+    reduced = T[m, :n_enterable]
+    rhs = T[:m, -1]
+    in_basis = basis.tolist()
+    for _ in range(max_iter):
+        improving = reduced < -PIVOT_TOL
+        enter = int(improving.argmax())
+        if not improving[enter]:
+            return STATUS_OPTIMAL
+        col = T[:m, enter]
+        rows = (col > PIVOT_TOL).nonzero()[0]
+        if not rows.size:
+            return STATUS_UNBOUNDED
+        # Ratio test; ties go to the smallest basis index (Bland).
+        ratios = rhs[rows] / col[rows]
+        leave = -1
+        best = np.inf
+        for i, r in zip(rows.tolist(), ratios.tolist()):
+            if r < best - PIVOT_TOL or (
+                r < best + PIVOT_TOL and (leave < 0 or in_basis[i] < in_basis[leave])
+            ):
+                if r < best:
+                    best = r
+                leave = i
+        _pivot(T, leave, enter)
+        basis[leave] = in_basis[leave] = enter
+    return STATUS_ITER_LIMIT
+
+
+#: Relation as the sign of its slack column: "<=" +1, "=" none, ">=" -1.
+_SLACK_SIGN = {"<=": 1.0, "=": 0.0, ">=": -1.0}
+
+
 def _solve_simplex(lp: LinearProgram) -> LpSolution:
     # Internally a maximization over shifted variables y >= 0.
     c_user = lp.objective
     c = c_user.copy() if lp.sense == "max" else -c_user
     n = lp.num_vars
 
-    # Variable transform: x_j = shift_j + sum(sign * y_col). Finite lower
-    # bounds shift; free variables split into a positive pair.
-    shift = np.where(np.isfinite(lp.lower), lp.lower, 0.0)
-    cols: list[list[tuple[int, float]]] = []  # per original var
-    c_y: list[float] = []
-    for j in range(n):
-        if np.isfinite(lp.lower[j]):
-            cols.append([(len(c_y), 1.0)])
-            c_y.append(c[j])
-        else:
-            cols.append([(len(c_y), 1.0), (len(c_y) + 1, -1.0)])
-            c_y.extend([c[j], -c[j]])
-    ny = len(c_y)
+    # Variable transform: x_j = shift_j + y[pos_j] (- y[pos_j + 1] when x_j
+    # is free). Finite lower bounds shift; free variables split into a
+    # positive pair of adjacent columns.
+    finite = np.isfinite(lp.lower)
+    shift = np.where(finite, lp.lower, 0.0)
+    free = (~finite).nonzero()[0]
+    pos = np.arange(n)
+    if free.size:
+        pos += np.cumsum(~finite) - ~finite
+    neg = pos[free] + 1
+    ny = n + free.size
+    c_y = np.zeros(ny)
+    c_y[pos] = c
+    c_y[neg] = -c[free]
 
-    a_rows: list[np.ndarray] = []
-    rels: list[str] = []
-    bvec: list[float] = []
+    # User rows, then one "<=" row per finite upper bound.
+    n_user_rows = lp.num_rows
+    upper = np.isfinite(lp.upper).nonzero()[0]
+    m = n_user_rows + upper.size
+    a = lp.rows.toarray()
+    b = lp.rhs - a @ shift
+    if free.size or upper.size:
+        dense = a
+        a = np.zeros((m, ny))
+        a[:n_user_rows, pos] = dense
+        a[:n_user_rows, neg] = -dense[:, free]
+        ub_rows = np.arange(n_user_rows, m)
+        a[ub_rows, pos[upper]] = 1.0
+        free_ub = ~finite[upper]
+        a[ub_rows[free_ub], pos[upper[free_ub]] + 1] = -1.0
+        b = np.concatenate((b, lp.upper[upper] - shift[upper]))
+    slack_sign = np.array([_SLACK_SIGN[r] for r in lp.relations] + [1.0] * upper.size)
 
-    def expand(row: np.ndarray) -> np.ndarray:
-        out = np.zeros(ny)
-        for j in range(n):
-            for col, sign in cols[j]:
-                out[col] = sign * row[j]
-        return out
-
-    for row, rel, b in zip(lp.rows, lp.relations, lp.rhs):
-        a_rows.append(expand(row))
-        rels.append(rel)
-        bvec.append(b - float(row @ shift))
-    n_user_rows = len(a_rows)
-    for j in range(n):
-        if np.isfinite(lp.upper[j]):
-            row = np.zeros(n)
-            row[j] = 1.0
-            a_rows.append(expand(row))
-            rels.append("<=")
-            bvec.append(lp.upper[j] - shift[j])
-
-    a = np.array(a_rows) if a_rows else np.zeros((0, ny))
-    b = np.array(bvec)
-    m = a.shape[0]
-
-    # Row scaling by max-abs coefficient, then orient rhs nonnegative.
-    scale = np.abs(a).max(axis=1, initial=0.0) if m else np.zeros(0)
+    # Row scaling by max-abs coefficient, then orient rhs nonnegative
+    # (multiplying by -1.0 negates exactly and flips the relation).
+    scale = np.abs(a).max(axis=1, initial=0.0)
     scale[scale < 1e-12] = 1.0
-    a = a / scale[:, None]
-    b = b / scale
-    flip = {"<=": ">=", ">=": "<=", "=": "="}
-    flipped = np.zeros(m, dtype=bool)
-    for i in range(m):
-        if b[i] < 0:
-            a[i] = -a[i]
-            b[i] = -b[i]
-            rels[i] = flip[rels[i]]
-            flipped[i] = True
+    a /= scale[:, None]
+    b /= scale
+    orient = np.where(b < 0, -1.0, 1.0)
+    a *= orient[:, None]
+    b *= orient
+    slack_sign *= orient
 
-    n_slack = sum(1 for r in rels if r != "=")
-    n_art = sum(1 for r in rels if r != "<=")
+    # Slack columns (one per inequality) then artificials (one per row that
+    # is not "<="), each numbered in row order. ``aux`` is each row's
+    # starting basic column: its artificial if it has one, else its slack.
+    slack_rows = slack_sign.nonzero()[0]
+    art_rows = (slack_sign <= 0).nonzero()[0]
+    n_slack, n_art = slack_rows.size, art_rows.size
     ncols = ny + n_slack + n_art
+    aux = np.empty(m, dtype=np.int64)
+    aux[slack_rows] = ny + np.arange(n_slack)
+    aux[art_rows] = ny + n_slack + np.arange(n_art)
     T = np.zeros((m + 1, ncols + 1))
     T[:m, :ny] = a
     T[:m, -1] = b
-    basis = np.empty(m, dtype=np.int64)
-    art_col_of_row = np.full(m, -1, dtype=np.int64)
-    slack_col_of_row = np.full(m, -1, dtype=np.int64)
-    sc, ac = ny, ny + n_slack
-    for i, rel in enumerate(rels):
-        if rel != "=":
-            T[i, sc] = 1.0 if rel == "<=" else -1.0
-            slack_col_of_row[i] = sc
-            sc += 1
-        if rel != "<=":
-            T[i, ac] = 1.0
-            art_col_of_row[i] = ac
-            basis[i] = ac
-            ac += 1
-        else:
-            basis[i] = slack_col_of_row[i]
+    T[slack_rows, ny + np.arange(n_slack)] = slack_sign[slack_rows]
+    T[art_rows, aux[art_rows]] = 1.0
+    basis = aux.copy()
 
     # Phase 1: maximize -(sum of artificials).
     if n_art:
-        for i in range(m):
-            if art_col_of_row[i] >= 0:
-                T[m, :] -= T[i, :]
+        # Row by row in row order, as one sequential reduction.
+        T[m] = np.subtract.reduce(T[np.concatenate(([m], art_rows))], axis=0)
         status = simplex_iterations(T, basis, ny + n_slack, _MAX_ITER)
         if status != STATUS_OPTIMAL:
             raise RuntimeError("simplex iteration failure in phase 1")
         if T[m, -1] < -SOLUTION_TOL:
             return LpSolution("infeasible")
-        art_set = set(range(ny + n_slack, ncols))
-        drop_rows = []
-        for i in range(m):
-            if basis[i] in art_set:
-                pivot_j = -1
-                for j in range(ny + n_slack):
-                    if abs(T[i, j]) > PIVOT_TOL:
-                        pivot_j = j
-                        break
-                if pivot_j < 0:
-                    drop_rows.append(i)
-                    continue
-                piv = T[i, pivot_j]
-                T[i, :] /= piv
-                for r in range(m + 1):
-                    if r != i and T[r, pivot_j] != 0.0:
-                        T[r, :] -= T[r, pivot_j] * T[i, :]
-                basis[i] = pivot_j
-        if drop_rows:
-            keep = [i for i in range(m) if i not in set(drop_rows)]
-            T = np.vstack([T[keep, :], T[m:, :]])
-            basis = basis[np.array(keep, dtype=np.int64)]
-            m = len(keep)
+        # Drive remaining artificials out of the basis; a row with no
+        # usable pivot is redundant and dropped.
+        keep = np.ones(m + 1, dtype=bool)
+        for i in (basis >= ny + n_slack).nonzero()[0]:
+            usable = (np.abs(T[i, : ny + n_slack]) > PIVOT_TOL).nonzero()[0]
+            if not usable.size:
+                keep[i] = False
+                continue
+            _pivot(T, i, int(usable[0]))
+            basis[i] = usable[0]
+        if not keep.all():
+            T = T[keep]
+            basis = basis[keep[:m]]
+            m = basis.size
 
     # Phase 2 with the real objective.
     c_ext = np.zeros(ncols + 1)
-    c_ext[:ny] = np.asarray(c_y)
+    c_ext[:ny] = c_y
     cb = c_ext[basis]
     T[m, :] = cb @ T[:m, :] - c_ext
     status = simplex_iterations(T, basis, ny + n_slack, _MAX_ITER)
@@ -264,21 +342,12 @@ def _solve_simplex(lp: LinearProgram) -> LpSolution:
         raise RuntimeError("simplex iteration failure in phase 2")
 
     y = np.zeros(ncols)
-    for i in range(m):
-        y[basis[i]] = T[i, -1]
-    x = shift.copy()
-    for j in range(n):
-        for col, sign in cols[j]:
-            x[j] += sign * y[col]
+    y[basis] = T[:m, -1]
+    x = shift + y[pos]
+    x[free] -= y[neg]
 
     # Duals for the internal max form, read off the auxiliary column of
     # each user row and mapped back through scaling/orientation.
-    duals = np.zeros(lp.num_rows)
-    for i in range(min(n_user_rows, lp.num_rows)):
-        col = art_col_of_row[i] if art_col_of_row[i] >= 0 else slack_col_of_row[i]
-        val = T[m, col]
-        if flipped[i]:
-            val = -val
-        duals[i] = val / scale[i]
+    duals = T[m, aux[:n_user_rows]] * orient[:n_user_rows] / scale[:n_user_rows]
 
     return LpSolution("optimal", x, float(c_user @ x), duals)

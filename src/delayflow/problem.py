@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from delayflow.graph import FEAS_TOL, Network, Path
-from delayflow.lp import LinearProgram
+from delayflow.lp import LinearProgram, SparseRows
 
 
 def verify_tol() -> float:
@@ -310,84 +310,62 @@ def build_counterpart(spec: ProblemSpec) -> tuple[LinearProgram, CounterpartMap]
         bound_var = nvars
         nvars += 1
 
-    rows, rels, rhs = [], [], []
-
-    def new_row():
-        r = np.zeros(nvars)
-        rows.append(r)
-        return r
-
+    lp_rows = SparseRows(nvars)
+    delay_list = delays.tolist()
     for i, c in enumerate(comms):
         s, t = net.index_of(c.source), net.index_of(c.sink)
+        edge_cols = list(range(i * E, (i + 1) * E))
         # |f_i| defined as net outflow at the source.
-        r = new_row()
-        for k in net.out_edges[s]:
-            r[edge_var[(i, k)]] = 1.0
-        for k in net.in_edges[s]:
-            r[edge_var[(i, k)]] = -1.0
-        r[rate_var[i]] = -1.0
-        rels.append("=")
-        rhs.append(0.0)
+        out_s, in_s = list(net.out_edges[s]), list(net.in_edges[s])
+        lp_rows.add(
+            [edge_cols[k] for k in out_s + in_s] + [rate_var[i]],
+            [1.0] * len(out_s) + [-1.0] * len(in_s) + [-1.0],
+            "=",
+            0.0,
+        )
         # Conservation at interior nodes.
         for v in range(len(net.nodes)):
             if v in (s, t):
                 continue
-            r = new_row()
-            for k in net.out_edges[v]:
-                r[edge_var[(i, k)]] += 1.0
-            for k in net.in_edges[v]:
-                r[edge_var[(i, k)]] -= 1.0
-            rels.append("=")
-            rhs.append(0.0)
+            out_v, in_v = list(net.out_edges[v]), list(net.in_edges[v])
+            lp_rows.add(
+                [edge_cols[k] for k in out_v + in_v],
+                [1.0] * len(out_v) + [-1.0] * len(in_v),
+                "=",
+                0.0,
+            )
         # Throughput requirement.
         if spec.objective.is_delay:
-            r = new_row()
-            r[rate_var[i]] = 1.0
-            rels.append("=")
-            rhs.append(c.R)
+            lp_rows.add([rate_var[i]], [1.0], "=", c.R)
         elif c.R > 0:
-            r = new_row()
-            r[rate_var[i]] = 1.0
-            rels.append(">=")
-            rhs.append(c.R)
+            lp_rows.add([rate_var[i]], [1.0], ">=", c.R)
         # Average-delay bound (dropped when D_i is infinite).
         if math.isfinite(c.D):
-            r = new_row()
-            for k in range(E):
-                r[edge_var[(i, k)]] = delays[k]
             if spec.objective.is_delay:
-                rels.append("<=")
-                rhs.append(c.D * c.R)
+                lp_rows.add(edge_cols, delay_list, "<=", c.D * c.R)
             else:
-                r[rate_var[i]] -= c.D
-                rels.append("<=")
-                rhs.append(0.0)
+                lp_rows.add(
+                    edge_cols + [rate_var[i]], delay_list + [-c.D], "<=", 0.0
+                )
         # Epigraph rows for the PL utility.
         if spec.objective.is_delay:
             # aux_i >= U_d(T_i / R_i): R_i*aux_i - slope*T_i >= intercept*R_i
             for slope, intercept in c.utility_d.segments():
-                r = new_row()
-                r[aux_var[i]] = c.R
-                for k in range(E):
-                    r[edge_var[(i, k)]] = -slope * delays[k]
-                rels.append(">=")
-                rhs.append(intercept * c.R)
+                lp_rows.add(
+                    edge_cols + [aux_var[i]],
+                    [-slope * d for d in delay_list] + [c.R],
+                    ">=",
+                    intercept * c.R,
+                )
         else:
             # aux_i <= U_t(|f_i|): aux_i - slope*f_i <= intercept
             for slope, intercept in c.utility_t.segments():
-                r = new_row()
-                r[aux_var[i]] = 1.0
-                r[rate_var[i]] = -slope
-                rels.append("<=")
-                rhs.append(intercept)
+                lp_rows.add([aux_var[i], rate_var[i]], [1.0, -slope], "<=", intercept)
 
     # Link capacity coupling.
+    ones = [1.0] * K
     for k, e in enumerate(net.edges):
-        r = new_row()
-        for i in range(K):
-            r[edge_var[(i, k)]] = 1.0
-        rels.append("<=")
-        rhs.append(e.capacity)
+        lp_rows.add([i * E + k for i in range(K)], ones, "<=", e.capacity)
 
     objective = np.zeros(nvars)
     if spec.objective is Objective.SUM_THROUGHPUT_UTILITY:
@@ -402,22 +380,14 @@ def build_counterpart(spec: ProblemSpec) -> tuple[LinearProgram, CounterpartMap]
         sense = "max"
         objective[bound_var] = 1.0
         for i in range(K):
-            r = new_row()
-            r[bound_var] = 1.0
-            r[aux_var[i]] = -1.0
-            rels.append("<=")
-            rhs.append(0.0)
+            lp_rows.add([bound_var, aux_var[i]], [1.0, -1.0], "<=", 0.0)
     else:  # MAX_DELAY_PENALTY: minimize the worst penalty
         sense = "min"
         objective[bound_var] = 1.0
         for i in range(K):
-            r = new_row()
-            r[bound_var] = 1.0
-            r[aux_var[i]] = -1.0
-            rels.append(">=")
-            rhs.append(0.0)
+            lp_rows.add([bound_var, aux_var[i]], [1.0, -1.0], ">=", 0.0)
 
-    lp = LinearProgram(sense, objective, np.array(rows), tuple(rels), np.array(rhs))
+    lp = lp_rows.program(sense, objective)
     return lp, CounterpartMap(edge_var, rate_var, aux_var, bound_var)
 
 

@@ -90,6 +90,38 @@ def test_verify_catches_delay_certificate_violation(
     assert "D/eps" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "corrupt,message",
+    [
+        (lambda doc: doc["flows"][0][0].update(edges=[999]), "edge index 999"),
+        (lambda doc: doc["flows"].append(doc["flows"][0]), "2 path-flow lists"),
+    ],
+)
+def test_verify_rejects_malformed_flows(
+    two_parallel_files, tmp_path, capsys, corrupt, message
+):
+    topo, prob = two_parallel_files
+    out = tmp_path / "report.json"
+    main(
+        ["solve", "--topo", topo, "--problem", prob, "--algo", "pass-t",
+         "--out", str(out)]
+    )
+    doc = json.loads(out.read_text())
+    corrupt(doc)
+    out.write_text(json.dumps(doc))
+    assert main(["verify", str(out)]) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_solve_rejects_non_finite_capacity(two_parallel_files, tmp_path, capsys):
+    _, prob = two_parallel_files
+    topo = tmp_path / "inf.topo"
+    topo.write_text("node s\nnode t\nedge s t 5 inf\n")
+    rc = main(["solve", "--topo", str(topo), "--problem", prob, "--algo", "pass-t"])
+    assert rc == 1
+    assert "line 3: non-finite capacity" in capsys.readouterr().err
+
+
 def test_solve_rejects_bad_epsilon(two_parallel_files, capsys):
     topo, prob = two_parallel_files
     rc = main(

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,8 @@ def test_serialize_round_trip():
         ("edge a b 1 1\n", "unknown node"),
         ("node a\nnode b\nedge a b x 1\n", "bad delay"),
         ("node a\nnode b\nedge a b 1 -2\n", "negative"),
+        ("node a\nnode b\nedge a b 5 inf\n", "line 3: non-finite capacity 'inf'"),
+        ("node a\nnode b\nuedge a b nan 1\n", "line 3: non-finite delay 'nan'"),
         ("node a\nnode b\nedge a b 1\n", "expected"),
         ("frob a\n", "unknown directive"),
     ],
@@ -64,6 +68,12 @@ def test_network_rejects_self_loop():
 def test_network_rejects_negative_delay():
     with pytest.raises(TopologyError):
         Network(("a", "b"), (Edge(0, 1, -1.0, 1.0),))
+
+
+@pytest.mark.parametrize("delay,capacity", [(1.0, math.inf), (math.nan, 1.0)])
+def test_network_rejects_non_finite(delay, capacity):
+    with pytest.raises(TopologyError, match="non-finite"):
+        Network(("a", "b"), (Edge(0, 1, delay, capacity),))
 
 
 def test_adjacency():

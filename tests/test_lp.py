@@ -3,7 +3,19 @@ import itertools
 import numpy as np
 import pytest
 
-from delayflow.lp import LinearProgram, solve_lp
+from delayflow.cli import _dcum_spec, _tcdm_spec, _utility_spec
+from delayflow.graph import Edge, Network, builtin_ec2
+from delayflow.lp import (
+    PIVOT_TOL,
+    SOLUTION_TOL,
+    STATUS_ITER_LIMIT,
+    STATUS_OPTIMAL,
+    STATUS_UNBOUNDED,
+    LinearProgram,
+    LpSolution,
+    solve_lp,
+)
+from delayflow.problem import PLFunction, build_counterpart, make_dcum, make_tcdm
 
 
 def test_simple_max():
@@ -93,7 +105,8 @@ def _enumerate_vertices(lp: LinearProgram):
     """All basic feasible points of {Ax rel b, x >= 0} by activating n
     constraints at a time; assumes default bounds."""
     n = lp.num_vars
-    planes = [(row, b) for row, b in zip(lp.rows, lp.rhs)]
+    dense = lp.rows.toarray()
+    planes = [(row, b) for row, b in zip(dense, lp.rhs)]
     for j in range(n):
         e = np.zeros(n)
         e[j] = 1.0
@@ -112,7 +125,7 @@ def _enumerate_vertices(lp: LinearProgram):
         if np.any(x < -1e-7):
             continue
         ok = True
-        for row, rel, rhs in zip(lp.rows, lp.relations, lp.rhs):
+        for row, rel, rhs in zip(dense, lp.relations, lp.rhs):
             v = float(row @ x)
             if rel == "<=" and v > rhs + 1e-7:
                 ok = False
@@ -184,3 +197,278 @@ def test_auto_engine_picks_simplex_for_small():
     sol = solve_lp(lp)  # must not raise; small goes through the tableau
     assert sol.status == "optimal"
     assert sol.duals is not None  # simplex path provides duals
+
+
+# -- reference engine ---------------------------------------------------------
+# A scalar two-phase tableau simplex with one Python loop per row and per
+# column. The array engine must reproduce its x, objective and duals bit for
+# bit, because every tableau cell gets the same floating-point operations.
+
+
+def _reference_iterations(T, basis, n_enterable, max_iter):
+    m = T.shape[0] - 1
+    for _ in range(max_iter):
+        enter = -1
+        for j in range(n_enterable):
+            if T[m, j] < -PIVOT_TOL:
+                enter = j
+                break
+        if enter < 0:
+            return STATUS_OPTIMAL
+        leave = -1
+        best = np.inf
+        for i in range(m):
+            a = T[i, enter]
+            if a > PIVOT_TOL:
+                r = T[i, -1] / a
+                if r < best - PIVOT_TOL or (
+                    r < best + PIVOT_TOL and (leave < 0 or basis[i] < basis[leave])
+                ):
+                    if r < best:
+                        best = r
+                    leave = i
+        if leave < 0:
+            return STATUS_UNBOUNDED
+        piv = T[leave, enter]
+        T[leave, :] /= piv
+        for i in range(m + 1):
+            if i != leave:
+                f = T[i, enter]
+                if f != 0.0:
+                    T[i, :] -= f * T[leave, :]
+        basis[leave] = enter
+    return STATUS_ITER_LIMIT
+
+
+def _reference_simplex(lp: LinearProgram):
+    c_user = lp.objective
+    c = c_user.copy() if lp.sense == "max" else -c_user
+    n = lp.num_vars
+    shift = np.where(np.isfinite(lp.lower), lp.lower, 0.0)
+    cols = []
+    c_y = []
+    for j in range(n):
+        if np.isfinite(lp.lower[j]):
+            cols.append([(len(c_y), 1.0)])
+            c_y.append(c[j])
+        else:
+            cols.append([(len(c_y), 1.0), (len(c_y) + 1, -1.0)])
+            c_y.extend([c[j], -c[j]])
+    ny = len(c_y)
+
+    def expand(row):
+        out = np.zeros(ny)
+        for j in range(n):
+            for col, sign in cols[j]:
+                out[col] = sign * row[j]
+        return out
+
+    a_rows, rels, bvec = [], [], []
+    for row, rel, b in zip(lp.rows.toarray(), lp.relations, lp.rhs):
+        a_rows.append(expand(row))
+        rels.append(rel)
+        bvec.append(b - float(row @ shift))
+    n_user_rows = len(a_rows)
+    for j in range(n):
+        if np.isfinite(lp.upper[j]):
+            row = np.zeros(n)
+            row[j] = 1.0
+            a_rows.append(expand(row))
+            rels.append("<=")
+            bvec.append(lp.upper[j] - shift[j])
+    a = np.array(a_rows) if a_rows else np.zeros((0, ny))
+    b = np.array(bvec)
+    m = a.shape[0]
+    scale = np.abs(a).max(axis=1, initial=0.0) if m else np.zeros(0)
+    scale[scale < 1e-12] = 1.0
+    a = a / scale[:, None]
+    b = b / scale
+    flip = {"<=": ">=", ">=": "<=", "=": "="}
+    flipped = np.zeros(m, dtype=bool)
+    for i in range(m):
+        if b[i] < 0:
+            a[i] = -a[i]
+            b[i] = -b[i]
+            rels[i] = flip[rels[i]]
+            flipped[i] = True
+    n_slack = sum(1 for r in rels if r != "=")
+    n_art = sum(1 for r in rels if r != "<=")
+    ncols = ny + n_slack + n_art
+    T = np.zeros((m + 1, ncols + 1))
+    T[:m, :ny] = a
+    T[:m, -1] = b
+    basis = np.empty(m, dtype=np.int64)
+    art_col_of_row = np.full(m, -1, dtype=np.int64)
+    slack_col_of_row = np.full(m, -1, dtype=np.int64)
+    sc, ac = ny, ny + n_slack
+    for i, rel in enumerate(rels):
+        if rel != "=":
+            T[i, sc] = 1.0 if rel == "<=" else -1.0
+            slack_col_of_row[i] = sc
+            sc += 1
+        if rel != "<=":
+            T[i, ac] = 1.0
+            art_col_of_row[i] = ac
+            basis[i] = ac
+            ac += 1
+        else:
+            basis[i] = slack_col_of_row[i]
+    if n_art:
+        for i in range(m):
+            if art_col_of_row[i] >= 0:
+                T[m, :] -= T[i, :]
+        status = _reference_iterations(T, basis, ny + n_slack, 200_000)
+        assert status == STATUS_OPTIMAL
+        if T[m, -1] < -SOLUTION_TOL:
+            return LpSolution("infeasible")
+        art_set = set(range(ny + n_slack, ncols))
+        drop_rows = []
+        for i in range(m):
+            if basis[i] in art_set:
+                pivot_j = -1
+                for j in range(ny + n_slack):
+                    if abs(T[i, j]) > PIVOT_TOL:
+                        pivot_j = j
+                        break
+                if pivot_j < 0:
+                    drop_rows.append(i)
+                    continue
+                piv = T[i, pivot_j]
+                T[i, :] /= piv
+                for r in range(m + 1):
+                    if r != i and T[r, pivot_j] != 0.0:
+                        T[r, :] -= T[r, pivot_j] * T[i, :]
+                basis[i] = pivot_j
+        if drop_rows:
+            keep = [i for i in range(m) if i not in set(drop_rows)]
+            T = np.vstack([T[keep, :], T[m:, :]])
+            basis = basis[np.array(keep, dtype=np.int64)]
+            m = len(keep)
+    c_ext = np.zeros(ncols + 1)
+    c_ext[:ny] = np.asarray(c_y)
+    cb = c_ext[basis]
+    T[m, :] = cb @ T[:m, :] - c_ext
+    status = _reference_iterations(T, basis, ny + n_slack, 200_000)
+    if status == STATUS_UNBOUNDED:
+        return LpSolution("unbounded")
+    assert status == STATUS_OPTIMAL
+    y = np.zeros(ncols)
+    for i in range(m):
+        y[basis[i]] = T[i, -1]
+    x = shift.copy()
+    for j in range(n):
+        for col, sign in cols[j]:
+            x[j] += sign * y[col]
+    duals = np.zeros(lp.num_rows)
+    for i in range(n_user_rows):
+        col = art_col_of_row[i] if art_col_of_row[i] >= 0 else slack_col_of_row[i]
+        val = T[m, col]
+        if flipped[i]:
+            val = -val
+        duals[i] = val / scale[i]
+    return LpSolution("optimal", x, float(c_user @ x), duals)
+
+
+def _assert_same_as_reference(lp: LinearProgram) -> str:
+    ref = _reference_simplex(lp)
+    got = solve_lp(lp, engine="simplex")
+    assert got.status == ref.status
+    if ref.status == "optimal":
+        assert got.x.tobytes() == ref.x.tobytes()
+        assert got.objective == ref.objective
+        assert got.duals.tobytes() == ref.duals.tobytes()
+    return ref.status
+
+
+def test_array_engine_matches_reference_on_random_feasible_lps():
+    """Feasible by construction (rows evaluated at a point inside the
+    bounds), with free variables and finite upper bounds mixed in."""
+    rng = np.random.default_rng(2024)
+    statuses = []
+    for _ in range(150):
+        n = int(rng.integers(1, 9))
+        m = int(rng.integers(1, 9))
+        a = rng.integers(-5, 6, size=(m, n)) * (rng.random((m, n)) < 0.7)
+        x0 = rng.integers(-2, 5, size=n)
+        lower = np.where(rng.random(n) < 0.2, -np.inf, x0 - rng.integers(0, 3, size=n))
+        upper = np.where(rng.random(n) < 0.3, x0 + rng.integers(0, 4, size=n), np.inf)
+        rels = tuple(rng.choice(["<=", "=", ">="], size=m))
+        slack = rng.integers(0, 4, size=m)
+        rhs = a @ x0 + np.select([np.array(rels) == "<=", np.array(rels) == ">="],
+                                 [slack, -slack], 0)
+        lp = LinearProgram(
+            "max" if rng.random() < 0.5 else "min",
+            rng.integers(-5, 6, size=n).astype(float),
+            a.astype(float),
+            rels,
+            rhs.astype(float),
+            lower=lower,
+            upper=upper,
+        )
+        statuses.append(_assert_same_as_reference(lp))
+    assert "infeasible" not in statuses
+    assert statuses.count("optimal") > 100
+
+
+def _sweep_specs():
+    """The specs of the four ``delayflow experiment`` sweeps."""
+    net = builtin_ec2()
+    yield _tcdm_spec(net, 230.0, 230.0)
+    for r in range(116, 240):
+        yield _tcdm_spec(net, float(r), float(r))
+    yield _dcum_spec(net, 150.0)
+    for w1 in range(1, 11):
+        for w2 in range(1, 11):
+            yield _utility_spec(net, float(w1), float(w2))
+
+
+def test_array_engine_matches_reference_on_ec2_counterparts():
+    statuses = [_assert_same_as_reference(build_counterpart(spec)[0])
+                for spec in _sweep_specs()]
+    assert len(statuses) == 226
+    assert statuses.count("optimal") == 226
+
+
+def _three_node_net():
+    # a->b (delay 1, cap 10), b->c (2, 10), a->c (5, 4)
+    return Network(
+        ("a", "b", "c"),
+        (Edge(0, 1, 1.0, 10.0), Edge(1, 2, 2.0, 10.0), Edge(0, 2, 5.0, 4.0)),
+    )
+
+
+def test_counterpart_matrix_tcdm():
+    lp, _ = build_counterpart(make_tcdm(_three_node_net(), [("a", "c", 6.0, 2.0)]))
+    # columns: edge flows x0 x1 x2, rate, aux
+    expected = [
+        [1, 0, 1, -1, 0],  # net outflow at a equals the rate
+        [-1, 1, 0, 0, 0],  # conservation at b
+        [0, 0, 0, 1, 0],  # rate = R
+        [-2, -4, -10, 0, 6],  # R*aux - w*T >= 0
+        [1, 0, 0, 0, 0],  # capacities
+        [0, 1, 0, 0, 0],
+        [0, 0, 1, 0, 0],
+    ]
+    assert np.array_equal(lp.rows.toarray(), expected)
+    assert lp.relations == ("=", "=", "=", ">=", "<=", "<=", "<=")
+    assert lp.rhs.tolist() == [0, 0, 6, 0, 10, 10, 4]
+    assert lp.sense == "min" and lp.objective.tolist() == [0, 0, 0, 0, 1]
+
+
+def test_counterpart_matrix_dcum():
+    u = PLFunction(((0.0, 0.0), (3.0, 6.0), (5.0, 7.0)))  # slopes 2, 0.5
+    lp, _ = build_counterpart(make_dcum(_three_node_net(), [("a", "c", 4.0, u)]))
+    expected = [
+        [1, 0, 1, -1, 0],  # net outflow at a equals the rate
+        [-1, 1, 0, 0, 0],  # conservation at b
+        [1, 2, 5, -4, 0],  # T <= D * rate
+        [0, 0, 0, -2, 1],  # aux <= 2 * rate
+        [0, 0, 0, -0.5, 1],  # aux <= 0.5 * rate + 4.5
+        [1, 0, 0, 0, 0],  # capacities
+        [0, 1, 0, 0, 0],
+        [0, 0, 1, 0, 0],
+    ]
+    assert np.array_equal(lp.rows.toarray(), expected)
+    assert lp.relations == ("=", "=", "<=", "<=", "<=", "<=", "<=", "<=")
+    assert lp.rhs.tolist() == [0, 0, 0, 0, 4.5, 10, 10, 4]
+    assert lp.sense == "max" and lp.objective.tolist() == [0, 0, 0, 0, 1]
