@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 from delayflow.decompose import cancel_cycles, decompose
 from delayflow.graph import FEAS_TOL, Network, Path
@@ -24,6 +25,7 @@ from delayflow.problem import (
     build_counterpart,
     evaluate_metrics,
     objective_value,
+    path_flow_sums,
 )
 
 
@@ -31,7 +33,7 @@ class InfeasibleError(RuntimeError):
     """The average-delay counterpart (hence the problem itself) is infeasible."""
 
 
-PathFlow = list[tuple[Path, float]]
+PathFlow = Sequence[tuple[Path, float]]
 
 
 @dataclass
@@ -52,46 +54,67 @@ class SolveReport:
     wall_time: float = 0.0
 
 
-def _constraint_ratios(spec, metrics):
-    thr, dly = [], []
-    for c, m in zip(spec.commodities, metrics):
-        thr.append(m.throughput / c.R if c.R > 0 else math.inf)
-        dly.append(m.max_delay / c.D if math.isfinite(c.D) else 0.0)
-    return tuple(thr), tuple(dly)
+def build_report(
+    spec: ProblemSpec,
+    algorithm: str,
+    solution: FlowSolution,
+    t0: float,
+    counterpart: FlowSolution | None = None,
+    **extra,
+) -> SolveReport:
+    """Report of any solver: metrics, objective and constraint ratios of
+    ``solution`` (and the counterpart's metrics when given), with the wall
+    time since ``t0``. ``extra`` sets the remaining SolveReport fields."""
+    metrics = evaluate_metrics(spec.network, solution)
+    hat_metrics = None
+    if counterpart is not None:
+        hat_metrics = evaluate_metrics(spec.network, counterpart)
+    pairs = list(zip(spec.commodities, metrics))
+    return SolveReport(
+        algorithm=algorithm,
+        solution=solution,
+        metrics=metrics,
+        objective=objective_value(spec, metrics),
+        counterpart=counterpart,
+        counterpart_metrics=hat_metrics,
+        throughput_ratios=tuple(
+            m.throughput / c.R if c.R > 0 else math.inf for c, m in pairs
+        ),
+        delay_ratios=tuple(
+            m.max_delay / c.D if math.isfinite(c.D) else 0.0 for c, m in pairs
+        ),
+        wall_time=time.perf_counter() - t0,
+        **extra,
+    )
 
 
-def _deletion_order_key(net: Network):
-    def key(item):
-        path, rate = item
+def slowest_first(net: Network, path_flow: PathFlow) -> list[int]:
+    """Indices of ``path_flow`` in deletion order: non-increasing delay,
+    ties broken by larger rate first, then by the lexicographically smaller
+    node sequence, then by position."""
+
+    def key(i):
+        path, rate = path_flow[i]
         return (-path.delay(net), -rate, path.nodes(net))
 
-    return key
+    return sorted(range(len(path_flow)), key=key)
 
 
-def delete_slowest(net: Network, path_flow: PathFlow, amount: float) -> PathFlow:
-    """Remove ``amount`` total rate, drawn from paths in non-increasing
-    delay order (ties: larger rate first, then lexicographically smaller
-    node sequence); the last path touched may be reduced partially."""
+def delete_slowest(net: Network, path_flow: PathFlow, amount: float) -> list[tuple[Path, float]]:
+    """Remove ``amount`` total rate, drawn from paths in ``slowest_first``
+    order; the last path touched may be reduced partially. Surviving paths
+    keep their input order."""
     total = sum(r for _, r in path_flow)
     if amount < -FEAS_TOL or amount > total + FEAS_TOL:
         raise ValueError(f"deletion amount {amount} outside [0, {total}]")
     remaining = [r for _, r in path_flow]
-    live = list(range(len(path_flow)))
     left = amount
-    while left > FEAS_TOL and live:
-        live.sort(
-            key=lambda i: (
-                -path_flow[i][0].delay(net),
-                -remaining[i],
-                path_flow[i][0].nodes(net),
-            )
-        )
-        i = live[0]
+    for i in slowest_first(net, path_flow):
+        if left <= FEAS_TOL:
+            break
         take = min(remaining[i], left)
         remaining[i] -= take
         left -= take
-        if remaining[i] <= FEAS_TOL:
-            live.pop(0)
     return [
         (p, remaining[i])
         for i, (p, _) in enumerate(path_flow)
@@ -99,7 +122,8 @@ def delete_slowest(net: Network, path_flow: PathFlow, amount: float) -> PathFlow
     ]
 
 
-def _solve_counterpart(spec: ProblemSpec) -> tuple[FlowSolution, list[PathFlow]]:
+def _solve_counterpart(spec: ProblemSpec) -> FlowSolution:
+    """Solve the counterpart LP and decompose each commodity into paths."""
     lp, cmap = build_counterpart(spec)
     sol = solve_lp(lp)
     if sol.status == "infeasible":
@@ -107,30 +131,9 @@ def _solve_counterpart(spec: ProblemSpec) -> tuple[FlowSolution, list[PathFlow]]
     if sol.status != "optimal":
         raise RuntimeError(f"counterpart LP ended with status {sol.status}")
     net = spec.network
-    edge_flows = cmap.edge_flows(net, len(spec.commodities), sol.x)
-    path_flows: list[PathFlow] = []
-    for c, x in zip(spec.commodities, edge_flows):
-        x = cancel_cycles(net, x, c.source, c.sink)
-        path_flows.append(decompose(net, c.source, c.sink, x))
-    return FlowSolution(tuple(tuple(pf) for pf in path_flows)), path_flows
-
-
-def _finish_report(spec, algorithm, path_flows, counterpart_flows, **extra):
-    sol = FlowSolution(tuple(tuple(pf) for pf in path_flows))
-    metrics = evaluate_metrics(spec.network, sol)
-    hat_sol = FlowSolution(tuple(tuple(pf) for pf in counterpart_flows))
-    hat_metrics = evaluate_metrics(spec.network, hat_sol)
-    thr, dly = _constraint_ratios(spec, metrics)
-    return SolveReport(
-        algorithm=algorithm,
-        solution=sol,
-        metrics=metrics,
-        objective=objective_value(spec, metrics),
-        counterpart=hat_sol,
-        counterpart_metrics=hat_metrics,
-        throughput_ratios=thr,
-        delay_ratios=dly,
-        **extra,
+    return FlowSolution(
+        decompose(net, c.source, c.sink, cancel_cycles(net, x, c.source, c.sink))
+        for c, x in zip(spec.commodities, cmap.edge_flows(sol.x))
     )
 
 
@@ -144,14 +147,12 @@ def solve_pass(spec: ProblemSpec, epsilon: float) -> SolveReport:
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
     t0 = time.perf_counter()
-    _, hat_flows = _solve_counterpart(spec)
-    bar_flows = []
-    for pf in hat_flows:
-        rate = sum(r for _, r in pf)
-        bar_flows.append(delete_slowest(spec.network, pf, epsilon * rate))
-    report = _finish_report(spec, "PASS", bar_flows, hat_flows, epsilon=epsilon)
-    report.wall_time = time.perf_counter() - t0
-    return report
+    hat = _solve_counterpart(spec)
+    bar = FlowSolution(
+        delete_slowest(spec.network, pf, epsilon * sum(r for _, r in pf))
+        for pf in hat.flows
+    )
+    return build_report(spec, "PASS", bar, t0, hat, epsilon=epsilon)
 
 
 def solve_pass_m(spec: ProblemSpec) -> SolveReport:
@@ -161,42 +162,34 @@ def solve_pass_m(spec: ProblemSpec) -> SolveReport:
         if not math.isfinite(c.D):
             raise ValueError(f"commodity {i}: PASS-M needs a finite delay bound")
     t0 = time.perf_counter()
-    _, hat_flows = _solve_counterpart(spec)
+    hat = _solve_counterpart(spec)
     net = spec.network
     bar_flows = []
     eps_i = []
-    for pf, c in zip(hat_flows, spec.commodities):
-        flow = list(pf)
-        key = _deletion_order_key(net)
-        while flow:
-            flow.sort(key=key)
-            if flow[0][0].delay(net) <= c.D:
-                break
-            flow.pop(0)
-        bar_flows.append(flow)
+    for pf, c in zip(hat.flows, spec.commodities):
+        # The paths over the bound form a prefix of the slowest-first order.
+        kept = [pf[i] for i in slowest_first(net, pf) if pf[i][0].delay(net) <= c.D]
+        bar_flows.append(kept)
         hat_rate = sum(r for _, r in pf)
-        bar_rate = sum(r for _, r in flow)
+        bar_rate = sum(r for _, r in kept)
         eps_i.append((hat_rate - bar_rate) / hat_rate if hat_rate > FEAS_TOL else 0.0)
-    report = _finish_report(
+    return build_report(
         spec,
         "PASS-M",
-        bar_flows,
-        hat_flows,
+        FlowSolution(bar_flows),
+        t0,
+        hat,
         epsilon_max=max(eps_i),
         epsilon_min=min(eps_i),
     )
-    report.wall_time = time.perf_counter() - t0
-    return report
 
 
 def solve_pass_t(spec: ProblemSpec) -> SolveReport:
     """Return the decomposed counterpart optimum unmodified; throughput
     requirements hold exactly."""
     t0 = time.perf_counter()
-    _, hat_flows = _solve_counterpart(spec)
-    report = _finish_report(spec, "PASS-T", [list(pf) for pf in hat_flows], hat_flows)
-    report.wall_time = time.perf_counter() - t0
-    return report
+    hat = _solve_counterpart(spec)
+    return build_report(spec, "PASS-T", hat, t0, hat)
 
 
 def check_lemma1(
@@ -204,10 +197,8 @@ def check_lemma1(
 ) -> tuple[bool, float]:
     """Deletion inequality for one commodity:
     T(f_bar) + epsilon*|f_hat|*M(f_bar) <= T(f_hat). Returns (holds, slack)."""
-    t_hat = sum(r * p.delay(net) for p, r in f_hat_i)
-    t_bar = sum(r * p.delay(net) for p, r in f_bar_i)
-    rate_hat = sum(r for _, r in f_hat_i)
-    m_bar = max((p.delay(net) for p, r in f_bar_i if r > FEAS_TOL), default=0.0)
+    rate_hat, t_hat, _ = path_flow_sums(net, f_hat_i)
+    _, t_bar, m_bar = path_flow_sums(net, f_bar_i)
     lhs = t_bar + epsilon * rate_hat * m_bar
     slack = t_hat - lhs
     return slack >= -1e-6, slack

@@ -13,19 +13,13 @@ import numpy as np
 from delayflow.algorithms import (
     InfeasibleError,
     SolveReport,
-    _constraint_ratios,
+    build_report,
     delete_slowest,
 )
 from delayflow.decompose import PRUNE_TOL
 from delayflow.graph import FEAS_TOL, Network, Path, shortest_path_by_delay
 from delayflow.lp import SparseRows, solve_lp
-from delayflow.problem import (
-    FlowSolution,
-    Objective,
-    ProblemSpec,
-    evaluate_metrics,
-    objective_value,
-)
+from delayflow.problem import FlowSolution, Objective, ProblemSpec
 
 _MAX_ENUM_NODES = 12
 
@@ -61,20 +55,8 @@ def solve_greedy(spec: ProblemSpec) -> SolveReport:
             pushed += take
         if c.R > 0 and pushed < c.R - 1e-6:
             feasible = False
-        flows.append(tuple(paths))
-    sol = FlowSolution(tuple(flows))
-    metrics = evaluate_metrics(net, sol)
-    thr, dly = _constraint_ratios(spec, metrics)
-    return SolveReport(
-        algorithm="GREEDY",
-        solution=sol,
-        metrics=metrics,
-        objective=objective_value(spec, metrics),
-        throughput_ratios=thr,
-        delay_ratios=dly,
-        feasible=feasible,
-        wall_time=time.perf_counter() - t0,
-    )
+        flows.append(paths)
+    return build_report(spec, "GREEDY", FlowSolution(flows), t0, feasible=feasible)
 
 
 def simple_path_delays(net: Network, s: str, t: str) -> list[float]:
@@ -368,7 +350,7 @@ def solve_exact(
         if sol.status != "optimal":
             raise RuntimeError(f"exact LP status {sol.status}")
         flows = _flows_from_arcs(net, tes, out[2], sol.x)
-        return _exact_report(spec, flows, t0)
+        return build_report(spec, "EXACT", FlowSolution(flows), t0)
 
     # Delay objective: best-first over candidate deadline vectors.
     cands = []
@@ -445,7 +427,7 @@ def solve_exact(
                 if rate > c.R + FEAS_TOL:
                     pf = delete_slowest(net, pf, rate - c.R)
                 trimmed.append(pf)
-            return _exact_report(spec, trimmed, t0)
+            return build_report(spec, "EXACT", FlowSolution(trimmed), t0)
         for i in range(len(comms)):
             if idx[i] + 1 < len(cands[i]):
                 nxt = idx[:i] + (idx[i] + 1,) + idx[i + 1 :]
@@ -461,18 +443,3 @@ def _flows_from_arcs(net, tes, arc_base, x):
         arc_flow = x[arc_base[i] : arc_base[i] + len(te.arcs)]
         flows.append(_extract_paths(net, te, arc_flow))
     return flows
-
-
-def _exact_report(spec, flows, t0):
-    sol = FlowSolution(tuple(tuple(pf) for pf in flows))
-    metrics = evaluate_metrics(spec.network, sol)
-    thr, dly = _constraint_ratios(spec, metrics)
-    return SolveReport(
-        algorithm="EXACT",
-        solution=sol,
-        metrics=metrics,
-        objective=objective_value(spec, metrics),
-        throughput_ratios=thr,
-        delay_ratios=dly,
-        wall_time=time.perf_counter() - t0,
-    )

@@ -23,11 +23,14 @@ from delayflow.baselines import solve_exact, solve_greedy
 from delayflow.gen import random_problem
 from delayflow.graph import Network, Path, builtin_ec2, load_topology, serialize_topology
 from delayflow.problem import (
+    IDENTITY,
     Commodity,
     FlowSolution,
     Objective,
     ProblemSpec,
     evaluate_metrics,
+    make_dcum,
+    make_tcdm,
     objective_value,
     problem_from_json,
     problem_to_json,
@@ -84,26 +87,38 @@ def _flows_to_json(net: Network, flows) -> list:
 
 
 def _flows_from_json(doc, spec: ProblemSpec) -> FlowSolution:
+    """Path flows of a report; each path must be a simple path from its
+    commodity's source to its sink."""
     if len(doc) != len(spec.commodities):
         raise ValueError(
             f"corrupt report: {len(doc)} path-flow lists for "
             f"{len(spec.commodities)} commodities"
         )
-    n_edges = len(spec.network.edges)
-    for pf in doc:
+    net = spec.network
+    n_edges = len(net.edges)
+    flows = []
+    for i, (pf, c) in enumerate(zip(doc, spec.commodities)):
+        paths = []
         for p in pf:
-            for k in p["edges"]:
+            path = Path(tuple(p["edges"]))
+            for k in path.edges:
                 if type(k) is not int or not 0 <= k < n_edges:
                     raise ValueError(
                         f"corrupt report: path edge index {k!r} is not an "
                         f"edge of the topology (0..{n_edges - 1})"
                     )
-    return FlowSolution(
-        tuple(
-            tuple((Path(tuple(p["edges"])), float(p["rate"])) for p in pf)
-            for pf in doc
-        )
-    )
+            try:
+                nodes = path.nodes(net) if path.edges else None
+            except ValueError:  # not contiguous, or repeats a node
+                nodes = None
+            if nodes is None or (nodes[0], nodes[-1]) != (c.source, c.sink):
+                raise ValueError(
+                    f"corrupt report: commodity {i}: edges {list(path.edges)} are "
+                    f"not a simple path from {c.source} to {c.sink}"
+                )
+            paths.append((path, float(p["rate"])))
+        flows.append(paths)
+    return FlowSolution(flows)
 
 
 def report_to_json(spec: ProblemSpec, report: SolveReport) -> dict:
@@ -142,6 +157,11 @@ def verify_report(doc: dict) -> list[str]:
     net = load_topology(doc["topology"])
     spec = problem_from_json(doc["problem"], net)
     sol = _flows_from_json(doc["flows"], spec)
+    if len(doc["metrics"]) != len(spec.commodities):
+        raise ValueError(
+            f"corrupt report: {len(doc['metrics'])} metrics records for "
+            f"{len(spec.commodities)} commodities"
+        )
     issues = sol.check_feasible(net, spec.commodities, tol)
     metrics = evaluate_metrics(net, sol)
     for i, (m, rec) in enumerate(zip(metrics, doc["metrics"])):
@@ -183,7 +203,7 @@ def verify_report(doc: dict) -> list[str]:
                 )
         if hat is not None:
             for i in range(len(spec.commodities)):
-                ok, slack = check_lemma1(net, list(hat.flows[i]), list(sol.flows[i]), eps)
+                ok, slack = check_lemma1(net, hat.flows[i], sol.flows[i], eps)
                 if not ok:
                     issues.append(
                         f"commodity {i}: deletion inequality violated "
@@ -288,34 +308,12 @@ def _csv_row(experiment, params, report: SolveReport) -> list[str]:
     return [_fmt6(c) for c in cells]
 
 
-def _ec2_commodities():
-    # Commodity 1: Virginia -> Singapore, commodity 2: Oregon -> Tokyo.
-    return ("VA", "SI"), ("OR", "TO")
-
-
-def _tcdm_spec(net, r1, r2, w=1.0):
-    (s1, t1), (s2, t2) = _ec2_commodities()
-    return ProblemSpec(
-        net,
-        (
-            Commodity(s1, t1, R=r1, w=w, utility_d=scaled_identity(w)),
-            Commodity(s2, t2, R=r2, w=w, utility_d=scaled_identity(w)),
-        ),
-        Objective.SUM_DELAY_PENALTY,
-    )
-
-
-def _dcum_spec(net, d):
-    (s1, t1), (s2, t2) = _ec2_commodities()
-    return ProblemSpec(
-        net,
-        (Commodity(s1, t1, D=d), Commodity(s2, t2, D=d)),
-        Objective.SUM_THROUGHPUT_UTILITY,
-    )
+#: The EC2 sweeps' commodities: Virginia -> Singapore, Oregon -> Tokyo.
+EC2_PAIRS = (("VA", "SI"), ("OR", "TO"))
 
 
 def _utility_spec(net, w1, w2):
-    (s1, t1), (s2, t2) = _ec2_commodities()
+    (s1, t1), (s2, t2) = EC2_PAIRS
     return ProblemSpec(
         net,
         (
@@ -331,7 +329,7 @@ def run_experiment(name: str, writer) -> None:
     writer.writerow(_CSV_HEADER)
     eps_grid = [k / 100 for k in range(1, 100)]
     if name == "tcdm-eps":
-        spec = _tcdm_spec(net, 230.0, 230.0)
+        spec = make_tcdm(net, [(s, t, 230.0, 1.0) for s, t in EC2_PAIRS])
         fixed = [
             solve_pass_t(spec),
             solve_greedy(spec),
@@ -345,7 +343,7 @@ def run_experiment(name: str, writer) -> None:
     elif name == "tcdm-rate":
         cache: dict = {}
         for r in range(116, 240):
-            spec = _tcdm_spec(net, float(r), float(r))
+            spec = make_tcdm(net, [(s, t, float(r), 1.0) for s, t in EC2_PAIRS])
             params = {"R": float(r), "eps": 0.03}
             for rep in (
                 solve_pass(spec, 0.03),
@@ -355,7 +353,7 @@ def run_experiment(name: str, writer) -> None:
             ):
                 writer.writerow(_csv_row(name, params, rep))
     elif name == "dcum-eps":
-        spec = _dcum_spec(net, 150.0)
+        spec = make_dcum(net, [(s, t, 150.0, IDENTITY) for s, t in EC2_PAIRS])
         fixed = [solve_pass_m(spec), solve_greedy(spec), solve_exact(spec)]
         for eps in eps_grid:
             params = {"D": 150.0, "eps": eps}
@@ -389,7 +387,7 @@ def cmd_solve(args) -> int:
             spec = problem_from_json(json.load(fh), net)
     except OSError as e:
         raise UsageError(f"cannot read problem {args.problem!r}: {e}") from None
-    except (KeyError, json.JSONDecodeError) as e:
+    except json.JSONDecodeError as e:
         raise UsageError(f"malformed problem file: {e}") from None
     if args.algo == "pass" and args.eps is not None and not 0 < args.eps < 1:
         raise UsageError("--eps must lie in (0, 1)")

@@ -3,8 +3,8 @@
 Two engines behind one contract: a from-scratch two-phase dense-tableau
 simplex (Bland's rule, deterministic, each pivot one numpy rank-1 update),
 and scipy's HiGHS, given the sparse constraint matrix, for instances too
-large for a dense tableau. ``engine="auto"`` picks by tableau size, so
-identical inputs always take the same route and yield bit-identical
+large for a dense tableau. ``solve_lp`` picks the engine by tableau size,
+so identical inputs always take the same route and yield bit-identical
 solutions.
 """
 
@@ -22,7 +22,7 @@ PIVOT_TOL = 1e-9
 #: Absolute feasibility tolerance for solutions (after row scaling).
 SOLUTION_TOL = 1e-7
 
-#: Above this many tableau cells, auto engine switches to HiGHS.
+#: Above this many tableau cells, ``solve_lp`` switches to HiGHS.
 _AUTO_TABLEAU_CELLS = 250_000
 
 _MAX_ITER = 200_000
@@ -141,17 +141,13 @@ class LpSolution:
     duals: np.ndarray | None = None
 
 
-def solve_lp(lp: LinearProgram, engine: str = "auto") -> LpSolution:
+def solve_lp(lp: LinearProgram) -> LpSolution:
     """Solve ``lp``; when optimal, x is feasible within SOLUTION_TOL and the
     objective is within 1e-6 relative of the true optimum."""
-    if engine == "auto":
-        cells = (lp.num_rows + 1) * (lp.num_vars + 2 * lp.num_rows + 2)
-        engine = "simplex" if cells <= _AUTO_TABLEAU_CELLS else "highs"
-    if engine == "simplex":
+    cells = (lp.num_rows + 1) * (lp.num_vars + 2 * lp.num_rows + 2)
+    if cells <= _AUTO_TABLEAU_CELLS:
         return _solve_simplex(lp)
-    if engine == "highs":
-        return _solve_highs(lp)
-    raise ValueError(f"unknown engine {engine!r}")
+    return _solve_highs(lp)
 
 
 def _solve_highs(lp: LinearProgram) -> LpSolution:

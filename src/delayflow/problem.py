@@ -175,9 +175,13 @@ class ProblemSpec:
 @dataclass(frozen=True)
 class FlowSolution:
     """Per-commodity path flows; the path-form of a point of the feasible
-    multi-commodity flow polytope."""
+    multi-commodity flow polytope. Any sequence of (Path, rate) sequences
+    is accepted and stored as nested tuples."""
 
     flows: tuple[tuple[tuple[Path, float], ...], ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "flows", tuple(tuple(pf) for pf in self.flows))
 
     def edge_flow(self, net: Network, i: int) -> np.ndarray:
         x = np.zeros(len(net.edges))
@@ -233,13 +237,20 @@ class CommodityMetrics:
     avg_delay: float
 
 
+def path_flow_sums(net: Network, flow) -> tuple[float, float, float]:
+    """(|f|, T(f), M(f)) of one commodity's path flow: the total rate, the
+    rate-weighted delay sum, and the largest delay of a path carrying more
+    than FEAS_TOL (0 when none does)."""
+    thr = sum(rate for _, rate in flow)
+    total_d = sum(r * p.delay(net) for p, r in flow)
+    max_d = max((p.delay(net) for p, r in flow if r > FEAS_TOL), default=0.0)
+    return thr, total_d, max_d
+
+
 def evaluate_metrics(net: Network, sol: FlowSolution) -> tuple[CommodityMetrics, ...]:
     out = []
     for flow in sol.flows:
-        thr = sum(rate for _, rate in flow)
-        carrying = [(p, r) for p, r in flow if r > FEAS_TOL]
-        max_d = max((p.delay(net) for p, _ in carrying), default=0.0)
-        total_d = sum(r * p.delay(net) for p, r in flow)
+        thr, total_d, max_d = path_flow_sums(net, flow)
         avg_d = total_d / thr if thr > 0 else 0.0
         out.append(CommodityMetrics(thr, max_d, total_d, avg_d))
     return tuple(out)
@@ -269,21 +280,19 @@ def objective_value(spec: ProblemSpec, metrics: tuple[CommodityMetrics, ...]) ->
 
 @dataclass(frozen=True)
 class CounterpartMap:
-    """Maps counterpart-LP variables back to model quantities."""
+    """Maps counterpart-LP variables back to model quantities. Column
+    ``i*E + k`` holds commodity i's flow on edge k."""
 
-    edge_var: dict[tuple[int, int], int]  # (commodity, edge) -> column
+    num_commodities: int
+    num_edges: int
     rate_var: dict[int, int]  # commodity -> column for |f_i|
     aux_var: dict[int, int] = field(default_factory=dict)  # epigraph columns
     bound_var: int | None = None  # scalar for max-min objectives
 
-    def edge_flows(self, net: Network, n_comms: int, x: np.ndarray) -> list[np.ndarray]:
-        flows = []
-        for i in range(n_comms):
-            f = np.zeros(len(net.edges))
-            for k in range(len(net.edges)):
-                f[k] = x[self.edge_var[(i, k)]]
-            flows.append(f)
-        return flows
+    def edge_flows(self, x: np.ndarray) -> np.ndarray:
+        """K x E view of ``x``: row i is commodity i's edge flow."""
+        K, E = self.num_commodities, self.num_edges
+        return x[: K * E].reshape(K, E)
 
 
 def build_counterpart(spec: ProblemSpec) -> tuple[LinearProgram, CounterpartMap]:
@@ -301,7 +310,6 @@ def build_counterpart(spec: ProblemSpec) -> tuple[LinearProgram, CounterpartMap]
     E = len(net.edges)
     delays = net.delays()
 
-    edge_var = {(i, k): i * E + k for i in range(K) for k in range(E)}
     rate_var = {i: K * E + i for i in range(K)}
     aux_var = {i: K * E + K + i for i in range(K)}
     nvars = K * E + 2 * K
@@ -388,7 +396,7 @@ def build_counterpart(spec: ProblemSpec) -> tuple[LinearProgram, CounterpartMap]
             lp_rows.add([bound_var, aux_var[i]], [1.0, -1.0], ">=", 0.0)
 
     lp = lp_rows.program(sense, objective)
-    return lp, CounterpartMap(edge_var, rate_var, aux_var, bound_var)
+    return lp, CounterpartMap(K, E, rate_var, aux_var, bound_var)
 
 
 def make_tcdm(
@@ -419,34 +427,61 @@ def make_dcum(
 _OBJECTIVE_NAMES = {o.value: o for o in Objective}
 
 
-def _pl_from_json(obj) -> PLFunction:
-    return PLFunction(tuple((float(a), float(u)) for a, u in obj["points"]))
+def _number(obj: dict, key: str, default) -> float:
+    value = obj.get(key, default)
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{key} must be a number, got {value!r}") from None
+
+
+def _pl_from_json(obj, key: str) -> PLFunction:
+    points = obj.get("points") if isinstance(obj, dict) else None
+    try:
+        pts = tuple((float(a), float(u)) for a, u in points)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{key} points must be a list of [a, u] number pairs") from None
+    return PLFunction(pts)
 
 
 def _pl_to_json(u: PLFunction):
     return {"points": [[a, v] for a, v in u.points]}
 
 
-def problem_from_json(doc: dict, net: Network) -> ProblemSpec:
-    try:
-        objective = _OBJECTIVE_NAMES[doc["objective"]]
-    except KeyError:
-        raise ValueError(f"unknown objective {doc.get('objective')!r}") from None
+def _commodity_from_json(c) -> Commodity:
+    if not isinstance(c, dict):
+        raise ValueError(f"must be a JSON object, got {c!r}")
+    for key in ("src", "dst"):
+        if not isinstance(c.get(key), str):
+            raise ValueError(f"{key} must be a node name, got {c.get(key)!r}")
+    return Commodity(
+        source=c["src"],
+        sink=c["dst"],
+        R=_number(c, "R", 0.0),
+        D=_number(c, "D", "inf"),
+        w=_number(c, "w", 1.0),
+        utility_t=_pl_from_json(c["utility_t"], "utility_t") if "utility_t" in c else IDENTITY,
+        utility_d=_pl_from_json(c["utility_d"], "utility_d") if "utility_d" in c else IDENTITY,
+    )
+
+
+def problem_from_json(doc, net: Network) -> ProblemSpec:
+    """Parse a problem document; a ValueError names the first bad field."""
+    if not isinstance(doc, dict):
+        raise ValueError("problem must be a JSON object")
+    name = doc.get("objective")
+    if not isinstance(name, str) or name not in _OBJECTIVE_NAMES:
+        raise ValueError(f"unknown objective {name!r}")
+    raw = doc.get("commodities")
+    if not isinstance(raw, list):
+        raise ValueError(f"commodities must be a list, got {raw!r}")
     comms = []
-    for c in doc["commodities"]:
-        d_raw = c.get("D", "inf")
-        comms.append(
-            Commodity(
-                source=c["src"],
-                sink=c["dst"],
-                R=float(c.get("R", 0.0)),
-                D=math.inf if d_raw == "inf" else float(d_raw),
-                w=float(c.get("w", 1.0)),
-                utility_t=_pl_from_json(c["utility_t"]) if "utility_t" in c else IDENTITY,
-                utility_d=_pl_from_json(c["utility_d"]) if "utility_d" in c else IDENTITY,
-            )
-        )
-    return ProblemSpec(net, tuple(comms), objective)
+    for i, c in enumerate(raw):
+        try:
+            comms.append(_commodity_from_json(c))
+        except ValueError as e:
+            raise ValueError(f"commodity {i}: {e}") from None
+    return ProblemSpec(net, tuple(comms), _OBJECTIVE_NAMES[name])
 
 
 def problem_to_json(spec: ProblemSpec) -> dict:

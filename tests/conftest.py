@@ -17,9 +17,10 @@ from delayflow.algorithms import (
     solve_pass_t,
 )
 from delayflow.baselines import solve_exact, solve_greedy
+from delayflow.cli import EC2_PAIRS, _utility_spec
 from delayflow.gen import random_problem
 from delayflow.graph import Edge, Network, builtin_ec2
-from delayflow.problem import Objective
+from delayflow.problem import IDENTITY, Objective, make_dcum, make_tcdm
 
 CORPUS_SIZE = 200
 TOL = 1e-6
@@ -28,6 +29,18 @@ TOL = 1e-6
 @pytest.fixture(scope="session")
 def ec2():
     return builtin_ec2()
+
+
+@pytest.fixture(scope="session")
+def ec2_sweep_specs(ec2):
+    """The specs of the four ``delayflow experiment`` sweeps, in run order."""
+    rates = [230.0] + [float(r) for r in range(116, 240)]
+    specs = [make_tcdm(ec2, [(s, t, r, 1.0) for s, t in EC2_PAIRS]) for r in rates]
+    specs.append(make_dcum(ec2, [(s, t, 150.0, IDENTITY) for s, t in EC2_PAIRS]))
+    for w1 in range(1, 11):
+        for w2 in range(1, 11):
+            specs.append(_utility_spec(ec2, float(w1), float(w2)))
+    return specs
 
 
 @pytest.fixture

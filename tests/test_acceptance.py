@@ -8,8 +8,9 @@ import pytest
 
 from delayflow.algorithms import solve_pass, solve_pass_m, solve_pass_t
 from delayflow.baselines import solve_exact, solve_greedy
-from delayflow.cli import _dcum_spec, _tcdm_spec, _utility_spec
+from delayflow.cli import EC2_PAIRS, _utility_spec
 from delayflow.graph import builtin_ec2
+from delayflow.problem import IDENTITY, make_dcum, make_tcdm
 
 EPS_GRID = [k / 100 for k in range(1, 100)]
 
@@ -28,7 +29,7 @@ def test_acceptance_1_rate_sweep_averages(net):
     cache: dict = {}
     rates = range(116, 240)
     for r in rates:
-        spec = _tcdm_spec(net, float(r), float(r))
+        spec = make_tcdm(net, [(s, t, float(r), 1.0) for s, t in EC2_PAIRS])
         sums["greedy"] += solve_greedy(spec).objective
         sums["exact"] += solve_exact(spec, cache=cache, deadline_cap=900.0).objective
         sums["pass"] += solve_pass(spec, 0.03).objective
@@ -46,7 +47,7 @@ def test_acceptance_1_rate_sweep_averages(net):
 
 
 def test_acceptance_2_epsilon_sweep(net):
-    spec = _tcdm_spec(net, 230.0, 230.0)
+    spec = make_tcdm(net, [(s, t, 230.0, 1.0) for s, t in EC2_PAIRS])
     exact = solve_exact(spec, deadline_cap=900.0).objective
     pt = solve_pass_t(spec).objective
     greedy = solve_greedy(spec).objective
@@ -72,7 +73,7 @@ def test_acceptance_2_epsilon_sweep(net):
 
 
 def test_acceptance_3_delay_bound_sweep(net):
-    spec = _dcum_spec(net, 150.0)
+    spec = make_dcum(net, [(s, t, 150.0, IDENTITY) for s, t in EC2_PAIRS])
     exact = solve_exact(spec)
     greedy = solve_greedy(spec)
     pm = solve_pass_m(spec)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from delayflow.algorithms import (
@@ -11,7 +12,8 @@ from delayflow.algorithms import (
     solve_pass_m,
     solve_pass_t,
 )
-from delayflow.graph import Path
+from delayflow.gen import random_problem
+from delayflow.graph import FEAS_TOL, Edge, Network, Path
 from delayflow.problem import (
     Commodity,
     Objective,
@@ -45,6 +47,17 @@ def test_delete_slowest_spills_to_next(two_parallel):
     pf = [(Path((0,)), 1.0), (Path((1,)), 1.0)]
     out = delete_slowest(two_parallel, pf, 1.5)
     assert out == [(Path((0,)), 0.5)]
+
+
+def test_delete_slowest_ties_by_node_sequence():
+    # s->a->t and s->b->t both have delay 3 and carry rate 1.
+    net = Network(
+        ("s", "a", "b", "t"),
+        (Edge(0, 1, 1.0, 1.0), Edge(1, 3, 2.0, 1.0), Edge(0, 2, 2.0, 1.0), Edge(2, 3, 1.0, 1.0)),
+    )
+    via_b, via_a = Path((2, 3)), Path((0, 1))
+    out = delete_slowest(net, [(via_b, 1.0), (via_a, 1.0)], 0.5)
+    assert out == [(via_b, 1.0), (via_a, 0.5)]
 
 
 def test_delete_slowest_bad_amount(two_parallel):
@@ -137,3 +150,81 @@ def test_report_fields(two_parallel):
     assert rep.counterpart_metrics[0].throughput == pytest.approx(2.0)
     assert rep.delay_ratios == (0.0,)  # D infinite
     assert rep.wall_time >= 0.0
+
+
+# -- reference deletion -------------------------------------------------------
+# The deletion loops as they were before the slowest-first order was sorted
+# once: both re-sort the remaining paths after every step. The single-sort
+# walk must reproduce their paths, order and rates bit for bit.
+
+
+def _reference_delete_slowest(net, path_flow, amount):
+    remaining = [r for _, r in path_flow]
+    live = list(range(len(path_flow)))
+    left = amount
+    while left > FEAS_TOL and live:
+        live.sort(
+            key=lambda i: (
+                -path_flow[i][0].delay(net),
+                -remaining[i],
+                path_flow[i][0].nodes(net),
+            )
+        )
+        i = live[0]
+        take = min(remaining[i], left)
+        remaining[i] -= take
+        left -= take
+        if remaining[i] <= FEAS_TOL:
+            live.pop(0)
+    return [
+        (p, remaining[i])
+        for i, (p, _) in enumerate(path_flow)
+        if remaining[i] > FEAS_TOL
+    ]
+
+
+def _reference_pass_m_keep(net, path_flow, bound):
+    flow = list(path_flow)
+    while flow:
+        flow.sort(key=lambda item: (-item[0].delay(net), -item[1], item[0].nodes(net)))
+        if flow[0][0].delay(net) <= bound:
+            break
+        flow.pop(0)
+    return flow
+
+
+def _bits(path_flow):
+    return [(p.edges, float(r).hex()) for p, r in path_flow]
+
+
+def _assert_deletion_matches_reference(specs):
+    """PASS-M where every bound is finite, and delete_slowest at several
+    fractions of every counterpart commodity's rate. Returns the number of
+    commodity path flows checked."""
+    checked = 0
+    for spec in specs:
+        net = spec.network
+        if all(math.isfinite(c.D) for c in spec.commodities):
+            rep = solve_pass_m(spec)
+            for c, hat_i, bar_i in zip(
+                spec.commodities, rep.counterpart.flows, rep.solution.flows
+            ):
+                assert _bits(bar_i) == _bits(_reference_pass_m_keep(net, hat_i, c.D))
+        else:
+            rep = solve_pass_t(spec)
+        for pf in rep.counterpart.flows:
+            rate = sum(r for _, r in pf)
+            for frac in (0.03, 0.25, 0.5, 0.9, 1.0):
+                got = delete_slowest(net, pf, frac * rate)
+                assert _bits(got) == _bits(_reference_delete_slowest(net, pf, frac * rate))
+            checked += 1
+    return checked
+
+
+def test_deletion_matches_reference_on_corpus():
+    specs = [random_problem(np.random.default_rng(seed)) for seed in range(200)]
+    assert _assert_deletion_matches_reference(specs) >= 200
+
+
+def test_deletion_matches_reference_on_ec2_sweeps(ec2_sweep_specs):
+    assert _assert_deletion_matches_reference(ec2_sweep_specs) == 2 * 226

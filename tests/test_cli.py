@@ -1,9 +1,11 @@
 import csv
+import hashlib
 import io
 import json
 
 import pytest
 
+from delayflow import lp as lp_module
 from delayflow.cli import main, report_to_json, run_experiment, verify_report
 from delayflow.graph import serialize_topology
 from delayflow.problem import problem_to_json
@@ -95,6 +97,9 @@ def test_verify_catches_delay_certificate_violation(
     [
         (lambda doc: doc["flows"][0][0].update(edges=[999]), "edge index 999"),
         (lambda doc: doc["flows"].append(doc["flows"][0]), "2 path-flow lists"),
+        (lambda doc: doc.update(metrics=[]), "0 metrics records for 1 commodities"),
+        (lambda doc: doc["flows"][0][0].update(edges=[]), "not a simple path from s to t"),
+        (lambda doc: doc["flows"][0][0].update(edges=[0, 1]), "edges [0, 1] are not a simple"),
     ],
 )
 def test_verify_rejects_malformed_flows(
@@ -110,7 +115,42 @@ def test_verify_rejects_malformed_flows(
     corrupt(doc)
     out.write_text(json.dumps(doc))
     assert main(["verify", str(out)]) == 1
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: corrupt report: ") and message in err
+
+
+_BAD_PROBLEMS = [
+    ({"objective": "SumDelayPenalty", "commodities": 5}, "commodities must be a list"),
+    ({"objective": "SumDelayPenalty", "commodities": [5]}, "commodity 0: must be a JSON object"),
+    ({"objective": "SumDelayPenalty",
+      "commodities": [{"src": "s", "dst": "t", "R": None}]}, "commodity 0: R must be a number"),
+    ({"objective": "SumDelayPenalty",
+      "commodities": [{"src": "s", "dst": "t", "R": 10**400}]}, "commodity 0: R must be a number"),
+    ({"objective": "SumDelayPenalty",
+      "commodities": [{"src": ["s"], "dst": "t", "R": 2.0}]}, "commodity 0: src must be a node"),
+    ({"objective": "SumDelayPenalty",
+      "commodities": [{"src": "s", "dst": "t", "R": 2.0, "utility_d": {"points": 5}}]},
+     "commodity 0: utility_d points must be a list"),
+    (["SumDelayPenalty"], "problem must be a JSON object"),
+]
+
+
+@pytest.mark.parametrize("body,message", _BAD_PROBLEMS)
+def test_malformed_problem_exits_1(two_parallel_files, tmp_path, capsys, body, message):
+    topo, prob = two_parallel_files
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(body))
+    rc = main(["solve", "--topo", topo, "--problem", str(bad), "--algo", "pass-t"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    # the same body embedded in a report
+    out = tmp_path / "report.json"
+    main(["solve", "--topo", topo, "--problem", prob, "--algo", "pass-t", "--out", str(out)])
+    doc = json.loads(out.read_text())
+    doc["problem"] = body
+    out.write_text(json.dumps(doc))
+    assert main(["verify", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 def test_solve_rejects_non_finite_capacity(two_parallel_files, tmp_path, capsys):
@@ -200,13 +240,31 @@ def _experiment_rows(name):
     return buf.getvalue().splitlines()
 
 
-def test_experiment_shapes_and_stability():
-    lines = _experiment_rows("tcdm-rate")
-    assert len(lines) == 1 + 124 * 4
-    header = lines[0].split(",")
-    assert header[:3] == ["experiment", "R", "D"]
-    # bit-identical on a second run
-    assert _experiment_rows("tcdm-rate") == lines
+#: Row count and sha256 of each sweep's CSV. The digests pin the output
+#: bit for bit; a change that moves them must explain why.
+_SWEEPS = {
+    "tcdm-eps": (1 + 99 * 4, "0efe9ffeb9a6d2384a5345b3028069463cd223875daf5ba4e5ae8542a928418c"),
+    "tcdm-rate": (1 + 124 * 4, "780cc2ab67e31191bc0074d9eafc60ef3735e4a0e040f3ab39c9e47b8617ffd7"),
+    "dcum-eps": (1 + 99 * 4, "3bbc48be366a00e1f87388251b0b82d4da7176d3523f742b49a29b5dafaf3154"),
+    "utility-weights": (
+        1 + 100 * 5, "f2c65bef4864bdcc8d84df766bda2033ae68723173af84167c2549785e2aa7aa"
+    ),
+}
+
+
+def test_experiment_shapes_and_stability(monkeypatch):
+    # Every EC2 LP is small enough for the deterministic tableau.
+    highs_calls = []
+    monkeypatch.setattr(lp_module, "_solve_highs", highs_calls.append)
+    for name, (n_lines, digest) in _SWEEPS.items():
+        buf = io.StringIO()
+        run_experiment(name, csv.writer(buf))
+        text = buf.getvalue()
+        lines = text.splitlines()
+        assert len(lines) == n_lines, name
+        assert lines[0].split(",")[:3] == ["experiment", "R", "D"]
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, name
+    assert highs_calls == []
 
 
 def test_experiment_utility_weights_shape():
@@ -224,9 +282,10 @@ def test_experiment_unknown_name():
 def test_reports_pass_verify_for_all_algorithms(ec2):
     from delayflow.algorithms import solve_pass, solve_pass_m, solve_pass_t
     from delayflow.baselines import solve_exact, solve_greedy
-    from delayflow.cli import _dcum_spec
+    from delayflow.cli import EC2_PAIRS
+    from delayflow.problem import IDENTITY, make_dcum
 
-    spec = _dcum_spec(ec2, 150.0)
+    spec = make_dcum(ec2, [(s, t, 150.0, IDENTITY) for s, t in EC2_PAIRS])
     for rep in (
         solve_pass(spec, 0.3),
         solve_pass_m(spec),

@@ -3,8 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from delayflow.cli import _dcum_spec, _tcdm_spec, _utility_spec
-from delayflow.graph import Edge, Network, builtin_ec2
+from delayflow.graph import Edge, Network
 from delayflow.lp import (
     PIVOT_TOL,
     SOLUTION_TOL,
@@ -13,6 +12,8 @@ from delayflow.lp import (
     STATUS_UNBOUNDED,
     LinearProgram,
     LpSolution,
+    _solve_highs,
+    _solve_simplex,
     solve_lp,
 )
 from delayflow.problem import PLFunction, build_counterpart, make_dcum, make_tcdm
@@ -20,7 +21,7 @@ from delayflow.problem import PLFunction, build_counterpart, make_dcum, make_tcd
 
 def test_simple_max():
     lp = LinearProgram("max", [3, 2], [[1, 1], [1, 0]], ("<=", "<="), [4, 2])
-    sol = solve_lp(lp, engine="simplex")
+    sol = _solve_simplex(lp)
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(10.0)
     assert sol.x == pytest.approx([2.0, 2.0])
@@ -28,7 +29,7 @@ def test_simple_max():
 
 def test_simple_min_with_equality():
     lp = LinearProgram("min", [1, 2], [[1, 1]], ("=",), [3])
-    sol = solve_lp(lp, engine="simplex")
+    sol = _solve_simplex(lp)
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(3.0)
     assert sol.x == pytest.approx([3.0, 0.0])
@@ -36,14 +37,14 @@ def test_simple_min_with_equality():
 
 def test_infeasible():
     lp = LinearProgram("min", [1], [[1], [1]], ("<=", ">="), [1, 2])
-    assert solve_lp(lp, engine="simplex").status == "infeasible"
-    assert solve_lp(lp, engine="highs").status == "infeasible"
+    assert _solve_simplex(lp).status == "infeasible"
+    assert _solve_highs(lp).status == "infeasible"
 
 
 def test_unbounded():
     lp = LinearProgram("max", [1, 0], [[0, 1]], ("<=",), [1])
-    assert solve_lp(lp, engine="simplex").status == "unbounded"
-    assert solve_lp(lp, engine="highs").status == "unbounded"
+    assert _solve_simplex(lp).status == "unbounded"
+    assert _solve_highs(lp).status == "unbounded"
 
 
 def test_bounds_and_free_variables():
@@ -57,7 +58,7 @@ def test_bounds_and_free_variables():
         lower=[-np.inf, 2.0],
         upper=[np.inf, 5.0],
     )
-    sol = solve_lp(lp, engine="simplex")
+    sol = _solve_simplex(lp)
     assert sol.status == "optimal"
     assert sol.x == pytest.approx([-2.0, 2.0])
     assert sol.objective == pytest.approx(0.0)
@@ -83,8 +84,8 @@ def test_determinism():
         ("<=", ">=", "=", "<=", "<="),
         rng.integers(0, 9, size=5).astype(float),
     )
-    a = solve_lp(lp, engine="simplex")
-    b = solve_lp(lp, engine="simplex")
+    a = _solve_simplex(lp)
+    b = _solve_simplex(lp)
     assert a.status == b.status
     if a.status == "optimal":
         assert np.array_equal(a.x, b.x)
@@ -92,7 +93,7 @@ def test_determinism():
 
 def test_duals_complementary_slackness():
     lp = LinearProgram("max", [3, 2], [[1, 1], [1, 0]], ("<=", "<="), [4, 2])
-    sol = solve_lp(lp, engine="simplex")
+    sol = _solve_simplex(lp)
     assert sol.duals is not None
     # both rows tight, duals reproduce the objective (strong duality)
     assert float(sol.duals @ lp.rhs) == pytest.approx(sol.objective)
@@ -156,7 +157,7 @@ def test_against_vertex_enumeration():
             tuple(rng.choice(["<=", "=", ">="], size=m, p=[0.6, 0.2, 0.2])),
             rng.integers(0, 10, size=m).astype(float),
         )
-        sol = solve_lp(lp, engine="simplex")
+        sol = _solve_simplex(lp)
         verts = _enumerate_vertices(lp)
         if sol.status == "infeasible":
             assert not verts
@@ -168,7 +169,7 @@ def test_against_vertex_enumeration():
             assert sol.objective == pytest.approx(best, abs=1e-6)
             checked_optimal += 1
         else:  # unbounded: the solver's claim must beat every vertex
-            hs = solve_lp(lp, engine="highs")
+            hs = _solve_highs(lp)
             assert hs.status == "unbounded"
     assert checked_optimal > 20
 
@@ -185,8 +186,8 @@ def test_engines_agree_on_random_lps():
             tuple(rng.choice(["<=", "=", ">="], size=m)),
             rng.integers(0, 10, size=m).astype(float),
         )
-        a = solve_lp(lp, engine="simplex")
-        b = solve_lp(lp, engine="highs")
+        a = _solve_simplex(lp)
+        b = _solve_highs(lp)
         assert a.status == b.status
         if a.status == "optimal":
             assert a.objective == pytest.approx(b.objective, abs=1e-6)
@@ -371,7 +372,7 @@ def _reference_simplex(lp: LinearProgram):
 
 def _assert_same_as_reference(lp: LinearProgram) -> str:
     ref = _reference_simplex(lp)
-    got = solve_lp(lp, engine="simplex")
+    got = _solve_simplex(lp)
     assert got.status == ref.status
     if ref.status == "optimal":
         assert got.x.tobytes() == ref.x.tobytes()
@@ -410,21 +411,9 @@ def test_array_engine_matches_reference_on_random_feasible_lps():
     assert statuses.count("optimal") > 100
 
 
-def _sweep_specs():
-    """The specs of the four ``delayflow experiment`` sweeps."""
-    net = builtin_ec2()
-    yield _tcdm_spec(net, 230.0, 230.0)
-    for r in range(116, 240):
-        yield _tcdm_spec(net, float(r), float(r))
-    yield _dcum_spec(net, 150.0)
-    for w1 in range(1, 11):
-        for w2 in range(1, 11):
-            yield _utility_spec(net, float(w1), float(w2))
-
-
-def test_array_engine_matches_reference_on_ec2_counterparts():
+def test_array_engine_matches_reference_on_ec2_counterparts(ec2_sweep_specs):
     statuses = [_assert_same_as_reference(build_counterpart(spec)[0])
-                for spec in _sweep_specs()]
+                for spec in ec2_sweep_specs]
     assert len(statuses) == 226
     assert statuses.count("optimal") == 226
 
