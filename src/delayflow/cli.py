@@ -24,6 +24,7 @@ from delayflow.gen import random_problem
 from delayflow.graph import Network, Path, builtin_ec2, load_topology, serialize_topology
 from delayflow.problem import (
     IDENTITY,
+    VERIFY_TOL,
     Commodity,
     FlowSolution,
     Objective,
@@ -35,7 +36,6 @@ from delayflow.problem import (
     problem_from_json,
     problem_to_json,
     scaled_identity,
-    verify_tol,
 )
 
 _SOLVERS = ("pass", "pass-m", "pass-t", "greedy", "exact")
@@ -153,8 +153,13 @@ def report_to_json(spec: ProblemSpec, report: SolveReport) -> dict:
 def verify_report(doc: dict) -> list[str]:
     """Re-derive every claim in a serialized report from its embedded
     topology, problem, and flows. Returns a list of violations."""
-    tol = verify_tol()
-    net = load_topology(doc["topology"])
+    tol = VERIFY_TOL
+    topology = doc["topology"]
+    if not isinstance(topology, str):
+        raise ValueError(
+            f"corrupt report: topology must be a string, not {type(topology).__name__}"
+        )
+    net = load_topology(topology)
     spec = problem_from_json(doc["problem"], net)
     sol = _flows_from_json(doc["flows"], spec)
     if len(doc["metrics"]) != len(spec.commodities):

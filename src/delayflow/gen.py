@@ -105,69 +105,66 @@ def _routable_rate(net: Network, s: str, t: str, residual: np.ndarray) -> float:
 
 
 def random_problem(
-    rng: np.random.Generator,
-    max_nodes: int = 8,
-    max_delay: int = 10,
-    objective: Objective | None = None,
+    rng: np.random.Generator, max_nodes: int = 8, max_delay: int = 10
 ) -> ProblemSpec:
     net = random_network(rng, max_nodes, max_delay)
-    if objective is None:
-        objective = list(Objective)[int(rng.integers(0, 4))]
-    k = int(rng.integers(1, 3))
-    residual = net.capacities()
-    comms = []
-    used = set()
-    n = len(net.nodes)
-    for _ in range(k):
-        for _ in range(30):
-            s, t = (int(x) for x in rng.integers(0, n, size=2))
-            if s == t or (s, t) in used:
-                continue
-            sp = shortest_path_by_delay(
-                net, net.capacities(), net.nodes[s], net.nodes[t]
-            )
-            if sp is None:
-                continue
-            cap = _routable_rate(net, net.nodes[s], net.nodes[t], residual)
-            if cap <= 0.5:
-                continue
-            used.add((s, t))
-            break
-        else:
-            continue
-        sp_delay = sp.delay(net)
-        if objective.is_delay:
-            # Requirement the greedy pusher just met; no delay bound so the
-            # counterpart stays feasible.
-            comms.append(
-                Commodity(
-                    net.nodes[s],
-                    net.nodes[t],
-                    R=round(float(rng.uniform(0.3, 0.9)) * cap, 3),
-                    D=math.inf,
-                    w=float(rng.integers(1, 5)),
-                    utility_d=(
-                        scaled_identity(float(rng.integers(1, 5)))
-                        if rng.random() < 0.5
-                        else random_convex_penalty(rng)
-                    ),
+    objective = list(Objective)[int(rng.integers(0, 4))]
+    while True:
+        k = int(rng.integers(1, 3))
+        residual = net.capacities()
+        comms = []
+        used = set()
+        n = len(net.nodes)
+        for _ in range(k):
+            for _ in range(30):
+                s, t = (int(x) for x in rng.integers(0, n, size=2))
+                if s == t or (s, t) in used:
+                    continue
+                sp = shortest_path_by_delay(
+                    net, net.capacities(), net.nodes[s], net.nodes[t]
                 )
-            )
-        else:
-            comms.append(
-                Commodity(
-                    net.nodes[s],
-                    net.nodes[t],
-                    R=0.0,
-                    D=float(math.ceil(sp_delay * float(rng.uniform(1.0, 3.0)))),
-                    utility_t=(
-                        random_concave_utility(rng)
-                        if rng.random() < 0.5
-                        else scaled_identity(1.0)
-                    ),
+                if sp is None:
+                    continue
+                cap = _routable_rate(net, net.nodes[s], net.nodes[t], residual)
+                if cap <= 0.5:
+                    continue
+                used.add((s, t))
+                break
+            else:
+                continue
+            sp_delay = sp.delay(net)
+            if objective.is_delay:
+                # Requirement the greedy pusher just met; no delay bound so the
+                # counterpart stays feasible.
+                comms.append(
+                    Commodity(
+                        net.nodes[s],
+                        net.nodes[t],
+                        R=round(float(rng.uniform(0.3, 0.9)) * cap, 3),
+                        D=math.inf,
+                        w=float(rng.integers(1, 5)),
+                        utility_d=(
+                            scaled_identity(float(rng.integers(1, 5)))
+                            if rng.random() < 0.5
+                            else random_convex_penalty(rng)
+                        ),
+                    )
                 )
-            )
-    if not comms:
-        # Degenerate draw; retry with a fresh graph.
-        return random_problem(rng, max_nodes, max_delay, objective)
-    return ProblemSpec(net, tuple(comms), objective)
+            else:
+                comms.append(
+                    Commodity(
+                        net.nodes[s],
+                        net.nodes[t],
+                        R=0.0,
+                        D=float(math.ceil(sp_delay * float(rng.uniform(1.0, 3.0)))),
+                        utility_t=(
+                            random_concave_utility(rng)
+                            if rng.random() < 0.5
+                            else scaled_identity(1.0)
+                        ),
+                    )
+                )
+        if comms:
+            return ProblemSpec(net, tuple(comms), objective)
+        # Degenerate draw; retry with a fresh graph and the same objective.
+        net = random_network(rng, max_nodes, max_delay)

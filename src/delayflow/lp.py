@@ -1,16 +1,17 @@
 """Self-contained linear-program solving.
 
-Two engines behind one contract: a from-scratch two-phase dense-tableau
-simplex (Bland's rule, deterministic, each pivot one numpy rank-1 update),
-and scipy's HiGHS, given the sparse constraint matrix, for instances too
-large for a dense tableau. ``solve_lp`` picks the engine by tableau size,
-so identical inputs always take the same route and yield bit-identical
-solutions.
+Every LP has one form: optimise c.x subject to rows[i].x <rel_i> rhs[i]
+and x >= 0, with <rel_i> one of <=, =, >=. Two engines behind one contract:
+a from-scratch two-phase dense-tableau simplex (Bland's rule, deterministic,
+each pivot one numpy rank-1 update), and scipy's HiGHS, given the sparse
+constraint matrix, for instances too large for a dense tableau. ``solve_lp``
+picks the engine by tableau size, so identical inputs always take the same
+route and yield bit-identical solutions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,17 +35,15 @@ STATUS_ITER_LIMIT = 2
 
 @dataclass
 class LinearProgram:
-    """``sense`` c.x subject to rows[i].x <relations[i]> rhs[i] and
-    lower <= x <= upper. ``rows`` may be given dense or sparse; it is
-    stored as a ``scipy.sparse.csr_array`` without explicit zeros."""
+    """``sense`` c.x subject to rows[i].x <relations[i]> rhs[i] and x >= 0
+    (every variable is nonnegative). ``rows`` may be given dense or sparse;
+    it is stored as a ``scipy.sparse.csr_array`` without explicit zeros."""
 
     sense: str  # "min" or "max"
     objective: np.ndarray
     rows: sp.csr_array
     relations: tuple[str, ...]
     rhs: np.ndarray
-    lower: np.ndarray = field(default=None)
-    upper: np.ndarray = field(default=None)
 
     def __post_init__(self):
         if self.sense not in ("min", "max"):
@@ -77,16 +76,6 @@ class LinearProgram:
             raise ValueError("relations must be one of <=, =, >=")
         if not np.isfinite(self.rhs).all():
             raise ValueError("rhs must be finite")
-        if self.lower is None:
-            self.lower = np.zeros(n)
-        if self.upper is None:
-            self.upper = np.full(n, np.inf)
-        self.lower = np.asarray(self.lower, dtype=np.float64)
-        self.upper = np.asarray(self.upper, dtype=np.float64)
-        if self.lower.shape != (n,) or self.upper.shape != (n,):
-            raise ValueError("bounds dimension mismatch")
-        if (self.lower > self.upper).any():
-            raise ValueError("lower bound exceeds upper bound")
 
     @property
     def num_vars(self) -> int:
@@ -138,12 +127,12 @@ class LpSolution:
     status: str  # "optimal", "infeasible", "unbounded"
     x: np.ndarray | None = None
     objective: float | None = None
-    duals: np.ndarray | None = None
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
-    """Solve ``lp``; when optimal, x is feasible within SOLUTION_TOL and the
-    objective is within 1e-6 relative of the true optimum."""
+    """Solve ``lp`` over x >= 0; when optimal, x is feasible within
+    SOLUTION_TOL and the objective is within 1e-6 relative of the true
+    optimum."""
     cells = (lp.num_rows + 1) * (lp.num_vars + 2 * lp.num_rows + 2)
     if cells <= _AUTO_TABLEAU_CELLS:
         return _solve_simplex(lp)
@@ -164,7 +153,6 @@ def _solve_highs(lp: LinearProgram) -> LpSolution:
         b_ub=sign * lp.rhs[ub] if ub.size else None,
         A_eq=lp.rows[eq] if eq.size else None,
         b_eq=lp.rhs[eq] if eq.size else None,
-        bounds=np.column_stack((lp.lower, lp.upper)),
         method="highs",
     )
     res = linprog(c, **kwargs)
@@ -236,43 +224,14 @@ _SLACK_SIGN = {"<=": 1.0, "=": 0.0, ">=": -1.0}
 
 
 def _solve_simplex(lp: LinearProgram) -> LpSolution:
-    # Internally a maximization over shifted variables y >= 0.
+    # Internally a maximization.
     c_user = lp.objective
-    c = c_user.copy() if lp.sense == "max" else -c_user
+    c = c_user if lp.sense == "max" else -c_user
     n = lp.num_vars
-
-    # Variable transform: x_j = shift_j + y[pos_j] (- y[pos_j + 1] when x_j
-    # is free). Finite lower bounds shift; free variables split into a
-    # positive pair of adjacent columns.
-    finite = np.isfinite(lp.lower)
-    shift = np.where(finite, lp.lower, 0.0)
-    free = (~finite).nonzero()[0]
-    pos = np.arange(n)
-    if free.size:
-        pos += np.cumsum(~finite) - ~finite
-    neg = pos[free] + 1
-    ny = n + free.size
-    c_y = np.zeros(ny)
-    c_y[pos] = c
-    c_y[neg] = -c[free]
-
-    # User rows, then one "<=" row per finite upper bound.
-    n_user_rows = lp.num_rows
-    upper = np.isfinite(lp.upper).nonzero()[0]
-    m = n_user_rows + upper.size
+    m = lp.num_rows
     a = lp.rows.toarray()
-    b = lp.rhs - a @ shift
-    if free.size or upper.size:
-        dense = a
-        a = np.zeros((m, ny))
-        a[:n_user_rows, pos] = dense
-        a[:n_user_rows, neg] = -dense[:, free]
-        ub_rows = np.arange(n_user_rows, m)
-        a[ub_rows, pos[upper]] = 1.0
-        free_ub = ~finite[upper]
-        a[ub_rows[free_ub], pos[upper[free_ub]] + 1] = -1.0
-        b = np.concatenate((b, lp.upper[upper] - shift[upper]))
-    slack_sign = np.array([_SLACK_SIGN[r] for r in lp.relations] + [1.0] * upper.size)
+    b = lp.rhs.copy()
+    slack_sign = np.array([_SLACK_SIGN[r] for r in lp.relations])
 
     # Row scaling by max-abs coefficient, then orient rhs nonnegative
     # (multiplying by -1.0 negates exactly and flips the relation).
@@ -291,14 +250,14 @@ def _solve_simplex(lp: LinearProgram) -> LpSolution:
     slack_rows = slack_sign.nonzero()[0]
     art_rows = (slack_sign <= 0).nonzero()[0]
     n_slack, n_art = slack_rows.size, art_rows.size
-    ncols = ny + n_slack + n_art
+    ncols = n + n_slack + n_art
     aux = np.empty(m, dtype=np.int64)
-    aux[slack_rows] = ny + np.arange(n_slack)
-    aux[art_rows] = ny + n_slack + np.arange(n_art)
+    aux[slack_rows] = n + np.arange(n_slack)
+    aux[art_rows] = n + n_slack + np.arange(n_art)
     T = np.zeros((m + 1, ncols + 1))
-    T[:m, :ny] = a
+    T[:m, :n] = a
     T[:m, -1] = b
-    T[slack_rows, ny + np.arange(n_slack)] = slack_sign[slack_rows]
+    T[slack_rows, n + np.arange(n_slack)] = slack_sign[slack_rows]
     T[art_rows, aux[art_rows]] = 1.0
     basis = aux.copy()
 
@@ -306,7 +265,7 @@ def _solve_simplex(lp: LinearProgram) -> LpSolution:
     if n_art:
         # Row by row in row order, as one sequential reduction.
         T[m] = np.subtract.reduce(T[np.concatenate(([m], art_rows))], axis=0)
-        status = simplex_iterations(T, basis, ny + n_slack, _MAX_ITER)
+        status = simplex_iterations(T, basis, n + n_slack, _MAX_ITER)
         if status != STATUS_OPTIMAL:
             raise RuntimeError("simplex iteration failure in phase 1")
         if T[m, -1] < -SOLUTION_TOL:
@@ -314,8 +273,8 @@ def _solve_simplex(lp: LinearProgram) -> LpSolution:
         # Drive remaining artificials out of the basis; a row with no
         # usable pivot is redundant and dropped.
         keep = np.ones(m + 1, dtype=bool)
-        for i in (basis >= ny + n_slack).nonzero()[0]:
-            usable = (np.abs(T[i, : ny + n_slack]) > PIVOT_TOL).nonzero()[0]
+        for i in (basis >= n + n_slack).nonzero()[0]:
+            usable = (np.abs(T[i, : n + n_slack]) > PIVOT_TOL).nonzero()[0]
             if not usable.size:
                 keep[i] = False
                 continue
@@ -328,10 +287,10 @@ def _solve_simplex(lp: LinearProgram) -> LpSolution:
 
     # Phase 2 with the real objective.
     c_ext = np.zeros(ncols + 1)
-    c_ext[:ny] = c_y
+    c_ext[:n] = c
     cb = c_ext[basis]
     T[m, :] = cb @ T[:m, :] - c_ext
-    status = simplex_iterations(T, basis, ny + n_slack, _MAX_ITER)
+    status = simplex_iterations(T, basis, n + n_slack, _MAX_ITER)
     if status == STATUS_UNBOUNDED:
         return LpSolution("unbounded")
     if status != STATUS_OPTIMAL:
@@ -339,11 +298,5 @@ def _solve_simplex(lp: LinearProgram) -> LpSolution:
 
     y = np.zeros(ncols)
     y[basis] = T[:m, -1]
-    x = shift + y[pos]
-    x[free] -= y[neg]
-
-    # Duals for the internal max form, read off the auxiliary column of
-    # each user row and mapped back through scaling/orientation.
-    duals = T[m, aux[:n_user_rows]] * orient[:n_user_rows] / scale[:n_user_rows]
-
-    return LpSolution("optimal", x, float(c_user @ x), duals)
+    x = y[:n]
+    return LpSolution("optimal", x, float(c_user @ x))

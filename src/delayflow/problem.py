@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import enum
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,9 +13,8 @@ from delayflow.graph import FEAS_TOL, Network, Path
 from delayflow.lp import LinearProgram, SparseRows
 
 
-def verify_tol() -> float:
-    """Verification tolerance, overridable via DELAYFLOW_TOL."""
-    return float(os.environ.get("DELAYFLOW_TOL", "1e-6"))
+#: Absolute tolerance of ``check_feasible`` and ``delayflow verify``.
+VERIFY_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -197,10 +195,9 @@ class FlowSolution:
         return x
 
     def check_feasible(
-        self, net: Network, commodities: tuple[Commodity, ...], tol: float | None = None
+        self, net: Network, commodities: tuple[Commodity, ...], tol: float = VERIFY_TOL
     ) -> list[str]:
         """Conservation, capacity, and nonnegativity violations (empty if ok)."""
-        tol = verify_tol() if tol is None else tol
         issues = []
         for i, flow in enumerate(self.flows):
             for path, rate in flow:

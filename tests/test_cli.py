@@ -100,6 +100,12 @@ def test_verify_catches_delay_certificate_violation(
         (lambda doc: doc.update(metrics=[]), "0 metrics records for 1 commodities"),
         (lambda doc: doc["flows"][0][0].update(edges=[]), "not a simple path from s to t"),
         (lambda doc: doc["flows"][0][0].update(edges=[0, 1]), "edges [0, 1] are not a simple"),
+        # json.loads reads 1e400 as float("inf"), written back as Infinity.
+        *(
+            (lambda doc, v=v: doc.update(topology=v), f"topology must be a string, not {name}")
+            for v, name in [(None, "NoneType"), (5, "int"), (float("inf"), "float"),
+                            ([], "list"), ({}, "dict"), (True, "bool")]
+        ),
     ],
 )
 def test_verify_rejects_malformed_flows(

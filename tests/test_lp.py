@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from delayflow import lp as lp_module
 from delayflow.graph import Edge, Network
 from delayflow.lp import (
     PIVOT_TOL,
@@ -47,23 +48,6 @@ def test_unbounded():
     assert _solve_highs(lp).status == "unbounded"
 
 
-def test_bounds_and_free_variables():
-    # min x + y with x free, y in [2, 5], x >= y - 4
-    lp = LinearProgram(
-        "min",
-        [1, 1],
-        [[1, -1]],
-        (">=",),
-        [-4],
-        lower=[-np.inf, 2.0],
-        upper=[np.inf, 5.0],
-    )
-    sol = _solve_simplex(lp)
-    assert sol.status == "optimal"
-    assert sol.x == pytest.approx([-2.0, 2.0])
-    assert sol.objective == pytest.approx(0.0)
-
-
 def test_validation_errors():
     with pytest.raises(ValueError):
         LinearProgram("maximize", [1], [[1]], ("<=",), [1])
@@ -71,8 +55,6 @@ def test_validation_errors():
         LinearProgram("max", [1], [[1]], ("<",), [1])
     with pytest.raises(ValueError):
         LinearProgram("max", [1], [[1], [1]], ("<=",), [1])
-    with pytest.raises(ValueError):
-        LinearProgram("max", [1], [[1]], ("<=",), [1], lower=[2], upper=[1])
 
 
 def test_determinism():
@@ -91,20 +73,9 @@ def test_determinism():
         assert np.array_equal(a.x, b.x)
 
 
-def test_duals_complementary_slackness():
-    lp = LinearProgram("max", [3, 2], [[1, 1], [1, 0]], ("<=", "<="), [4, 2])
-    sol = _solve_simplex(lp)
-    assert sol.duals is not None
-    # both rows tight, duals reproduce the objective (strong duality)
-    assert float(sol.duals @ lp.rhs) == pytest.approx(sol.objective)
-    # dual feasibility for a max/<= problem: A^T y >= c, y >= 0
-    assert np.all(lp.rows.T @ sol.duals >= lp.objective - 1e-9)
-    assert np.all(sol.duals >= -1e-9)
-
-
 def _enumerate_vertices(lp: LinearProgram):
     """All basic feasible points of {Ax rel b, x >= 0} by activating n
-    constraints at a time; assumes default bounds."""
+    constraints at a time."""
     n = lp.num_vars
     dense = lp.rows.toarray()
     planes = [(row, b) for row, b in zip(dense, lp.rhs)]
@@ -193,17 +164,21 @@ def test_engines_agree_on_random_lps():
             assert a.objective == pytest.approx(b.objective, abs=1e-6)
 
 
-def test_auto_engine_picks_simplex_for_small():
+def test_auto_engine_picks_simplex_for_small(monkeypatch):
+    def no_highs(lp):
+        raise AssertionError("small LP sent to HiGHS")
+
+    monkeypatch.setattr(lp_module, "_solve_highs", no_highs)
     lp = LinearProgram("max", [1], [[1]], ("<=",), [1])
-    sol = solve_lp(lp)  # must not raise; small goes through the tableau
+    sol = solve_lp(lp)
     assert sol.status == "optimal"
-    assert sol.duals is not None  # simplex path provides duals
+    assert sol.x.tolist() == [1.0]
 
 
 # -- reference engine ---------------------------------------------------------
 # A scalar two-phase tableau simplex with one Python loop per row and per
-# column. The array engine must reproduce its x, objective and duals bit for
-# bit, because every tableau cell gets the same floating-point operations.
+# column. The array engine must reproduce its x and objective bit for bit,
+# because every tableau cell gets the same floating-point operations.
 
 
 def _reference_iterations(T, basis, n_enterable, max_iter):
@@ -243,65 +218,31 @@ def _reference_iterations(T, basis, n_enterable, max_iter):
 
 def _reference_simplex(lp: LinearProgram):
     c_user = lp.objective
-    c = c_user.copy() if lp.sense == "max" else -c_user
+    c = c_user if lp.sense == "max" else -c_user
     n = lp.num_vars
-    shift = np.where(np.isfinite(lp.lower), lp.lower, 0.0)
-    cols = []
-    c_y = []
-    for j in range(n):
-        if np.isfinite(lp.lower[j]):
-            cols.append([(len(c_y), 1.0)])
-            c_y.append(c[j])
-        else:
-            cols.append([(len(c_y), 1.0), (len(c_y) + 1, -1.0)])
-            c_y.extend([c[j], -c[j]])
-    ny = len(c_y)
-
-    def expand(row):
-        out = np.zeros(ny)
-        for j in range(n):
-            for col, sign in cols[j]:
-                out[col] = sign * row[j]
-        return out
-
-    a_rows, rels, bvec = [], [], []
-    for row, rel, b in zip(lp.rows.toarray(), lp.relations, lp.rhs):
-        a_rows.append(expand(row))
-        rels.append(rel)
-        bvec.append(b - float(row @ shift))
-    n_user_rows = len(a_rows)
-    for j in range(n):
-        if np.isfinite(lp.upper[j]):
-            row = np.zeros(n)
-            row[j] = 1.0
-            a_rows.append(expand(row))
-            rels.append("<=")
-            bvec.append(lp.upper[j] - shift[j])
-    a = np.array(a_rows) if a_rows else np.zeros((0, ny))
-    b = np.array(bvec)
+    a = lp.rows.toarray()
+    rels = list(lp.relations)
     m = a.shape[0]
-    scale = np.abs(a).max(axis=1, initial=0.0) if m else np.zeros(0)
+    scale = np.abs(a).max(axis=1, initial=0.0)
     scale[scale < 1e-12] = 1.0
     a = a / scale[:, None]
-    b = b / scale
+    b = lp.rhs / scale
     flip = {"<=": ">=", ">=": "<=", "=": "="}
-    flipped = np.zeros(m, dtype=bool)
     for i in range(m):
         if b[i] < 0:
             a[i] = -a[i]
             b[i] = -b[i]
             rels[i] = flip[rels[i]]
-            flipped[i] = True
     n_slack = sum(1 for r in rels if r != "=")
     n_art = sum(1 for r in rels if r != "<=")
-    ncols = ny + n_slack + n_art
+    ncols = n + n_slack + n_art
     T = np.zeros((m + 1, ncols + 1))
-    T[:m, :ny] = a
+    T[:m, :n] = a
     T[:m, -1] = b
     basis = np.empty(m, dtype=np.int64)
     art_col_of_row = np.full(m, -1, dtype=np.int64)
     slack_col_of_row = np.full(m, -1, dtype=np.int64)
-    sc, ac = ny, ny + n_slack
+    sc, ac = n, n + n_slack
     for i, rel in enumerate(rels):
         if rel != "=":
             T[i, sc] = 1.0 if rel == "<=" else -1.0
@@ -318,16 +259,16 @@ def _reference_simplex(lp: LinearProgram):
         for i in range(m):
             if art_col_of_row[i] >= 0:
                 T[m, :] -= T[i, :]
-        status = _reference_iterations(T, basis, ny + n_slack, 200_000)
+        status = _reference_iterations(T, basis, n + n_slack, 200_000)
         assert status == STATUS_OPTIMAL
         if T[m, -1] < -SOLUTION_TOL:
             return LpSolution("infeasible")
-        art_set = set(range(ny + n_slack, ncols))
+        art_set = set(range(n + n_slack, ncols))
         drop_rows = []
         for i in range(m):
             if basis[i] in art_set:
                 pivot_j = -1
-                for j in range(ny + n_slack):
+                for j in range(n + n_slack):
                     if abs(T[i, j]) > PIVOT_TOL:
                         pivot_j = j
                         break
@@ -346,28 +287,18 @@ def _reference_simplex(lp: LinearProgram):
             basis = basis[np.array(keep, dtype=np.int64)]
             m = len(keep)
     c_ext = np.zeros(ncols + 1)
-    c_ext[:ny] = np.asarray(c_y)
+    c_ext[:n] = c
     cb = c_ext[basis]
     T[m, :] = cb @ T[:m, :] - c_ext
-    status = _reference_iterations(T, basis, ny + n_slack, 200_000)
+    status = _reference_iterations(T, basis, n + n_slack, 200_000)
     if status == STATUS_UNBOUNDED:
         return LpSolution("unbounded")
     assert status == STATUS_OPTIMAL
-    y = np.zeros(ncols)
+    x = np.zeros(n)
     for i in range(m):
-        y[basis[i]] = T[i, -1]
-    x = shift.copy()
-    for j in range(n):
-        for col, sign in cols[j]:
-            x[j] += sign * y[col]
-    duals = np.zeros(lp.num_rows)
-    for i in range(n_user_rows):
-        col = art_col_of_row[i] if art_col_of_row[i] >= 0 else slack_col_of_row[i]
-        val = T[m, col]
-        if flipped[i]:
-            val = -val
-        duals[i] = val / scale[i]
-    return LpSolution("optimal", x, float(c_user @ x), duals)
+        if basis[i] < n:
+            x[basis[i]] = T[i, -1]
+    return LpSolution("optimal", x, float(c_user @ x))
 
 
 def _assert_same_as_reference(lp: LinearProgram) -> str:
@@ -377,34 +308,29 @@ def _assert_same_as_reference(lp: LinearProgram) -> str:
     if ref.status == "optimal":
         assert got.x.tobytes() == ref.x.tobytes()
         assert got.objective == ref.objective
-        assert got.duals.tobytes() == ref.duals.tobytes()
     return ref.status
 
 
 def test_array_engine_matches_reference_on_random_feasible_lps():
-    """Feasible by construction (rows evaluated at a point inside the
-    bounds), with free variables and finite upper bounds mixed in."""
+    """Feasible by construction (rows evaluated at a point x0 >= 0), with
+    upper bounds on some variables written as explicit "<=" rows."""
     rng = np.random.default_rng(2024)
     statuses = []
     for _ in range(150):
         n = int(rng.integers(1, 9))
         m = int(rng.integers(1, 9))
         a = rng.integers(-5, 6, size=(m, n)) * (rng.random((m, n)) < 0.7)
-        x0 = rng.integers(-2, 5, size=n)
-        lower = np.where(rng.random(n) < 0.2, -np.inf, x0 - rng.integers(0, 3, size=n))
-        upper = np.where(rng.random(n) < 0.3, x0 + rng.integers(0, 4, size=n), np.inf)
-        rels = tuple(rng.choice(["<=", "=", ">="], size=m))
+        x0 = rng.integers(0, 5, size=n)
+        rels = rng.choice(["<=", "=", ">="], size=m)
         slack = rng.integers(0, 4, size=m)
-        rhs = a @ x0 + np.select([np.array(rels) == "<=", np.array(rels) == ">="],
-                                 [slack, -slack], 0)
+        rhs = a @ x0 + np.select([rels == "<=", rels == ">="], [slack, -slack], 0)
+        bounded = (rng.random(n) < 0.3).nonzero()[0]
         lp = LinearProgram(
             "max" if rng.random() < 0.5 else "min",
             rng.integers(-5, 6, size=n).astype(float),
-            a.astype(float),
-            rels,
-            rhs.astype(float),
-            lower=lower,
-            upper=upper,
+            np.vstack((a, np.eye(n)[bounded])),
+            tuple(rels) + ("<=",) * bounded.size,
+            np.concatenate((rhs, x0[bounded] + rng.integers(0, 4, size=bounded.size))),
         )
         statuses.append(_assert_same_as_reference(lp))
     assert "infeasible" not in statuses
@@ -412,8 +338,14 @@ def test_array_engine_matches_reference_on_random_feasible_lps():
 
 
 def test_array_engine_matches_reference_on_ec2_counterparts(ec2_sweep_specs):
-    statuses = [_assert_same_as_reference(build_counterpart(spec)[0])
-                for spec in ec2_sweep_specs]
+    """Also sends each counterpart through HiGHS: same optimum as the tableau."""
+    statuses = []
+    for spec in ec2_sweep_specs:
+        lp = build_counterpart(spec)[0]
+        statuses.append(_assert_same_as_reference(lp))
+        highs = _solve_highs(lp)
+        assert highs.status == "optimal"
+        assert highs.objective == pytest.approx(_solve_simplex(lp).objective, abs=1e-6)
     assert len(statuses) == 226
     assert statuses.count("optimal") == 226
 
