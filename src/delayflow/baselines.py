@@ -16,7 +16,7 @@ from delayflow.algorithms import (
     build_report,
     delete_slowest,
 )
-from delayflow.decompose import PRUNE_TOL
+from delayflow.decompose import _strip_paths
 from delayflow.graph import FEAS_TOL, Network, Path, shortest_path_by_delay
 from delayflow.lp import SparseRows, solve_lp
 from delayflow.problem import FlowSolution, Objective, ProblemSpec
@@ -83,50 +83,64 @@ def simple_path_delays(net: Network, s: str, t: str) -> list[float]:
 
 
 class _TimeExpanded:
-    """Per-commodity layered graph: states (v, elapsed delay tau), pruned to
-    those on some source-to-sink walk with tau <= deadline."""
+    """Per-commodity layered graph over states (v, elapsed delay tau),
+    pruned to those on some source-to-sink walk with tau <= deadline.
+
+    It has the integer graph shape that ``decompose`` reads: ``nodes`` are
+    the sorted non-sink states followed by one node, ``(t, None)``, that
+    stands for every sink state (t, tau), since sink states absorb; arc j
+    runs along physical edge ``edge_of[j]`` into node ``heads[j]``; and
+    ``out_edges``/``in_edges`` list each node's arcs. Arcs are ordered by
+    (tail state, physical edge). ``source`` is the node of (s, 0), or None
+    when no walk meets the deadline.
+    """
 
     def __init__(self, net: Network, s: int, t: int, deadline: float):
-        self.net = net
-        self.s = s
-        self.t = t
-        # Forward reachability from (s, 0); sink states absorb.
+        # Forward reachability from (s, 0), collecting every arc between
+        # reached states; sink states absorb.
         reach: set[tuple[int, float]] = {(s, 0.0)}
         frontier = [(s, 0.0)]
+        arcs: list[tuple[tuple[int, float], int, tuple[int, float]]] = []
+        preds: dict[tuple[int, float], list[tuple[int, float]]] = {}
         while frontier:
-            u, tau = frontier.pop()
+            st = frontier.pop()
+            u, tau = st
             if u == t:
                 continue
             for k in net.out_edges[u]:
                 e = net.edges[k]
                 nxt = (e.v, tau + e.delay)
-                if nxt[1] <= deadline and nxt not in reach:
+                if nxt[1] > deadline:
+                    continue
+                arcs.append((st, k, nxt))
+                preds.setdefault(nxt, []).append(st)
+                if nxt not in reach:
                     reach.add(nxt)
                     frontier.append(nxt)
-        # Backward prune: keep states that can reach a sink state.
-        useful: set[tuple[int, float]] = {st for st in reach if st[0] == t}
-        changed = True
-        arcs_all = []
-        for u, tau in reach:
-            if u == t:
-                continue
-            for k in net.out_edges[u]:
-                e = net.edges[k]
-                nxt = (e.v, tau + e.delay)
-                if nxt in reach:
-                    arcs_all.append(((u, tau), k, nxt))
-        while changed:
-            changed = False
-            for src, _, dst in arcs_all:
-                if dst in useful and src not in useful:
-                    useful.add(src)
-                    changed = True
-        self.states = sorted(useful)
-        self.arcs = sorted(
-            (a for a in arcs_all if a[0] in useful and a[2] in useful),
-            key=lambda a: (a[0], a[1]),
-        )
-        self.feasible = (s, 0.0) in useful
+        # Reverse BFS from the sink states: keep states that reach one.
+        useful = {st for st in reach if st[0] == t}
+        frontier = list(useful)
+        while frontier:
+            for p in preds.get(frontier.pop(), ()):
+                if p not in useful:
+                    useful.add(p)
+                    frontier.append(p)
+        states = sorted(st for st in useful if st[0] != t)
+        sink = len(states)
+        index = {st: i for i, st in enumerate(states)}
+        index.update((st, sink) for st in useful if st[0] == t)
+        # An arc into a useful state leaves a useful one.
+        kept = sorted((index[a], k, index[b]) for a, k, b in arcs if b in index)
+        self.nodes = states + [(t, None)]
+        self.edge_of = [k for _, k, _ in kept]
+        self.heads = [v for _, _, v in kept]
+        self.out_edges: list[list[int]] = [[] for _ in self.nodes]
+        self.in_edges: list[list[int]] = [[] for _ in self.nodes]
+        for j, (u, _, v) in enumerate(kept):
+            self.out_edges[u].append(j)
+            self.in_edges[v].append(j)
+        self.source = index.get((s, 0.0))
+        self.sink = sink
 
 
 def _exact_lp(
@@ -149,14 +163,14 @@ def _exact_lp(
     for c, delta in zip(comms, deadlines):
         te = _TimeExpanded(net, net.index_of(c.source), net.index_of(c.sink), delta)
         tes.append(te)
-        if not te.feasible and (mode == "scale" or c.R > 0):
+        if te.source is None and (mode == "scale" or c.R > 0):
             return None, tes
 
     arc_base: list[int] = []  # first column of each commodity's arcs
     nvars = 0
     for te in tes:
         arc_base.append(nvars)
-        nvars += len(te.arcs)
+        nvars += len(te.heads)
     rate_var = [nvars + i for i in range(K)]
     nvars += K
     aux_var = None
@@ -174,26 +188,18 @@ def _exact_lp(
 
     lp_rows = SparseRows(nvars)
     for i, te in enumerate(tes):
-        in_arcs: dict[tuple[int, float], list[int]] = {}
-        out_arcs: dict[tuple[int, float], list[int]] = {}
-        for j, (src, _, dst) in enumerate(te.arcs):
-            out_arcs.setdefault(src, []).append(j)
-            in_arcs.setdefault(dst, []).append(j)
         base = arc_base[i]
-        source = (te.s, 0.0)
-        sink_in: list[int] = []
-        for st in te.states:
-            outs, ins = out_arcs.get(st, []), in_arcs.get(st, [])
-            if st[0] == te.t:
-                sink_in += ins
-                continue
+        # Conservation at every non-sink state; the rate leaves the source.
+        for v in range(te.sink):
+            outs, ins = te.out_edges[v], te.in_edges[v]
             cols = [base + j for j in outs + ins]
             vals = [1.0] * len(outs) + [-1.0] * len(ins)
-            if st == source:
+            if v == te.source:
                 cols.append(rate_var[i])
                 vals.append(-1.0)
             lp_rows.add(cols, vals, "=", 0.0)
         # Rate also equals total inflow into sink states.
+        sink_in = te.in_edges[te.sink]
         lp_rows.add([base + j for j in sink_in] + [rate_var[i]],
                     [1.0] * len(sink_in) + [-1.0], "=", 0.0)
 
@@ -201,7 +207,7 @@ def _exact_lp(
     # that some arc uses, in edge order.
     arcs_of_edge: dict[int, list[int]] = {}
     for base, te in zip(arc_base, tes):
-        for j, (_, k, _) in enumerate(te.arcs):
+        for j, k in enumerate(te.edge_of):
             arcs_of_edge.setdefault(k, []).append(base + j)
     for k in sorted(arcs_of_edge):
         cols = arcs_of_edge[k]
@@ -236,58 +242,17 @@ def _extract_paths(
 ) -> list[tuple[Path, float]]:
     """Decompose a time-expanded arc flow and project to physical paths.
 
-    The layered graph is a DAG in tau (zero-delay edges excepted, guarded
-    below), so greedy extraction terminates. Projected walks that revisit a
-    physical node have the enclosed cycle excised, which only shortens them.
+    The layered graph is a DAG in tau except for zero-delay cycles, on
+    which, as on stranded flow, decomposition raises ValueError. Projected
+    walks that revisit a physical node have the enclosed cycle excised,
+    which only shortens them; equal projections are merged.
     """
-    x = arc_flow.copy()
-    out_arcs: dict[tuple[int, float], list[int]] = {}
-    for j, (src, _, _) in enumerate(te.arcs):
-        out_arcs.setdefault(src, []).append(j)
-    source = (te.s, 0.0)
+    if te.source is None:  # no walk meets the deadline, so no arcs
+        return []
     raw: dict[tuple[int, ...], float] = {}
-    while True:
-        avail = [j for j in out_arcs.get(source, []) if x[j] > PRUNE_TOL]
-        if not avail:
-            break
-        edges: list[int] = []
-        st = source
-        seen = {st}
-        stranded = False
-        while st[0] != te.t:
-            nxt = -1
-            for j in out_arcs.get(st, []):
-                if x[j] > PRUNE_TOL:
-                    nxt = j
-                    break
-            if nxt < 0:
-                # Numerical dust from the LP can leave a walk without an
-                # exit; drop it if it is tiny, otherwise something is wrong.
-                dust = min(x[j] for j in edges)
-                if dust > 1e-6:
-                    raise RuntimeError("stranded time-expanded flow")
-                for j in edges:
-                    x[j] = max(0.0, x[j] - dust)
-                    if x[j] < PRUNE_TOL:
-                        x[j] = 0.0
-                stranded = True
-                break
-            edges.append(nxt)
-            st = te.arcs[nxt][2]
-            if st in seen:
-                raise RuntimeError("zero-delay cycle in time-expanded flow")
-            seen.add(st)
-        if stranded:
-            continue
-        bottleneck = min(x[j] for j in edges)
-        for j in edges:
-            x[j] -= bottleneck
-            if x[j] < PRUNE_TOL:
-                x[j] = 0.0
-        phys = [te.arcs[j][1] for j in edges]
-        phys = _simplify_walk(net, phys)
-        if bottleneck > PRUNE_TOL and phys:
-            raw[tuple(phys)] = raw.get(tuple(phys), 0.0) + bottleneck
+    for arcs, rate in _strip_paths(te, arc_flow.copy(), te.source, te.sink):
+        phys = tuple(_simplify_walk(net, [te.edge_of[j] for j in arcs]))
+        raw[phys] = raw.get(phys, 0.0) + rate
     return [(Path(p), r) for p, r in sorted(raw.items())]
 
 
@@ -440,6 +405,6 @@ def solve_exact(
 def _flows_from_arcs(net, tes, arc_base, x):
     flows = []
     for i, te in enumerate(tes):
-        arc_flow = x[arc_base[i] : arc_base[i] + len(te.arcs)]
+        arc_flow = x[arc_base[i] : arc_base[i] + len(te.heads)]
         flows.append(_extract_paths(net, te, arc_flow))
     return flows

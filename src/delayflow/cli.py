@@ -116,7 +116,12 @@ def _flows_from_json(doc, spec: ProblemSpec) -> FlowSolution:
                     f"corrupt report: commodity {i}: edges {list(path.edges)} are "
                     f"not a simple path from {c.source} to {c.sink}"
                 )
-            paths.append((path, float(p["rate"])))
+            rate = float(p["rate"])
+            if not math.isfinite(rate):
+                raise ValueError(
+                    f"corrupt report: commodity {i}: path rate {rate} is not finite"
+                )
+            paths.append((path, rate))
         flows.append(paths)
     return FlowSolution(flows)
 
@@ -176,13 +181,13 @@ def verify_report(doc: dict) -> list[str]:
             ("total_delay", m.total_delay),
             ("avg_delay", m.avg_delay),
         ):
-            if abs(got - float(rec[name])) > max(tol, tol * abs(got)):
+            if not abs(got - float(rec[name])) <= max(tol, tol * abs(got)):
                 issues.append(
                     f"commodity {i}: recorded {name} {rec[name]} "
                     f"!= recomputed {got}"
                 )
     obj = objective_value(spec, metrics)
-    if abs(obj - float(doc["objective"])) > max(tol, tol * abs(obj)):
+    if not abs(obj - float(doc["objective"])) <= max(tol, tol * abs(obj)):
         issues.append(f"recorded objective {doc['objective']} != recomputed {obj}")
 
     algo = doc["algorithm"]

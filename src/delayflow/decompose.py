@@ -100,28 +100,39 @@ def decompose(
     if np.any(x < -FEAS_TOL):
         raise ValueError("edge flow must be nonnegative")
     _check_conservation(net, x, si, ti)
-    paths: list[tuple[Path, float]] = []
+    return [(Path(tuple(edges)), rate) for edges, rate in _strip_paths(net, x, si, ti)]
+
+
+def _strip_paths(graph, x: np.ndarray, s: int, t: int) -> list[tuple[list[int], float]]:
+    """Strip s->t paths off the edge flow ``x`` (modified in place) until
+    the net outflow of ``s`` is at most PRUNE_TOL; see ``decompose``.
+
+    ``graph`` is a ``Network`` or any graph with the same integer shape:
+    ``nodes`` (names for messages), ``heads`` (head node of each edge), and
+    node-indexed ``out_edges``/``in_edges`` (edge indices, ascending).
+    """
+    paths: list[tuple[list[int], float]] = []
     while True:
-        out_rate = sum(x[k] for k in net.out_edges[si]) - sum(
-            x[k] for k in net.in_edges[si]
+        out_rate = sum(x[k] for k in graph.out_edges[s]) - sum(
+            x[k] for k in graph.in_edges[s]
         )
         if out_rate <= PRUNE_TOL:
             break
         edges: list[int] = []
-        u = si
-        seen = {si}
-        while u != ti:
+        u = s
+        seen = {s}
+        while u != t:
             nxt = -1
-            for k in net.out_edges[u]:
+            for k in graph.out_edges[u]:
                 if x[k] > PRUNE_TOL:
                     nxt = k
                     break
             if nxt < 0:
                 raise ValueError(
-                    f"flow stranded at node {net.nodes[u]}: cannot reach sink"
+                    f"flow stranded at node {graph.nodes[u]}: cannot reach sink"
                 )
             edges.append(nxt)
-            u = net.edges[nxt].v
+            u = graph.heads[nxt]
             if u in seen:
                 raise ValueError("cycle encountered; cancel cycles first")
             seen.add(u)
@@ -131,7 +142,7 @@ def decompose(
             if x[k] < PRUNE_TOL:
                 x[k] = 0.0
         if bottleneck > PRUNE_TOL:
-            paths.append((Path(tuple(edges)), bottleneck))
-        if len(paths) > len(net.edges):
+            paths.append((edges, bottleneck))
+        if len(paths) > len(graph.heads):
             raise RuntimeError("decomposition exceeded |E| paths")
     return paths

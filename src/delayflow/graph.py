@@ -29,13 +29,16 @@ class Network:
     """Immutable directed graph with per-edge delay (ms) and capacity (Mbps).
 
     Node identifiers are opaque strings; internally nodes get dense integer
-    indices in declaration order so runs are deterministic.
+    indices in declaration order so runs are deterministic. ``node_index``
+    maps each name to its index, and ``heads[k]`` is edge k's head node.
     """
 
     nodes: tuple[str, ...]
     edges: tuple[Edge, ...]
     out_edges: tuple[tuple[int, ...], ...] = field(repr=False, default=())
     in_edges: tuple[tuple[int, ...], ...] = field(repr=False, default=())
+    heads: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    node_index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(set(self.nodes)) != len(self.nodes):
@@ -58,15 +61,15 @@ class Network:
             inc[e.v].append(k)
         object.__setattr__(self, "out_edges", tuple(tuple(x) for x in out))
         object.__setattr__(self, "in_edges", tuple(tuple(x) for x in inc))
-
-    @property
-    def node_index(self) -> dict[str, int]:
-        return {name: i for i, name in enumerate(self.nodes)}
+        object.__setattr__(self, "heads", tuple(e.v for e in self.edges))
+        object.__setattr__(
+            self, "node_index", {name: i for i, name in enumerate(self.nodes)}
+        )
 
     def index_of(self, node: str) -> int:
         try:
-            return self.nodes.index(node)
-        except ValueError:
+            return self.node_index[node]
+        except KeyError:
             raise KeyError(f"unknown node {node!r}") from None
 
     def delays(self) -> np.ndarray:

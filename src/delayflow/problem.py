@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -118,10 +118,10 @@ class Commodity:
     def __post_init__(self):
         if self.source == self.sink:
             raise ValueError("source and sink must differ")
-        if self.R < 0:
-            raise ValueError("throughput requirement must be nonnegative")
+        if not (math.isfinite(self.R) and self.R >= 0):
+            raise ValueError(f"R must be finite and nonnegative, got {self.R}")
         if not self.D > 0:
-            raise ValueError("delay bound must be positive")
+            raise ValueError(f"D must be positive, got {self.D}")
         if self.w < 0:
             raise ValueError("weight must be nonnegative")
 
@@ -278,13 +278,12 @@ def objective_value(spec: ProblemSpec, metrics: tuple[CommodityMetrics, ...]) ->
 @dataclass(frozen=True)
 class CounterpartMap:
     """Maps counterpart-LP variables back to model quantities. Column
-    ``i*E + k`` holds commodity i's flow on edge k."""
+    ``i*E + k`` holds commodity i's flow on edge k; after the K*E edge
+    columns come K rate columns |f_i|, K epigraph columns and, for max-min
+    objectives, one bound column."""
 
     num_commodities: int
     num_edges: int
-    rate_var: dict[int, int]  # commodity -> column for |f_i|
-    aux_var: dict[int, int] = field(default_factory=dict)  # epigraph columns
-    bound_var: int | None = None  # scalar for max-min objectives
 
     def edge_flows(self, x: np.ndarray) -> np.ndarray:
         """K x E view of ``x``: row i is commodity i's edge flow."""
@@ -393,7 +392,7 @@ def build_counterpart(spec: ProblemSpec) -> tuple[LinearProgram, CounterpartMap]
             lp_rows.add([bound_var, aux_var[i]], [1.0, -1.0], ">=", 0.0)
 
     lp = lp_rows.program(sense, objective)
-    return lp, CounterpartMap(K, E, rate_var, aux_var, bound_var)
+    return lp, CounterpartMap(K, E)
 
 
 def make_tcdm(

@@ -5,12 +5,15 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from delayflow import baselines
 from delayflow.baselines import (
+    _simplify_walk,
     simple_path_delays,
     solve_exact,
     solve_greedy,
 )
 from delayflow.algorithms import InfeasibleError
+from delayflow.decompose import PRUNE_TOL
 from delayflow.gen import random_problem
 from delayflow.graph import Edge, Network, Path
 from delayflow.problem import (
@@ -256,3 +259,157 @@ def test_exact_matches_path_enumeration_oracle(seed):
         want = _oracle_throughput(spec)
         assert rep.objective == pytest.approx(want, abs=1e-6)
     assert rep.solution.check_feasible(spec.network, spec.commodities, 1e-5) == []
+
+
+# -- time-expanded extraction against the pre-refactor code -------------------
+
+
+class _ReferenceTimeExpanded:
+    """The time-expanded graph as first written: states (v, tau) with one
+    state per sink arrival time, pruned by repeated sweeps over the arcs."""
+
+    def __init__(self, net, s, t, deadline):
+        self.s = s
+        self.t = t
+        reach = {(s, 0.0)}
+        frontier = [(s, 0.0)]
+        while frontier:
+            u, tau = frontier.pop()
+            if u == t:
+                continue
+            for k in net.out_edges[u]:
+                e = net.edges[k]
+                nxt = (e.v, tau + e.delay)
+                if nxt[1] <= deadline and nxt not in reach:
+                    reach.add(nxt)
+                    frontier.append(nxt)
+        useful = {st for st in reach if st[0] == t}
+        arcs_all = []
+        for u, tau in reach:
+            if u == t:
+                continue
+            for k in net.out_edges[u]:
+                e = net.edges[k]
+                nxt = (e.v, tau + e.delay)
+                if nxt in reach:
+                    arcs_all.append(((u, tau), k, nxt))
+        changed = True
+        while changed:
+            changed = False
+            for src, _, dst in arcs_all:
+                if dst in useful and src not in useful:
+                    useful.add(src)
+                    changed = True
+        self.arcs = sorted(
+            (a for a in arcs_all if a[0] in useful and a[2] in useful),
+            key=lambda a: (a[0], a[1]),
+        )
+        self.feasible = (s, 0.0) in useful
+
+
+def _reference_extract_paths(net, te, arc_flow):
+    """The exact solver's path extraction before it shared ``decompose``'s
+    loop, including the dust branch that dropped tiny stranded walks."""
+    x = arc_flow.copy()
+    out_arcs = {}
+    for j, (src, _, _) in enumerate(te.arcs):
+        out_arcs.setdefault(src, []).append(j)
+    source = (te.s, 0.0)
+    raw = {}
+    while True:
+        avail = [j for j in out_arcs.get(source, []) if x[j] > PRUNE_TOL]
+        if not avail:
+            break
+        edges = []
+        st = source
+        seen = {st}
+        stranded = False
+        while st[0] != te.t:
+            nxt = -1
+            for j in out_arcs.get(st, []):
+                if x[j] > PRUNE_TOL:
+                    nxt = j
+                    break
+            if nxt < 0:
+                dust = min(x[j] for j in edges)
+                if dust > 1e-6:
+                    raise RuntimeError("stranded time-expanded flow")
+                for j in edges:
+                    x[j] = max(0.0, x[j] - dust)
+                    if x[j] < PRUNE_TOL:
+                        x[j] = 0.0
+                stranded = True
+                break
+            edges.append(nxt)
+            st = te.arcs[nxt][2]
+            if st in seen:
+                raise RuntimeError("zero-delay cycle in time-expanded flow")
+            seen.add(st)
+        if stranded:
+            continue
+        bottleneck = min(x[j] for j in edges)
+        for j in edges:
+            x[j] -= bottleneck
+            if x[j] < PRUNE_TOL:
+                x[j] = 0.0
+        phys = _simplify_walk(net, [te.arcs[j][1] for j in edges])
+        if bottleneck > PRUNE_TOL and phys:
+            raw[tuple(phys)] = raw.get(tuple(phys), 0.0) + bottleneck
+    return [(Path(p), r) for p, r in sorted(raw.items())]
+
+
+def _hexed(path_flow):
+    return [(p.edges, r.hex()) for p, r in path_flow]
+
+
+def _check_extractions_against_reference(monkeypatch, solve_all):
+    """Run ``solve_all`` with every time-expanded graph and extraction
+    recorded, then rebuild each graph and its paths with the reference
+    code: same arcs in the same order (sink states merged into one node)
+    and bit-identical path lists. Returns the number of extractions."""
+    records = []
+    extract = baselines._extract_paths
+
+    class Recorded(baselines._TimeExpanded):
+        def __init__(self, net, s, t, deadline):
+            super().__init__(net, s, t, deadline)
+            self.args = (net, s, t, deadline)
+
+    def recorded_extract(net, te, arc_flow):
+        flow = arc_flow.copy()
+        paths = extract(net, te, arc_flow)
+        records.append((te, flow, paths))
+        return paths
+
+    monkeypatch.setattr(baselines, "_TimeExpanded", Recorded)
+    monkeypatch.setattr(baselines, "_extract_paths", recorded_extract)
+    solve_all()
+    for te, flow, paths in records:
+        net, _, t, _ = te.args
+        ref = _ReferenceTimeExpanded(*te.args)
+        tail = {j: u for u, outs in enumerate(te.out_edges) for j in outs}
+        assert [
+            (te.nodes[tail[j]], k, te.nodes[v])
+            for j, (k, v) in enumerate(zip(te.edge_of, te.heads))
+        ] == [(a, k, (t, None) if b[0] == t else b) for a, k, b in ref.arcs]
+        assert (te.source is not None) == ref.feasible
+        assert _hexed(paths) == _hexed(_reference_extract_paths(net, ref, flow))
+    return len(records)
+
+
+def test_extraction_matches_reference_on_corpus(monkeypatch):
+    def solve_all():
+        for seed in range(200):
+            solve_exact(random_problem(np.random.default_rng(seed)))
+
+    assert _check_extractions_against_reference(monkeypatch, solve_all) >= 200
+
+
+def test_extraction_matches_reference_on_ec2_sweeps(monkeypatch, ec2_sweep_specs):
+    def solve_all():
+        cache: dict = {}
+        for spec in ec2_sweep_specs:
+            solve_exact(spec, cache=cache, deadline_cap=900.0)
+
+    count = _check_extractions_against_reference(monkeypatch, solve_all)
+    assert count >= 2 * len(ec2_sweep_specs)

@@ -92,6 +92,25 @@ def test_verify_catches_delay_certificate_violation(
     assert "D/eps" in capsys.readouterr().err
 
 
+def _nan_rates(doc):
+    for p in doc["flows"][0]:
+        p["rate"] = float("nan")
+
+
+def _nan_records(doc):
+    doc["metrics"][0]["max_delay"] = float("nan")
+    doc["objective"] = float("nan")
+
+
+#: (exit code, start of stderr) of the cases below that are not corrupt
+#: reports, by message.
+_NOT_CORRUPT = {
+    "recorded objective nan != recomputed": (
+        2, "commodity 0: recorded max_delay nan != recomputed 10.0"),
+    "R must be finite and nonnegative, got nan": (1, "error: commodity 0: "),
+}
+
+
 @pytest.mark.parametrize(
     "corrupt,message",
     [
@@ -106,6 +125,10 @@ def test_verify_catches_delay_certificate_violation(
             for v, name in [(None, "NoneType"), (5, "int"), (float("inf"), "float"),
                             ([], "list"), ({}, "dict"), (True, "bool")]
         ),
+        (_nan_rates, "commodity 0: path rate nan is not finite"),
+        (_nan_records, "recorded objective nan != recomputed"),
+        (lambda doc: doc["problem"]["commodities"][0].update(R=float("nan")),
+         "R must be finite and nonnegative, got nan"),
     ],
 )
 def test_verify_rejects_malformed_flows(
@@ -120,9 +143,10 @@ def test_verify_rejects_malformed_flows(
     doc = json.loads(out.read_text())
     corrupt(doc)
     out.write_text(json.dumps(doc))
-    assert main(["verify", str(out)]) == 1
+    rc, start = _NOT_CORRUPT.get(message, (1, "error: corrupt report: "))
+    assert main(["verify", str(out)]) == rc
     err = capsys.readouterr().err
-    assert err.startswith("error: corrupt report: ") and message in err
+    assert err.startswith(start) and message in err
 
 
 _BAD_PROBLEMS = [
@@ -138,6 +162,15 @@ _BAD_PROBLEMS = [
       "commodities": [{"src": "s", "dst": "t", "R": 2.0, "utility_d": {"points": 5}}]},
      "commodity 0: utility_d points must be a list"),
     (["SumDelayPenalty"], "problem must be a JSON object"),
+    ({"objective": "SumDelayPenalty",
+      "commodities": [{"src": "s", "dst": "t", "R": float("nan")}]},
+     "commodity 0: R must be finite and nonnegative, got nan"),
+    ({"objective": "SumDelayPenalty",
+      "commodities": [{"src": "s", "dst": "t", "R": "inf"}]},
+     "commodity 0: R must be finite and nonnegative, got inf"),
+    ({"objective": "SumDelayPenalty",
+      "commodities": [{"src": "s", "dst": "t", "R": 2.0, "D": float("nan")}]},
+     "commodity 0: D must be positive, got nan"),
 ]
 
 

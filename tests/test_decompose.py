@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from delayflow.decompose import cancel_cycles, decompose
+from delayflow.baselines import _extract_paths, _TimeExpanded
+from delayflow.decompose import _strip_paths, cancel_cycles, decompose
 from delayflow.graph import Edge, Network
 
 
@@ -93,3 +96,92 @@ def test_decompose_rejects_stranded_flow():
 
 def test_decompose_empty_flow(diamond):
     assert decompose(diamond, "s", "t", np.zeros(5)) == []
+
+
+# The path-stripping loop is shared by ``decompose`` and the exact solver's
+# time-expanded graphs; on stranded or cyclic flow it raises ValueError for
+# both.
+
+# The a->b->a cycle has zero delay, so it stays a cycle after time expansion.
+_ZERO_CYCLE = Network(
+    ("s", "a", "b", "t"),
+    (
+        Edge(0, 1, 1.0, 5.0),
+        Edge(1, 2, 0.0, 5.0),
+        Edge(2, 1, 0.0, 5.0),
+        Edge(1, 3, 1.0, 5.0),
+    ),
+)
+
+
+def test_strip_paths_raises_value_error_on_network():
+    # decompose's conservation check would catch this flow first; cyclic
+    # network flow is test_decompose_rejects_cycles.
+    net = Network(("s", "a", "t"), (Edge(0, 1, 1.0, 5.0), Edge(1, 2, 1.0, 5.0)))
+    with pytest.raises(ValueError, match="stranded at node a"):
+        _strip_paths(net, np.array([2.0, 1.0]), 0, 2)
+
+
+def test_strip_paths_raises_value_error_on_time_expanded():
+    te = _TimeExpanded(_ZERO_CYCLE, 0, 3, 2.0)
+    # Nodes (s,0) (a,1) (b,1) and the sink; arcs s->a, a->b, a->t, b->a.
+    assert te.nodes == [(0, 0.0), (1, 1.0), (2, 1.0), (3, None)]
+    assert te.edge_of == [0, 1, 3, 2]
+    with pytest.raises(ValueError, match=r"stranded at node \(1, 1.0\)"):
+        _extract_paths(_ZERO_CYCLE, te, np.array([1.0, 0.0, 0.0, 0.0]))
+    with pytest.raises(ValueError, match="cycle"):
+        _extract_paths(_ZERO_CYCLE, te, np.array([1.0, 1.0, 1.0, 1.0]))
+
+
+@st.composite
+def _acyclic_flows(draw):
+    """A random network on nodes n0..n{n-1} and an edge flow that is a sum
+    of positive-rate n0 -> n{n-1} paths along increasing node indices, so
+    its support is acyclic; the network may also have unused edges in any
+    direction, parallel edges included."""
+    n = draw(st.integers(2, 7))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda p: p[0] != p[1]
+    )
+    pairs = draw(st.lists(pair, max_size=12))
+    routes = draw(
+        st.lists(
+            st.tuples(
+                st.lists(st.integers(1, n - 2), unique=True) if n > 2 else st.just([]),
+                st.floats(1e-7, 1e3),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    flow: list[tuple[list[tuple[int, int]], float]] = []
+    for inner, rate in routes:
+        seq = [0] + sorted(inner) + [n - 1]
+        hops = list(zip(seq, seq[1:]))
+        pairs += hops
+        flow.append((hops, rate))
+    pairs = draw(st.permutations(pairs))
+    edges = tuple(Edge(u, v, 1.0, 1e4) for u, v in pairs)
+    net = Network(tuple(f"n{i}" for i in range(n)), edges)
+    x = np.zeros(len(edges))
+    for hops, rate in flow:
+        for u, v in hops:
+            x[pairs.index((u, v))] += rate
+    return net, x
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_acyclic_flows())
+def test_decompose_reproduces_random_acyclic_flows(case):
+    net, x = case
+    s, t = net.nodes[0], net.nodes[-1]
+    paths = decompose(net, s, t, x)
+    assert len(paths) <= len(net.edges)
+    rebuilt = np.zeros(len(net.edges))
+    for p, r in paths:
+        nodes = p.nodes(net)  # raises unless contiguous and simple
+        assert (nodes[0], nodes[-1]) == (s, t)
+        assert r > 0
+        for k in p.edges:
+            rebuilt[k] += r
+    np.testing.assert_allclose(rebuilt, x, rtol=0, atol=1e-9)
