@@ -17,7 +17,7 @@ from delayflow.graph import (
     serialize_topology,
     shortest_path_by_delay,
 )
-from delayflow.lp import LinearProgram, LpSolution, solve_lp
+from delayflow.lp import LinearProgram, LpSolution, SolverError, solve_lp
 from delayflow.problem import (
     Commodity,
     CommodityMetrics,
@@ -56,6 +56,7 @@ __all__ = [
     "shortest_path_by_delay",
     "LinearProgram",
     "LpSolution",
+    "SolverError",
     "solve_lp",
     "Commodity",
     "CommodityMetrics",

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from delayflow.decompose import cancel_cycles, decompose
 from delayflow.graph import FEAS_TOL, Network, Path
-from delayflow.lp import solve_lp
+from delayflow.lp import SolverError, solve_lp
 from delayflow.problem import (
     CommodityMetrics,
     FlowSolution,
@@ -129,7 +129,7 @@ def _solve_counterpart(spec: ProblemSpec) -> FlowSolution:
     if sol.status == "infeasible":
         raise InfeasibleError("average-delay counterpart is infeasible")
     if sol.status != "optimal":
-        raise RuntimeError(f"counterpart LP ended with status {sol.status}")
+        raise SolverError(f"counterpart LP ended with status {sol.status}")
     net = spec.network
     return FlowSolution(
         decompose(net, c.source, c.sink, cancel_cycles(net, x, c.source, c.sink))

@@ -18,7 +18,7 @@ from delayflow.algorithms import (
 )
 from delayflow.decompose import _strip_paths
 from delayflow.graph import FEAS_TOL, Network, Path, shortest_path_by_delay
-from delayflow.lp import SparseRows, solve_lp
+from delayflow.lp import SolverError, SparseRows, solve_lp
 from delayflow.problem import FlowSolution, Objective, ProblemSpec
 
 _MAX_ENUM_NODES = 12
@@ -313,7 +313,7 @@ def solve_exact(
         if sol is None or sol.status == "infeasible":
             raise InfeasibleError("no feasible flow within the delay bounds")
         if sol.status != "optimal":
-            raise RuntimeError(f"exact LP status {sol.status}")
+            raise SolverError(f"exact LP status {sol.status}")
         flows = _flows_from_arcs(net, tes, out[2], sol.x)
         return build_report(spec, "EXACT", FlowSolution(flows), t0)
 
@@ -374,7 +374,7 @@ def solve_exact(
     while heap:
         budget -= 1
         if budget < 0:
-            raise RuntimeError("deadline enumeration budget exceeded")
+            raise SolverError("deadline enumeration budget exceeded")
         _, idx = heapq.heappop(heap)
         h, out = max_scale(idx)
         if h >= max_r - 1e-6:

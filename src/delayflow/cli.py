@@ -22,6 +22,7 @@ from delayflow.algorithms import (
 from delayflow.baselines import solve_exact, solve_greedy
 from delayflow.gen import random_problem
 from delayflow.graph import Network, Path, builtin_ec2, load_topology, serialize_topology
+from delayflow.lp import SolverError
 from delayflow.problem import (
     IDENTITY,
     VERIFY_TOL,
@@ -200,6 +201,11 @@ def verify_report(doc: dict) -> list[str]:
         ]
     if algo == "PASS":
         eps = float(doc["epsilon"])
+        if not 0.0 < eps < 1.0:
+            # A NaN, infinite or zero epsilon would void or break every
+            # certificate below.
+            issues.append(f"epsilon {doc['epsilon']} outside (0, 1)")
+            return issues
         for i, (c, m) in enumerate(zip(spec.commodities, metrics)):
             if m.throughput < (1 - eps) * c.R - tol:
                 issues.append(
@@ -227,6 +233,9 @@ def verify_report(doc: dict) -> list[str]:
                 )
         if hat is not None and doc.get("epsilon_max") is not None:
             eps_max = float(doc["epsilon_max"])
+            if not 0.0 <= eps_max <= 1.0:
+                issues.append(f"epsilon_max {doc['epsilon_max']} outside [0, 1]")
+                return issues
             hat_metrics = evaluate_metrics(net, hat)
             for i, (hm, m) in enumerate(zip(hat_metrics, metrics)):
                 if m.throughput < (1 - eps_max) * hm.throughput - tol:
@@ -499,6 +508,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (UsageError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except SolverError as e:
+        print(f"error: solver failure: {e}", file=sys.stderr)
         return 1
 
 

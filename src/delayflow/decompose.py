@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from delayflow.graph import FEAS_TOL, Network, Path
+from delayflow.lp import SolverError
 
 #: Path rates below this are pruned from decompositions.
 PRUNE_TOL = 1e-9
@@ -144,5 +145,5 @@ def _strip_paths(graph, x: np.ndarray, s: int, t: int) -> list[tuple[list[int], 
         if bottleneck > PRUNE_TOL:
             paths.append((edges, bottleneck))
         if len(paths) > len(graph.heads):
-            raise RuntimeError("decomposition exceeded |E| paths")
+            raise SolverError("decomposition exceeded |E| paths")
     return paths

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 
+import numpy as np
 import pytest
 
 from delayflow import lp as lp_module
@@ -190,6 +191,88 @@ def test_malformed_problem_exits_1(two_parallel_files, tmp_path, capsys, body, m
     out.write_text(json.dumps(doc))
     assert main(["verify", str(out)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+@pytest.fixture(scope="module")
+def ec2_dcum_reports(ec2):
+    """JSON reports of PASS (eps 0.3) and PASS-M on the EC2 DCUM problem."""
+    from delayflow.algorithms import solve_pass, solve_pass_m
+    from delayflow.cli import EC2_PAIRS
+    from delayflow.problem import IDENTITY, make_dcum
+
+    spec = make_dcum(ec2, [(s, t, 150.0, IDENTITY) for s, t in EC2_PAIRS])
+    return {
+        "pass": json.dumps(report_to_json(spec, solve_pass(spec, 0.3))),
+        "pass-m": json.dumps(report_to_json(spec, solve_pass_m(spec))),
+    }
+
+
+@pytest.mark.parametrize(
+    "algo,value,message",
+    [
+        ("pass-m", float("nan"), "epsilon_max nan outside [0, 1]"),
+        ("pass-m", float("inf"), "epsilon_max inf outside [0, 1]"),
+        ("pass-m", 5.0, "epsilon_max 5.0 outside [0, 1]"),
+        ("pass", float("nan"), "epsilon nan outside (0, 1)"),
+        ("pass", float("inf"), "epsilon inf outside (0, 1)"),
+        ("pass", 0.0, "epsilon 0.0 outside (0, 1)"),
+    ],
+)
+def test_verify_rejects_epsilon_out_of_range(
+    ec2_dcum_reports, tmp_path, capsys, algo, value, message
+):
+    doc = json.loads(ec2_dcum_reports[algo])
+    doc["epsilon_max" if algo == "pass-m" else "epsilon"] = value
+    out = tmp_path / "report.json"
+    out.write_text(json.dumps(doc))
+    assert main(["verify", str(out)]) == 2
+    assert capsys.readouterr().err == message + "\n"
+
+
+def _highs_fails(monkeypatch):
+    monkeypatch.setattr(lp_module, "_AUTO_TABLEAU_CELLS", 0)
+    monkeypatch.setattr(
+        lp_module, "linprog", lambda model, presolve: (lp_module.HighsModelStatus.kSolveError, None)
+    )
+
+
+def _highs_breaks_rows(monkeypatch):
+    monkeypatch.setattr(lp_module, "_AUTO_TABLEAU_CELLS", 0)
+    monkeypatch.setattr(
+        lp_module,
+        "linprog",
+        lambda model, presolve: (
+            lp_module.HighsModelStatus.kOptimal,
+            np.full(len(model.col_cost_), 1e3),
+        ),
+    )
+
+
+def _simplex_stalls(monkeypatch):
+    monkeypatch.setattr(
+        lp_module, "simplex_iterations", lambda *args: lp_module.STATUS_ITER_LIMIT
+    )
+
+
+@pytest.mark.parametrize(
+    "algo,patch,message",
+    [
+        ("pass", _highs_fails, "LP solver failure: HiGHS model status kSolveError"),
+        ("pass-t", _highs_breaks_rows, "LP solver failure: HiGHS solution violates"),
+        ("exact", _highs_fails, "LP solver failure: HiGHS model status kSolveError"),
+        ("pass", _simplex_stalls, "simplex iteration failure in phase 1"),
+    ],
+)
+def test_solver_failure_exits_1(two_parallel_files, capsys, monkeypatch, algo, patch, message):
+    topo, prob = two_parallel_files
+    patch(monkeypatch)
+    rc = main(
+        ["solve", "--topo", topo, "--problem", prob, "--algo", algo, "--eps", "0.5"]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: solver failure: " + message)
+    assert "Traceback" not in err
 
 
 def test_solve_rejects_non_finite_capacity(two_parallel_files, tmp_path, capsys):

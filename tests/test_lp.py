@@ -2,8 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from delayflow import lp as lp_module
+from delayflow.gen import random_problem
 from delayflow.graph import Edge, Network
 from delayflow.lp import (
     PIVOT_TOL,
@@ -13,6 +15,7 @@ from delayflow.lp import (
     STATUS_UNBOUNDED,
     LinearProgram,
     LpSolution,
+    SolverError,
     _solve_highs,
     _solve_simplex,
     solve_lp,
@@ -158,7 +161,7 @@ def test_engines_agree_on_random_lps():
             rng.integers(0, 10, size=m).astype(float),
         )
         a = _solve_simplex(lp)
-        b = _solve_highs(lp)
+        b = _assert_same_as_linprog(lp)
         assert a.status == b.status
         if a.status == "optimal":
             assert a.objective == pytest.approx(b.objective, abs=1e-6)
@@ -338,16 +341,134 @@ def test_array_engine_matches_reference_on_random_feasible_lps():
 
 
 def test_array_engine_matches_reference_on_ec2_counterparts(ec2_sweep_specs):
-    """Also sends each counterpart through HiGHS: same optimum as the tableau."""
+    """Also sends each counterpart through HiGHS: the x of ``linprog`` and
+    the same optimum as the tableau."""
     statuses = []
     for spec in ec2_sweep_specs:
         lp = build_counterpart(spec)[0]
         statuses.append(_assert_same_as_reference(lp))
-        highs = _solve_highs(lp)
+        highs = _assert_same_as_linprog(lp)
         assert highs.status == "optimal"
         assert highs.objective == pytest.approx(_solve_simplex(lp).objective, abs=1e-6)
     assert len(statuses) == 226
     assert statuses.count("optimal") == 226
+
+
+# -- HiGHS reference ----------------------------------------------------------
+# The call through scipy's ``linprog`` that ``_solve_highs`` replaced. The
+# direct binding gets the same model and options, so it must return the same
+# status and the same x bit for bit.
+
+
+def _linprog_highs(lp: LinearProgram) -> LpSolution:
+    c = lp.objective if lp.sense == "min" else -lp.objective
+    rel = np.array(lp.relations, dtype=object)
+    ub = np.flatnonzero(rel != "=")
+    eq = np.flatnonzero(rel == "=")
+    sign = np.where(rel[ub] == ">=", -1.0, 1.0)
+    a_ub = lp.rows[ub]
+    a_ub.data *= np.repeat(sign, np.diff(a_ub.indptr))
+    kwargs = dict(
+        A_ub=a_ub if ub.size else None,
+        b_ub=sign * lp.rhs[ub] if ub.size else None,
+        A_eq=lp.rows[eq] if eq.size else None,
+        b_eq=lp.rhs[eq] if eq.size else None,
+        method="highs",
+    )
+    res = linprog(c, **kwargs)
+    if res.status == 2:
+        res = linprog(c, options={"presolve": False}, **kwargs)
+    if res.status == 2:
+        return LpSolution("infeasible")
+    if res.status == 3:
+        return LpSolution("unbounded")
+    assert res.status == 0, res.message
+    x = np.asarray(res.x, dtype=np.float64)
+    return LpSolution("optimal", x, float(lp.objective @ x))
+
+
+def _assert_same_as_linprog(lp: LinearProgram) -> LpSolution:
+    ref = _linprog_highs(lp)
+    got = _solve_highs(lp)
+    assert got.status == ref.status
+    if ref.status == "optimal":
+        assert np.array_equal(got.x, ref.x)
+        assert got.x.tobytes() == ref.x.tobytes()  # -0.0 too
+        assert got.objective == ref.objective
+    return got
+
+
+def test_highs_matches_linprog_on_random_counterparts():
+    """Generated problems of 15 to 20 nodes, straight to HiGHS."""
+    statuses = []
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        spec = random_problem(rng, max_nodes=15 + seed % 6)
+        statuses.append(_assert_same_as_linprog(build_counterpart(spec)[0]).status)
+    assert statuses.count("optimal") == 30
+
+
+def _optimal_runner(x):
+    def runner(model, presolve):
+        return lp_module.HighsModelStatus.kOptimal, np.array(x, dtype=float)
+
+    return runner
+
+
+@pytest.mark.parametrize(
+    "runner,message",
+    [
+        # Each x breaks one condition only.
+        (_optimal_runner([1.5, 1.5, 1, 0]), "violates the constraints"),  # x0 + x1 <= 2
+        (_optimal_runner([1, 0.9, 1, 0]), "violates the constraints"),  # x0 - x1 = 0
+        (_optimal_runner([0.25, 0.25, 1, 0]), "violates the constraints"),  # x1 >= 0.5
+        (_optimal_runner([1, 1, -0.01, 0]), "violates the constraints"),  # x >= 0
+        (_optimal_runner([1, 1, 1, np.inf]), "violates the constraints"),  # x3 in no row
+        (_optimal_runner([1 + 3e-4, 1, 1, 0]), None),  # within 10 * sqrt(1e-9)
+        (lambda model, presolve: (lp_module.HighsModelStatus.kSolveError, None),
+         "HiGHS model status kSolveError"),
+    ],
+)
+def test_highs_result_is_checked(monkeypatch, runner, message):
+    lp = LinearProgram(
+        "max",
+        [1, 1, 1, 0],
+        [[1, 1, 0, 0], [1, -1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]],
+        ("<=", "=", ">=", "<="),
+        [2, 0, 0.5, 1],
+    )
+    assert _solve_highs(lp).x.tolist() == [1.0, 1.0, 1.0, 0.0]
+    monkeypatch.setattr(lp_module, "linprog", runner)
+    if message is None:
+        assert _solve_highs(lp).status == "optimal"
+    else:
+        with pytest.raises(SolverError, match=message):
+            _solve_highs(lp)
+
+
+def test_highs_retries_without_presolve(monkeypatch):
+    calls = []
+    runner = lp_module.linprog
+
+    def spy(model, presolve):
+        calls.append(presolve)
+        return runner(model, presolve)
+
+    monkeypatch.setattr(lp_module, "linprog", spy)
+    # Unbounded: presolve reports infeasible, the plain solve unbounded (one
+    # of the random LPs of test_engines_agree_on_random_lps).
+    lp = LinearProgram(
+        "max",
+        [-4, 5, -1, 2],
+        [[-1, 2, -2, 3], [0, 5, -4, -4], [-4, 3, -5, 4]],
+        (">=", "=", "<="),
+        [2, 9, 7],
+    )
+    assert _solve_highs(lp).status == "unbounded"
+    assert calls == [True, False]
+    calls.clear()
+    assert _solve_highs(LinearProgram("max", [1], [[1]], ("<=",), [1])).status == "optimal"
+    assert calls == [True]
 
 
 def _three_node_net():
