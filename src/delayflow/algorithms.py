@@ -16,7 +16,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from delayflow.decompose import cancel_cycles, decompose
-from delayflow.graph import FEAS_TOL, Network, Path
+from delayflow.graph import Network, Path
 from delayflow.lp import SolverError, solve_lp
 from delayflow.problem import (
     CommodityMetrics,
@@ -104,13 +104,14 @@ def delete_slowest(net: Network, path_flow: PathFlow, amount: float) -> list[tup
     """Remove ``amount`` total rate, drawn from paths in ``slowest_first``
     order; the last path touched may be reduced partially. Surviving paths
     keep their input order."""
+    zero = net.zero_tol
     total = sum(r for _, r in path_flow)
-    if amount < -FEAS_TOL or amount > total + FEAS_TOL:
+    if amount < -zero or amount > total + zero:
         raise ValueError(f"deletion amount {amount} outside [0, {total}]")
     remaining = [r for _, r in path_flow]
     left = amount
     for i in slowest_first(net, path_flow):
-        if left <= FEAS_TOL:
+        if left <= zero:
             break
         take = min(remaining[i], left)
         remaining[i] -= take
@@ -118,7 +119,7 @@ def delete_slowest(net: Network, path_flow: PathFlow, amount: float) -> list[tup
     return [
         (p, remaining[i])
         for i, (p, _) in enumerate(path_flow)
-        if remaining[i] > FEAS_TOL
+        if remaining[i] > zero
     ]
 
 
@@ -172,7 +173,7 @@ def solve_pass_m(spec: ProblemSpec) -> SolveReport:
         bar_flows.append(kept)
         hat_rate = sum(r for _, r in pf)
         bar_rate = sum(r for _, r in kept)
-        eps_i.append((hat_rate - bar_rate) / hat_rate if hat_rate > FEAS_TOL else 0.0)
+        eps_i.append((hat_rate - bar_rate) / hat_rate if hat_rate > net.zero_tol else 0.0)
     return build_report(
         spec,
         "PASS-M",
@@ -201,7 +202,7 @@ def check_lemma1(
     _, t_bar, m_bar = path_flow_sums(net, f_bar_i)
     lhs = t_bar + epsilon * rate_hat * m_bar
     slack = t_hat - lhs
-    return slack >= -1e-6, slack
+    return slack >= -net.check_tol, slack
 
 
 def compute_lambda(pass_t_report: SolveReport, pass_report: SolveReport) -> float:
@@ -216,8 +217,8 @@ def compute_lambda(pass_t_report: SolveReport, pass_report: SolveReport) -> floa
         raise ValueError("reports come from different problem specs")
     lam = 1.0
     for a, b in zip(mt, mp):
-        if b.max_delay <= FEAS_TOL:
-            if a.max_delay > FEAS_TOL:
+        if b.max_delay <= 0.0:
+            if a.max_delay > 0.0:
                 return math.inf
             continue
         lam = max(lam, a.max_delay / b.max_delay)

@@ -17,7 +17,7 @@ from delayflow.algorithms import (
     delete_slowest,
 )
 from delayflow.decompose import _strip_paths
-from delayflow.graph import FEAS_TOL, Network, Path, shortest_path_by_delay
+from delayflow.graph import Network, Path, shortest_path_by_delay
 from delayflow.lp import SolverError, SparseRows, solve_lp
 from delayflow.problem import FlowSolution, Objective, ProblemSpec
 
@@ -41,19 +41,19 @@ def solve_greedy(spec: ProblemSpec) -> SolveReport:
         target = c.R if c.R > 0 else math.inf
         pushed = 0.0
         paths: list[tuple[Path, float]] = []
-        while pushed < target - FEAS_TOL:
+        while pushed < target - net.zero_tol:
             p = shortest_path_by_delay(net, residual, c.source, c.sink)
             if p is None or p.delay(net) > c.D:
                 break
             room = min(residual[k] for k in p.edges)
             take = min(room, target - pushed)
-            if take <= FEAS_TOL:
+            if take <= net.zero_tol:
                 break
             for k in p.edges:
                 residual[k] -= take
             paths.append((p, take))
             pushed += take
-        if c.R > 0 and pushed < c.R - 1e-6:
+        if c.R > 0 and pushed < c.R - net.check_tol:
             feasible = False
         flows.append(paths)
     return build_report(spec, "GREEDY", FlowSolution(flows), t0, feasible=feasible)
@@ -92,7 +92,8 @@ class _TimeExpanded:
     runs along physical edge ``edge_of[j]`` into node ``heads[j]``; and
     ``out_edges``/``in_edges`` list each node's arcs. Arcs are ordered by
     (tail state, physical edge). ``source`` is the node of (s, 0), or None
-    when no walk meets the deadline.
+    when no walk meets the deadline. Rates are physical, so ``zero_tol`` is
+    the network's.
     """
 
     def __init__(self, net: Network, s: int, t: int, deadline: float):
@@ -141,6 +142,7 @@ class _TimeExpanded:
             self.in_edges[v].append(j)
         self.source = index.get((s, 0.0))
         self.sink = sink
+        self.zero_tol = net.zero_tol
 
 
 def _exact_lp(
@@ -328,6 +330,8 @@ def solve_exact(
         cands.append(ds)
 
     max_r = max(c.R for c in comms)
+    # h is the largest common scale of the rate profile, so it is a rate.
+    needed = max_r - net.check_tol
     profile = [c.R / max_r for c in comms]
     if cache is None:
         cache = {}
@@ -352,9 +356,9 @@ def solve_exact(
         for (other, prof), h in cache.items():
             if prof != tuple(profile):
                 continue
-            if all(o >= d for o, d in zip(other, deltas)) and h < max_r - 1e-6:
+            if all(o >= d for o, d in zip(other, deltas)) and h < needed:
                 return h, None
-            if all(o <= d for o, d in zip(other, deltas)) and h >= max_r - 1e-6:
+            if all(o <= d for o, d in zip(other, deltas)) and h >= needed:
                 return h, None
         out = _exact_lp(spec, list(deltas), "scale", profile)
         sol = out[0]
@@ -377,7 +381,7 @@ def solve_exact(
             raise SolverError("deadline enumeration budget exceeded")
         _, idx = heapq.heappop(heap)
         h, out = max_scale(idx)
-        if h >= max_r - 1e-6:
+        if h >= needed:
             if out is None:
                 out = _exact_lp(
                     spec, [cands[i][idx[i]] for i in range(len(comms))],
@@ -389,7 +393,7 @@ def solve_exact(
             trimmed = []
             for pf, c in zip(flows, comms):
                 rate = sum(r for _, r in pf)
-                if rate > c.R + FEAS_TOL:
+                if rate > c.R + net.zero_tol:
                     pf = delete_slowest(net, pf, rate - c.R)
                 trimmed.append(pf)
             return build_report(spec, "EXACT", FlowSolution(trimmed), t0)

@@ -21,11 +21,17 @@ from delayflow.algorithms import (
 )
 from delayflow.baselines import solve_exact, solve_greedy
 from delayflow.gen import random_problem
-from delayflow.graph import Network, Path, builtin_ec2, load_topology, serialize_topology
+from delayflow.graph import (
+    CHECK_TOL,
+    Network,
+    Path,
+    builtin_ec2,
+    load_topology,
+    serialize_topology,
+)
 from delayflow.lp import SolverError
 from delayflow.problem import (
     IDENTITY,
-    VERIFY_TOL,
     Commodity,
     FlowSolution,
     Objective,
@@ -156,16 +162,24 @@ def report_to_json(spec: ProblemSpec, report: SolveReport) -> dict:
     return doc
 
 
+def _bound_tol(x: float) -> float:
+    """Slack of a check of ``x`` that is no rate: a metric, objective or delay."""
+    return max(CHECK_TOL, CHECK_TOL * abs(x))
+
+
 def verify_report(doc: dict) -> list[str]:
     """Re-derive every claim in a serialized report from its embedded
-    topology, problem, and flows. Returns a list of violations."""
-    tol = VERIFY_TOL
+    topology, problem, and flows. Returns a list of violations.
+
+    Feasibility and throughput bounds allow the network's ``check_tol``;
+    recorded values and delay bounds a relative CHECK_TOL."""
     topology = doc["topology"]
     if not isinstance(topology, str):
         raise ValueError(
             f"corrupt report: topology must be a string, not {type(topology).__name__}"
         )
     net = load_topology(topology)
+    tol = net.check_tol
     spec = problem_from_json(doc["problem"], net)
     sol = _flows_from_json(doc["flows"], spec)
     if len(doc["metrics"]) != len(spec.commodities):
@@ -173,7 +187,7 @@ def verify_report(doc: dict) -> list[str]:
             f"corrupt report: {len(doc['metrics'])} metrics records for "
             f"{len(spec.commodities)} commodities"
         )
-    issues = sol.check_feasible(net, spec.commodities, tol)
+    issues = sol.check_feasible(net, spec.commodities)
     metrics = evaluate_metrics(net, sol)
     for i, (m, rec) in enumerate(zip(metrics, doc["metrics"])):
         for name, got in (
@@ -182,13 +196,13 @@ def verify_report(doc: dict) -> list[str]:
             ("total_delay", m.total_delay),
             ("avg_delay", m.avg_delay),
         ):
-            if not abs(got - float(rec[name])) <= max(tol, tol * abs(got)):
+            if not abs(got - float(rec[name])) <= _bound_tol(got):
                 issues.append(
                     f"commodity {i}: recorded {name} {rec[name]} "
                     f"!= recomputed {got}"
                 )
     obj = objective_value(spec, metrics)
-    if not abs(obj - float(doc["objective"])) <= max(tol, tol * abs(obj)):
+    if not abs(obj - float(doc["objective"])) <= _bound_tol(obj):
         issues.append(f"recorded objective {doc['objective']} != recomputed {obj}")
 
     algo = doc["algorithm"]
@@ -197,7 +211,7 @@ def verify_report(doc: dict) -> list[str]:
         hat = _flows_from_json(doc["counterpart_flows"], spec)
         issues += [
             "counterpart: " + s
-            for s in hat.check_feasible(net, spec.commodities, tol)
+            for s in hat.check_feasible(net, spec.commodities)
         ]
     if algo == "PASS":
         eps = float(doc["epsilon"])
@@ -212,7 +226,7 @@ def verify_report(doc: dict) -> list[str]:
                     f"commodity {i}: throughput {m.throughput} below "
                     f"(1-eps)*R = {(1 - eps) * c.R}"
                 )
-            if math.isfinite(c.D) and m.max_delay > c.D / eps + tol:
+            if math.isfinite(c.D) and m.max_delay > c.D / eps + _bound_tol(c.D / eps):
                 issues.append(
                     f"commodity {i}: max delay {m.max_delay} exceeds "
                     f"D/eps = {c.D / eps}"
@@ -227,7 +241,7 @@ def verify_report(doc: dict) -> list[str]:
                     )
     elif algo == "PASS-M":
         for i, (c, m) in enumerate(zip(spec.commodities, metrics)):
-            if m.max_delay > c.D + tol:
+            if m.max_delay > c.D + _bound_tol(c.D):
                 issues.append(
                     f"commodity {i}: max delay {m.max_delay} exceeds bound {c.D}"
                 )
@@ -252,7 +266,7 @@ def verify_report(doc: dict) -> list[str]:
                 )
     elif algo in ("GREEDY", "EXACT"):
         for i, (c, m) in enumerate(zip(spec.commodities, metrics)):
-            if math.isfinite(c.D) and m.max_delay > c.D + tol:
+            if math.isfinite(c.D) and m.max_delay > c.D + _bound_tol(c.D):
                 issues.append(
                     f"commodity {i}: max delay {m.max_delay} exceeds bound {c.D}"
                 )
@@ -399,6 +413,22 @@ def run_experiment(name: str, writer) -> None:
 # -- entry points ------------------------------------------------------------
 
 
+def _open_out(path: str, **kwargs):
+    try:
+        return open(path, "w", **kwargs)
+    except OSError as e:
+        raise UsageError(f"cannot write {path!r}: {e}") from None
+
+
+def _write_out(path: str | None, text: str) -> None:
+    """Write ``text`` to ``path``, or print it when there is no path."""
+    if not path:
+        print(text)
+        return
+    with _open_out(path) as fh:
+        fh.write(text + "\n")
+
+
 def cmd_solve(args) -> int:
     net = _load_net(args.topo)
     try:
@@ -417,11 +447,7 @@ def cmd_solve(args) -> int:
         return 2
     doc = report_to_json(spec, report)
     text = json.dumps(doc, indent=2)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write_out(args.out, text)
     return 0 if report.feasible else 2
 
 
@@ -443,7 +469,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    out = open(args.out, "w", newline="") if args.out else sys.stdout
+    out = _open_out(args.out, newline="") if args.out else sys.stdout
     try:
         run_experiment(args.name, csv.writer(out))
     finally:
@@ -460,11 +486,7 @@ def cmd_gen(args) -> int:
         "problem": problem_to_json(spec),
     }
     text = json.dumps(doc, indent=2)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write_out(args.out, text)
     return 0
 
 

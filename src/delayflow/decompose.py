@@ -4,11 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from delayflow.graph import FEAS_TOL, Network, Path
+from delayflow.graph import Network, Path
 from delayflow.lp import SolverError
-
-#: Path rates below this are pruned from decompositions.
-PRUNE_TOL = 1e-9
 
 
 def _check_conservation(net: Network, x: np.ndarray, s: int, t: int) -> None:
@@ -18,7 +15,7 @@ def _check_conservation(net: Network, x: np.ndarray, s: int, t: int) -> None:
         imbalance = sum(x[k] for k in net.out_edges[v]) - sum(
             x[k] for k in net.in_edges[v]
         )
-        if abs(imbalance) > 1e-6:
+        if abs(imbalance) > net.check_tol:
             raise ValueError(
                 f"flow conservation violated at node {net.nodes[v]} "
                 f"(imbalance {imbalance})"
@@ -39,7 +36,7 @@ def _find_cycle(net: Network, x: np.ndarray) -> list[int] | None:
             u, it = stack[-1]
             advanced = False
             for k in it:
-                if x[k] <= FEAS_TOL:
+                if x[k] <= net.zero_tol:
                     continue
                 v = net.edges[k].v
                 if color[v] == 1:
@@ -71,7 +68,7 @@ def cancel_cycles(net: Network, edge_flow: np.ndarray, s: str, t: str) -> np.nda
     pointwise <= the input; total delay never increases.
     """
     x = np.array(edge_flow, dtype=np.float64)
-    x[(x < 0) & (x > -FEAS_TOL)] = 0.0
+    x[(x < 0) & (x > -net.zero_tol)] = 0.0
     if np.any(x < 0):
         raise ValueError("edge flow must be nonnegative")
     _check_conservation(net, x, net.index_of(s), net.index_of(t))
@@ -82,7 +79,7 @@ def cancel_cycles(net: Network, edge_flow: np.ndarray, s: str, t: str) -> np.nda
         reduce = min(x[k] for k in cycle)
         for k in cycle:
             x[k] -= reduce
-            if x[k] < FEAS_TOL:
+            if x[k] < net.zero_tol:
                 x[k] = 0.0
 
 
@@ -98,7 +95,7 @@ def decompose(
     """
     si, ti = net.index_of(s), net.index_of(t)
     x = np.array(edge_flow, dtype=np.float64)
-    if np.any(x < -FEAS_TOL):
+    if np.any(x < -net.zero_tol):
         raise ValueError("edge flow must be nonnegative")
     _check_conservation(net, x, si, ti)
     return [(Path(tuple(edges)), rate) for edges, rate in _strip_paths(net, x, si, ti)]
@@ -106,18 +103,20 @@ def decompose(
 
 def _strip_paths(graph, x: np.ndarray, s: int, t: int) -> list[tuple[list[int], float]]:
     """Strip s->t paths off the edge flow ``x`` (modified in place) until
-    the net outflow of ``s`` is at most PRUNE_TOL; see ``decompose``.
+    the net outflow of ``s`` is at most ``graph.zero_tol``; see ``decompose``.
 
     ``graph`` is a ``Network`` or any graph with the same integer shape:
-    ``nodes`` (names for messages), ``heads`` (head node of each edge), and
-    node-indexed ``out_edges``/``in_edges`` (edge indices, ascending).
+    ``nodes`` (names for messages), ``heads`` (head node of each edge),
+    node-indexed ``out_edges``/``in_edges`` (edge indices, ascending), and
+    the ``zero_tol`` below which a rate is zero.
     """
+    zero = graph.zero_tol
     paths: list[tuple[list[int], float]] = []
     while True:
         out_rate = sum(x[k] for k in graph.out_edges[s]) - sum(
             x[k] for k in graph.in_edges[s]
         )
-        if out_rate <= PRUNE_TOL:
+        if out_rate <= zero:
             break
         edges: list[int] = []
         u = s
@@ -125,7 +124,7 @@ def _strip_paths(graph, x: np.ndarray, s: int, t: int) -> list[tuple[list[int], 
         while u != t:
             nxt = -1
             for k in graph.out_edges[u]:
-                if x[k] > PRUNE_TOL:
+                if x[k] > zero:
                     nxt = k
                     break
             if nxt < 0:
@@ -140,9 +139,9 @@ def _strip_paths(graph, x: np.ndarray, s: int, t: int) -> list[tuple[list[int], 
         bottleneck = min(x[k] for k in edges)
         for k in edges:
             x[k] -= bottleneck
-            if x[k] < PRUNE_TOL:
+            if x[k] < zero:
                 x[k] = 0.0
-        if bottleneck > PRUNE_TOL:
+        if bottleneck > zero:
             paths.append((edges, bottleneck))
         if len(paths) > len(graph.heads):
             raise SolverError("decomposition exceeded |E| paths")

@@ -8,8 +8,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-#: Edges with residual capacity below this are treated as saturated (Mbps).
-FEAS_TOL = 1e-9
+#: The flow tolerance policy, relative to a network's ``flow_unit``: a rate
+#: at most ZERO_TOL units counts as zero (pruned, saturated, not carrying),
+#: and a conservation, capacity, throughput or certificate bound may be
+#: missed by CHECK_TOL units. Delays do not scale with capacities, so these
+#: do not apply to them.
+ZERO_TOL = 1e-12
+CHECK_TOL = 1e-6
 
 
 class TopologyError(ValueError):
@@ -31,6 +36,9 @@ class Network:
     Node identifiers are opaque strings; internally nodes get dense integer
     indices in declaration order so runs are deterministic. ``node_index``
     maps each name to its index, and ``heads[k]`` is edge k's head node.
+    ``flow_unit`` is 2**ceil(log2(largest capacity)), or 1.0 when no edge
+    has capacity; ``zero_tol`` and ``check_tol`` are ZERO_TOL and CHECK_TOL
+    in that unit.
     """
 
     nodes: tuple[str, ...]
@@ -39,6 +47,9 @@ class Network:
     in_edges: tuple[tuple[int, ...], ...] = field(repr=False, default=())
     heads: tuple[int, ...] = field(init=False, repr=False, compare=False)
     node_index: dict[str, int] = field(init=False, repr=False, compare=False)
+    flow_unit: float = field(init=False, repr=False, compare=False)
+    zero_tol: float = field(init=False, repr=False, compare=False)
+    check_tol: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(set(self.nodes)) != len(self.nodes):
@@ -65,6 +76,12 @@ class Network:
         object.__setattr__(
             self, "node_index", {name: i for i, name in enumerate(self.nodes)}
         )
+        cap = max((e.capacity for e in self.edges), default=0.0)
+        mantissa, exp = math.frexp(cap)  # cap = mantissa * 2**exp, exactly
+        unit = math.ldexp(1.0, exp - (mantissa == 0.5)) if cap > 0 else 1.0
+        object.__setattr__(self, "flow_unit", unit)
+        object.__setattr__(self, "zero_tol", ZERO_TOL * unit)
+        object.__setattr__(self, "check_tol", CHECK_TOL * unit)
 
     def index_of(self, node: str) -> int:
         try:
@@ -209,7 +226,8 @@ def builtin_ec2() -> Network:
 def shortest_path_by_delay(
     net: Network, residual: np.ndarray, s: str, t: str
 ) -> Path | None:
-    """Minimum-delay s->t path over edges with residual capacity > FEAS_TOL.
+    """Minimum-delay s->t path over edges with residual capacity above the
+    network's ``zero_tol``.
 
     Ties are broken toward the lexicographically smallest node-identifier
     sequence. Returns None when t is unreachable.
@@ -220,7 +238,7 @@ def shortest_path_by_delay(
     residual = np.asarray(residual, dtype=np.float64)
     if residual.shape != (len(net.edges),):
         raise ValueError("residual must have one entry per edge")
-    if np.any(residual < -FEAS_TOL):
+    if np.any(residual < -net.zero_tol):
         raise ValueError("residual entries must be nonnegative")
 
     # Dijkstra with (delay, node-name path) keys; the path component makes
@@ -239,7 +257,7 @@ def shortest_path_by_delay(
             return Path(edge_seq)
         for k in net.out_edges[u]:
             e = net.edges[k]
-            if residual[k] <= FEAS_TOL or e.v in settled:
+            if residual[k] <= net.zero_tol or e.v in settled:
                 continue
             if net.nodes[e.v] in names:
                 continue  # zero-delay edges could otherwise close a cycle

@@ -9,12 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from delayflow.graph import FEAS_TOL, Network, Path
+from delayflow.graph import Network, Path
 from delayflow.lp import LinearProgram, SparseRows
-
-
-#: Absolute tolerance of ``check_feasible`` and ``delayflow verify``.
-VERIFY_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -29,6 +25,9 @@ class PLFunction:
         object.__setattr__(self, "points", pts)
         if not pts:
             raise ValueError("PLFunction needs at least one breakpoint")
+        for a, u in pts:
+            if not (math.isfinite(a) and math.isfinite(u)):
+                raise ValueError(f"breakpoint ({a}, {u}) is not finite")
         if pts[0][0] != 0.0:
             raise ValueError("first breakpoint must be at a=0")
         for (a0, _), (a1, _) in zip(pts, pts[1:]):
@@ -122,8 +121,8 @@ class Commodity:
             raise ValueError(f"R must be finite and nonnegative, got {self.R}")
         if not self.D > 0:
             raise ValueError(f"D must be positive, got {self.D}")
-        if self.w < 0:
-            raise ValueError("weight must be nonnegative")
+        if not self.w >= 0:
+            raise ValueError(f"w must be nonnegative, got {self.w}")
 
 
 class Objective(enum.Enum):
@@ -195,9 +194,12 @@ class FlowSolution:
         return x
 
     def check_feasible(
-        self, net: Network, commodities: tuple[Commodity, ...], tol: float = VERIFY_TOL
+        self, net: Network, commodities: tuple[Commodity, ...], tol: float | None = None
     ) -> list[str]:
-        """Conservation, capacity, and nonnegativity violations (empty if ok)."""
+        """Conservation, capacity, and nonnegativity violations (empty if ok),
+        each allowed to miss by ``tol``, by default ``net.check_tol``."""
+        if tol is None:
+            tol = net.check_tol
         issues = []
         for i, flow in enumerate(self.flows):
             for path, rate in flow:
@@ -237,10 +239,10 @@ class CommodityMetrics:
 def path_flow_sums(net: Network, flow) -> tuple[float, float, float]:
     """(|f|, T(f), M(f)) of one commodity's path flow: the total rate, the
     rate-weighted delay sum, and the largest delay of a path carrying more
-    than FEAS_TOL (0 when none does)."""
+    than ``net.zero_tol`` (0 when none does)."""
     thr = sum(rate for _, rate in flow)
     total_d = sum(r * p.delay(net) for p, r in flow)
-    max_d = max((p.delay(net) for p, r in flow if r > FEAS_TOL), default=0.0)
+    max_d = max((p.delay(net) for p, r in flow if r > net.zero_tol), default=0.0)
     return thr, total_d, max_d
 
 
@@ -437,7 +439,10 @@ def _pl_from_json(obj, key: str) -> PLFunction:
         pts = tuple((float(a), float(u)) for a, u in points)
     except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{key} points must be a list of [a, u] number pairs") from None
-    return PLFunction(pts)
+    try:
+        return PLFunction(pts)
+    except ValueError as e:
+        raise ValueError(f"{key}: {e}") from None
 
 
 def _pl_to_json(u: PLFunction):

@@ -13,7 +13,7 @@ from delayflow.algorithms import (
     solve_pass_t,
 )
 from delayflow.gen import random_problem
-from delayflow.graph import FEAS_TOL, Edge, Network, Path
+from delayflow.graph import Edge, Network, Path
 from delayflow.problem import (
     Commodity,
     Objective,
@@ -159,10 +159,11 @@ def test_report_fields(two_parallel):
 
 
 def _reference_delete_slowest(net, path_flow, amount):
+    zero = net.zero_tol
     remaining = [r for _, r in path_flow]
     live = list(range(len(path_flow)))
     left = amount
-    while left > FEAS_TOL and live:
+    while left > zero and live:
         live.sort(
             key=lambda i: (
                 -path_flow[i][0].delay(net),
@@ -174,12 +175,12 @@ def _reference_delete_slowest(net, path_flow, amount):
         take = min(remaining[i], left)
         remaining[i] -= take
         left -= take
-        if remaining[i] <= FEAS_TOL:
+        if remaining[i] <= zero:
             live.pop(0)
     return [
         (p, remaining[i])
         for i, (p, _) in enumerate(path_flow)
-        if remaining[i] > FEAS_TOL
+        if remaining[i] > zero
     ]
 
 

@@ -13,7 +13,6 @@ from delayflow.baselines import (
     solve_greedy,
 )
 from delayflow.algorithms import InfeasibleError
-from delayflow.decompose import PRUNE_TOL
 from delayflow.gen import random_problem
 from delayflow.graph import Edge, Network, Path
 from delayflow.problem import (
@@ -310,6 +309,7 @@ class _ReferenceTimeExpanded:
 def _reference_extract_paths(net, te, arc_flow):
     """The exact solver's path extraction before it shared ``decompose``'s
     loop, including the dust branch that dropped tiny stranded walks."""
+    zero = net.zero_tol
     x = arc_flow.copy()
     out_arcs = {}
     for j, (src, _, _) in enumerate(te.arcs):
@@ -317,7 +317,7 @@ def _reference_extract_paths(net, te, arc_flow):
     source = (te.s, 0.0)
     raw = {}
     while True:
-        avail = [j for j in out_arcs.get(source, []) if x[j] > PRUNE_TOL]
+        avail = [j for j in out_arcs.get(source, []) if x[j] > zero]
         if not avail:
             break
         edges = []
@@ -327,7 +327,7 @@ def _reference_extract_paths(net, te, arc_flow):
         while st[0] != te.t:
             nxt = -1
             for j in out_arcs.get(st, []):
-                if x[j] > PRUNE_TOL:
+                if x[j] > zero:
                     nxt = j
                     break
             if nxt < 0:
@@ -336,7 +336,7 @@ def _reference_extract_paths(net, te, arc_flow):
                     raise RuntimeError("stranded time-expanded flow")
                 for j in edges:
                     x[j] = max(0.0, x[j] - dust)
-                    if x[j] < PRUNE_TOL:
+                    if x[j] < zero:
                         x[j] = 0.0
                 stranded = True
                 break
@@ -350,10 +350,10 @@ def _reference_extract_paths(net, te, arc_flow):
         bottleneck = min(x[j] for j in edges)
         for j in edges:
             x[j] -= bottleneck
-            if x[j] < PRUNE_TOL:
+            if x[j] < zero:
                 x[j] = 0.0
         phys = _simplify_walk(net, [te.arcs[j][1] for j in edges])
-        if bottleneck > PRUNE_TOL and phys:
+        if bottleneck > zero and phys:
             raw[tuple(phys)] = raw.get(tuple(phys), 0.0) + bottleneck
     return [(Path(p), r) for p, r in sorted(raw.items())]
 

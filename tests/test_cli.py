@@ -172,6 +172,17 @@ _BAD_PROBLEMS = [
     ({"objective": "SumDelayPenalty",
       "commodities": [{"src": "s", "dst": "t", "R": 2.0, "D": float("nan")}]},
      "commodity 0: D must be positive, got nan"),
+    ({"objective": "SumThroughputUtility",
+      "commodities": [{"src": "s", "dst": "t",
+                       "utility_t": {"points": [[0, 0], [1, float("nan")]]}}]},
+     "commodity 0: utility_t: breakpoint (1.0, nan) is not finite"),
+    ({"objective": "SumThroughputUtility",
+      "commodities": [{"src": "s", "dst": "t",
+                       "utility_t": {"points": [[0, 0], ["inf", 1]]}}]},
+     "commodity 0: utility_t: breakpoint (inf, 1.0) is not finite"),
+    ({"objective": "SumThroughputUtility",
+      "commodities": [{"src": "s", "dst": "t", "w": float("nan")}]},
+     "commodity 0: w must be nonnegative, got nan"),
 ]
 
 
@@ -291,6 +302,27 @@ def test_solve_rejects_bad_epsilon(two_parallel_files, capsys):
     )
     assert rc == 1
     assert "eps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--topo", "{topo}", "--problem", "{prob}", "--algo", "pass-t",
+         "--out", "{missing}"],
+        ["experiment", "tcdm-eps", "--out", "{dir}"],
+        ["gen", "--seed", "1", "--out", "{missing}"],
+    ],
+    ids=["solve", "experiment", "gen"],
+)
+def test_unwritable_out_exits_1(two_parallel_files, tmp_path, capsys, argv):
+    topo, prob = two_parallel_files
+    missing = str(tmp_path / "no-such-dir" / "out.json")
+    paths = {"topo": topo, "prob": prob, "missing": missing, "dir": str(tmp_path)}
+    rc = main([a.format(**paths) for a in argv])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {argv[-1].format(**paths)!r}: ")
+    assert "Traceback" not in err
 
 
 def test_solve_infeasible_exit_code(two_parallel_files, tmp_path, capsys):
