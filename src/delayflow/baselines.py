@@ -18,8 +18,8 @@ from delayflow.algorithms import (
 )
 from delayflow.decompose import _strip_paths
 from delayflow.graph import Network, Path, shortest_path_by_delay
-from delayflow.lp import SolverError, SparseRows, solve_lp
-from delayflow.problem import FlowSolution, Objective, ProblemSpec
+from delayflow.lp import SolverError, solve_lp
+from delayflow.problem import FlowSolution, Objective, ProblemSpec, build_counterpart
 
 _MAX_ENUM_NODES = 12
 
@@ -86,14 +86,14 @@ class _TimeExpanded:
     """Per-commodity layered graph over states (v, elapsed delay tau),
     pruned to those on some source-to-sink walk with tau <= deadline.
 
-    It has the integer graph shape that ``decompose`` reads: ``nodes`` are
-    the sorted non-sink states followed by one node, ``(t, None)``, that
-    stands for every sink state (t, tau), since sink states absorb; arc j
-    runs along physical edge ``edge_of[j]`` into node ``heads[j]``; and
-    ``out_edges``/``in_edges`` list each node's arcs. Arcs are ordered by
-    (tail state, physical edge). ``source`` is the node of (s, 0), or None
-    when no walk meets the deadline. Rates are physical, so ``zero_tol`` is
-    the network's.
+    It has the integer graph shape that ``decompose`` and
+    ``build_counterpart`` read: ``nodes`` are the sorted non-sink states
+    followed by one node, ``(t, None)``, that stands for every sink state
+    (t, tau), since sink states absorb; arc j runs along physical edge
+    ``edge_of[j]`` into node ``heads[j]``; and ``out_edges``/``in_edges``
+    list each node's arcs. Arcs are ordered by (tail state, physical edge).
+    ``source`` is the node of (s, 0), or None when no walk meets the
+    deadline. Rates are physical, so ``zero_tol`` is the network's.
     """
 
     def __init__(self, net: Network, s: int, t: int, deadline: float):
@@ -146,97 +146,22 @@ class _TimeExpanded:
 
 
 def _exact_lp(
-    spec: ProblemSpec,
-    deadlines: list[float],
-    mode: str,
-    profile: list[float] | None = None,
+    spec: ProblemSpec, deadlines: list[float], profile: list[float] | None = None
 ):
-    """Build and solve the coupled time-expanded LP.
-
-    mode "utility": maximize the spec's throughput objective subject to
-    |f_i| >= R_i. mode "scale": maximize t subject to |f_i| >= t*profile_i.
-    Returns (LpSolution, time-expanded graphs, first column of each
-    commodity's arcs), or (None, graphs) when a graph has no path.
+    """Solve the counterpart LP over per-commodity time-expanded graphs;
+    ``profile`` is ``build_counterpart``'s. Returns (LpSolution, graphs,
+    CounterpartMap), or (None, graphs, None) when a commodity that must
+    carry rate has no walk within its deadline.
     """
     net = spec.network
-    comms = spec.commodities
-    K = len(comms)
     tes = []
-    for c, delta in zip(comms, deadlines):
+    for c, delta in zip(spec.commodities, deadlines):
         te = _TimeExpanded(net, net.index_of(c.source), net.index_of(c.sink), delta)
         tes.append(te)
-        if te.source is None and (mode == "scale" or c.R > 0):
-            return None, tes
-
-    arc_base: list[int] = []  # first column of each commodity's arcs
-    nvars = 0
-    for te in tes:
-        arc_base.append(nvars)
-        nvars += len(te.heads)
-    rate_var = [nvars + i for i in range(K)]
-    nvars += K
-    aux_var = None
-    scale_var = None
-    bound_var = None
-    if mode == "utility":
-        aux_var = [nvars + i for i in range(K)]
-        nvars += K
-        if spec.objective is Objective.MIN_THROUGHPUT_UTILITY:
-            bound_var = nvars
-            nvars += 1
-    else:
-        scale_var = nvars
-        nvars += 1
-
-    lp_rows = SparseRows(nvars)
-    for i, te in enumerate(tes):
-        base = arc_base[i]
-        # Conservation at every non-sink state; the rate leaves the source.
-        for v in range(te.sink):
-            outs, ins = te.out_edges[v], te.in_edges[v]
-            cols = [base + j for j in outs + ins]
-            vals = [1.0] * len(outs) + [-1.0] * len(ins)
-            if v == te.source:
-                cols.append(rate_var[i])
-                vals.append(-1.0)
-            lp_rows.add(cols, vals, "=", 0.0)
-        # Rate also equals total inflow into sink states.
-        sink_in = te.in_edges[te.sink]
-        lp_rows.add([base + j for j in sink_in] + [rate_var[i]],
-                    [1.0] * len(sink_in) + [-1.0], "=", 0.0)
-
-    # Capacity coupling across commodities and layers: one row per edge
-    # that some arc uses, in edge order.
-    arcs_of_edge: dict[int, list[int]] = {}
-    for base, te in zip(arc_base, tes):
-        for j, k in enumerate(te.edge_of):
-            arcs_of_edge.setdefault(k, []).append(base + j)
-    for k in sorted(arcs_of_edge):
-        cols = arcs_of_edge[k]
-        lp_rows.add(cols, [1.0] * len(cols), "<=", net.edges[k].capacity)
-
-    objective = np.zeros(nvars)
-    if mode == "utility":
-        for i, c in enumerate(comms):
-            if c.R > 0:
-                lp_rows.add([rate_var[i]], [1.0], ">=", c.R)
-            for slope, intercept in c.utility_t.segments():
-                lp_rows.add([aux_var[i], rate_var[i]], [1.0, -slope], "<=", intercept)
-        if bound_var is None:
-            for i in range(K):
-                objective[aux_var[i]] = 1.0
-        else:
-            objective[bound_var] = 1.0
-            for i in range(K):
-                lp_rows.add([bound_var, aux_var[i]], [1.0, -1.0], "<=", 0.0)
-    else:
-        for i in range(K):
-            lp_rows.add([rate_var[i], scale_var], [1.0, -profile[i]], ">=", 0.0)
-        objective[scale_var] = 1.0
-
-    lp = lp_rows.program("max", objective)
-    sol = solve_lp(lp)
-    return (sol, tes, arc_base)
+        if te.source is None and (profile is not None or c.R > 0):
+            return None, tes, None
+    lp, cmap = build_counterpart(spec, tes, profile)
+    return solve_lp(lp), tes, cmap
 
 
 def _extract_paths(
@@ -310,13 +235,12 @@ def solve_exact(
         caps.append(cap)
 
     if not spec.objective.is_delay:
-        out = _exact_lp(spec, caps, "utility")
-        sol, tes = out[0], out[1]
+        sol, tes, cmap = _exact_lp(spec, caps)
         if sol is None or sol.status == "infeasible":
             raise InfeasibleError("no feasible flow within the delay bounds")
         if sol.status != "optimal":
             raise SolverError(f"exact LP status {sol.status}")
-        flows = _flows_from_arcs(net, tes, out[2], sol.x)
+        flows = _flows_from_arcs(net, tes, cmap, sol.x)
         return build_report(spec, "EXACT", FlowSolution(flows), t0)
 
     # Delay objective: best-first over candidate deadline vectors.
@@ -360,7 +284,7 @@ def solve_exact(
                 return h, None
             if all(o <= d for o, d in zip(other, deltas)) and h >= needed:
                 return h, None
-        out = _exact_lp(spec, list(deltas), "scale", profile)
+        out = _exact_lp(spec, list(deltas), profile)
         sol = out[0]
         if sol is None or sol.status == "infeasible":
             h = 0.0
@@ -383,12 +307,9 @@ def solve_exact(
         h, out = max_scale(idx)
         if h >= needed:
             if out is None:
-                out = _exact_lp(
-                    spec, [cands[i][idx[i]] for i in range(len(comms))],
-                    "scale", profile,
-                )
-            sol, tes, arc_base = out
-            flows = _flows_from_arcs(net, tes, arc_base, sol.x)
+                out = _exact_lp(spec, [cands[i][idx[i]] for i in range(len(comms))], profile)
+            sol, tes, cmap = out
+            flows = _flows_from_arcs(net, tes, cmap, sol.x)
             # Trim surplus rate from the slowest paths so |f_i| = R_i.
             trimmed = []
             for pf, c in zip(flows, comms):
@@ -406,9 +327,5 @@ def solve_exact(
     raise InfeasibleError("throughput requirements cannot be met")
 
 
-def _flows_from_arcs(net, tes, arc_base, x):
-    flows = []
-    for i, te in enumerate(tes):
-        arc_flow = x[arc_base[i] : arc_base[i] + len(te.heads)]
-        flows.append(_extract_paths(net, te, arc_flow))
-    return flows
+def _flows_from_arcs(net, tes, cmap, x):
+    return [_extract_paths(net, te, f) for te, f in zip(tes, cmap.edge_flows(x))]

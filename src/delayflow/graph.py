@@ -76,9 +76,18 @@ class Network:
         object.__setattr__(
             self, "node_index", {name: i for i, name in enumerate(self.nodes)}
         )
+        # Every path delay is at most the sum of all delays, so path delays
+        # and rate-weighted delay sums stay finite.
+        if not math.isfinite(sum(e.delay for e in self.edges)):
+            raise TopologyError("the sum of edge delays overflows a float")
         cap = max((e.capacity for e in self.edges), default=0.0)
         mantissa, exp = math.frexp(cap)  # cap = mantissa * 2**exp, exactly
-        unit = math.ldexp(1.0, exp - (mantissa == 0.5)) if cap > 0 else 1.0
+        try:
+            unit = math.ldexp(1.0, exp - (mantissa == 0.5)) if cap > 0 else 1.0
+        except OverflowError:
+            raise TopologyError(
+                f"capacity {cap} is too large: its flow unit 2**{exp} overflows a float"
+            ) from None
         object.__setattr__(self, "flow_unit", unit)
         object.__setattr__(self, "zero_tol", ZERO_TOL * unit)
         object.__setattr__(self, "check_tol", CHECK_TOL * unit)
@@ -88,9 +97,6 @@ class Network:
             return self.node_index[node]
         except KeyError:
             raise KeyError(f"unknown node {node!r}") from None
-
-    def delays(self) -> np.ndarray:
-        return np.array([e.delay for e in self.edges], dtype=np.float64)
 
     def capacities(self) -> np.ndarray:
         return np.array([e.capacity for e in self.edges], dtype=np.float64)

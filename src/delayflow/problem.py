@@ -33,6 +33,11 @@ class PLFunction:
         for (a0, _), (a1, _) in zip(pts, pts[1:]):
             if a1 <= a0:
                 raise ValueError("breakpoint abscissae must strictly increase")
+        for k, (slope, intercept) in enumerate(self.segments()):
+            if not (math.isfinite(slope) and math.isfinite(intercept)):
+                raise ValueError(
+                    f"segment {k} (slope {slope}, intercept {intercept}) is not finite"
+                )
 
     def slopes(self) -> list[float]:
         s = [
@@ -279,87 +284,111 @@ def objective_value(spec: ProblemSpec, metrics: tuple[CommodityMetrics, ...]) ->
 
 @dataclass(frozen=True)
 class CounterpartMap:
-    """Maps counterpart-LP variables back to model quantities. Column
-    ``i*E + k`` holds commodity i's flow on edge k; after the K*E edge
-    columns come K rate columns |f_i|, K epigraph columns and, for max-min
-    objectives, one bound column."""
+    """Maps counterpart-LP variables back to model quantities. Columns
+    ``arc_base[i]:arc_base[i+1]`` hold commodity i's arc flows (on the
+    physical network, its flow on each edge). After the arcs come K rate
+    columns |f_i|, then K epigraph columns and, for max-min objectives, one
+    bound column; or, with a rate profile, the single scale column t."""
 
-    num_commodities: int
-    num_edges: int
+    arc_base: tuple[int, ...]
 
-    def edge_flows(self, x: np.ndarray) -> np.ndarray:
-        """K x E view of ``x``: row i is commodity i's edge flow."""
-        K, E = self.num_commodities, self.num_edges
-        return x[: K * E].reshape(K, E)
+    def edge_flows(self, x: np.ndarray) -> list[np.ndarray]:
+        """One view of ``x`` per commodity: its flow on each of its arcs."""
+        b = self.arc_base
+        return [x[lo:hi] for lo, hi in zip(b, b[1:])]
 
 
-def build_counterpart(spec: ProblemSpec) -> tuple[LinearProgram, CounterpartMap]:
+def build_counterpart(
+    spec: ProblemSpec, graphs=None, profile: list[float] | None = None
+) -> tuple[LinearProgram, CounterpartMap]:
     """Average-delay-aware counterpart LP of ``spec``.
 
     Throughput objectives get the relaxation with T(f_i) <= D_i*|f_i| and
     |f_i| >= R_i; delay objectives pin |f_i| = R_i and bound T(f_i) <=
     D_i*R_i, minimizing the penalty of the average delay T_i/R_i. PL
     utilities enter exactly through one epigraph variable per commodity.
+
+    By default every commodity routes over the physical network. ``graphs``
+    instead gives one graph per commodity with the integer shape that
+    ``decompose`` reads plus ``source`` (None when the commodity has no
+    arcs), ``sink`` and ``edge_of``: arc j uses physical edge
+    ``edge_of[j]`` and counts against its capacity. These are time-expanded
+    graphs, on which every walk meets its deadline, so they get no
+    average-delay row. With ``profile`` the objective becomes max t subject
+    to |f_i| >= t*profile_i.
     """
     spec.validate()
     net = spec.network
     comms = spec.commodities
     K = len(comms)
-    E = len(net.edges)
-    delays = net.delays()
-
-    rate_var = {i: K * E + i for i in range(K)}
-    aux_var = {i: K * E + K + i for i in range(K)}
-    nvars = K * E + 2 * K
-    bound_var = None
-    if spec.objective in (Objective.MIN_THROUGHPUT_UTILITY, Objective.MAX_DELAY_PENALTY):
-        bound_var = nvars
+    if graphs is None:
+        every_edge = range(len(net.edges))
+        shapes = [
+            (net, net.index_of(c.source), net.index_of(c.sink), every_edge)
+            for c in comms
+        ]
+    else:
+        shapes = [(g, g.source, g.sink, g.edge_of) for g in graphs]
+    arc_base = [0]
+    for *_, edge_of in shapes:
+        arc_base.append(arc_base[-1] + len(edge_of))
+    rate_var = [arc_base[-1] + i for i in range(K)]
+    nvars = arc_base[-1] + K
+    if profile is not None:
+        scale_var = nvars
         nvars += 1
+    else:
+        aux_var = [nvars + i for i in range(K)]
+        nvars += K
+        bound_var = None
+        if spec.objective in (Objective.MIN_THROUGHPUT_UTILITY, Objective.MAX_DELAY_PENALTY):
+            bound_var = nvars
+            nvars += 1
 
     lp_rows = SparseRows(nvars)
-    delay_list = delays.tolist()
-    for i, c in enumerate(comms):
-        s, t = net.index_of(c.source), net.index_of(c.sink)
-        edge_cols = list(range(i * E, (i + 1) * E))
-        # |f_i| defined as net outflow at the source.
-        out_s, in_s = list(net.out_edges[s]), list(net.in_edges[s])
-        lp_rows.add(
-            [edge_cols[k] for k in out_s + in_s] + [rate_var[i]],
-            [1.0] * len(out_s) + [-1.0] * len(in_s) + [-1.0],
-            "=",
-            0.0,
-        )
-        # Conservation at interior nodes.
-        for v in range(len(net.nodes)):
-            if v in (s, t):
-                continue
-            out_v, in_v = list(net.out_edges[v]), list(net.in_edges[v])
-            lp_rows.add(
-                [edge_cols[k] for k in out_v + in_v],
-                [1.0] * len(out_v) + [-1.0] * len(in_v),
-                "=",
-                0.0,
-            )
+    is_delay = spec.objective.is_delay
+    for i, (c, (g, s, t, edge_of)) in enumerate(zip(comms, shapes)):
+        base = arc_base[i]
+        # |f_i| defined as net outflow at the source, whose row comes first;
+        # then conservation at interior nodes. A graph without a source has
+        # no arcs, and its source row reads -|f_i| = 0.
+        if s is None:
+            lp_rows.add([rate_var[i]], [-1.0], "=", 0.0)
+        interior = [v for v in range(len(g.nodes)) if v != s and v != t]
+        for v in interior if s is None else [s] + interior:
+            outs, ins = g.out_edges[v], g.in_edges[v]
+            cols = [base + j for j in outs + ins]
+            vals = [1.0] * len(outs) + [-1.0] * len(ins)
+            if v == s:
+                cols.append(rate_var[i])
+                vals.append(-1.0)
+            lp_rows.add(cols, vals, "=", 0.0)
+        if profile is not None:
+            lp_rows.add([rate_var[i], scale_var], [1.0, -profile[i]], ">=", 0.0)
+            continue
         # Throughput requirement.
-        if spec.objective.is_delay:
+        if is_delay:
             lp_rows.add([rate_var[i]], [1.0], "=", c.R)
         elif c.R > 0:
             lp_rows.add([rate_var[i]], [1.0], ">=", c.R)
-        # Average-delay bound (dropped when D_i is infinite).
-        if math.isfinite(c.D):
-            if spec.objective.is_delay:
-                lp_rows.add(edge_cols, delay_list, "<=", c.D * c.R)
+        # Average-delay bound, dropped when D_i is infinite and on
+        # time-expanded graphs, whose walks all meet the deadline.
+        bounded = graphs is None and math.isfinite(c.D)
+        if bounded or is_delay:  # rows on T(f_i), the rate-weighted delay sum
+            arc_cols = list(range(base, arc_base[i + 1]))
+            delays = [net.edges[k].delay for k in edge_of]
+        if bounded:
+            if is_delay:
+                lp_rows.add(arc_cols, delays, "<=", c.D * c.R)
             else:
-                lp_rows.add(
-                    edge_cols + [rate_var[i]], delay_list + [-c.D], "<=", 0.0
-                )
+                lp_rows.add(arc_cols + [rate_var[i]], delays + [-c.D], "<=", 0.0)
         # Epigraph rows for the PL utility.
-        if spec.objective.is_delay:
+        if is_delay:
             # aux_i >= U_d(T_i / R_i): R_i*aux_i - slope*T_i >= intercept*R_i
             for slope, intercept in c.utility_d.segments():
                 lp_rows.add(
-                    edge_cols + [aux_var[i]],
-                    [-slope * d for d in delay_list] + [c.R],
+                    arc_cols + [aux_var[i]],
+                    [-slope * d for d in delays] + [c.R],
                     ">=",
                     intercept * c.R,
                 )
@@ -368,33 +397,29 @@ def build_counterpart(spec: ProblemSpec) -> tuple[LinearProgram, CounterpartMap]
             for slope, intercept in c.utility_t.segments():
                 lp_rows.add([aux_var[i], rate_var[i]], [1.0, -slope], "<=", intercept)
 
-    # Link capacity coupling.
-    ones = [1.0] * K
-    for k, e in enumerate(net.edges):
-        lp_rows.add([i * E + k for i in range(K)], ones, "<=", e.capacity)
+    # Link capacity coupling: one row per edge that some arc uses.
+    arcs_of_edge: list[list[int]] = [[] for _ in net.edges]
+    for base, (*_, edge_of) in zip(arc_base, shapes):
+        for j, k in enumerate(edge_of, base):
+            arcs_of_edge[k].append(j)
+    for k, cols in enumerate(arcs_of_edge):
+        if cols:
+            lp_rows.add(cols, [1.0] * len(cols), "<=", net.edges[k].capacity)
 
     objective = np.zeros(nvars)
-    if spec.objective is Objective.SUM_THROUGHPUT_UTILITY:
-        sense = "max"
-        for i in range(K):
-            objective[aux_var[i]] = 1.0
-    elif spec.objective is Objective.SUM_DELAY_PENALTY:
-        sense = "min"
-        for i in range(K):
-            objective[aux_var[i]] = 1.0
-    elif spec.objective is Objective.MIN_THROUGHPUT_UTILITY:
-        sense = "max"
+    sense = "min" if is_delay and profile is None else "max"
+    if profile is not None:
+        objective[scale_var] = 1.0
+    elif bound_var is None:  # sum objectives
+        objective[aux_var] = 1.0
+    else:  # max-min: the bound lies below every utility or above every penalty
         objective[bound_var] = 1.0
+        rel = ">=" if is_delay else "<="
         for i in range(K):
-            lp_rows.add([bound_var, aux_var[i]], [1.0, -1.0], "<=", 0.0)
-    else:  # MAX_DELAY_PENALTY: minimize the worst penalty
-        sense = "min"
-        objective[bound_var] = 1.0
-        for i in range(K):
-            lp_rows.add([bound_var, aux_var[i]], [1.0, -1.0], ">=", 0.0)
+            lp_rows.add([bound_var, aux_var[i]], [1.0, -1.0], rel, 0.0)
 
     lp = lp_rows.program(sense, objective)
-    return lp, CounterpartMap(K, E)
+    return lp, CounterpartMap(tuple(arc_base))
 
 
 def make_tcdm(

@@ -16,6 +16,7 @@ from delayflow.algorithms import InfeasibleError
 from delayflow.gen import random_problem
 from delayflow.graph import Edge, Network, Path
 from delayflow.problem import (
+    IDENTITY,
     Commodity,
     Objective,
     ProblemSpec,
@@ -82,6 +83,17 @@ def test_exact_requires_integer_delays():
 def test_exact_infeasible_requirement(two_parallel):
     with pytest.raises(InfeasibleError):
         solve_exact(make_tcdm(two_parallel, [("s", "t", 3.0, 1.0)]))
+
+
+def test_exact_commodity_without_timely_path(diamond):
+    # s->t takes at least 2, so commodity 0 (D=1, R=0) has no source in its
+    # time-expanded graph; commodity 1 (D=4) gets both 2- and 4-delay paths.
+    rep = solve_exact(make_dcum(diamond, [("s", "t", 1.0, IDENTITY), ("s", "t", 4.0, IDENTITY)]))
+    assert rep.solution.flows[0] == ()
+    assert rep.metrics[0].throughput == 0.0
+    assert rep.metrics[1].throughput == pytest.approx(10.0)
+    assert rep.metrics[1].max_delay == 4.0
+    assert rep.objective == pytest.approx(10.0)
 
 
 def test_simple_path_delays(diamond):

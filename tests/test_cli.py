@@ -183,6 +183,10 @@ _BAD_PROBLEMS = [
     ({"objective": "SumThroughputUtility",
       "commodities": [{"src": "s", "dst": "t", "w": float("nan")}]},
      "commodity 0: w must be nonnegative, got nan"),
+    ({"objective": "SumThroughputUtility",
+      "commodities": [{"src": "s", "dst": "t",
+                       "utility_t": {"points": [[0, 0], [1e-300, 1e300]]}}]},
+     "commodity 0: utility_t: segment 0 (slope inf, intercept nan) is not finite"),
 ]
 
 
@@ -293,6 +297,34 @@ def test_solve_rejects_non_finite_capacity(two_parallel_files, tmp_path, capsys)
     rc = main(["solve", "--topo", str(topo), "--problem", prob, "--algo", "pass-t"])
     assert rc == 1
     assert "line 3: non-finite capacity" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "topology,message",
+    [
+        ("node s\nnode t\nedge s t 1 1e308\n",
+         "capacity 1e+308 is too large: its flow unit 2**1024 overflows a float"),
+        ("node s\nnode m\nnode t\nedge s m 1e308 1\nedge m t 1e308 1\n",
+         "the sum of edge delays overflows a float"),
+    ],
+    ids=["capacity", "delay-sum"],
+)
+def test_overflowing_topology_exits_1(two_parallel_files, tmp_path, capsys, topology, message):
+    topo, prob = two_parallel_files
+    big = tmp_path / "big.topo"
+    big.write_text(topology)
+    for algo in ("pass-t", "greedy", "exact"):
+        rc = main(["solve", "--topo", str(big), "--problem", prob, "--algo", algo])
+        err = capsys.readouterr().err
+        assert rc == 1 and err == f"error: {message}\n", algo
+    # the same topology embedded in a report
+    out = tmp_path / "report.json"
+    main(["solve", "--topo", topo, "--problem", prob, "--algo", "pass-t", "--out", str(out)])
+    doc = json.loads(out.read_text())
+    doc["topology"] = topology
+    out.write_text(json.dumps(doc))
+    assert main(["verify", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_solve_rejects_bad_epsilon(two_parallel_files, capsys):
