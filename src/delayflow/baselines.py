@@ -91,7 +91,9 @@ class _TimeExpanded:
     followed by one node, ``(t, None)``, that stands for every sink state
     (t, tau), since sink states absorb; arc j runs along physical edge
     ``edge_of[j]`` into node ``heads[j]``; and ``out_edges``/``in_edges``
-    list each node's arcs. Arcs are ordered by (tail state, physical edge).
+    list each node's arcs, whose tail and head nodes the integer arrays
+    ``arc_tail`` and ``arc_head`` hold. Arcs are ordered by (tail state,
+    physical edge).
     ``source`` is the node of (s, 0), or None when no walk meets the
     deadline. Rates are physical, so ``zero_tol`` is the network's.
     """
@@ -133,8 +135,11 @@ class _TimeExpanded:
         # An arc into a useful state leaves a useful one.
         kept = sorted((index[a], k, index[b]) for a, k, b in arcs if b in index)
         self.nodes = states + [(t, None)]
-        self.edge_of = [k for _, k, _ in kept]
-        self.heads = [v for _, _, v in kept]
+        tails, edge_of, heads = zip(*kept) if kept else ((), (), ())
+        self.edge_of = list(edge_of)
+        self.heads = list(heads)
+        self.arc_tail = np.array(tails, dtype=np.intp)
+        self.arc_head = np.array(heads, dtype=np.intp)
         self.out_edges: list[list[int]] = [[] for _ in self.nodes]
         self.in_edges: list[list[int]] = [[] for _ in self.nodes]
         for j, (u, _, v) in enumerate(kept):
@@ -177,7 +182,7 @@ def _extract_paths(
     if te.source is None:  # no walk meets the deadline, so no arcs
         return []
     raw: dict[tuple[int, ...], float] = {}
-    for arcs, rate in _strip_paths(te, arc_flow.copy(), te.source, te.sink):
+    for arcs, rate in _strip_paths(te, arc_flow.tolist(), te.source, te.sink):
         phys = tuple(_simplify_walk(net, [te.edge_of[j] for j in arcs]))
         raw[phys] = raw.get(phys, 0.0) + rate
     return [(Path(p), r) for p, r in sorted(raw.items())]

@@ -2,29 +2,33 @@
 
 from __future__ import annotations
 
+import functools
+import operator
+
 import numpy as np
 
-from delayflow.graph import Network, Path
+from delayflow.graph import Network, Path, node_flows
 from delayflow.lp import SolverError
 
 
 def _check_conservation(net: Network, x: np.ndarray, s: int, t: int) -> None:
-    for v in range(len(net.nodes)):
-        if v in (s, t):
-            continue
-        imbalance = sum(x[k] for k in net.out_edges[v]) - sum(
-            x[k] for k in net.in_edges[v]
+    out, inflow = node_flows(net, x)
+    imbalance = out - inflow
+    bad = np.abs(imbalance) > net.check_tol
+    bad[[s, t]] = False
+    if bad.any():
+        v = int(bad.argmax())  # the first such node, in node order
+        raise ValueError(
+            f"flow conservation violated at node {net.nodes[v]} "
+            f"(imbalance {imbalance[v]})"
         )
-        if abs(imbalance) > net.check_tol:
-            raise ValueError(
-                f"flow conservation violated at node {net.nodes[v]} "
-                f"(imbalance {imbalance})"
-            )
 
 
-def _find_cycle(net: Network, x: np.ndarray) -> list[int] | None:
+def _find_cycle(net: Network, x: list[float]) -> list[int] | None:
     """A directed cycle (edge indices) in the support graph, or None."""
     n = len(net.nodes)
+    heads = net.heads
+    zero = net.zero_tol
     color = [0] * n  # 0 unvisited, 1 on stack, 2 done
     for start in range(n):
         if color[start]:
@@ -36,9 +40,9 @@ def _find_cycle(net: Network, x: np.ndarray) -> list[int] | None:
             u, it = stack[-1]
             advanced = False
             for k in it:
-                if x[k] <= net.zero_tol:
+                if x[k] <= zero:
                     continue
-                v = net.edges[k].v
+                v = heads[k]
                 if color[v] == 1:
                     # Walk back from u to v along the stack.
                     cycle = [k]
@@ -72,15 +76,14 @@ def cancel_cycles(net: Network, edge_flow: np.ndarray, s: str, t: str) -> np.nda
     if np.any(x < 0):
         raise ValueError("edge flow must be nonnegative")
     _check_conservation(net, x, net.index_of(s), net.index_of(t))
-    while True:
-        cycle = _find_cycle(net, x)
-        if cycle is None:
-            return x
-        reduce = min(x[k] for k in cycle)
+    flow = x.tolist()  # the walk reads plain floats, not numpy scalars
+    while (cycle := _find_cycle(net, flow)) is not None:
+        reduce = min(flow[k] for k in cycle)
         for k in cycle:
-            x[k] -= reduce
-            if x[k] < net.zero_tol:
-                x[k] = 0.0
+            flow[k] -= reduce
+            if flow[k] < net.zero_tol:
+                flow[k] = 0.0
+    return np.array(flow, dtype=np.float64)
 
 
 def decompose(
@@ -98,12 +101,22 @@ def decompose(
     if np.any(x < -net.zero_tol):
         raise ValueError("edge flow must be nonnegative")
     _check_conservation(net, x, si, ti)
-    return [(Path(tuple(edges)), rate) for edges, rate in _strip_paths(net, x, si, ti)]
+    return [
+        (Path(tuple(edges)), rate)
+        for edges, rate in _strip_paths(net, x.tolist(), si, ti)
+    ]
 
 
-def _strip_paths(graph, x: np.ndarray, s: int, t: int) -> list[tuple[list[int], float]]:
-    """Strip s->t paths off the edge flow ``x`` (modified in place) until
-    the net outflow of ``s`` is at most ``graph.zero_tol``; see ``decompose``.
+def _fold(x: list[float], edges) -> float:
+    """Left-to-right sum of ``x`` over ``edges``; unlike ``sum``, which
+    compensates plain floats on Python >= 3.12, the same on every version."""
+    return functools.reduce(operator.add, (x[k] for k in edges), 0.0)
+
+
+def _strip_paths(graph, x: list[float], s: int, t: int) -> list[tuple[list[int], np.float64]]:
+    """Strip s->t paths off the edge flow ``x``, a list of floats modified
+    in place, until the net outflow of ``s`` is at most ``graph.zero_tol``;
+    see ``decompose``. Rates are returned as ``np.float64``.
 
     ``graph`` is a ``Network`` or any graph with the same integer shape:
     ``nodes`` (names for messages), ``heads`` (head node of each edge),
@@ -111,11 +124,10 @@ def _strip_paths(graph, x: np.ndarray, s: int, t: int) -> list[tuple[list[int], 
     the ``zero_tol`` below which a rate is zero.
     """
     zero = graph.zero_tol
-    paths: list[tuple[list[int], float]] = []
+    heads = graph.heads
+    paths: list[tuple[list[int], np.float64]] = []
     while True:
-        out_rate = sum(x[k] for k in graph.out_edges[s]) - sum(
-            x[k] for k in graph.in_edges[s]
-        )
+        out_rate = _fold(x, graph.out_edges[s]) - _fold(x, graph.in_edges[s])
         if out_rate <= zero:
             break
         edges: list[int] = []
@@ -132,7 +144,7 @@ def _strip_paths(graph, x: np.ndarray, s: int, t: int) -> list[tuple[list[int], 
                     f"flow stranded at node {graph.nodes[u]}: cannot reach sink"
                 )
             edges.append(nxt)
-            u = graph.heads[nxt]
+            u = heads[nxt]
             if u in seen:
                 raise ValueError("cycle encountered; cancel cycles first")
             seen.add(u)
@@ -142,7 +154,7 @@ def _strip_paths(graph, x: np.ndarray, s: int, t: int) -> list[tuple[list[int], 
             if x[k] < zero:
                 x[k] = 0.0
         if bottleneck > zero:
-            paths.append((edges, bottleneck))
+            paths.append((edges, np.float64(bottleneck)))
         if len(paths) > len(graph.heads):
             raise SolverError("decomposition exceeded |E| paths")
     return paths

@@ -35,7 +35,9 @@ class Network:
 
     Node identifiers are opaque strings; internally nodes get dense integer
     indices in declaration order so runs are deterministic. ``node_index``
-    maps each name to its index, and ``heads[k]`` is edge k's head node.
+    maps each name to its index, and ``heads[k]`` is edge k's head node;
+    ``arc_tail``/``arc_head`` hold every edge's tail and head as integer
+    arrays, and ``delay_array``/``capacity_array`` its delay and capacity.
     ``flow_unit`` is 2**ceil(log2(largest capacity)), or 1.0 when no edge
     has capacity; ``zero_tol`` and ``check_tol`` are ZERO_TOL and CHECK_TOL
     in that unit.
@@ -46,6 +48,10 @@ class Network:
     out_edges: tuple[tuple[int, ...], ...] = field(repr=False, default=())
     in_edges: tuple[tuple[int, ...], ...] = field(repr=False, default=())
     heads: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    arc_tail: np.ndarray = field(init=False, repr=False, compare=False)
+    arc_head: np.ndarray = field(init=False, repr=False, compare=False)
+    delay_array: np.ndarray = field(init=False, repr=False, compare=False)
+    capacity_array: np.ndarray = field(init=False, repr=False, compare=False)
     node_index: dict[str, int] = field(init=False, repr=False, compare=False)
     flow_unit: float = field(init=False, repr=False, compare=False)
     zero_tol: float = field(init=False, repr=False, compare=False)
@@ -73,6 +79,15 @@ class Network:
         object.__setattr__(self, "out_edges", tuple(tuple(x) for x in out))
         object.__setattr__(self, "in_edges", tuple(tuple(x) for x in inc))
         object.__setattr__(self, "heads", tuple(e.v for e in self.edges))
+        arrays = {
+            "arc_tail": np.array([e.u for e in self.edges], dtype=np.intp),
+            "arc_head": np.array(self.heads, dtype=np.intp),
+            "delay_array": np.array([e.delay for e in self.edges], dtype=np.float64),
+            "capacity_array": np.array([e.capacity for e in self.edges], dtype=np.float64),
+        }
+        for name, a in arrays.items():
+            a.flags.writeable = False  # the network is immutable
+            object.__setattr__(self, name, a)
         object.__setattr__(
             self, "node_index", {name: i for i, name in enumerate(self.nodes)}
         )
@@ -99,10 +114,21 @@ class Network:
             raise KeyError(f"unknown node {node!r}") from None
 
     def capacities(self) -> np.ndarray:
-        return np.array([e.capacity for e in self.edges], dtype=np.float64)
+        return self.capacity_array.copy()
 
     def has_integer_delays(self) -> bool:
         return all(float(e.delay).is_integer() for e in self.edges)
+
+
+def node_flows(graph, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(outflow, inflow) of every node of ``graph`` under the edge flow
+    ``x``: the node-edge incidence times x, one ``bincount`` per side. Each
+    node's sum runs over its edges in index order, as a loop would."""
+    n = len(graph.nodes)
+    return (
+        np.bincount(graph.arc_tail, weights=x, minlength=n),
+        np.bincount(graph.arc_head, weights=x, minlength=n),
+    )
 
 
 @dataclass(frozen=True)

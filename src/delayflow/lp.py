@@ -9,7 +9,9 @@ tableau. HiGHS is called through scipy's bundled binding
 ``scipy.optimize._highspy._core``, a private API (pyproject.toml pins the
 scipy range it was verified on): a fresh instance per call gets the model
 and options that ``scipy.optimize.linprog`` would give it, so x is
-linprog's, without linprog's input cleaning. ``solve_lp`` picks the engine
+linprog's, without linprog's input cleaning. The model goes in as plain
+arrays (``HighsModel``, the array overload of ``_Highs.passModel``), not
+as a ``HighsLp`` filled field by field. ``solve_lp`` picks the engine
 by tableau size, so identical inputs always take the same route and yield
 bit-identical solutions. An engine that fails raises ``SolverError``.
 """
@@ -17,14 +19,15 @@ bit-identical solutions. An engine that fails raises ``SolverError``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize._highspy._core import (
-    HighsLp,
     HighsModelStatus,
     HighsStatus,
     MatrixFormat,
+    ObjSense,
     _Highs,
     kHighsInf,
 )
@@ -90,7 +93,7 @@ class LinearProgram:
         m = self.rows.shape[0]
         if self.rhs.shape != (m,) or len(self.relations) != m:
             raise ValueError("row/relation/rhs dimension mismatch")
-        if any(r not in ("<=", "=", ">=") for r in self.relations):
+        if not {"<=", "=", ">="}.issuperset(self.relations):
             raise ValueError("relations must be one of <=, =, >=")
         if not np.isfinite(self.rhs).all():
             raise ValueError("rhs must be finite")
@@ -102,42 +105,6 @@ class LinearProgram:
     @property
     def num_rows(self) -> int:
         return self.rows.shape[0]
-
-
-class SparseRows:
-    """Collects constraint rows as (row, column, value) triplets and
-    assembles them into a LinearProgram; repeated entries are summed."""
-
-    def __init__(self, num_vars: int):
-        self._num_vars = num_vars
-        self._relations: list[str] = []
-        self._rhs: list[float] = []
-        self._row_of: list[int] = []
-        self._cols: list[int] = []
-        self._vals: list[float] = []
-
-    def add(self, cols: list[int], vals: list[float], rel: str, rhs: float) -> None:
-        """Append one row with ``vals[k]`` in column ``cols[k]``."""
-        self._row_of += [len(self._rhs)] * len(cols)
-        self._cols += cols
-        self._vals += vals
-        self._relations.append(rel)
-        self._rhs.append(rhs)
-
-    def program(self, sense: str, objective: np.ndarray) -> LinearProgram:
-        row_of = np.array(self._row_of, dtype=np.int64)
-        cols = np.array(self._cols, dtype=np.int64)
-        vals = np.array(self._vals, dtype=np.float64)
-        keep = vals != 0.0
-        if not keep.all():
-            row_of, cols, vals = row_of[keep], cols[keep], vals[keep]
-        # CSR built directly: entries sorted by (row, column).
-        order = np.lexsort((cols, row_of))
-        m = len(self._rhs)
-        indptr = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum(np.bincount(row_of, minlength=m), out=indptr[1:])
-        rows = sp.csr_array((vals[order], cols[order], indptr), shape=(m, self._num_vars))
-        return LinearProgram(sense, objective, rows, tuple(self._relations), np.array(self._rhs))
 
 
 @dataclass
@@ -169,7 +136,29 @@ HIGHS_CHECK_TOL = 10 * np.sqrt(1e-9)
 _RETRY = (HighsModelStatus.kInfeasible, HighsModelStatus.kModelError)
 
 
-def linprog(model: HighsLp, presolve: bool) -> tuple[HighsModelStatus, np.ndarray | None]:
+class HighsModel(NamedTuple):
+    """The arguments of the array overload of ``_Highs.passModel``, in its
+    order: a minimisation in column-wise (CSC) form, with ``row_lower <=
+    A x <= row_upper`` and ``col_lower <= x <= col_upper``."""
+
+    num_col: int
+    num_row: int
+    nnz: int
+    format: int
+    sense: int
+    offset: float
+    col_cost: np.ndarray
+    col_lower: np.ndarray
+    col_upper: np.ndarray
+    row_lower: np.ndarray
+    row_upper: np.ndarray
+    start: np.ndarray
+    index: np.ndarray
+    value: np.ndarray
+    integrality: np.ndarray
+
+
+def linprog(model: HighsModel, presolve: bool) -> tuple[HighsModelStatus, np.ndarray | None]:
     """Run ``model`` on a fresh HiGHS instance with dual simplex and no
     output; returns the model status and, when optimal, x. Named after the
     scipy function whose HiGHS call it reproduces; ``_solve_highs`` looks it
@@ -179,7 +168,7 @@ def linprog(model: HighsLp, presolve: bool) -> tuple[HighsModelStatus, np.ndarra
     highs.setOptionValue("log_to_console", False)
     highs.setOptionValue("simplex_strategy", 1)  # dual
     highs.setOptionValue("presolve", "on" if presolve else "off")
-    if highs.passModel(model) == HighsStatus.kError:
+    if highs.passModel(*model) == HighsStatus.kError:
         return HighsModelStatus.kModelError, None
     highs.run()
     status = highs.getModelStatus()
@@ -202,18 +191,24 @@ def _solve_highs(lp: LinearProgram) -> LpSolution:
     rhs = np.concatenate((sign * lp.rhs[ub], b_eq))
     a = a.tocsc()
     m, n = a.shape
-    model = HighsLp()
-    model.num_col_ = model.a_matrix_.num_col_ = n
-    model.num_row_ = model.a_matrix_.num_row_ = m
-    model.a_matrix_.format_ = MatrixFormat.kColwise
-    model.a_matrix_.start_ = a.indptr
-    model.a_matrix_.index_ = a.indices
-    model.a_matrix_.value_ = a.data
-    model.col_cost_ = lp.objective if lp.sense == "min" else -lp.objective
-    model.col_lower_ = np.zeros(n)
-    model.col_upper_ = np.full(n, kHighsInf)
-    model.row_lower_ = np.concatenate((np.full(ub.size, -kHighsInf), b_eq))
-    model.row_upper_ = rhs
+    model = HighsModel(
+        num_col=n,
+        num_row=m,
+        nnz=a.nnz,
+        format=int(MatrixFormat.kColwise),
+        sense=int(ObjSense.kMinimize),
+        offset=0.0,
+        col_cost=lp.objective if lp.sense == "min" else -lp.objective,
+        col_lower=np.zeros(n),
+        col_upper=np.full(n, kHighsInf),
+        row_lower=np.concatenate((np.full(ub.size, -kHighsInf), b_eq)),
+        row_upper=rhs,
+        start=a.indptr.astype(np.int32, copy=False),
+        index=a.indices.astype(np.int32, copy=False),
+        value=a.data,
+        # An empty integrality array is a model error; zeros are continuous.
+        integrality=np.zeros(n, dtype=np.int32),
+    )
     status, x = linprog(model, presolve=True)
     if status in _RETRY:
         status, x = linprog(model, presolve=False)

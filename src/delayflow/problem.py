@@ -8,9 +8,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
-from delayflow.graph import Network, Path
-from delayflow.lp import LinearProgram, SparseRows
+from delayflow.graph import Network, Path, node_flows
+from delayflow.lp import LinearProgram
 
 
 @dataclass(frozen=True)
@@ -186,11 +187,12 @@ class FlowSolution:
         object.__setattr__(self, "flows", tuple(tuple(pf) for pf in self.flows))
 
     def edge_flow(self, net: Network, i: int) -> np.ndarray:
-        x = np.zeros(len(net.edges))
-        for path, rate in self.flows[i]:
-            for k in path.edges:
-                x[k] += rate
-        return x
+        """Commodity i's flow on every edge: one ``bincount`` over its paths'
+        edges, which adds the rates in path order, as a loop would."""
+        flow = self.flows[i]
+        edges = np.array([k for path, _ in flow for k in path.edges], dtype=np.intp)
+        rates = [rate for path, rate in flow for _ in path.edges]
+        return np.bincount(edges, weights=rates, minlength=len(net.edges))
 
     def total_edge_flow(self, net: Network) -> np.ndarray:
         x = np.zeros(len(net.edges))
@@ -210,26 +212,24 @@ class FlowSolution:
             for path, rate in flow:
                 if rate < -tol:
                     issues.append(f"commodity {i}: negative path rate {rate}")
-            x = self.edge_flow(net, i)
-            s = net.index_of(commodities[i].source)
-            t = net.index_of(commodities[i].sink)
-            for v in range(len(net.nodes)):
-                if v in (s, t):
-                    continue
-                inflow = sum(x[k] for k in net.in_edges[v])
-                outflow = sum(x[k] for k in net.out_edges[v])
-                if abs(inflow - outflow) > tol:
-                    issues.append(
-                        f"commodity {i}: conservation violated at {net.nodes[v]} "
-                        f"(in {inflow}, out {outflow})"
-                    )
-        total = self.total_edge_flow(net)
-        for k, e in enumerate(net.edges):
-            if total[k] > e.capacity + tol:
+            outflow, inflow = node_flows(net, self.edge_flow(net, i))
+            bad = np.abs(inflow - outflow) > tol
+            bad[[net.index_of(commodities[i].source), net.index_of(commodities[i].sink)]] = False
+            for v in np.flatnonzero(bad).tolist():
+                # A node without in- or out-edges reads 0, as an empty sum.
+                ins = inflow[v] if net.in_edges[v] else 0
+                outs = outflow[v] if net.out_edges[v] else 0
                 issues.append(
-                    f"capacity exceeded on {net.nodes[e.u]}->{net.nodes[e.v]} "
-                    f"({total[k]} > {e.capacity})"
+                    f"commodity {i}: conservation violated at {net.nodes[v]} "
+                    f"(in {ins}, out {outs})"
                 )
+        total = self.total_edge_flow(net)
+        for k in np.flatnonzero(total > net.capacity_array + tol).tolist():
+            e = net.edges[k]
+            issues.append(
+                f"capacity exceeded on {net.nodes[e.u]}->{net.nodes[e.v]} "
+                f"({total[k]} > {e.capacity})"
+            )
         return issues
 
 
@@ -308,21 +308,34 @@ def build_counterpart(
     D_i*R_i, minimizing the penalty of the average delay T_i/R_i. PL
     utilities enter exactly through one epigraph variable per commodity.
 
-    By default every commodity routes over the physical network. ``graphs``
-    instead gives one graph per commodity with the integer shape that
-    ``decompose`` reads plus ``source`` (None when the commodity has no
-    arcs), ``sink`` and ``edge_of``: arc j uses physical edge
-    ``edge_of[j]`` and counts against its capacity. These are time-expanded
-    graphs, on which every walk meets its deadline, so they get no
-    average-delay row. With ``profile`` the objective becomes max t subject
-    to |f_i| >= t*profile_i.
+    By default every commodity routes over the physical network, and the
+    spec is validated first. ``graphs`` instead gives one graph per
+    commodity with the integer shape that ``decompose`` reads plus
+    ``source`` (None when the commodity has no arcs), ``sink``, the
+    integer arrays ``arc_tail`` and ``arc_head``, and ``edge_of``: arc j
+    runs from node ``arc_tail[j]`` to ``arc_head[j]`` along physical edge
+    ``edge_of[j]`` and counts against its capacity. These are the exact
+    solver's time-expanded graphs (its caller has validated the spec), on
+    which every walk meets its deadline, so they get no average-delay row. With ``profile`` the objective becomes
+    max t subject to |f_i| >= t*profile_i.
+
+    Rows, per commodity: the source row (net outflow - |f_i| = 0, or
+    -|f_i| = 0 without a source), conservation at the other non-sink nodes
+    in node order, then the profile row, or the requirement, delay and
+    epigraph rows; then one capacity row per physical edge that some arc
+    uses, in edge order; then the max-min bound rows. The entries are
+    written per block, as (row, column, value) arrays: conservation from
+    the graph's ``arc_tail``/``arc_head`` (the node-edge incidence), delay
+    and epigraph rows as whole-array products, and capacity rows as one
+    tile over the commodities (on time-expanded graphs, ranked by a
+    ``bincount`` of the arcs' physical edges).
     """
-    spec.validate()
     net = spec.network
     comms = spec.commodities
     K = len(comms)
     if graphs is None:
-        every_edge = range(len(net.edges))
+        spec.validate()
+        every_edge = np.arange(len(net.edges))
         shapes = [
             (net, net.index_of(c.source), net.index_of(c.sink), every_edge)
             for c in comms
@@ -330,96 +343,158 @@ def build_counterpart(
     else:
         shapes = [(g, g.source, g.sink, g.edge_of) for g in graphs]
     arc_base = [0]
-    for *_, edge_of in shapes:
-        arc_base.append(arc_base[-1] + len(edge_of))
-    rate_var = [arc_base[-1] + i for i in range(K)]
-    nvars = arc_base[-1] + K
+    for *_, edges in shapes:
+        arc_base.append(arc_base[-1] + len(edges))
+    rate0 = arc_base[-1]  # |f_i| is column rate0 + i
+    aux0 = nvars = rate0 + K  # then the epigraph columns, or the scale t
+    bound_var = None
     if profile is not None:
-        scale_var = nvars
         nvars += 1
     else:
-        aux_var = [nvars + i for i in range(K)]
         nvars += K
-        bound_var = None
         if spec.objective in (Objective.MIN_THROUGHPUT_UTILITY, Objective.MAX_DELAY_PENALTY):
             bound_var = nvars
             nvars += 1
 
-    lp_rows = SparseRows(nvars)
     is_delay = spec.objective.is_delay
-    for i, (c, (g, s, t, edge_of)) in enumerate(zip(comms, shapes)):
-        base = arc_base[i]
-        # |f_i| defined as net outflow at the source, whose row comes first;
-        # then conservation at interior nodes. A graph without a source has
-        # no arcs, and its source row reads -|f_i| = 0.
-        if s is None:
-            lp_rows.add([rate_var[i]], [-1.0], "=", 0.0)
-        interior = [v for v in range(len(g.nodes)) if v != s and v != t]
-        for v in interior if s is None else [s] + interior:
-            outs, ins = g.out_edges[v], g.in_edges[v]
-            cols = [base + j for j in outs + ins]
-            vals = [1.0] * len(outs) + [-1.0] * len(ins)
-            if v == s:
-                cols.append(rate_var[i])
-                vals.append(-1.0)
-            lp_rows.add(cols, vals, "=", 0.0)
+    # Arc-sized blocks as arrays: conservation entries (+1 at the row of
+    # every arc's tail, then -1 at its head's, so the columns are all arcs
+    # twice), then the rest; the few per-commodity entries as lists.
+    all_arcs = np.arange(rate0)
+    tail_rows: list[np.ndarray] = []
+    head_rows: list[np.ndarray] = []
+    blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    row_of: list[int] = []
+    col_of: list[int] = []
+    val_of: list[float] = []
+    relations: list[str] = []
+    rhs: list[float] = []
+
+    def entry(row: int, col: int, val: float) -> None:
+        row_of.append(row)
+        col_of.append(col)
+        val_of.append(val)
+
+    for i, (c, (g, s, t, edges)) in enumerate(zip(comms, shapes)):
+        arcs = all_arcs[arc_base[i] : arc_base[i + 1]]
+        # Row of each node: the source row comes first, then the other
+        # nodes in order; the sink has none (row -1, dropped below).
+        top = len(rhs)
+        pos = np.arange(top + 1, top + 1 + len(g.nodes))
+        pos[t + 1 :] -= 1
+        if s is not None:
+            pos[s + 1 :] -= 1
+            pos[s] = top
+        pos[t] = -1
+        tail_rows.append(pos[g.arc_tail])
+        head_rows.append(pos[g.arc_head])
+        entry(top, rate0 + i, -1.0)
+        n_rows = len(g.nodes) - (s is not None)
+        relations += ["="] * n_rows
+        rhs += [0.0] * n_rows
+        row = top + n_rows
         if profile is not None:
-            lp_rows.add([rate_var[i], scale_var], [1.0, -profile[i]], ">=", 0.0)
+            entry(row, rate0 + i, 1.0)
+            entry(row, aux0, -profile[i])
+            relations.append(">=")
+            rhs.append(0.0)
             continue
         # Throughput requirement.
-        if is_delay:
-            lp_rows.add([rate_var[i]], [1.0], "=", c.R)
-        elif c.R > 0:
-            lp_rows.add([rate_var[i]], [1.0], ">=", c.R)
+        if is_delay or c.R > 0:
+            entry(row, rate0 + i, 1.0)
+            relations.append("=" if is_delay else ">=")
+            rhs.append(c.R)
+            row += 1
         # Average-delay bound, dropped when D_i is infinite and on
         # time-expanded graphs, whose walks all meet the deadline.
         bounded = graphs is None and math.isfinite(c.D)
         if bounded or is_delay:  # rows on T(f_i), the rate-weighted delay sum
-            arc_cols = list(range(base, arc_base[i + 1]))
-            delays = [net.edges[k].delay for k in edge_of]
+            delays = net.delay_array[edges]
         if bounded:
+            blocks.append((np.full(arcs.size, row), arcs, delays))
+            relations.append("<=")
             if is_delay:
-                lp_rows.add(arc_cols, delays, "<=", c.D * c.R)
+                rhs.append(c.D * c.R)
             else:
-                lp_rows.add(arc_cols + [rate_var[i]], delays + [-c.D], "<=", 0.0)
+                entry(row, rate0 + i, -c.D)
+                rhs.append(0.0)
+            row += 1
         # Epigraph rows for the PL utility.
         if is_delay:
             # aux_i >= U_d(T_i / R_i): R_i*aux_i - slope*T_i >= intercept*R_i
-            for slope, intercept in c.utility_d.segments():
-                lp_rows.add(
-                    arc_cols + [aux_var[i]],
-                    [-slope * d for d in delays] + [c.R],
-                    ">=",
-                    intercept * c.R,
-                )
+            segs = c.utility_d.segments()
+            slopes = np.array([slope for slope, _ in segs])
+            blocks.append((
+                np.repeat(np.arange(row, row + len(segs)), arcs.size),
+                np.tile(arcs, len(segs)),
+                np.outer(-slopes, delays).ravel(),
+            ))
+            for k, (_, intercept) in enumerate(segs):
+                entry(row + k, aux0 + i, c.R)
+                relations.append(">=")
+                rhs.append(intercept * c.R)
         else:
             # aux_i <= U_t(|f_i|): aux_i - slope*f_i <= intercept
-            for slope, intercept in c.utility_t.segments():
-                lp_rows.add([aux_var[i], rate_var[i]], [1.0, -slope], "<=", intercept)
+            for k, (slope, intercept) in enumerate(c.utility_t.segments()):
+                entry(row + k, aux0 + i, 1.0)
+                entry(row + k, rate0 + i, -slope)
+                relations.append("<=")
+                rhs.append(intercept)
 
-    # Link capacity coupling: one row per edge that some arc uses.
-    arcs_of_edge: list[list[int]] = [[] for _ in net.edges]
-    for base, (*_, edge_of) in zip(arc_base, shapes):
-        for j, k in enumerate(edge_of, base):
-            arcs_of_edge[k].append(j)
-    for k, cols in enumerate(arcs_of_edge):
-        if cols:
-            lp_rows.add(cols, [1.0] * len(cols), "<=", net.edges[k].capacity)
+    # Link capacity coupling: one row per physical edge that some arc uses,
+    # in edge order; on the physical network every edge, for each commodity.
+    if graphs is None:
+        cap_rows = np.tile(len(rhs) + every_edge, K)
+        cap_rhs = net.capacity_array
+    else:
+        arc_edge = np.array([k for *_, edges in shapes for k in edges], dtype=np.intp)
+        used = np.bincount(arc_edge, minlength=len(net.edges)) > 0
+        cap_rows = (len(rhs) - 1 + np.cumsum(used))[arc_edge]
+        cap_rhs = net.capacity_array[used]
+    blocks.append((cap_rows, all_arcs, np.ones(rate0)))
+    relations += ["<="] * cap_rhs.size
+    rhs_parts = [rhs, cap_rhs]
 
     objective = np.zeros(nvars)
     sense = "min" if is_delay and profile is None else "max"
     if profile is not None:
-        objective[scale_var] = 1.0
+        objective[aux0] = 1.0
     elif bound_var is None:  # sum objectives
-        objective[aux_var] = 1.0
+        objective[aux0 : aux0 + K] = 1.0
     else:  # max-min: the bound lies below every utility or above every penalty
         objective[bound_var] = 1.0
-        rel = ">=" if is_delay else "<="
+        top = len(relations)
         for i in range(K):
-            lp_rows.add([bound_var, aux_var[i]], [1.0, -1.0], rel, 0.0)
+            entry(top + i, bound_var, 1.0)
+            entry(top + i, aux0 + i, -1.0)
+        relations += [">=" if is_delay else "<="] * K
+        rhs_parts.append(np.zeros(K))
 
-    lp = lp_rows.program(sense, objective)
+    rows = np.concatenate(
+        tail_rows + head_rows + [b[0] for b in blocks] + [np.array(row_of, dtype=np.intp)]
+    )
+    cols = np.concatenate(
+        [all_arcs, all_arcs] + [b[1] for b in blocks] + [np.array(col_of, dtype=np.intp)]
+    )
+    vals = np.concatenate(
+        [np.repeat((1.0, -1.0), rate0)]
+        + [b[2] for b in blocks]
+        + [np.array(val_of, dtype=np.float64)]
+    )
+    matrix = _csr(rows, cols, vals, len(relations), nvars)
+    lp = LinearProgram(sense, objective, matrix, tuple(relations), np.concatenate(rhs_parts))
     return lp, CounterpartMap(tuple(arc_base))
+
+
+def _csr(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, m: int, n: int) -> sp.csr_array:
+    """Canonical CSR of the (row, column, value) triplets with a nonzero
+    value and a row >= 0; (row, column) pairs must be distinct."""
+    keep = (vals != 0.0) & (rows >= 0)
+    rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    order = np.lexsort((cols, rows))
+    indptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=m), out=indptr[1:])
+    return sp.csr_array((vals[order], cols[order], indptr), shape=(m, n))
 
 
 def make_tcdm(

@@ -258,7 +258,7 @@ def _highs_breaks_rows(monkeypatch):
         "linprog",
         lambda model, presolve: (
             lp_module.HighsModelStatus.kOptimal,
-            np.full(len(model.col_cost_), 1e3),
+            np.full(model.num_col, 1e3),
         ),
     )
 

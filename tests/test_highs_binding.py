@@ -17,7 +17,7 @@ def test_bundled_highs_binding():
         pytest.fail(f"scipy {scipy.__version__} has no scipy.optimize._highspy._core: {e}")
     missing = [
         name
-        for name in ("_Highs", "HighsLp", "HighsModelStatus", "HighsStatus", "MatrixFormat", "kHighsInf")
+        for name in ("_Highs", "HighsModelStatus", "HighsStatus", "MatrixFormat", "ObjSense", "kHighsInf")
         if not hasattr(core, name)
     ]
     assert not missing, f"scipy {scipy.__version__}: _highspy._core lacks {missing}"
@@ -33,3 +33,43 @@ def test_bundled_highs_binding():
     assert sol.status == "optimal", f"scipy {scipy.__version__}: {sol.status}"
     assert sol.x.tolist() == [2.0, 2.0]
     assert sol.objective == 10.0
+
+
+def test_array_overload_of_pass_model():
+    """``lp.linprog`` hands HiGHS its model through the 15-argument array
+    overload of ``_Highs.passModel``, in ``lp.HighsModel``'s field order;
+    solve the 2x2 LP through it directly. A binding without that overload
+    raises TypeError on the call."""
+    from scipy.optimize._highspy import _core as core
+
+    from delayflow.lp import HighsModel
+
+    version = f"scipy {scipy.__version__}"
+    # min -3x - 2y s.t. x + y <= 4, x <= 2, x, y >= 0; columns x, y in CSC.
+    model = HighsModel(
+        num_col=2,
+        num_row=2,
+        nnz=3,
+        format=int(core.MatrixFormat.kColwise),
+        sense=int(core.ObjSense.kMinimize),
+        offset=0.0,
+        col_cost=np.array([-3.0, -2.0]),
+        col_lower=np.zeros(2),
+        col_upper=np.full(2, core.kHighsInf),
+        row_lower=np.full(2, -core.kHighsInf),
+        row_upper=np.array([4.0, 2.0]),
+        start=np.array([0, 2, 3], dtype=np.int32),
+        index=np.array([0, 1, 0], dtype=np.int32),
+        value=np.array([1.0, 1.0, 1.0]),
+        integrality=np.zeros(2, dtype=np.int32),
+    )
+    highs = core._Highs()
+    highs.setOptionValue("output_flag", False)
+    try:
+        status = highs.passModel(*model)
+    except TypeError as e:
+        pytest.fail(f"{version}: _Highs.passModel rejects the array overload: {e}")
+    assert status == core.HighsStatus.kOk, f"{version}: passModel returned {status}"
+    highs.run()
+    assert highs.getModelStatus() == core.HighsModelStatus.kOptimal, version
+    assert list(highs.getSolution().col_value) == [2.0, 2.0], version

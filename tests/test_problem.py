@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from delayflow.graph import Path
+from delayflow.algorithms import solve_pass
+from delayflow.baselines import solve_exact
+from delayflow.graph import Edge, Network, Path
 from delayflow.lp import solve_lp
 from delayflow.problem import (
     Commodity,
@@ -122,6 +124,45 @@ def test_check_feasible_conservation(diamond):
     broken = FlowSolution((((Path((0,)), 1.0),),))
     issues = broken.check_feasible(diamond, comms)
     assert any("conservation" in s for s in issues)
+
+
+def test_check_feasible_two_violated_nodes():
+    """Every violated node is named, in node order, with both sums; a node
+    without in-edges reads ``in 0``, as an empty sum."""
+    net = Network(
+        ("s", "a", "b", "t"),
+        (Edge(0, 1, 1.0, 5.0), Edge(1, 3, 1.0, 5.0), Edge(2, 3, 1.0, 5.0)),
+    )
+    comms = (Commodity("s", "t"),)
+    broken = FlowSolution((((Path((2,)), 2.0), (Path((0,)), 1.5)),))
+    assert broken.check_feasible(net, comms) == [
+        "commodity 0: conservation violated at a (in 1.5, out 0.0)",
+        "commodity 0: conservation violated at b (in 0, out 2.0)",
+    ]
+    assert broken.edge_flow(net, 0).tolist() == [1.5, 0.0, 2.0]
+
+
+@pytest.mark.parametrize(
+    "objective,commodity,message",
+    [
+        (
+            Objective.SUM_THROUGHPUT_UTILITY,
+            Commodity("s", "t", utility_t=PLFunction(((0.0, 0.0), (1.0, 1.0), (2.0, 3.0)))),
+            "throughput utility: slopes increase",
+        ),
+        (Objective.SUM_DELAY_PENALTY, Commodity("s", "t", R=0.0), "R > 0"),
+    ],
+)
+def test_invalid_utility_raises_from_every_entry(two_parallel, objective, commodity, message):
+    """``build_counterpart`` validates the specs it routes over the physical
+    network; the solvers validate before they build."""
+    spec = ProblemSpec(two_parallel, (commodity,), objective)
+    with pytest.raises(ValueError, match=message):
+        build_counterpart(spec)
+    with pytest.raises(ValueError, match=message):
+        solve_pass(spec, 0.5)
+    with pytest.raises(ValueError, match=message):
+        solve_exact(spec)
 
 
 def test_objective_values(two_parallel):
