@@ -4,6 +4,7 @@ optimum via per-commodity time-expanded networks (integer delays only).
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 import time
@@ -151,17 +152,26 @@ class _TimeExpanded:
 
 
 def _exact_lp(
-    spec: ProblemSpec, deadlines: list[float], profile: list[float] | None = None
+    spec: ProblemSpec,
+    deadlines: list[float],
+    profile: list[float] | None,
+    graphs: dict,
 ):
     """Solve the counterpart LP over per-commodity time-expanded graphs;
-    ``profile`` is ``build_counterpart``'s. Returns (LpSolution, graphs,
-    CounterpartMap), or (None, graphs, None) when a commodity that must
-    carry rate has no walk within its deadline.
+    ``profile`` is ``build_counterpart``'s. ``graphs`` maps (source, sink,
+    deadline) to a graph already built and takes each one built here.
+    Returns (LpSolution, graphs, CounterpartMap), or (None, graphs, None)
+    when a commodity that must carry rate has no walk within its deadline.
     """
     net = spec.network
     tes = []
     for c, delta in zip(spec.commodities, deadlines):
-        te = _TimeExpanded(net, net.index_of(c.source), net.index_of(c.sink), delta)
+        key = (c.source, c.sink, delta)
+        te = graphs.get(key)
+        if te is None:
+            te = graphs[key] = _TimeExpanded(
+                net, net.index_of(c.source), net.index_of(c.sink), delta
+            )
         tes.append(te)
         if te.source is None and (profile is not None or c.R > 0):
             return None, tes, None
@@ -205,6 +215,19 @@ def _simplify_walk(net: Network, edges: list[int]) -> list[int]:
         edges = edges[:a] + edges[b:]
 
 
+def _bind_cache(cache: dict | None, net: Network) -> dict:
+    """``cache``, or a fresh dict, bound to ``net`` on first use."""
+    if cache is None:
+        cache = {}
+    bound = cache.setdefault("network", net)
+    if bound is not net and bound != net:
+        raise ValueError(
+            "this exact-solver cache holds results for another network; "
+            "use one cache per network"
+        )
+    return cache
+
+
 def solve_exact(
     spec: ProblemSpec,
     cache: dict | None = None,
@@ -216,9 +239,20 @@ def solve_exact(
     Throughput objectives need one LP (larger deadlines never hurt). Delay
     objectives enumerate candidate deadline vectors drawn from achievable
     simple-path delays, best-first by objective value, with monotone
-    dominance pruning; the first feasible vector is optimal. ``cache`` may
-    be shared across calls with the same network, endpoints, and relative
-    requirement profile to reuse feasibility LPs.
+    dominance pruning; the first feasible vector is optimal.
+
+    ``cache`` is a dict the caller owns, empty at first; without one each
+    call uses a fresh dict. It is bound to the first call's network and
+    holds that network's work: each (source, sink)'s simple-path delays,
+    each (source, sink, deadline) time-expanded graph and, per deadline
+    vector tried, the largest common scale h of the relative requirement
+    profile with the LP result it came from, keyed by the commodities'
+    endpoints, the deadlines and the profile. So one cache may be shared by
+    any specs on one network, whatever their endpoints, rates and
+    objectives; a spec on another network (compared with ``is``, then
+    ``==``) raises ValueError. Raises InfeasibleError when no flow meets
+    the requirements, and SolverError when an LP fails or the search
+    exceeds its budget.
     """
     spec.validate()
     if not spec.network.has_integer_delays():
@@ -226,6 +260,15 @@ def solve_exact(
     t0 = time.perf_counter()
     net = spec.network
     comms = spec.commodities
+    cache = _bind_cache(cache, net)
+    graphs = cache.setdefault("graphs", {})
+    path_delays = cache.setdefault("path_delays", {})
+
+    def delays_of(c) -> list[float]:
+        ends = (c.source, c.sink)
+        if ends not in path_delays:
+            path_delays[ends] = simple_path_delays(net, c.source, c.sink)
+        return path_delays[ends]
 
     caps = []
     for c in comms:
@@ -233,14 +276,14 @@ def solve_exact(
         if not math.isfinite(cap):
             cap = deadline_cap
         if cap is None or not math.isfinite(cap):
-            all_delays = simple_path_delays(net, c.source, c.sink)
+            all_delays = delays_of(c)
             if not all_delays:
                 raise InfeasibleError(f"no path from {c.source} to {c.sink}")
             cap = all_delays[-1]
         caps.append(cap)
 
     if not spec.objective.is_delay:
-        sol, tes, cmap = _exact_lp(spec, caps)
+        sol, tes, cmap = _exact_lp(spec, caps, None, graphs)
         if sol is None or sol.status == "infeasible":
             raise InfeasibleError("no feasible flow within the delay bounds")
         if sol.status != "optimal":
@@ -251,7 +294,8 @@ def solve_exact(
     # Delay objective: best-first over candidate deadline vectors.
     cands = []
     for c, cap in zip(comms, caps):
-        ds = [d for d in simple_path_delays(net, c.source, c.sink) if d <= cap]
+        all_delays = delays_of(c)
+        ds = all_delays[: bisect.bisect_right(all_delays, cap)]
         if not ds:
             raise InfeasibleError(
                 f"no {c.source}->{c.sink} path within delay bound {cap}"
@@ -262,34 +306,25 @@ def solve_exact(
     # h is the largest common scale of the rate profile, so it is a rate.
     needed = max_r - net.check_tol
     profile = [c.R / max_r for c in comms]
-    if cache is None:
-        cache = {}
+    # h of each deadline vector tried for these endpoints and this profile.
+    ends = tuple((c.source, c.sink) for c in comms)
+    scales = cache.setdefault("scales", {}).setdefault((ends, tuple(profile)), {})
+
+    costs: list[dict[int, float]] = [{} for _ in comms]
 
     def value(idx: tuple[int, ...]) -> float:
-        vals = [
-            c.utility_d.value(cands[i][idx[i]]) for i, c in enumerate(comms)
-        ]
+        vals = []
+        for i, j in enumerate(idx):
+            if j not in costs[i]:
+                costs[i][j] = comms[i].utility_d.value(cands[i][j])
+            vals.append(costs[i][j])
         if spec.objective is Objective.MAX_DELAY_PENALTY:
             return max(vals)
         return sum(vals)
 
-    def max_scale(idx: tuple[int, ...]) -> tuple[float, object]:
-        deltas = tuple(cands[i][idx[i]] for i in range(len(comms)))
-        key = (deltas, tuple(profile))
-        if key in cache:
-            return cache[key], None
-        # Monotone dominance against exact cached values: h only grows with
-        # the deadline vector, so a large infeasible vector or a small
-        # feasible one settles this vector without an LP. The borrowed h is
-        # one-sided, so it is not written back into the cache.
-        for (other, prof), h in cache.items():
-            if prof != tuple(profile):
-                continue
-            if all(o >= d for o, d in zip(other, deltas)) and h < needed:
-                return h, None
-            if all(o <= d for o, d in zip(other, deltas)) and h >= needed:
-                return h, None
-        out = _exact_lp(spec, list(deltas), profile)
+    def solve_scale(deltas: tuple[float, ...]) -> float:
+        """Solve the LP of ``deltas``, keep (h, LP result), return h."""
+        out = _exact_lp(spec, list(deltas), profile, graphs)
         sol = out[0]
         if sol is None or sol.status == "infeasible":
             h = 0.0
@@ -297,8 +332,23 @@ def solve_exact(
             h = math.inf
         else:
             h = sol.objective
-        cache[key] = h
-        return h, out
+        scales[deltas] = (h, out)
+        return h
+
+    def max_scale(deltas: tuple[float, ...]) -> float:
+        if deltas in scales:
+            return scales[deltas][0]
+        # Monotone dominance against exact cached values, first match in
+        # insertion order: h only grows with the deadline vector, so a
+        # large infeasible vector or a small feasible one settles this
+        # vector without an LP. The borrowed h is one-sided, so it is not
+        # written back into the cache.
+        for other, (h, _) in scales.items():
+            if all(o >= d for o, d in zip(other, deltas)) and h < needed:
+                return h
+            if all(o <= d for o, d in zip(other, deltas)) and h >= needed:
+                return h
+        return solve_scale(deltas)
 
     start = tuple(0 for _ in comms)
     heap = [(value(start), start)]
@@ -309,11 +359,11 @@ def solve_exact(
         if budget < 0:
             raise SolverError("deadline enumeration budget exceeded")
         _, idx = heapq.heappop(heap)
-        h, out = max_scale(idx)
-        if h >= needed:
-            if out is None:
-                out = _exact_lp(spec, [cands[i][idx[i]] for i in range(len(comms))], profile)
-            sol, tes, cmap = out
+        deltas = tuple(cands[i][j] for i, j in enumerate(idx))
+        if max_scale(deltas) >= needed:
+            if deltas not in scales:  # h was borrowed by dominance
+                solve_scale(deltas)
+            sol, tes, cmap = scales[deltas][1]
             flows = _flows_from_arcs(net, tes, cmap, sol.x)
             # Trim surplus rate from the slowest paths so |f_i| = R_i.
             trimmed = []

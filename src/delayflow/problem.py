@@ -263,23 +263,18 @@ def evaluate_metrics(net: Network, sol: FlowSolution) -> tuple[CommodityMetrics,
 def objective_value(spec: ProblemSpec, metrics: tuple[CommodityMetrics, ...]) -> float:
     """The target objective evaluated at a solution's metrics. Throughput
     objectives are maximized; delay objectives report the penalty being
-    minimized."""
+    minimized. Always a plain ``float``, whatever type the metrics hold."""
     obj = spec.objective
-    if obj is Objective.SUM_THROUGHPUT_UTILITY:
-        return sum(
-            c.utility_t.value(m.throughput) for c, m in zip(spec.commodities, metrics)
-        )
+    comms = spec.commodities
+    if obj.is_delay:
+        vals = [c.utility_d.value(m.max_delay) for c, m in zip(comms, metrics)]
+    else:
+        vals = [c.utility_t.value(m.throughput) for c, m in zip(comms, metrics)]
+    if obj in (Objective.SUM_THROUGHPUT_UTILITY, Objective.SUM_DELAY_PENALTY):
+        return float(sum(vals))
     if obj is Objective.MIN_THROUGHPUT_UTILITY:
-        return min(
-            c.utility_t.value(m.throughput) for c, m in zip(spec.commodities, metrics)
-        )
-    if obj is Objective.SUM_DELAY_PENALTY:
-        return sum(
-            c.utility_d.value(m.max_delay) for c, m in zip(spec.commodities, metrics)
-        )
-    return max(
-        c.utility_d.value(m.max_delay) for c, m in zip(spec.commodities, metrics)
-    )
+        return float(min(vals))
+    return float(max(vals))
 
 
 @dataclass(frozen=True)

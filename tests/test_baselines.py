@@ -13,8 +13,9 @@ from delayflow.baselines import (
     solve_greedy,
 )
 from delayflow.algorithms import InfeasibleError
+from delayflow.cli import EC2_PAIRS
 from delayflow.gen import random_problem
-from delayflow.graph import Edge, Network, Path
+from delayflow.graph import Edge, Network, Path, builtin_ec2
 from delayflow.problem import (
     IDENTITY,
     Commodity,
@@ -425,3 +426,79 @@ def test_extraction_matches_reference_on_ec2_sweeps(monkeypatch, ec2_sweep_specs
 
     count = _check_extractions_against_reference(monkeypatch, solve_all)
     assert count >= 2 * len(ec2_sweep_specs)
+
+
+def _ec2_tcdm(net, pairs, r):
+    return make_tcdm(net, [(s, t, r, 1.0) for s, t in pairs])
+
+
+def _same_report(a, b) -> bool:
+    return a.objective == b.objective and all(
+        _hexed(fa) == _hexed(fb) for fa, fb in zip(a.solution.flows, b.solution.flows)
+    )
+
+
+def test_shared_exact_cache_keeps_endpoints_apart(ec2):
+    """h cached for VA->SI, OR->TO says nothing about other endpoints; it
+    used to settle (OR->VA, SI->IR) at R=60 as 158 against a true 222."""
+    cache: dict = {}
+    solve_exact(_ec2_tcdm(ec2, EC2_PAIRS, 230.0), cache=cache, deadline_cap=900.0)
+    spec = _ec2_tcdm(ec2, [("OR", "VA"), ("SI", "IR")], 60.0)
+    shared = solve_exact(spec, cache=cache, deadline_cap=900.0)
+    fresh = solve_exact(spec, deadline_cap=900.0)
+    assert fresh.objective == 222.0
+    assert _same_report(shared, fresh)
+
+
+def test_exact_cache_is_bound_to_one_network(ec2):
+    """A cache filled on EC2 used to give 195 on EC2 with capacities / 4,
+    whose optimum at R=50 is 395."""
+    cache: dict = {}
+    assert solve_exact(
+        _ec2_tcdm(ec2, EC2_PAIRS, 50.0), cache=cache, deadline_cap=900.0
+    ).objective == 195.0
+    quarter = Network(
+        ec2.nodes, tuple(Edge(e.u, e.v, e.delay, e.capacity / 4) for e in ec2.edges)
+    )
+    spec = _ec2_tcdm(quarter, EC2_PAIRS, 50.0)
+    with pytest.raises(ValueError, match="another network"):
+        solve_exact(spec, cache=cache, deadline_cap=900.0)
+    assert solve_exact(spec, deadline_cap=900.0).objective == 395.0
+    # An equal network built anew may share the cache.
+    again = _ec2_tcdm(builtin_ec2(), EC2_PAIRS, 50.0)
+    assert solve_exact(again, cache=cache, deadline_cap=900.0).objective == 195.0
+
+
+def test_shared_exact_cache_matches_fresh_and_repeats_no_work(monkeypatch, ec2):
+    """The tcdm-rate sweep gives the same reports with one shared cache as
+    with a fresh cache per call, and the shared run solves no deadline
+    vector's LP and builds no time-expanded graph twice."""
+    specs = [_ec2_tcdm(ec2, EC2_PAIRS, float(r)) for r in range(116, 240)]
+    fresh = [solve_exact(spec, deadline_cap=900.0) for spec in specs]
+
+    lp_keys, solved, built = [], [], []
+    exact_lp, solve = baselines._exact_lp, baselines.solve_lp
+
+    def recorded_exact_lp(spec, deadlines, profile, graphs):
+        ends = tuple((c.source, c.sink) for c in spec.commodities)
+        lp_keys.append((ends, tuple(deadlines), tuple(profile)))
+        return exact_lp(spec, deadlines, profile, graphs)
+
+    def recorded_solve(lp):
+        solved.append(lp)
+        return solve(lp)
+
+    class Recorded(baselines._TimeExpanded):
+        def __init__(self, net, s, t, deadline):
+            built.append((s, t, deadline))
+            super().__init__(net, s, t, deadline)
+
+    monkeypatch.setattr(baselines, "_exact_lp", recorded_exact_lp)
+    monkeypatch.setattr(baselines, "solve_lp", recorded_solve)
+    monkeypatch.setattr(baselines, "_TimeExpanded", Recorded)
+    cache: dict = {}
+    shared = [solve_exact(spec, cache=cache, deadline_cap=900.0) for spec in specs]
+
+    assert all(_same_report(a, b) for a, b in zip(shared, fresh))
+    assert len(solved) == len(set(lp_keys)) > 0
+    assert len(built) == len(set(built)) > 0
