@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -344,70 +345,55 @@ def _csv_row(experiment, params, report: SolveReport) -> list[str]:
 #: The EC2 sweeps' commodities: Virginia -> Singapore, Oregon -> Tokyo.
 EC2_PAIRS = (("VA", "SI"), ("OR", "TO"))
 
-
-def _utility_spec(net, w1, w2):
-    (s1, t1), (s2, t2) = EC2_PAIRS
-    return ProblemSpec(
-        net,
-        (
-            Commodity(s1, t1, R=80.0, D=150.0, w=w1, utility_t=scaled_identity(w1)),
-            Commodity(s2, t2, R=80.0, D=150.0, w=w2, utility_t=scaled_identity(w2)),
-        ),
-        Objective.SUM_THROUGHPUT_UTILITY,
-    )
+#: The ``delayflow experiment`` sweeps, in the order the docs list them.
+EXPERIMENTS = ("tcdm-eps", "tcdm-rate", "dcum-eps", "utility-weights")
 
 
-def run_experiment(name: str, writer) -> None:
+def run_experiment(name: str, writer) -> list[tuple[dict, ProblemSpec, SolveReport]]:
+    """Write one EC2 sweep as CSV and return its (params, spec, report)
+    rows in row order. Every exact solve of the sweep shares one cache."""
+    if name not in EXPERIMENTS:
+        raise UsageError(f"unknown experiment {name!r}")
     net = builtin_ec2()
+    exact = functools.partial(solve_exact, cache={})
+    rows: list[tuple[dict, ProblemSpec, SolveReport]] = []
+
+    def emit(params, spec, reports):
+        for rep in reports:
+            writer.writerow(_csv_row(name, params, rep))
+            rows.append((params, spec, rep))
+
     writer.writerow(_CSV_HEADER)
     eps_grid = [k / 100 for k in range(1, 100)]
     if name == "tcdm-eps":
         spec = make_tcdm(net, [(s, t, 230.0, 1.0) for s, t in EC2_PAIRS])
-        fixed = [
-            solve_pass_t(spec),
-            solve_greedy(spec),
-            solve_exact(spec, deadline_cap=900.0),
-        ]
+        fixed = [solve_pass_t(spec), solve_greedy(spec), exact(spec, deadline_cap=900.0)]
         for eps in eps_grid:
-            params = {"R": 230.0, "eps": eps}
-            writer.writerow(_csv_row(name, params, solve_pass(spec, eps)))
-            for rep in fixed:
-                writer.writerow(_csv_row(name, params, rep))
+            emit({"R": 230.0, "eps": eps}, spec, [solve_pass(spec, eps), *fixed])
     elif name == "tcdm-rate":
-        cache: dict = {}
         for r in range(116, 240):
             spec = make_tcdm(net, [(s, t, float(r), 1.0) for s, t in EC2_PAIRS])
-            params = {"R": float(r), "eps": 0.03}
-            for rep in (
-                solve_pass(spec, 0.03),
-                solve_pass_t(spec),
-                solve_greedy(spec),
-                solve_exact(spec, cache=cache, deadline_cap=900.0),
-            ):
-                writer.writerow(_csv_row(name, params, rep))
+            reports = [solve_pass(spec, 0.03), solve_pass_t(spec), solve_greedy(spec)]
+            reports.append(exact(spec, deadline_cap=900.0))
+            emit({"R": float(r), "eps": 0.03}, spec, reports)
     elif name == "dcum-eps":
         spec = make_dcum(net, [(s, t, 150.0, IDENTITY) for s, t in EC2_PAIRS])
-        fixed = [solve_pass_m(spec), solve_greedy(spec), solve_exact(spec)]
+        fixed = [solve_pass_m(spec), solve_greedy(spec), exact(spec)]
         for eps in eps_grid:
-            params = {"D": 150.0, "eps": eps}
-            writer.writerow(_csv_row(name, params, solve_pass(spec, eps)))
-            for rep in fixed:
-                writer.writerow(_csv_row(name, params, rep))
-    elif name == "utility-weights":
+            emit({"D": 150.0, "eps": eps}, spec, [solve_pass(spec, eps), *fixed])
+    else:  # utility-weights
         for w1 in range(1, 11):
             for w2 in range(1, 11):
-                spec = _utility_spec(net, float(w1), float(w2))
+                comms = tuple(
+                    Commodity(s, t, R=80.0, D=150.0, w=w, utility_t=scaled_identity(w))
+                    for (s, t), w in zip(EC2_PAIRS, (float(w1), float(w2)))
+                )
+                spec = ProblemSpec(net, comms, Objective.SUM_THROUGHPUT_UTILITY)
+                reports = [solve_pass(spec, 0.03), solve_pass_m(spec), solve_pass_t(spec)]
+                reports += [solve_greedy(spec), exact(spec)]
                 params = {"R": 80.0, "D": 150.0, "w1": w1, "w2": w2, "eps": 0.03}
-                for rep in (
-                    solve_pass(spec, 0.03),
-                    solve_pass_m(spec),
-                    solve_pass_t(spec),
-                    solve_greedy(spec),
-                    solve_exact(spec),
-                ):
-                    writer.writerow(_csv_row(name, params, rep))
-    else:
-        raise UsageError(f"unknown experiment {name!r}")
+                emit(params, spec, reports)
+    return rows
 
 
 # -- entry points ------------------------------------------------------------
@@ -510,9 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("experiment", help="run a builtin EC2 sweep to CSV")
-    p.add_argument(
-        "name", choices=["tcdm-eps", "tcdm-rate", "dcum-eps", "utility-weights"]
-    )
+    p.add_argument("name", choices=EXPERIMENTS)
     p.add_argument("--out", help="CSV path (default stdout)")
     p.set_defaults(func=cmd_experiment)
 

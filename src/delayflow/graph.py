@@ -58,6 +58,10 @@ class Network:
     check_tol: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for name in self.nodes:  # one token of topology text, before any '#'
+            if not isinstance(name, str) or name.split() != [name] or "#" in name:
+                msg = "must be a non-empty string without whitespace or '#'"
+                raise TopologyError(f"node name {name!r} {msg}")
         if len(set(self.nodes)) != len(self.nodes):
             raise TopologyError("duplicate node identifier")
         for e in self.edges:

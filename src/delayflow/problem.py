@@ -72,19 +72,26 @@ def scaled_identity(w: float) -> PLFunction:
     return PLFunction(((0.0, 0.0), (1.0, float(w))))
 
 
-def validate_utility_t(u: PLFunction) -> str | None:
-    """Throughput utilities must be concave, non-decreasing, non-negative.
-    Returns None when ok, else a description of the violation."""
+def _check_pl_shape(u: PLFunction, concave: bool) -> str | None:
+    """None when u(0) >= 0, no slope is negative and the slopes never
+    increase (``concave``) or never decrease; else the first violation."""
     if u.points[0][1] < 0:
         return f"u(0) = {u.points[0][1]} is negative"
     slopes = u.slopes()
     for k, s in enumerate(slopes):
         if s < 0:
             return f"segment {k} has negative slope {s} (not non-decreasing)"
+    turn, shape = ("increase", "concave") if concave else ("decrease", "convex")
     for k, (s0, s1) in enumerate(zip(slopes, slopes[1:])):
-        if s1 > s0 + 1e-12:
-            return f"slopes increase at segment {k + 1} ({s0} -> {s1}, not concave)"
+        if (s1 > s0 + 1e-12) if concave else (s1 < s0 - 1e-12):
+            return f"slopes {turn} at segment {k + 1} ({s0} -> {s1}, not {shape})"
     return None
+
+
+def validate_utility_t(u: PLFunction) -> str | None:
+    """Throughput utilities must be concave, non-decreasing, non-negative.
+    Returns None when ok, else a description of the violation."""
+    return _check_pl_shape(u, concave=True)
 
 
 def validate_utility_d(u: PLFunction) -> str | None:
@@ -92,15 +99,9 @@ def validate_utility_d(u: PLFunction) -> str | None:
     sublinear under argument scaling (U(sigma*a) <= sigma*U(a) for sigma>=1),
     which for PL functions is exactly: every segment line extended to a=0
     has a non-negative intercept."""
-    if u.points[0][1] < 0:
-        return f"u(0) = {u.points[0][1]} is negative"
-    slopes = u.slopes()
-    for k, s in enumerate(slopes):
-        if s < 0:
-            return f"segment {k} has negative slope {s} (not non-decreasing)"
-    for k, (s0, s1) in enumerate(zip(slopes, slopes[1:])):
-        if s1 < s0 - 1e-12:
-            return f"slopes decrease at segment {k + 1} ({s0} -> {s1}, not convex)"
+    msg = _check_pl_shape(u, concave=False)
+    if msg:
+        return msg
     for k, (slope, intercept) in enumerate(u.segments()):
         if intercept < -1e-12:
             return (

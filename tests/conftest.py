@@ -1,14 +1,18 @@
-"""Shared fixtures: tiny hand networks, the EC2 topology, and the seeded
-random corpus used by both the property suite and the acceptance gate."""
+"""Shared fixtures: tiny hand networks, the EC2 topology, its four
+``delayflow experiment`` sweeps run once, and the seeded random corpus used
+by both the property suite and the acceptance gate."""
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
 
+from delayflow import lp
 from delayflow.algorithms import (
     check_lemma1,
     compute_lambda,
@@ -17,10 +21,10 @@ from delayflow.algorithms import (
     solve_pass_t,
 )
 from delayflow.baselines import solve_exact, solve_greedy
-from delayflow.cli import EC2_PAIRS, _utility_spec
+from delayflow.cli import EXPERIMENTS, run_experiment
 from delayflow.gen import random_problem
 from delayflow.graph import Edge, Network, builtin_ec2
-from delayflow.problem import IDENTITY, Objective, make_dcum, make_tcdm
+from delayflow.problem import Objective
 
 CORPUS_SIZE = 200
 TOL = 1e-6
@@ -31,16 +35,37 @@ def ec2():
     return builtin_ec2()
 
 
+@dataclass
+class Sweep:
+    """One ``delayflow experiment`` sweep: its CSV text, its (params, spec,
+    report) rows in row order, and the LP of every HiGHS call it made."""
+
+    text: str = field(repr=False)
+    rows: list = field(repr=False)
+    highs_calls: list
+
+
 @pytest.fixture(scope="session")
-def ec2_sweep_specs(ec2):
-    """The specs of the four ``delayflow experiment`` sweeps, in run order."""
-    rates = [230.0] + [float(r) for r in range(116, 240)]
-    specs = [make_tcdm(ec2, [(s, t, r, 1.0) for s, t in EC2_PAIRS]) for r in rates]
-    specs.append(make_dcum(ec2, [(s, t, 150.0, IDENTITY) for s, t in EC2_PAIRS]))
-    for w1 in range(1, 11):
-        for w2 in range(1, 11):
-            specs.append(_utility_spec(ec2, float(w1), float(w2)))
-    return specs
+def ec2_sweeps():
+    """Each ``delayflow experiment`` sweep, run once per session."""
+    sweeps = {}
+    calls: list = []
+    real = lp._solve_highs
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp, "_solve_highs", lambda prog: calls.append(prog) or real(prog))
+        for name in EXPERIMENTS:
+            buf = io.StringIO()
+            rows = run_experiment(name, csv.writer(buf))
+            sweeps[name] = Sweep(buf.getvalue(), rows, calls[:])
+            calls.clear()
+    return sweeps
+
+
+@pytest.fixture(scope="session")
+def ec2_sweep_specs(ec2_sweeps):
+    """The distinct specs of the four sweeps, in run order."""
+    specs = {id(spec): spec for s in ec2_sweeps.values() for _, spec, _ in s.rows}
+    return list(specs.values())
 
 
 @pytest.fixture

@@ -1,39 +1,22 @@
-"""Acceptance gate: the headline benchmark numbers on the builtin EC2
-topology, plus the randomized certificate corpus. Each criterion prints one
-PASS/FAIL line before asserting."""
-
-import math
-
-import pytest
-
-from delayflow.algorithms import solve_pass, solve_pass_m, solve_pass_t
-from delayflow.baselines import solve_exact, solve_greedy
-from delayflow.cli import EC2_PAIRS, _utility_spec
-from delayflow.graph import builtin_ec2
-from delayflow.problem import IDENTITY, make_dcum, make_tcdm
-
-EPS_GRID = [k / 100 for k in range(1, 100)]
+"""Acceptance gate: the headline benchmark numbers of the four
+``delayflow experiment`` sweeps on the builtin EC2 topology, read from the
+reports those sweeps wrote, plus the randomized certificate corpus. Each
+criterion prints one PASS/FAIL line before asserting."""
 
 
 def _announce(n: int, ok: bool, detail: str) -> None:
     print(f"\nACCEPTANCE {n}: {'PASS' if ok else 'FAIL'} — {detail}")
 
 
-@pytest.fixture(scope="module")
-def net():
-    return builtin_ec2()
+def _reports(sweep, algo: str) -> list:
+    """The reports of ``algo`` in a sweep, in row order."""
+    return [rep for _, _, rep in sweep.rows if rep.algorithm == algo]
 
 
-def test_acceptance_1_rate_sweep_averages(net):
-    sums = {"greedy": 0.0, "exact": 0.0, "pass": 0.0}
-    cache: dict = {}
-    rates = range(116, 240)
-    for r in rates:
-        spec = make_tcdm(net, [(s, t, float(r), 1.0) for s, t in EC2_PAIRS])
-        sums["greedy"] += solve_greedy(spec).objective
-        sums["exact"] += solve_exact(spec, cache=cache, deadline_cap=900.0).objective
-        sums["pass"] += solve_pass(spec, 0.03).objective
-    avg = {k: v / len(rates) for k, v in sums.items()}
+def test_acceptance_1_rate_sweep_averages(ec2_sweeps):
+    sweep = ec2_sweeps["tcdm-rate"]  # one report per rate and algorithm
+    reports = {k: _reports(sweep, k.upper()) for k in ("greedy", "exact", "pass")}
+    avg = {k: sum(rep.objective for rep in v) / len(v) for k, v in reports.items()}
     targets = {"greedy": 402.0, "exact": 362.0, "pass": 359.0}
     ok = all(abs(avg[k] - t) <= 0.05 * t for k, t in targets.items())
     _announce(
@@ -46,12 +29,12 @@ def test_acceptance_1_rate_sweep_averages(net):
         assert abs(avg[k] - t) <= 0.05 * t, f"{k} average {avg[k]:.2f} vs {t}±5%"
 
 
-def test_acceptance_2_epsilon_sweep(net):
-    spec = make_tcdm(net, [(s, t, 230.0, 1.0) for s, t in EC2_PAIRS])
-    exact = solve_exact(spec, deadline_cap=900.0).objective
-    pt = solve_pass_t(spec).objective
-    greedy = solve_greedy(spec).objective
-    pass_objs = [solve_pass(spec, eps).objective for eps in EPS_GRID]
+def test_acceptance_2_epsilon_sweep(ec2_sweeps):
+    sweep = ec2_sweeps["tcdm-eps"]
+    exact, pt, greedy = (
+        _reports(sweep, algo)[0].objective for algo in ("EXACT", "PASS-T", "GREEDY")
+    )
+    pass_objs = [rep.objective for rep in _reports(sweep, "PASS")]
 
     pt_optimal = abs(pt - exact) <= 1e-6 * max(1.0, abs(exact))
     greedy_worse = greedy > exact + 1e-6
@@ -72,12 +55,11 @@ def test_acceptance_2_epsilon_sweep(net):
     )
 
 
-def test_acceptance_3_delay_bound_sweep(net):
-    spec = make_dcum(net, [(s, t, 150.0, IDENTITY) for s, t in EC2_PAIRS])
-    exact = solve_exact(spec)
-    greedy = solve_greedy(spec)
-    pm = solve_pass_m(spec)
-    p01 = solve_pass(spec, 0.01)
+def test_acceptance_3_delay_bound_sweep(ec2_sweeps):
+    sweep = ec2_sweeps["dcum-eps"]
+    exact, greedy, pm = (_reports(sweep, a)[0] for a in ("EXACT", "GREEDY", "PASS-M"))
+    pass_reports = _reports(sweep, "PASS")
+    p01 = next(rep for rep in pass_reports if rep.epsilon == 0.01)
 
     opt = exact.objective
     greedy_opt = abs(greedy.objective - opt) <= 0.03 * opt
@@ -86,10 +68,8 @@ def test_acceptance_3_delay_bound_sweep(net):
     greedy_delay = all(m.max_delay <= 150.0 + 1e-9 for m in greedy.metrics)
     p01_ratio = p01.objective >= 1.9 * opt - 1e-9
     p01_delay = max(m.max_delay for m in p01.metrics) <= 331.0 + 1e-9
-    late_ok = True
-    for eps in [e for e in EPS_GRID if e >= 0.51]:
-        rep = solve_pass(spec, eps)
-        late_ok &= all(m.max_delay <= 150.0 + 1e-9 for m in rep.metrics)
+    late = [rep for rep in pass_reports if rep.epsilon >= 0.51]
+    late_ok = all(m.max_delay <= 150.0 + 1e-9 for rep in late for m in rep.metrics)
     ok = all(
         (greedy_opt, pm_opt, pm_delay, greedy_delay, p01_ratio, p01_delay, late_ok)
     )
@@ -109,24 +89,14 @@ def test_acceptance_3_delay_bound_sweep(net):
     assert late_ok
 
 
-def test_acceptance_4_utility_weights(net):
-    pass_min_thr = math.inf
-    pt_min_thr = math.inf
-    pm_delays_ok = True
-    ratio_pass = []
-    ratio_pt = []
-    for w1 in range(1, 11):
-        for w2 in range(1, 11):
-            spec = _utility_spec(net, float(w1), float(w2))
-            exact = solve_exact(spec)
-            p = solve_pass(spec, 0.03)
-            pt = solve_pass_t(spec)
-            pm = solve_pass_m(spec)
-            pass_min_thr = min(pass_min_thr, min(m.throughput for m in p.metrics))
-            pt_min_thr = min(pt_min_thr, min(m.throughput for m in pt.metrics))
-            pm_delays_ok &= all(m.max_delay <= 150.0 + 1e-9 for m in pm.metrics)
-            ratio_pass.append(p.objective / exact.objective)
-            ratio_pt.append(pt.objective / exact.objective)
+def test_acceptance_4_utility_weights(ec2_sweeps):
+    sweep = ec2_sweeps["utility-weights"]
+    exact, p, pt, pm = (_reports(sweep, a) for a in ("EXACT", "PASS", "PASS-T", "PASS-M"))
+    pass_min_thr = min(m.throughput for rep in p for m in rep.metrics)
+    pt_min_thr = min(m.throughput for rep in pt for m in rep.metrics)
+    pm_delays_ok = all(m.max_delay <= 150.0 + 1e-9 for rep in pm for m in rep.metrics)
+    ratio_pass = [a.objective / b.objective for a, b in zip(p, exact)]
+    ratio_pt = [a.objective / b.objective for a, b in zip(pt, exact)]
     mean_pass = sum(ratio_pass) / len(ratio_pass)
     mean_pt = sum(ratio_pt) / len(ratio_pt)
 

@@ -198,21 +198,18 @@ def _bits(path_flow):
     return [(p.edges, float(r).hex()) for p, r in path_flow]
 
 
-def _assert_deletion_matches_reference(specs):
-    """PASS-M where every bound is finite, and delete_slowest at several
-    fractions of every counterpart commodity's rate. Returns the number of
-    commodity path flows checked."""
+def _assert_deletion_matches_reference(runs):
+    """Per (spec, report) run: PASS-M's kept paths where it ran, and
+    delete_slowest at several fractions of every counterpart commodity's
+    rate. Returns the number of commodity path flows checked."""
     checked = 0
-    for spec in specs:
+    for spec, rep in runs:
         net = spec.network
-        if all(math.isfinite(c.D) for c in spec.commodities):
-            rep = solve_pass_m(spec)
+        if rep.algorithm == "PASS-M":
             for c, hat_i, bar_i in zip(
                 spec.commodities, rep.counterpart.flows, rep.solution.flows
             ):
                 assert _bits(bar_i) == _bits(_reference_pass_m_keep(net, hat_i, c.D))
-        else:
-            rep = solve_pass_t(spec)
         for pf in rep.counterpart.flows:
             rate = sum(r for _, r in pf)
             for frac in (0.03, 0.25, 0.5, 0.9, 1.0):
@@ -222,10 +219,22 @@ def _assert_deletion_matches_reference(specs):
     return checked
 
 
+def _bounded(spec) -> bool:
+    return all(math.isfinite(c.D) for c in spec.commodities)
+
+
 def test_deletion_matches_reference_on_corpus():
     specs = [random_problem(np.random.default_rng(seed)) for seed in range(200)]
-    assert _assert_deletion_matches_reference(specs) >= 200
+    runs = [(s, solve_pass_m(s) if _bounded(s) else solve_pass_t(s)) for s in specs]
+    assert _assert_deletion_matches_reference(runs) >= 200
 
 
-def test_deletion_matches_reference_on_ec2_sweeps(ec2_sweep_specs):
-    assert _assert_deletion_matches_reference(ec2_sweep_specs) == 2 * 226
+def test_deletion_matches_reference_on_ec2_sweeps(ec2_sweeps):
+    """PASS-M where every bound is finite, else PASS-T, from the sweeps."""
+    runs = {
+        id(spec): (spec, rep)
+        for sweep in ec2_sweeps.values()
+        for _, spec, rep in sweep.rows
+        if rep.algorithm == ("PASS-M" if _bounded(spec) else "PASS-T")
+    }
+    assert _assert_deletion_matches_reference(runs.values()) == 2 * 226

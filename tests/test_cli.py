@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from delayflow import lp as lp_module
-from delayflow.cli import main, report_to_json, run_experiment, verify_report
+from delayflow.cli import _csv_row, main, report_to_json, verify_report
 from delayflow.graph import serialize_topology
 from delayflow.problem import problem_to_json
 
@@ -209,16 +209,12 @@ def test_malformed_problem_exits_1(two_parallel_files, tmp_path, capsys, body, m
 
 
 @pytest.fixture(scope="module")
-def ec2_dcum_reports(ec2):
-    """JSON reports of PASS (eps 0.3) and PASS-M on the EC2 DCUM problem."""
-    from delayflow.algorithms import solve_pass, solve_pass_m
-    from delayflow.cli import EC2_PAIRS
-    from delayflow.problem import IDENTITY, make_dcum
-
-    spec = make_dcum(ec2, [(s, t, 150.0, IDENTITY) for s, t in EC2_PAIRS])
+def ec2_dcum_reports(ec2_sweeps):
+    """JSON reports of PASS (eps 0.3) and PASS-M of the dcum-eps sweep."""
     return {
-        "pass": json.dumps(report_to_json(spec, solve_pass(spec, 0.3))),
-        "pass-m": json.dumps(report_to_json(spec, solve_pass_m(spec))),
+        rep.algorithm.lower(): json.dumps(report_to_json(spec, rep))
+        for params, spec, rep in ec2_sweeps["dcum-eps"].rows
+        if params["eps"] == 0.3 and rep.algorithm in ("PASS", "PASS-M")
     }
 
 
@@ -420,12 +416,6 @@ def test_gen_then_solve(tmp_path):
     assert main(["verify", str(out)]) == 0
 
 
-def _experiment_rows(name):
-    buf = io.StringIO()
-    run_experiment(name, csv.writer(buf))
-    return buf.getvalue().splitlines()
-
-
 #: Row count and sha256 of each sweep's CSV. The digests pin the output
 #: bit for bit; a change that moves them must explain why.
 _SWEEPS = {
@@ -438,23 +428,24 @@ _SWEEPS = {
 }
 
 
-def test_experiment_shapes_and_stability(monkeypatch):
-    # Every EC2 LP is small enough for the deterministic tableau.
-    highs_calls = []
-    monkeypatch.setattr(lp_module, "_solve_highs", highs_calls.append)
+def test_experiment_shapes_and_stability(ec2_sweeps):
+    assert list(ec2_sweeps) == list(_SWEEPS)
     for name, (n_lines, digest) in _SWEEPS.items():
-        buf = io.StringIO()
-        run_experiment(name, csv.writer(buf))
-        text = buf.getvalue()
-        lines = text.splitlines()
+        sweep = ec2_sweeps[name]
+        lines = sweep.text.splitlines()
         assert len(lines) == n_lines, name
         assert lines[0].split(",")[:3] == ["experiment", "R", "D"]
-        assert hashlib.sha256(text.encode()).hexdigest() == digest, name
-    assert highs_calls == []
+        assert hashlib.sha256(sweep.text.encode()).hexdigest() == digest, name
+        # The returned rows are the written ones, so tests may read reports.
+        buf = io.StringIO()
+        csv.writer(buf).writerows(_csv_row(name, p, rep) for p, _, rep in sweep.rows)
+        assert buf.getvalue().splitlines() == lines[1:], name
+        # Every EC2 LP is small enough for the deterministic tableau.
+        assert sweep.highs_calls == [], name
 
 
-def test_experiment_utility_weights_shape():
-    lines = _experiment_rows("utility-weights")
+def test_experiment_utility_weights_shape(ec2_sweeps):
+    lines = ec2_sweeps["utility-weights"].text.splitlines()
     assert len(lines) == 1 + 100 * 5
     algos = {line.split(",")[6] for line in lines[1:]}
     assert algos == {"PASS", "PASS-M", "PASS-T", "GREEDY", "EXACT"}
@@ -465,19 +456,12 @@ def test_experiment_unknown_name():
         main(["experiment", "nope"])  # rejected by argparse choices
 
 
-def test_reports_pass_verify_for_all_algorithms(ec2):
-    from delayflow.algorithms import solve_pass, solve_pass_m, solve_pass_t
-    from delayflow.baselines import solve_exact, solve_greedy
-    from delayflow.cli import EC2_PAIRS
-    from delayflow.problem import IDENTITY, make_dcum
-
-    spec = make_dcum(ec2, [(s, t, 150.0, IDENTITY) for s, t in EC2_PAIRS])
-    for rep in (
-        solve_pass(spec, 0.3),
-        solve_pass_m(spec),
-        solve_pass_t(spec),
-        solve_greedy(spec),
-        solve_exact(spec),
-    ):
+def test_reports_pass_verify_for_all_algorithms(ec2_sweeps):
+    """The dcum-eps rows at eps 0.3 and the utility-weights rows at w = (1, 1)."""
+    rows = [row for row in ec2_sweeps["dcum-eps"].rows if row[0]["eps"] == 0.3]
+    rows += ec2_sweeps["utility-weights"].rows[:5]
+    algos = {rep.algorithm for *_, rep in rows}
+    assert algos == {"PASS", "PASS-M", "PASS-T", "GREEDY", "EXACT"}
+    for _, spec, rep in rows:
         doc = json.loads(json.dumps(report_to_json(spec, rep)))
         assert verify_report(doc) == [], rep.algorithm

@@ -1,7 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delayflow.graph import (
     Edge,
@@ -42,6 +45,28 @@ def test_serialize_round_trip():
     assert serialize_topology(again) == text
 
 
+#: Names the topology text can hold: one token with no '#'.
+_NAMES = st.text(st.characters(exclude_characters="#"), min_size=1, max_size=4).filter(
+    lambda name: not any(ch.isspace() for ch in name)
+)
+_AMOUNTS = st.floats(min_value=0.0, max_value=1e300)
+
+
+@st.composite
+def _networks(draw):
+    names = draw(st.lists(_NAMES, min_size=2, max_size=5, unique=True))
+    index = st.integers(0, len(names) - 1)
+    ends = st.tuples(index, index).filter(lambda uv: uv[0] != uv[1])
+    edge = st.builds(lambda uv, d, c: Edge(*uv, d, c), ends, _AMOUNTS, _AMOUNTS)
+    return Network(tuple(names), tuple(draw(st.lists(edge, max_size=8))))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_networks())
+def test_topology_text_round_trips(net):
+    assert load_topology(serialize_topology(net)) == net
+
+
 @pytest.mark.parametrize(
     "text,fragment",
     [
@@ -74,6 +99,12 @@ def test_network_rejects_negative_delay():
 def test_network_rejects_non_finite(delay, capacity):
     with pytest.raises(TopologyError, match="non-finite"):
         Network(("a", "b"), (Edge(0, 1, delay, capacity),))
+
+
+@pytest.mark.parametrize("name", ["a b", "a#1", "", "a\tb", "\u2028"])
+def test_network_rejects_names_the_topology_text_cannot_hold(name):
+    with pytest.raises(TopologyError, match=re.escape(f"node name {name!r}")):
+        Network((name, "c"), (Edge(0, 1, 1.0, 1.0),))
 
 
 def test_adjacency():

@@ -4,13 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from delayflow.algorithms import solve_pass, solve_pass_m, solve_pass_t
-from delayflow.baselines import solve_exact, solve_greedy
-from delayflow.cli import EC2_PAIRS
+from delayflow.algorithms import solve_pass
+from delayflow.baselines import solve_exact
 from delayflow.graph import Edge, Network, Path
 from delayflow.lp import solve_lp
 from delayflow.problem import (
-    IDENTITY,
     Commodity,
     FlowSolution,
     Objective,
@@ -184,20 +182,12 @@ def test_objective_values(two_parallel):
 
 
 @pytest.mark.parametrize("objective", ["tcdm", "dcum"])
-def test_objective_is_a_plain_float(ec2, objective):
-    if objective == "tcdm":
-        spec = make_tcdm(ec2, [(s, t, 230.0, 1.0) for s, t in EC2_PAIRS])
-    else:
-        spec = make_dcum(ec2, [(s, t, 150.0, IDENTITY) for s, t in EC2_PAIRS])
-    reports = [
-        solve_pass(spec, 0.03),
-        solve_pass_t(spec),
-        solve_greedy(spec),
-        solve_exact(spec, deadline_cap=900.0),
-    ]
-    if objective == "dcum":  # PASS-M needs finite delay bounds
-        reports.append(solve_pass_m(spec))
-    assert [type(rep.objective) for rep in reports] == [float] * len(reports)
+def test_objective_is_a_plain_float(ec2_sweeps, objective):
+    """Every report of the EC2 sweeps on that objective: PASS, PASS-T,
+    GREEDY, EXACT and, where every delay bound is finite, PASS-M."""
+    names = {"tcdm": ("tcdm-eps", "tcdm-rate"), "dcum": ("dcum-eps", "utility-weights")}
+    rows = [row for n in names[objective] for row in ec2_sweeps[n].rows]
+    assert {type(rep.objective) for *_, rep in rows} == {float}
 
 
 def test_counterpart_tcdm_two_parallel(two_parallel):

@@ -10,10 +10,12 @@ it without ``wall_time``. Prints one line per workload:
 
     <workload> <sha256> calls=<n> issues=<m>
 
-and one more, ``corpus``, over the certificate corpus of the test suite:
-the ``random_problem`` instances of seeds 0-199, each solved by EXACT, PASS
-(at the seed's epsilon), PASS-T, GREEDY and, when every delay bound is
-finite, PASS-M, in that order. The corpus line does not depend on --seed.
+then ``corpus``, over the certificate corpus of the test suite: the
+``random_problem`` instances of seeds 0-199, each solved by EXACT, PASS (at
+the seed's epsilon), PASS-T, GREEDY and, when every delay bound is finite,
+PASS-M, in that order. Last comes ``experiments <sha256> rows=<n>``, over the
+CSV text of the four ``delayflow experiment`` sweeps (``cli.run_experiment``)
+in the order ``cli.EXPERIMENTS`` lists them. Neither line depends on --seed.
 
 Equal digests on two commits mean byte-identical reports. Issues (failed
 calls and verification findings) go to stderr, and the exit status is 1
@@ -79,6 +81,22 @@ def corpus_digest() -> tuple[str, int, list[str]]:
     return h.hexdigest(), calls, issues
 
 
+def experiments_digest() -> tuple[str, int]:
+    """(sha256, number of data rows) of the four experiment CSVs."""
+    import csv
+    import io
+
+    from delayflow import cli
+
+    h = hashlib.sha256()
+    rows = 0
+    for name in cli.EXPERIMENTS:
+        buf = io.StringIO()
+        rows += len(cli.run_experiment(name, csv.writer(buf)))
+        h.update(buf.getvalue().encode())
+    return h.hexdigest(), rows
+
+
 def _hash_call(h, issues: list[str], label: str, spec, solve) -> None:
     """Hash the report of ``solve()`` without its wall time, or its error."""
     from delayflow import cli
@@ -114,6 +132,8 @@ def main(argv=None) -> int:
             print(f"{name}: {msg}", file=sys.stderr)
         print(f"{name} {digest} calls={calls} issues={len(issues)}")
         failed = failed or bool(issues)
+    digest, rows = experiments_digest()
+    print(f"experiments {digest} rows={rows}")
     return 1 if failed else 0
 
 
