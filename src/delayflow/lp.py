@@ -1,36 +1,35 @@
 """Self-contained linear-program solving.
 
 Every LP has one form: optimise c.x subject to rows[i].x <rel_i> rhs[i]
-and x >= 0, with <rel_i> one of <=, =, >=. Two engines behind one contract:
-a from-scratch two-phase dense-tableau simplex (Bland's rule, deterministic,
-each pivot one numpy rank-1 update), and HiGHS's dual simplex (Huangfu &
-Hall, Math. Prog. Comp. 10, 2018) for instances too large for a dense
-tableau. HiGHS is called through scipy's bundled binding
+and x >= 0, with <rel_i> one of <=, =, >=. The rows are a ``CsrRows``:
+plain numpy arrays in compressed sparse row form. Two engines behind one
+contract: a from-scratch two-phase dense-tableau simplex (Bland's rule,
+deterministic, each pivot one numpy rank-1 update), and HiGHS's dual
+simplex (Huangfu & Hall, Math. Prog. Comp. 10, 2018) for instances too
+large for a dense tableau. ``solve_lp`` picks the engine by tableau size,
+so identical inputs always take the same route and yield bit-identical
+solutions. An engine that fails raises ``SolverError``.
+
+HiGHS is called through scipy's bundled binding
 ``scipy.optimize._highspy._core``, a private API (pyproject.toml pins the
-scipy range it was verified on): a fresh instance per call gets the model
-and options that ``scipy.optimize.linprog`` would give it, so x is
-linprog's, without linprog's input cleaning. The model goes in as plain
-arrays (``HighsModel``, the array overload of ``_Highs.passModel``), not
-as a ``HighsLp`` filled field by field. ``solve_lp`` picks the engine
-by tableau size, so identical inputs always take the same route and yield
-bit-identical solutions. An engine that fails raises ``SolverError``.
+scipy range it was verified on). Importing it runs all of
+``scipy.optimize``, so it is imported on the first LP that goes to HiGHS,
+not with this module: a process whose LPs all fit the tableau never loads
+scipy. A fresh HiGHS instance per call gets the model and options that
+``scipy.optimize.linprog`` would give it, so x is linprog's, without
+linprog's input cleaning. The model goes in as plain arrays
+(``HighsModel``, the array overload of ``_Highs.passModel``), not as a
+``HighsLp`` filled field by field.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize._highspy._core import (
-    HighsModelStatus,
-    HighsStatus,
-    MatrixFormat,
-    ObjSense,
-    _Highs,
-    kHighsInf,
-)
 
 #: Pivot tolerance for the tableau simplex.
 PIVOT_TOL = 1e-9
@@ -54,15 +53,54 @@ class SolverError(RuntimeError):
     its budget. Not a statement about the problem's feasibility."""
 
 
+@dataclass(frozen=True, eq=False)
+class CsrRows:
+    """An m x n matrix in compressed sparse row form: row i holds the
+    values ``data[indptr[i]:indptr[i+1]]`` in the columns
+    ``indices[indptr[i]:indptr[i+1]]``. Canonical: each row's columns are
+    ascending and distinct, and no stored value is zero."""
+
+    data: np.ndarray  # float64
+    indices: np.ndarray
+    indptr: np.ndarray  # m + 1 offsets
+    shape: tuple[int, int]
+
+    @classmethod
+    def from_dense(cls, dense: np.ndarray) -> CsrRows:
+        """The nonzeros of a 2-D array, in row-major order."""
+        r, c = np.nonzero(dense)
+        indptr = np.zeros(dense.shape[0] + 1, dtype=np.intp)
+        np.cumsum(np.bincount(r, minlength=dense.shape[0]), out=indptr[1:])
+        return cls(dense[r, c], c, indptr, dense.shape)
+
+    @property
+    def nnz(self) -> int:
+        return self.data.size
+
+    def row_of(self) -> np.ndarray:
+        """The row of each stored value."""
+        return np.arange(self.shape[0]).repeat(self.indptr[1:] - self.indptr[:-1])
+
+    def toarray(self, out: np.ndarray | None = None) -> np.ndarray:
+        """The dense matrix; with ``out`` (zeros, shape ``shape``), the
+        values are scattered into it."""
+        if out is None:
+            out = np.zeros(self.shape)
+        out[self.row_of(), self.indices] = self.data
+        return out
+
+
 @dataclass
 class LinearProgram:
     """``sense`` c.x subject to rows[i].x <relations[i]> rhs[i] and x >= 0
-    (every variable is nonnegative). ``rows`` may be given dense or sparse;
-    it is stored as a ``scipy.sparse.csr_array`` without explicit zeros."""
+    (every variable is nonnegative). ``rows`` is a canonical ``CsrRows``
+    (as ``problem.build_counterpart`` makes them) or anything
+    ``np.asarray`` reads as the dense matrix, which is stored as a
+    ``CsrRows`` of its nonzeros."""
 
     sense: str  # "min" or "max"
     objective: np.ndarray
-    rows: sp.csr_array
+    rows: CsrRows
     relations: tuple[str, ...]
     rhs: np.ndarray
 
@@ -71,23 +109,12 @@ class LinearProgram:
             raise ValueError("sense must be 'min' or 'max'")
         self.objective = np.asarray(self.objective, dtype=np.float64)
         n = self.objective.shape[0]
-        if sp.issparse(self.rows):
-            rows = self.rows
-            if not (
-                isinstance(rows, sp.csr_array)
-                and rows.dtype == np.float64
-                and rows.has_canonical_format
-                and rows.data.all()
-            ):
-                rows = sp.csr_array(rows, dtype=np.float64, copy=True)
-                rows.sum_duplicates()
-                rows.eliminate_zeros()
-            if rows.shape[1] != n:
+        if isinstance(self.rows, CsrRows):
+            if self.rows.shape[1] != n:
                 raise ValueError("row/objective dimension mismatch")
         else:
             dense = np.asarray(self.rows, dtype=np.float64).reshape(-1, n)
-            rows = sp.csr_array(dense)
-        self.rows = rows
+            self.rows = CsrRows.from_dense(dense)
         self.rhs = np.asarray(self.rhs, dtype=np.float64)
         self.relations = tuple(self.relations)
         m = self.rows.shape[0]
@@ -121,7 +148,8 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     Larger LPs go to HiGHS, whose x is accepted only when it is finite,
     x >= -tol, every inequality row holds within tol and every "=" row
     within tol, with tol HIGHS_CHECK_TOL (about 3.16e-4, in the LP's own
-    units). Raises ``SolverError`` when an engine fails."""
+    units); the first of them imports scipy's HiGHS binding. Raises
+    ``SolverError`` when an engine fails or the binding cannot be imported."""
     cells = (lp.num_rows + 1) * (lp.num_vars + 2 * lp.num_rows + 2)
     if cells <= _AUTO_TABLEAU_CELLS:
         return _solve_simplex(lp)
@@ -131,9 +159,25 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
 #: Slack of linprog's post-solve check on HiGHS's x: 10 * sqrt(1e-9).
 HIGHS_CHECK_TOL = 10 * np.sqrt(1e-9)
 
-#: Model statuses after which the solve is repeated with presolve off:
-#: HiGHS presolve can report "infeasible" for unbounded problems.
-_RETRY = (HighsModelStatus.kInfeasible, HighsModelStatus.kModelError)
+#: scipy's HiGHS binding.
+_BINDING = "scipy.optimize._highspy._core"
+
+
+@functools.cache
+def _highs():
+    """The HiGHS binding, imported on first call, and the model statuses
+    after which a solve is repeated with presolve off (HiGHS presolve can
+    report "infeasible" for unbounded problems). Raises ``SolverError``,
+    naming the installed scipy, when the binding cannot be imported."""
+    try:
+        core = importlib.import_module(_BINDING)
+    except ImportError as e:
+        try:
+            found = "scipy " + importlib.import_module("scipy").__version__
+        except ImportError:
+            found = "no scipy installed"
+        raise SolverError(f"cannot import HiGHS ({_BINDING}) with {found}: {e}") from e
+    return core, (core.HighsModelStatus.kInfeasible, core.HighsModelStatus.kModelError)
 
 
 class HighsModel(NamedTuple):
@@ -158,75 +202,89 @@ class HighsModel(NamedTuple):
     integrality: np.ndarray
 
 
-def linprog(model: HighsModel, presolve: bool) -> tuple[HighsModelStatus, np.ndarray | None]:
+def linprog(model: HighsModel, presolve: bool) -> tuple[object, np.ndarray | None]:
     """Run ``model`` on a fresh HiGHS instance with dual simplex and no
-    output; returns the model status and, when optimal, x. Named after the
-    scipy function whose HiGHS call it reproduces; ``_solve_highs`` looks it
-    up at call time, so the benchmark's tracer can wrap it."""
-    highs = _Highs()
+    output; returns the ``HighsModelStatus`` and, when optimal, x. Named
+    after the scipy function whose HiGHS call it reproduces; ``_solve_highs``
+    looks it up at call time, so the benchmark's tracer can wrap it."""
+    core, _ = _highs()
+    highs = core._Highs()
     highs.setOptionValue("output_flag", False)
     highs.setOptionValue("log_to_console", False)
     highs.setOptionValue("simplex_strategy", 1)  # dual
     highs.setOptionValue("presolve", "on" if presolve else "off")
-    if highs.passModel(*model) == HighsStatus.kError:
-        return HighsModelStatus.kModelError, None
+    if highs.passModel(*model) == core.HighsStatus.kError:
+        return core.HighsModelStatus.kModelError, None
     highs.run()
     status = highs.getModelStatus()
-    if status != HighsModelStatus.kOptimal:
+    if status != core.HighsModelStatus.kOptimal:
         return status, None
     return status, np.array(highs.getSolution().col_value)
 
 
-def _solve_highs(lp: LinearProgram) -> LpSolution:
+def _highs_model(lp: LinearProgram) -> HighsModel:
+    """``lp`` as HiGHS gets it: a minimisation over x >= 0 whose rows are
+    the inequality rows, ">=" rows negated, then the "=" rows, each group in
+    row order; the matrix goes column-wise, each column's entries in row
+    order."""
+    core, _ = _highs()
+    rows = lp.rows
+    m, n = rows.shape
     rel = np.array(lp.relations, dtype=object)
     ub = np.flatnonzero(rel != "=")
     eq = np.flatnonzero(rel == "=")
-    # Inequality rows first, ">=" rows negated, then the "=" rows; rows
-    # keep their relative order.
-    sign = np.where(rel[ub] == ">=", -1.0, 1.0)
-    order = np.concatenate((ub, eq))
-    a = lp.rows[order]  # row indexing copies, so negating in place is safe
-    a.data[: a.indptr[ub.size]] *= np.repeat(sign, np.diff(a.indptr[: ub.size + 1]))
+    sign = np.ones(m)
+    sign[ub[rel[ub] == ">="]] = -1.0
+    new_row = np.empty(m, dtype=np.intp)
+    new_row[np.concatenate((ub, eq))] = np.arange(m)
+    row_of = rows.row_of()
+    index = new_row[row_of]
+    # Column by column, each column's entries by their new row.
+    order = np.lexsort((index, rows.indices))
+    start = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows.indices, minlength=n), out=start[1:])
     b_eq = lp.rhs[eq]
-    rhs = np.concatenate((sign * lp.rhs[ub], b_eq))
-    a = a.tocsc()
-    m, n = a.shape
-    model = HighsModel(
+    return HighsModel(
         num_col=n,
         num_row=m,
-        nnz=a.nnz,
-        format=int(MatrixFormat.kColwise),
-        sense=int(ObjSense.kMinimize),
+        nnz=rows.nnz,
+        format=int(core.MatrixFormat.kColwise),
+        sense=int(core.ObjSense.kMinimize),
         offset=0.0,
         col_cost=lp.objective if lp.sense == "min" else -lp.objective,
         col_lower=np.zeros(n),
-        col_upper=np.full(n, kHighsInf),
-        row_lower=np.concatenate((np.full(ub.size, -kHighsInf), b_eq)),
-        row_upper=rhs,
-        start=a.indptr.astype(np.int32, copy=False),
-        index=a.indices.astype(np.int32, copy=False),
-        value=a.data,
+        col_upper=np.full(n, core.kHighsInf),
+        row_lower=np.concatenate((np.full(ub.size, -core.kHighsInf), b_eq)),
+        row_upper=np.concatenate((sign[ub] * lp.rhs[ub], b_eq)),
+        start=start,
+        index=index[order].astype(np.int32),
+        value=(rows.data * sign[row_of])[order],
         # An empty integrality array is a model error; zeros are continuous.
         integrality=np.zeros(n, dtype=np.int32),
     )
+
+
+def _solve_highs(lp: LinearProgram) -> LpSolution:
+    core, retry = _highs()
+    model = _highs_model(lp)
     status, x = linprog(model, presolve=True)
-    if status in _RETRY:
+    if status in retry:
         status, x = linprog(model, presolve=False)
-    if status in _RETRY:
+    if status in retry:
         return LpSolution("infeasible")
-    if status == HighsModelStatus.kUnbounded:
+    if status == core.HighsModelStatus.kUnbounded:
         return LpSolution("unbounded")
-    if status != HighsModelStatus.kOptimal:
+    if status != core.HighsModelStatus.kOptimal:
         raise SolverError(f"LP solver failure: HiGHS model status {status.name}")
-    # linprog's check of the returned point, at its tolerance.
+    # linprog's check of the returned point, at its tolerance: x finite,
+    # x >= 0 and row_lower <= A x <= row_upper, each within tol.
     tol = HIGHS_CHECK_TOL
-    resid = rhs - a @ x
-    if not (
-        np.isfinite(x).all()
-        and (x >= -tol).all()
-        and (resid[: ub.size] >= -tol).all()
-        and (np.abs(resid[ub.size :]) <= tol).all()
-    ):
+    ok = np.isfinite(x).all() and (x >= -tol).all()
+    if ok:
+        col = np.repeat(np.arange(model.num_col), np.diff(model.start))
+        ax = np.bincount(model.index, weights=model.value * x[col], minlength=model.num_row)
+        ok = (model.row_upper - ax >= -tol).all() and (ax - model.row_lower >= -tol).all()
+    if not ok:
         raise SolverError(
             f"LP solver failure: HiGHS solution violates the constraints by more than {tol:.2e}"
         )
@@ -286,24 +344,25 @@ def simplex_iterations(T: np.ndarray, basis: np.ndarray, n_enterable: int, max_i
 _SLACK_SIGN = {"<=": 1.0, "=": 0.0, ">=": -1.0}
 
 
-def _solve_simplex(lp: LinearProgram) -> LpSolution:
-    # Internally a maximization.
-    c_user = lp.objective
-    c = c_user if lp.sense == "max" else -c_user
+def _tableau(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
+    """The phase-1 tableau of ``lp`` before its objective row: returns T,
+    the starting basis, the number of slack columns and the rows that have
+    an artificial column."""
     n = lp.num_vars
     m = lp.num_rows
-    a = lp.rows.toarray()
+    rows = lp.rows
     b = lp.rhs.copy()
     slack_sign = np.array([_SLACK_SIGN[r] for r in lp.relations])
 
     # Row scaling by max-abs coefficient, then orient rhs nonnegative
     # (multiplying by -1.0 negates exactly and flips the relation).
-    scale = np.abs(a).max(axis=1, initial=0.0)
-    scale[scale < 1e-12] = 1.0
-    a /= scale[:, None]
+    # (reduceat gives an empty row the value at its offset, so a 0 is
+    # appended for the offset nnz, and empty rows get scale 1 like zero rows).
+    start = rows.indptr[:-1]
+    scale = np.maximum.reduceat(np.append(np.abs(rows.data), 0.0), start)
+    scale[(start == rows.indptr[1:]) | (scale < 1e-12)] = 1.0
     b /= scale
     orient = np.where(b < 0, -1.0, 1.0)
-    a *= orient[:, None]
     b *= orient
     slack_sign *= orient
 
@@ -318,14 +377,26 @@ def _solve_simplex(lp: LinearProgram) -> LpSolution:
     aux[slack_rows] = n + np.arange(n_slack)
     aux[art_rows] = n + n_slack + np.arange(n_art)
     T = np.zeros((m + 1, ncols + 1))
-    T[:m, :n] = a
+    a = rows.toarray(out=T[:m, :n])
+    a /= scale[:, None]
+    a *= orient[:, None]
     T[:m, -1] = b
     T[slack_rows, n + np.arange(n_slack)] = slack_sign[slack_rows]
     T[art_rows, aux[art_rows]] = 1.0
-    basis = aux.copy()
+    return T, aux, n_slack, art_rows
+
+
+def _solve_simplex(lp: LinearProgram) -> LpSolution:
+    # Internally a maximization.
+    c_user = lp.objective
+    c = c_user if lp.sense == "max" else -c_user
+    n = lp.num_vars
+    m = lp.num_rows
+    T, basis, n_slack, art_rows = _tableau(lp)
+    ncols = T.shape[1] - 1
 
     # Phase 1: maximize -(sum of artificials).
-    if n_art:
+    if art_rows.size:
         # Row by row in row order, as one sequential reduction.
         T[m] = np.subtract.reduce(T[np.concatenate(([m], art_rows))], axis=0)
         status = simplex_iterations(T, basis, n + n_slack, _MAX_ITER)

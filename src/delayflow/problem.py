@@ -8,10 +8,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from delayflow.graph import Network, Path, node_flows
-from delayflow.lp import LinearProgram
+from delayflow.lp import CsrRows, LinearProgram
 
 
 @dataclass(frozen=True)
@@ -482,7 +481,7 @@ def build_counterpart(
     return lp, CounterpartMap(tuple(arc_base))
 
 
-def _csr(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, m: int, n: int) -> sp.csr_array:
+def _csr(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, m: int, n: int) -> CsrRows:
     """Canonical CSR of the (row, column, value) triplets with a nonzero
     value and a row >= 0; (row, column) pairs must be distinct."""
     keep = (vals != 0.0) & (rows >= 0)
@@ -490,7 +489,7 @@ def _csr(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, m: int, n: int) -
     order = np.lexsort((cols, rows))
     indptr = np.zeros(m + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=m), out=indptr[1:])
-    return sp.csr_array((vals[order], cols[order], indptr), shape=(m, n))
+    return CsrRows(vals[order], cols[order], indptr, (m, n))
 
 
 def make_tcdm(

@@ -2,9 +2,12 @@ import csv
 import hashlib
 import io
 import json
+import sys
 
 import numpy as np
 import pytest
+import scipy
+from scipy.optimize._highspy._core import HighsModelStatus
 
 from delayflow import lp as lp_module
 from delayflow.cli import _csv_row, main, report_to_json, verify_report
@@ -243,7 +246,7 @@ def test_verify_rejects_epsilon_out_of_range(
 def _highs_fails(monkeypatch):
     monkeypatch.setattr(lp_module, "_AUTO_TABLEAU_CELLS", 0)
     monkeypatch.setattr(
-        lp_module, "linprog", lambda model, presolve: (lp_module.HighsModelStatus.kSolveError, None)
+        lp_module, "linprog", lambda model, presolve: (HighsModelStatus.kSolveError, None)
     )
 
 
@@ -253,7 +256,7 @@ def _highs_breaks_rows(monkeypatch):
         lp_module,
         "linprog",
         lambda model, presolve: (
-            lp_module.HighsModelStatus.kOptimal,
+            HighsModelStatus.kOptimal,
             np.full(model.num_col, 1e3),
         ),
     )
@@ -265,6 +268,13 @@ def _simplex_stalls(monkeypatch):
     )
 
 
+def _highs_binding_missing(monkeypatch):
+    """Importing the HiGHS binding raises ImportError."""
+    monkeypatch.setattr(lp_module, "_AUTO_TABLEAU_CELLS", 0)
+    monkeypatch.setitem(sys.modules, lp_module._BINDING, None)
+    lp_module._highs.cache_clear()
+
+
 @pytest.mark.parametrize(
     "algo,patch,message",
     [
@@ -272,6 +282,11 @@ def _simplex_stalls(monkeypatch):
         ("pass-t", _highs_breaks_rows, "LP solver failure: HiGHS solution violates"),
         ("exact", _highs_fails, "LP solver failure: HiGHS model status kSolveError"),
         ("pass", _simplex_stalls, "simplex iteration failure in phase 1"),
+        (
+            "pass",
+            _highs_binding_missing,
+            f"cannot import HiGHS (scipy.optimize._highspy._core) with scipy {scipy.__version__}:",
+        ),
     ],
 )
 def test_solver_failure_exits_1(two_parallel_files, capsys, monkeypatch, algo, patch, message):

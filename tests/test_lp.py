@@ -2,7 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.optimize import linprog
+from scipy.optimize._highspy._core import HighsModelStatus
 
 from delayflow import baselines
 from delayflow import lp as lp_module
@@ -367,12 +369,13 @@ def _linprog_highs(lp: LinearProgram) -> LpSolution:
     ub = np.flatnonzero(rel != "=")
     eq = np.flatnonzero(rel == "=")
     sign = np.where(rel[ub] == ">=", -1.0, 1.0)
-    a_ub = lp.rows[ub]
+    rows = sp.csr_array((lp.rows.data, lp.rows.indices, lp.rows.indptr), shape=lp.rows.shape)
+    a_ub = rows[ub]
     a_ub.data *= np.repeat(sign, np.diff(a_ub.indptr))
     kwargs = dict(
         A_ub=a_ub if ub.size else None,
         b_ub=sign * lp.rhs[ub] if ub.size else None,
-        A_eq=lp.rows[eq] if eq.size else None,
+        A_eq=rows[eq] if eq.size else None,
         b_eq=lp.rhs[eq] if eq.size else None,
         method="highs",
     )
@@ -411,7 +414,7 @@ def test_highs_matches_linprog_on_random_counterparts():
 
 def _optimal_runner(x):
     def runner(model, presolve):
-        return lp_module.HighsModelStatus.kOptimal, np.array(x, dtype=float)
+        return HighsModelStatus.kOptimal, np.array(x, dtype=float)
 
     return runner
 
@@ -426,7 +429,7 @@ def _optimal_runner(x):
         (_optimal_runner([1, 1, -0.01, 0]), "violates the constraints"),  # x >= 0
         (_optimal_runner([1, 1, 1, np.inf]), "violates the constraints"),  # x3 in no row
         (_optimal_runner([1 + 3e-4, 1, 1, 0]), None),  # within 10 * sqrt(1e-9)
-        (lambda model, presolve: (lp_module.HighsModelStatus.kSolveError, None),
+        (lambda model, presolve: (HighsModelStatus.kSolveError, None),
          "HiGHS model status kSolveError"),
     ],
 )

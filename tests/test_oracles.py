@@ -1,11 +1,12 @@
-"""Oracle tests of the array-built counterpart LP and the list-walk
-decomposition.
+"""Oracle tests of the array-built counterpart LP, the engines' inputs and
+the list-walk decomposition.
 
 The references below are the row-at-a-time builder (with its triplet
-collector ``_Rows``) and the numpy-scalar ``cancel_cycles``/``decompose``
-that the block builder and the list walk replaced. Both must give the same
-canonical CSR, relations, rhs and objective, and the same paths with the
-same rates bit for bit.
+collector ``_Rows``), the numpy-scalar ``cancel_cycles``/``decompose``
+that the block builder and the list walk replaced, and the engine inputs
+as scipy.sparse built them before ``lp.CsrRows`` replaced it. They must
+give the same canonical CSR, relations, rhs and objective, the same HiGHS
+model and tableau, and the same paths with the same rates bit for bit.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import pytest
+import scipy.sparse as sp
 
 from delayflow import baselines
 from delayflow.algorithms import solve_pass
@@ -20,7 +23,7 @@ from delayflow.baselines import solve_exact
 from delayflow.decompose import cancel_cycles, decompose
 from delayflow.gen import random_problem
 from delayflow.graph import Edge, Network, Path
-from delayflow.lp import LinearProgram, solve_lp
+from delayflow.lp import CsrRows, LinearProgram, _highs_model, _tableau, solve_lp
 from delayflow.problem import IDENTITY, Objective, build_counterpart, make_dcum
 
 from conftest import CORPUS_SIZE
@@ -47,8 +50,6 @@ class _Rows:
         self._rhs.append(rhs)
 
     def program(self, sense: str, objective: np.ndarray) -> LinearProgram:
-        import scipy.sparse as sp
-
         row_of = np.array(self._row_of, dtype=np.int64)
         cols = np.array(self._cols, dtype=np.int64)
         vals = np.array(self._vals, dtype=np.float64)
@@ -59,7 +60,7 @@ class _Rows:
         m = len(self._rhs)
         indptr = np.zeros(m + 1, dtype=np.int64)
         np.cumsum(np.bincount(row_of, minlength=m), out=indptr[1:])
-        rows = sp.csr_array((vals[order], cols[order], indptr), shape=(m, self._num_vars))
+        rows = CsrRows(vals[order], cols[order], indptr, (m, self._num_vars))
         return LinearProgram(sense, objective, rows, tuple(self._relations), np.array(self._rhs))
 
 
@@ -166,6 +167,64 @@ def _assert_same_lp(got: LinearProgram, ref: LinearProgram) -> None:
     assert got.relations == ref.relations
     assert got.rhs.tobytes() == ref.rhs.tobytes()
     assert got.objective.tobytes() == ref.objective.tobytes()
+
+
+# -- reference engine inputs ---------------------------------------------------
+
+
+def _scipy_rows(lp: LinearProgram) -> sp.csr_array:
+    return sp.csr_array((lp.rows.data, lp.rows.indices, lp.rows.indptr), shape=lp.rows.shape)
+
+
+def _ref_highs_arrays(lp: LinearProgram) -> dict[str, np.ndarray]:
+    """The HiGHS matrix and row bounds as scipy.sparse built them: rows
+    reordered inequalities first, ">=" rows negated, then ``tocsc``."""
+    rel = np.array(lp.relations, dtype=object)
+    ub = np.flatnonzero(rel != "=")
+    eq = np.flatnonzero(rel == "=")
+    sign = np.where(rel[ub] == ">=", -1.0, 1.0)
+    a = _scipy_rows(lp)[np.concatenate((ub, eq))]
+    a.data[: a.indptr[ub.size]] *= np.repeat(sign, np.diff(a.indptr[: ub.size + 1]))
+    b_eq = lp.rhs[eq]
+    a = a.tocsc()
+    return {
+        "start": a.indptr.astype(np.int32, copy=False),
+        "index": a.indices.astype(np.int32, copy=False),
+        "value": a.data,
+        "row_lower": np.concatenate((np.full(ub.size, -np.inf), b_eq)),
+        "row_upper": np.concatenate((sign * lp.rhs[ub], b_eq)),
+    }
+
+
+def _ref_tableau_block(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray]:
+    """The tableau's rows and rhs as they were built from scipy's dense
+    matrix: each row scaled by its max-abs coefficient, then oriented to a
+    nonnegative rhs."""
+    a = _scipy_rows(lp).toarray()
+    b = lp.rhs.copy()
+    scale = np.abs(a).max(axis=1, initial=0.0)
+    scale[scale < 1e-12] = 1.0
+    a /= scale[:, None]
+    b /= scale
+    orient = np.where(b < 0, -1.0, 1.0)
+    a *= orient[:, None]
+    b *= orient
+    return a, b
+
+
+def _assert_same_engine_inputs(lp: LinearProgram) -> None:
+    assert lp.rows.toarray().tobytes() == _scipy_rows(lp).toarray().tobytes()
+    model = _highs_model(lp)
+    assert model.nnz == lp.rows.nnz
+    for name, ref in _ref_highs_arrays(lp).items():
+        got = getattr(model, name)
+        assert got.dtype == ref.dtype, name
+        assert got.tobytes() == ref.tobytes(), name
+    T = _tableau(lp)[0]
+    m, n = lp.rows.shape
+    a, b = _ref_tableau_block(lp)
+    assert T[:m, :n].tobytes() == a.tobytes()
+    assert T[:m, -1].tobytes() == b.tobytes()
 
 
 # -- reference decomposition ---------------------------------------------------
@@ -319,14 +378,36 @@ def test_counterparts_match_reference_on_random_problems():
     assert sum(_check_counterpart(spec) for spec in _random_specs()) > 0
 
 
+def test_engine_inputs_match_scipy_on_counterparts(ec2_sweep_specs):
+    specs = [spec for spec, _ in _corpus_specs()] + ec2_sweep_specs + list(_random_specs())
+    assert len(specs) == CORPUS_SIZE + 226 + 30
+    for spec in specs:
+        _assert_same_engine_inputs(build_counterpart(spec)[0])
+
+
+@pytest.mark.parametrize(
+    "rows,relations,rhs",
+    [
+        ([[0, 0], [2, -4]], ("<=", ">="), [1, -3]),  # an empty row
+        ([[1, 1], [0, 3]], ("=", "="), [2, 0]),  # no inequality
+        ([[2, 0], [1, -1]], (">=", ">="), [-1, 4]),  # no "=" row
+        ([[0, 0]], ("<=",), [0]),  # no value at all
+    ],
+)
+def test_engine_inputs_match_scipy_on_edge_shapes(rows, relations, rhs):
+    _assert_same_engine_inputs(LinearProgram("max", [1, 1], rows, relations, rhs))
+
+
 def _spy_exact_builds(monkeypatch) -> list[int]:
-    """Compare every LP that ``solve_exact`` builds with the reference."""
+    """Compare every LP that ``solve_exact`` builds, and the engines'
+    inputs made from it, with the references."""
     built = []
     builder = baselines.build_counterpart
 
     def spy(spec, graphs=None, profile=None):
         out = builder(spec, graphs, profile)
         _assert_same_lp(out[0], _reference_build(spec, graphs, profile))
+        _assert_same_engine_inputs(out[0])
         built.append(out[0].num_rows)
         return out
 
