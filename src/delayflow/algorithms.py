@@ -43,13 +43,10 @@ class SolveReport:
     metrics: tuple[CommodityMetrics, ...]
     objective: float
     counterpart: FlowSolution | None = None
-    counterpart_metrics: tuple[CommodityMetrics, ...] | None = None
     epsilon: float | None = None
     epsilon_max: float | None = None
     epsilon_min: float | None = None
     lam: float | None = None  # PASS-T delay ratio; math.inf when unbounded
-    throughput_ratios: tuple[float, ...] = ()  # |f_i| / R_i (inf when R_i = 0)
-    delay_ratios: tuple[float, ...] = ()  # M(f_i) / D_i (0 when D_i = inf)
     feasible: bool = True
     wall_time: float = 0.0
 
@@ -62,27 +59,15 @@ def build_report(
     counterpart: FlowSolution | None = None,
     **extra,
 ) -> SolveReport:
-    """Report of any solver: metrics, objective and constraint ratios of
-    ``solution`` (and the counterpart's metrics when given), with the wall
-    time since ``t0``. ``extra`` sets the remaining SolveReport fields."""
+    """Report of any solver: metrics and objective of ``solution``, with the
+    wall time since ``t0``. ``extra`` sets the other SolveReport fields."""
     metrics = evaluate_metrics(spec.network, solution)
-    hat_metrics = None
-    if counterpart is not None:
-        hat_metrics = evaluate_metrics(spec.network, counterpart)
-    pairs = list(zip(spec.commodities, metrics))
     return SolveReport(
         algorithm=algorithm,
         solution=solution,
         metrics=metrics,
         objective=objective_value(spec, metrics),
         counterpart=counterpart,
-        counterpart_metrics=hat_metrics,
-        throughput_ratios=tuple(
-            m.throughput / c.R if c.R > 0 else math.inf for c, m in pairs
-        ),
-        delay_ratios=tuple(
-            m.max_delay / c.D if math.isfinite(c.D) else 0.0 for c, m in pairs
-        ),
         wall_time=time.perf_counter() - t0,
         **extra,
     )
@@ -171,9 +156,9 @@ def solve_pass_m(spec: ProblemSpec) -> SolveReport:
         # The paths over the bound form a prefix of the slowest-first order.
         kept = [pf[i] for i in slowest_first(net, pf) if pf[i][0].delay(net) <= c.D]
         bar_flows.append(kept)
-        hat_rate = sum(r for _, r in pf)
-        bar_rate = sum(r for _, r in kept)
-        eps_i.append((hat_rate - bar_rate) / hat_rate if hat_rate > net.zero_tol else 0.0)
+        eps_i.append(
+            removed_fraction(net, sum(r for _, r in pf), sum(r for _, r in kept))
+        )
     return build_report(
         spec,
         "PASS-M",
@@ -203,6 +188,48 @@ def check_lemma1(
     lhs = t_bar + epsilon * rate_hat * m_bar
     slack = t_hat - lhs
     return slack >= -net.check_tol, slack
+
+
+def removed_fraction(net: Network, hat_rate: float, bar_rate: float) -> float:
+    """Share of a commodity's counterpart rate ``hat_rate`` that a deletion
+    leaving ``bar_rate`` removed: PASS-M's per-commodity epsilon."""
+    return (hat_rate - bar_rate) / hat_rate if hat_rate > net.zero_tol else 0.0
+
+
+def guarantees(
+    spec: ProblemSpec,
+    algorithm: str,
+    epsilon: float | None = None,
+    epsilon_max: float | None = None,
+    counterpart: Sequence[CommodityMetrics] | None = None,
+    feasible: bool = True,
+) -> list[tuple[tuple[str, float] | None, tuple[str, float] | None]]:
+    """Per commodity, the floor on |f_i| and the cap on M(f_i) that
+    ``algorithm`` guarantees, each as (label in messages, value), or None
+    where it promises none.
+
+    PASS: (1-eps)*R_i and D_i/eps. PASS-M: (1-eps_max)*|f_hat_i|, given
+    ``epsilon_max`` and the ``counterpart`` metrics, and D_i. PASS-T: R_i.
+    GREEDY and EXACT: R_i when they report themselves ``feasible``, and
+    D_i. An infinite D_i gives no cap. Raises ValueError for an unknown
+    algorithm.
+    """
+    comms = spec.commodities
+    if algorithm == "PASS":
+        table = [(("(1-eps)*R =", (1 - epsilon) * c.R), ("D/eps =", c.D / epsilon)) for c in comms]
+    elif algorithm == "PASS-M":
+        floors = [None] * len(comms)
+        if epsilon_max is not None and counterpart is not None:
+            label = "(1-eps_max)*counterpart ="
+            floors = [(label, (1 - epsilon_max) * h.throughput) for h in counterpart]
+        table = [(floor, ("bound", c.D)) for floor, c in zip(floors, comms)]
+    elif algorithm == "PASS-T":
+        table = [(("requirement", c.R), None) for c in comms]
+    elif algorithm in ("GREEDY", "EXACT"):
+        table = [(("requirement", c.R) if feasible else None, ("bound", c.D)) for c in comms]
+    else:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+    return [(floor, cap if math.isfinite(c.D) else None) for (floor, cap), c in zip(table, comms)]
 
 
 def compute_lambda(pass_t_report: SolveReport, pass_report: SolveReport) -> float:

@@ -17,7 +17,7 @@ from delayflow.algorithms import (
     build_report,
     delete_slowest,
 )
-from delayflow.decompose import _strip_paths
+from delayflow.decompose import _cancel, _strip_paths
 from delayflow.graph import Network, Path, shortest_path_by_delay
 from delayflow.lp import SolverError, solve_lp
 from delayflow.problem import FlowSolution, Objective, ProblemSpec, build_counterpart
@@ -184,15 +184,19 @@ def _extract_paths(
 ) -> list[tuple[Path, float]]:
     """Decompose a time-expanded arc flow and project to physical paths.
 
-    The layered graph is a DAG in tau except for zero-delay cycles, on
-    which, as on stranded flow, decomposition raises ValueError. Projected
-    walks that revisit a physical node have the enclosed cycle excised,
-    which only shortens them; equal projections are merged.
+    Every arc raises tau except along a zero-delay edge, so only a network
+    with one can give the layered graph cycles; those are cancelled first.
+    Stranded flow raises ValueError. Projected walks that revisit a
+    physical node have the enclosed cycle excised, which only shortens
+    them; equal projections are merged.
     """
     if te.source is None:  # no walk meets the deadline, so no arcs
         return []
+    x = arc_flow.tolist()
+    if not net.delay_array.all():
+        _cancel(te, x)
     raw: dict[tuple[int, ...], float] = {}
-    for arcs, rate in _strip_paths(te, arc_flow.tolist(), te.source, te.sink):
+    for arcs, rate in _strip_paths(te, x, te.source, te.sink):
         phys = tuple(_simplify_walk(net, [te.edge_of[j] for j in arcs]))
         raw[phys] = raw.get(phys, 0.0) + rate
     return [(Path(p), r) for p, r in sorted(raw.items())]

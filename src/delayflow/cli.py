@@ -5,10 +5,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import json
 import math
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -16,6 +18,8 @@ from delayflow.algorithms import (
     InfeasibleError,
     SolveReport,
     check_lemma1,
+    guarantees,
+    removed_fraction,
     solve_pass,
     solve_pass_m,
     solve_pass_t,
@@ -34,6 +38,7 @@ from delayflow.lp import SolverError
 from delayflow.problem import (
     IDENTITY,
     Commodity,
+    CommodityMetrics,
     FlowSolution,
     Objective,
     ProblemSpec,
@@ -47,6 +52,8 @@ from delayflow.problem import (
 )
 
 _SOLVERS = ("pass", "pass-m", "pass-t", "greedy", "exact")
+#: A commodity's metrics, in report key and CSV column order.
+_METRICS = tuple(f.name for f in dataclasses.fields(CommodityMetrics))
 
 
 class UsageError(ValueError):
@@ -97,6 +104,8 @@ def _flows_to_json(net: Network, flows) -> list:
 def _flows_from_json(doc, spec: ProblemSpec) -> FlowSolution:
     """Path flows of a report; each path must be a simple path from its
     commodity's source to its sink."""
+    if not isinstance(doc, list) or not all(isinstance(pf, list) for pf in doc):
+        raise ValueError("corrupt report: path flows must be a list of path lists")
     if len(doc) != len(spec.commodities):
         raise ValueError(
             f"corrupt report: {len(doc)} path-flow lists for "
@@ -148,15 +157,7 @@ def report_to_json(spec: ProblemSpec, report: SolveReport) -> dict:
         "topology": serialize_topology(net),
         "problem": problem_to_json(spec),
         "flows": _flows_to_json(net, report.solution.flows),
-        "metrics": [
-            {
-                "throughput": m.throughput,
-                "max_delay": m.max_delay,
-                "total_delay": m.total_delay,
-                "avg_delay": m.avg_delay,
-            }
-            for m in report.metrics
-        ],
+        "metrics": [{name: getattr(m, name) for name in _METRICS} for m in report.metrics],
     }
     if report.counterpart is not None:
         doc["counterpart_flows"] = _flows_to_json(net, report.counterpart.flows)
@@ -168,19 +169,33 @@ def _bound_tol(x: float) -> float:
     return max(CHECK_TOL, CHECK_TOL * abs(x))
 
 
+def _mismatch(name: str, recorded, got: float) -> list[str]:
+    """The issue of a report whose ``recorded`` value of ``name`` is not the
+    recomputed ``got``, if it is not."""
+    if abs(got - float(recorded)) <= _bound_tol(got):
+        return []
+    return [f"recorded {name} {recorded} != recomputed {got}"]
+
+
+def _tagged(flows) -> Counter:
+    """The (commodity, path, rate) triples of a solution's path flows."""
+    return Counter((i, p, r) for i, pf in enumerate(flows) for p, r in pf)
+
+
 def verify_report(doc: dict) -> list[str]:
     """Re-derive every claim in a serialized report from its embedded
     topology, problem, and flows. Returns a list of violations.
 
     Feasibility and throughput bounds allow the network's ``check_tol``;
     recorded values and delay bounds a relative CHECK_TOL."""
-    topology = doc["topology"]
+    topology, feasible = doc["topology"], doc["feasible"]
     if not isinstance(topology, str):
         raise ValueError(
             f"corrupt report: topology must be a string, not {type(topology).__name__}"
         )
+    if not isinstance(feasible, bool):
+        raise ValueError(f"corrupt report: feasible must be true or false, not {feasible!r}")
     net = load_topology(topology)
-    tol = net.check_tol
     spec = problem_from_json(doc["problem"], net)
     sol = _flows_from_json(doc["flows"], spec)
     if len(doc["metrics"]) != len(spec.commodities):
@@ -191,23 +206,15 @@ def verify_report(doc: dict) -> list[str]:
     issues = sol.check_feasible(net, spec.commodities)
     metrics = evaluate_metrics(net, sol)
     for i, (m, rec) in enumerate(zip(metrics, doc["metrics"])):
-        for name, got in (
-            ("throughput", m.throughput),
-            ("max_delay", m.max_delay),
-            ("total_delay", m.total_delay),
-            ("avg_delay", m.avg_delay),
-        ):
-            if not abs(got - float(rec[name])) <= _bound_tol(got):
-                issues.append(
-                    f"commodity {i}: recorded {name} {rec[name]} "
-                    f"!= recomputed {got}"
-                )
-    obj = objective_value(spec, metrics)
-    if not abs(obj - float(doc["objective"])) <= _bound_tol(obj):
-        issues.append(f"recorded objective {doc['objective']} != recomputed {obj}")
+        issues += [
+            f"commodity {i}: {s}"
+            for name in _METRICS
+            for s in _mismatch(name, rec[name], getattr(m, name))
+        ]
+    issues += _mismatch("objective", doc["objective"], objective_value(spec, metrics))
 
     algo = doc["algorithm"]
-    hat = None
+    hat = hat_metrics = eps = eps_max = None
     if "counterpart_flows" in doc:
         hat = _flows_from_json(doc["counterpart_flows"], spec)
         issues += [
@@ -221,88 +228,54 @@ def verify_report(doc: dict) -> list[str]:
             # certificate below.
             issues.append(f"epsilon {doc['epsilon']} outside (0, 1)")
             return issues
-        for i, (c, m) in enumerate(zip(spec.commodities, metrics)):
-            if m.throughput < (1 - eps) * c.R - tol:
+    elif algo == "PASS-T" and hat is not None and sol.flows != hat.flows:
+        issues.append("flows differ from counterpart_flows")
+    elif algo == "PASS-M" and hat is not None:
+        # PASS-M keeps whole counterpart paths at their counterpart rates.
+        for i, p, r in _tagged(sol.flows) - _tagged(hat.flows):
+            issues.append(
+                f"commodity {i}: path {list(p.edges)} at rate {r} is not a "
+                "counterpart path at that rate"
+            )
+        hat_metrics = evaluate_metrics(net, hat)
+        eps_max = float(doc["epsilon_max"])
+        if 0.0 <= eps_max <= 1.0:
+            removed = [
+                removed_fraction(net, h.throughput, m.throughput)
+                for h, m in zip(hat_metrics, metrics)
+            ]
+            issues += _mismatch("epsilon_max", doc["epsilon_max"], max(removed, default=0.0))
+            issues += _mismatch("epsilon_min", doc["epsilon_min"], min(removed, default=0.0))
+        else:
+            issues.append(f"epsilon_max {doc['epsilon_max']} outside [0, 1]")
+            eps_max = None
+    try:
+        table = guarantees(spec, algo, eps, eps_max, hat_metrics, feasible)
+    except ValueError as e:  # an unknown algorithm
+        return issues + [str(e)]
+    for i, (m, (floor, cap)) in enumerate(zip(metrics, table)):
+        if floor is not None and m.throughput < floor[1] - net.check_tol:
+            issues.append(f"commodity {i}: throughput {m.throughput} below {floor[0]} {floor[1]}")
+        if cap is not None and m.max_delay > cap[1] + _bound_tol(cap[1]):
+            issues.append(f"commodity {i}: max delay {m.max_delay} exceeds {cap[0]} {cap[1]}")
+    if algo == "PASS" and hat is not None:
+        for i in range(len(spec.commodities)):
+            ok, slack = check_lemma1(net, hat.flows[i], sol.flows[i], eps)
+            if not ok:
                 issues.append(
-                    f"commodity {i}: throughput {m.throughput} below "
-                    f"(1-eps)*R = {(1 - eps) * c.R}"
+                    f"commodity {i}: deletion inequality violated "
+                    f"(slack {slack})"
                 )
-            if math.isfinite(c.D) and m.max_delay > c.D / eps + _bound_tol(c.D / eps):
-                issues.append(
-                    f"commodity {i}: max delay {m.max_delay} exceeds "
-                    f"D/eps = {c.D / eps}"
-                )
-        if hat is not None:
-            for i in range(len(spec.commodities)):
-                ok, slack = check_lemma1(net, hat.flows[i], sol.flows[i], eps)
-                if not ok:
-                    issues.append(
-                        f"commodity {i}: deletion inequality violated "
-                        f"(slack {slack})"
-                    )
-    elif algo == "PASS-M":
-        for i, (c, m) in enumerate(zip(spec.commodities, metrics)):
-            if m.max_delay > c.D + _bound_tol(c.D):
-                issues.append(
-                    f"commodity {i}: max delay {m.max_delay} exceeds bound {c.D}"
-                )
-        if hat is not None and doc.get("epsilon_max") is not None:
-            eps_max = float(doc["epsilon_max"])
-            if not 0.0 <= eps_max <= 1.0:
-                issues.append(f"epsilon_max {doc['epsilon_max']} outside [0, 1]")
-                return issues
-            hat_metrics = evaluate_metrics(net, hat)
-            for i, (hm, m) in enumerate(zip(hat_metrics, metrics)):
-                if m.throughput < (1 - eps_max) * hm.throughput - tol:
-                    issues.append(
-                        f"commodity {i}: throughput {m.throughput} below "
-                        f"(1-eps_max)*counterpart = {(1 - eps_max) * hm.throughput}"
-                    )
-    elif algo == "PASS-T":
-        for i, (c, m) in enumerate(zip(spec.commodities, metrics)):
-            if m.throughput < c.R - tol:
-                issues.append(
-                    f"commodity {i}: throughput {m.throughput} below "
-                    f"requirement {c.R}"
-                )
-    elif algo in ("GREEDY", "EXACT"):
-        for i, (c, m) in enumerate(zip(spec.commodities, metrics)):
-            if math.isfinite(c.D) and m.max_delay > c.D + _bound_tol(c.D):
-                issues.append(
-                    f"commodity {i}: max delay {m.max_delay} exceeds bound {c.D}"
-                )
-            if doc["feasible"] and m.throughput < c.R - tol:
-                issues.append(
-                    f"commodity {i}: throughput {m.throughput} below "
-                    f"requirement {c.R}"
-                )
-    else:
-        issues.append(f"unknown algorithm {algo!r}")
     return issues
 
 
 # -- experiments -------------------------------------------------------------
 
+#: The CSV columns; f, M, T and A are each commodity's ``_METRICS``, in order.
 _CSV_HEADER = [
-    "experiment",
-    "R",
-    "D",
-    "w1",
-    "w2",
-    "eps",
-    "algo",
-    "objective",
-    "feasible",
-    "f1",
-    "M1",
-    "T1",
-    "A1",
-    "f2",
-    "M2",
-    "T2",
-    "A2",
-    "eps_max",
-    "eps_min",
+    "experiment", "R", "D", "w1", "w2", "eps", "algo", "objective", "feasible",
+    *(f"{short}{k}" for k in (1, 2) for short in "fMTA"),
+    "eps_max", "eps_min",
 ]
 
 
@@ -317,7 +290,6 @@ def _fmt6(x) -> str:
 
 
 def _csv_row(experiment, params, report: SolveReport) -> list[str]:
-    m1, m2 = report.metrics
     cells = [
         experiment,
         params.get("R"),
@@ -328,14 +300,7 @@ def _csv_row(experiment, params, report: SolveReport) -> list[str]:
         report.algorithm,
         report.objective,
         report.feasible,
-        m1.throughput,
-        m1.max_delay,
-        m1.total_delay,
-        m1.avg_delay,
-        m2.throughput,
-        m2.max_delay,
-        m2.total_delay,
-        m2.avg_delay,
+        *(getattr(m, name) for m in report.metrics for name in _METRICS),
         report.epsilon_max,
         report.epsilon_min,
     ]

@@ -24,16 +24,17 @@ def _check_conservation(net: Network, x: np.ndarray, s: int, t: int) -> None:
         )
 
 
-def _find_cycle(net: Network, x: list[float]) -> list[int] | None:
-    """A directed cycle (edge indices) in the support graph, or None."""
-    n = len(net.nodes)
-    heads = net.heads
-    zero = net.zero_tol
+def _find_cycle(graph, x: list[float]) -> list[int] | None:
+    """A directed cycle (edge indices) in the support of ``x``, or None.
+    ``graph`` has ``_strip_paths``' integer shape."""
+    n = len(graph.nodes)
+    heads = graph.heads
+    zero = graph.zero_tol
     color = [0] * n  # 0 unvisited, 1 on stack, 2 done
     for start in range(n):
         if color[start]:
             continue
-        stack = [(start, iter(net.out_edges[start]))]
+        stack = [(start, iter(graph.out_edges[start]))]
         color[start] = 1
         via: dict[int, int] = {}
         while stack:
@@ -44,19 +45,13 @@ def _find_cycle(net: Network, x: list[float]) -> list[int] | None:
                     continue
                 v = heads[k]
                 if color[v] == 1:
-                    # Walk back from u to v along the stack.
-                    cycle = [k]
-                    w = u
-                    while w != v:
-                        ke = via[w]
-                        cycle.append(ke)
-                        w = net.edges[ke].u
-                    cycle.reverse()
-                    return cycle
+                    # The stack is the DFS path; the cycle is its part from v.
+                    path = [w for w, _ in stack]
+                    return [via[w] for w in path[path.index(v) + 1 :]] + [k]
                 if color[v] == 0:
                     color[v] = 1
                     via[v] = k
-                    stack.append((v, iter(net.out_edges[v])))
+                    stack.append((v, iter(graph.out_edges[v])))
                     advanced = True
                     break
             if not advanced:
@@ -77,13 +72,19 @@ def cancel_cycles(net: Network, edge_flow: np.ndarray, s: str, t: str) -> np.nda
         raise ValueError("edge flow must be nonnegative")
     _check_conservation(net, x, net.index_of(s), net.index_of(t))
     flow = x.tolist()  # the walk reads plain floats, not numpy scalars
-    while (cycle := _find_cycle(net, flow)) is not None:
+    _cancel(net, flow)
+    return np.array(flow, dtype=np.float64)
+
+
+def _cancel(graph, flow: list[float]) -> None:
+    """Cancel every cycle of ``flow``, a list of floats, in place; ``graph``
+    has ``_strip_paths``' integer shape."""
+    while (cycle := _find_cycle(graph, flow)) is not None:
         reduce = min(flow[k] for k in cycle)
         for k in cycle:
             flow[k] -= reduce
-            if flow[k] < net.zero_tol:
+            if flow[k] < graph.zero_tol:
                 flow[k] = 0.0
-    return np.array(flow, dtype=np.float64)
 
 
 def decompose(

@@ -24,7 +24,7 @@ from delayflow.baselines import solve_exact, solve_greedy
 from delayflow.cli import EXPERIMENTS, run_experiment
 from delayflow.gen import random_problem
 from delayflow.graph import Edge, Network, builtin_ec2
-from delayflow.problem import Objective
+from delayflow.problem import Objective, evaluate_metrics
 
 CORPUS_SIZE = 200
 TOL = 1e-6
@@ -178,7 +178,7 @@ def run_corpus_instance(seed: int) -> CorpusRecord:
         rec.checks["pass-m:delay"] = all(
             m.max_delay <= c.D + tol for c, m in zip(comms, pm.metrics)
         )
-        hat_thr = [m.throughput for m in pm.counterpart_metrics]
+        hat_thr = [m.throughput for m in evaluate_metrics(net, pm.counterpart)]
         rec.checks["pass-m:throughput"] = all(
             m.throughput >= (1 - pm.epsilon_max) * h - tol
             for h, m in zip(hat_thr, pm.metrics)

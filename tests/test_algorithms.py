@@ -76,7 +76,6 @@ def test_pass_two_parallel_half(two_parallel):
     assert rep.metrics[0].throughput == pytest.approx(1.0)
     assert rep.metrics[0].max_delay == 1.0
     assert rep.objective == pytest.approx(1.0)
-    assert rep.throughput_ratios[0] == pytest.approx(0.5)
     ok, slack = check_lemma1(
         two_parallel,
         list(rep.counterpart.flows[0]),
@@ -147,8 +146,7 @@ def test_report_fields(two_parallel):
     assert rep.algorithm == "PASS"
     assert rep.epsilon == 0.25
     assert rep.counterpart is not None
-    assert rep.counterpart_metrics[0].throughput == pytest.approx(2.0)
-    assert rep.delay_ratios == (0.0,)  # D infinite
+    assert sum(r for _, r in rep.counterpart.flows[0]) == pytest.approx(2.0)
     assert rep.wall_time >= 0.0
 
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -11,8 +12,14 @@ from scipy.optimize._highspy._core import HighsModelStatus
 
 from delayflow import lp as lp_module
 from delayflow.cli import _csv_row, main, report_to_json, verify_report
-from delayflow.graph import serialize_topology
-from delayflow.problem import problem_to_json
+from delayflow.graph import Path, load_topology, serialize_topology
+from delayflow.problem import (
+    FlowSolution,
+    evaluate_metrics,
+    objective_value,
+    problem_from_json,
+    problem_to_json,
+)
 
 
 @pytest.fixture
@@ -94,6 +101,172 @@ def test_verify_catches_delay_certificate_violation(
     out.write_text(json.dumps(doc))
     assert main(["verify", str(out)]) == 2
     assert "D/eps" in capsys.readouterr().err
+
+
+def _report(two_parallel_files, tmp_path, algo, d=None):
+    """The JSON report of one solve on two_parallel (R = 2), with the delay
+    bound ``d`` when given; PASS runs at eps 0.5."""
+    topo, prob = two_parallel_files
+    if d is not None:
+        with open(prob) as fh:
+            body = json.load(fh)
+        body["commodities"][0]["D"] = d
+        prob = tmp_path / "bounded.json"
+        prob.write_text(json.dumps(body))
+    out = tmp_path / f"{algo}.json"
+    argv = ["solve", "--topo", topo, "--problem", str(prob), "--algo", algo]
+    assert main(argv + ["--eps", "0.5", "--out", str(out)]) == 0
+    return json.loads(out.read_text())
+
+
+def _rerecord(doc):
+    """Record the metrics and objective of the report's (edited) flows."""
+    net = load_topology(doc["topology"])
+    spec = problem_from_json(doc["problem"], net)
+    sol = FlowSolution(
+        [(Path(tuple(p["edges"])), p["rate"]) for p in pf] for pf in doc["flows"]
+    )
+    metrics = evaluate_metrics(net, sol)
+    doc["metrics"] = [dataclasses.asdict(m) for m in metrics]
+    doc["objective"] = objective_value(spec, metrics)
+
+
+def _slow_path_only(doc):
+    """Move PASS's surviving unit of rate onto the slow edge: the floor
+    (1-eps)*R still holds, but T + eps*|f_hat|*M = 10 + 0.5*2*10 > 11."""
+    doc["flows"][0] = [{"edges": [1], "nodes": ["s", "t"], "rate": 1.0, "delay": 10.0}]
+    _rerecord(doc)
+
+
+def _commodity(**fields):
+    return lambda doc: doc["problem"]["commodities"][0].update(fields)
+
+
+@pytest.mark.parametrize(
+    "algo,d,corrupt,message",
+    [
+        ("pass", None, lambda doc: doc.update(epsilon=0.25),
+         "commodity 0: throughput 1.0 below (1-eps)*R = 1.5"),
+        ("pass", None, _slow_path_only,
+         "commodity 0: deletion inequality violated (slack -9.0)"),
+        ("pass-m", 6.0, _commodity(D=0.5), "commodity 0: max delay 1.0 exceeds bound 0.5"),
+        ("pass-m", 6.0, lambda doc: doc.update(epsilon_max=0.0),
+         "commodity 0: throughput 1.0 below (1-eps_max)*counterpart = 2.0"),
+        ("pass-t", None, _commodity(R=3.0), "commodity 0: throughput 2.0 below requirement 3.0"),
+        ("greedy", None, _commodity(D=5.0), "commodity 0: max delay 10.0 exceeds bound 5.0"),
+        ("greedy", None, _commodity(R=3.0), "commodity 0: throughput 2.0 below requirement 3.0"),
+        ("exact", None, _commodity(D=5.0), "commodity 0: max delay 10.0 exceeds bound 5.0"),
+        ("exact", None, _commodity(R=3.0), "commodity 0: throughput 2.0 below requirement 3.0"),
+    ],
+    ids=["pass-floor", "pass-deletion", "pass-m-bound", "pass-m-floor", "pass-t-requirement",
+         "greedy-bound", "greedy-requirement", "exact-bound", "exact-requirement"],
+)
+def test_verify_catches_each_guarantee(
+    two_parallel_files, tmp_path, capsys, algo, d, corrupt, message
+):
+    doc = _report(two_parallel_files, tmp_path, algo, d)
+    corrupt(doc)
+    out = tmp_path / "report.json"
+    out.write_text(json.dumps(doc))
+    assert main(["verify", str(out)]) == 2
+    assert message + "\n" in capsys.readouterr().err
+
+
+def _pass_m_strays(doc):
+    doc["counterpart_flows"][0] = []
+
+
+@pytest.mark.parametrize(
+    "algo,corrupt,message",
+    [
+        ("pass-t", lambda doc: doc["counterpart_flows"][0][0].update(rate=0.0),
+         "flows differ from counterpart_flows"),
+        ("pass-t", lambda doc: doc["counterpart_flows"][0][0].update(rate=5.0),
+         "flows differ from counterpart_flows"),
+        ("pass-m", _pass_m_strays,
+         "commodity 0: path [0] at rate 1.0 is not a counterpart path at that rate"),
+        ("pass-m", lambda doc: doc.update(epsilon_max=True),
+         "recorded epsilon_max True != recomputed 0.5"),
+        ("pass-m", lambda doc: doc.update(epsilon_min=0.25),
+         "recorded epsilon_min 0.25 != recomputed 0.5"),
+    ],
+    ids=["pass-t-rate-0", "pass-t-rate-5", "pass-m-strays", "pass-m-eps-max-true",
+         "pass-m-eps-min"],
+)
+def test_verify_binds_report_to_its_counterpart(
+    two_parallel_files, tmp_path, capsys, algo, corrupt, message
+):
+    doc = _report(two_parallel_files, tmp_path, algo, 6.0 if algo == "pass-m" else None)
+    corrupt(doc)
+    out = tmp_path / "report.json"
+    out.write_text(json.dumps(doc))
+    assert main(["verify", str(out)]) == 2
+    assert message + "\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "corrupt,message",
+    [
+        (lambda doc: doc.update(feasible=1), "feasible must be true or false, not 1"),
+        (lambda doc: doc.update(feasible="yes"), "feasible must be true or false, not 'yes'"),
+        (lambda doc: doc.update(feasible=None), "feasible must be true or false, not None"),
+        (lambda doc: doc["flows"].__setitem__(0, {}), "path flows must be a list of path lists"),
+        (lambda doc: doc.update(flows={}), "path flows must be a list of path lists"),
+        (lambda doc: doc["counterpart_flows"].__setitem__(0, {}),
+         "path flows must be a list of path lists"),
+    ],
+    ids=["feasible-1", "feasible-str", "feasible-none", "path-list-object", "flows-object",
+         "counterpart-path-list-object"],
+)
+def test_verify_rejects_mistyped_fields(two_parallel_files, tmp_path, capsys, corrupt, message):
+    doc = _report(two_parallel_files, tmp_path, "pass")
+    corrupt(doc)
+    out = tmp_path / "report.json"
+    out.write_text(json.dumps(doc))
+    assert main(["verify", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: corrupt report: {message}\n"
+
+
+_ZERO_DELAY_TOPOLOGY = """node n0
+node n1
+node n2
+node n3
+node n4
+edge n0 n2 0 4
+edge n1 n0 2 3
+edge n1 n3 2 1
+edge n1 n4 0 2
+edge n2 n0 0 4
+edge n2 n1 0 3
+edge n2 n3 0 3
+edge n2 n4 1 2
+edge n3 n0 2 5
+edge n3 n2 0 2
+edge n4 n0 2 1
+edge n4 n2 0 5
+"""
+
+
+def test_exact_cancels_zero_delay_cycles(tmp_path, capsys):
+    """Zero-delay edges give the time-expanded graphs cycles, which are
+    cancelled before decomposition. 14 is the optimum that
+    ``_oracle_throughput`` in test_baselines.py finds by brute force."""
+    topo = tmp_path / "net.topo"
+    topo.write_text(_ZERO_DELAY_TOPOLOGY)
+    prob = tmp_path / "prob.json"
+    prob.write_text(json.dumps({
+        "objective": "SumThroughputUtility",
+        "commodities": [
+            {"src": "n0", "dst": "n4", "D": 1},
+            {"src": "n1", "dst": "n0", "D": 3, "utility_t": {"points": [[0, 0], [1, 2]]}},
+        ],
+    }))
+    out = tmp_path / "report.json"
+    argv = ["solve", "--topo", str(topo), "--problem", str(prob), "--algo", "exact"]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert json.loads(out.read_text())["objective"] == 14.0
+    assert main(["verify", str(out)]) == 0
+    assert capsys.readouterr().out.endswith("ok\n")
 
 
 def _nan_rates(doc):

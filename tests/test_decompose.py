@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from delayflow.baselines import _extract_paths, _TimeExpanded
 from delayflow.decompose import _strip_paths, cancel_cycles, decompose
-from delayflow.graph import Edge, Network
+from delayflow.graph import Edge, Network, Path
 
 
 @pytest.fixture
@@ -99,8 +99,8 @@ def test_decompose_empty_flow(diamond):
 
 
 # The path-stripping loop is shared by ``decompose`` and the exact solver's
-# time-expanded graphs; on stranded or cyclic flow it raises ValueError for
-# both.
+# time-expanded graphs; on stranded flow it raises ValueError for both.
+# Cyclic flow on a time-expanded graph is cancelled before stripping.
 
 # The a->b->a cycle has zero delay, so it stays a cycle after time expansion.
 _ZERO_CYCLE = Network(
@@ -129,8 +129,10 @@ def test_strip_paths_raises_value_error_on_time_expanded():
     assert te.edge_of == [0, 1, 3, 2]
     with pytest.raises(ValueError, match=r"stranded at node \(1, 1.0\)"):
         _extract_paths(_ZERO_CYCLE, te, np.array([1.0, 0.0, 0.0, 0.0]))
-    with pytest.raises(ValueError, match="cycle"):
-        _extract_paths(_ZERO_CYCLE, te, np.array([1.0, 1.0, 1.0, 1.0]))
+    # The zero-delay cycle a->b->a is cancelled, leaving the path s->a->t.
+    assert _extract_paths(_ZERO_CYCLE, te, np.array([1.0, 1.0, 1.0, 1.0])) == [
+        (Path((0, 3)), 1.0)
+    ]
 
 
 @st.composite
