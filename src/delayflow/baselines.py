@@ -19,16 +19,39 @@ from delayflow.algorithms import (
 )
 from delayflow.decompose import _cancel, _strip_paths
 from delayflow.graph import Network, Path, shortest_path_by_delay
-from delayflow.lp import SolverError, solve_lp
+from delayflow.lp import LpSolution, SolverError, solve_lp
 from delayflow.problem import FlowSolution, Objective, ProblemSpec, build_counterpart
 
 _MAX_ENUM_NODES = 12
 
 
+def push_shortest(
+    net: Network, residual: np.ndarray, s: str, t: str, target=math.inf, deadline=math.inf
+) -> tuple[list[tuple[Path, float]], float]:
+    """Push s->t rate onto minimum-delay residual paths within ``deadline``
+    until ``target`` is pushed or none remains; mutates ``residual``.
+    Returns the (path, rate) pairs and their total rate."""
+    pushed = 0.0
+    paths = []
+    while pushed < target - net.zero_tol:
+        p = shortest_path_by_delay(net, residual, s, t)
+        if p is None or p.delay(net) > deadline:
+            break
+        room = min(residual[k] for k in p.edges)
+        take = min(room, target - pushed)
+        if take <= net.zero_tol:
+            break
+        for k in p.edges:
+            residual[k] -= take
+        paths.append((p, take))
+        pushed += take
+    return paths, pushed
+
+
 def solve_greedy(spec: ProblemSpec) -> SolveReport:
-    """Process commodities in order, repeatedly pushing rate onto the
-    minimum-delay residual path (that also meets the delay bound, when one
-    is set) until the throughput requirement is met or no path remains.
+    """Process commodities in order, pushing each onto minimum-delay
+    residual paths that meet its delay bound (``push_shortest``) until its
+    throughput requirement is met or no path remains.
 
     An unmet requirement yields a partial solution flagged infeasible.
     """
@@ -40,20 +63,7 @@ def solve_greedy(spec: ProblemSpec) -> SolveReport:
     feasible = True
     for c in spec.commodities:
         target = c.R if c.R > 0 else math.inf
-        pushed = 0.0
-        paths: list[tuple[Path, float]] = []
-        while pushed < target - net.zero_tol:
-            p = shortest_path_by_delay(net, residual, c.source, c.sink)
-            if p is None or p.delay(net) > c.D:
-                break
-            room = min(residual[k] for k in p.edges)
-            take = min(room, target - pushed)
-            if take <= net.zero_tol:
-                break
-            for k in p.edges:
-                residual[k] -= take
-            paths.append((p, take))
-            pushed += take
+        paths, pushed = push_shortest(net, residual, c.source, c.sink, target, c.D)
         if c.R > 0 and pushed < c.R - net.check_tol:
             feasible = False
         flows.append(paths)
@@ -160,8 +170,8 @@ def _exact_lp(
     """Solve the counterpart LP over per-commodity time-expanded graphs;
     ``profile`` is ``build_counterpart``'s. ``graphs`` maps (source, sink,
     deadline) to a graph already built and takes each one built here.
-    Returns (LpSolution, graphs, CounterpartMap), or (None, graphs, None)
-    when a commodity that must carry rate has no walk within its deadline.
+    Returns (LpSolution, graphs, CounterpartMap), with an infeasible
+    solution and no map when a commodity that must carry rate has no walk.
     """
     net = spec.network
     tes = []
@@ -174,7 +184,7 @@ def _exact_lp(
             )
         tes.append(te)
         if te.source is None and (profile is not None or c.R > 0):
-            return None, tes, None
+            return LpSolution("infeasible"), tes, None
     lp, cmap = build_counterpart(spec, tes, profile)
     return solve_lp(lp), tes, cmap
 
@@ -288,7 +298,7 @@ def solve_exact(
 
     if not spec.objective.is_delay:
         sol, tes, cmap = _exact_lp(spec, caps, None, graphs)
-        if sol is None or sol.status == "infeasible":
+        if sol.status == "infeasible":
             raise InfeasibleError("no feasible flow within the delay bounds")
         if sol.status != "optimal":
             raise SolverError(f"exact LP status {sol.status}")
@@ -330,7 +340,7 @@ def solve_exact(
         """Solve the LP of ``deltas``, keep (h, LP result), return h."""
         out = _exact_lp(spec, list(deltas), profile, graphs)
         sol = out[0]
-        if sol is None or sol.status == "infeasible":
+        if sol.status == "infeasible":
             h = 0.0
         elif sol.status == "unbounded":
             h = math.inf

@@ -101,9 +101,11 @@ def _flows_to_json(net: Network, flows) -> list:
     return out
 
 
-def _flows_from_json(doc, spec: ProblemSpec) -> FlowSolution:
-    """Path flows of a report; each path must be a simple path from its
-    commodity's source to its sink."""
+def _flows_from_json(doc, spec: ProblemSpec) -> tuple[FlowSolution, list[str]]:
+    """Path flows of a report, and the issues of path records whose
+    ``nodes`` or ``delay`` are not the ones their edges give. Each path must
+    be a simple path from its commodity's source to its sink, with a list
+    of nodes and a numeric delay."""
     if not isinstance(doc, list) or not all(isinstance(pf, list) for pf in doc):
         raise ValueError("corrupt report: path flows must be a list of path lists")
     if len(doc) != len(spec.commodities):
@@ -114,6 +116,7 @@ def _flows_from_json(doc, spec: ProblemSpec) -> FlowSolution:
     net = spec.network
     n_edges = len(net.edges)
     flows = []
+    issues = []
     for i, (pf, c) in enumerate(zip(doc, spec.commodities)):
         paths = []
         for p in pf:
@@ -138,9 +141,22 @@ def _flows_from_json(doc, spec: ProblemSpec) -> FlowSolution:
                 raise ValueError(
                     f"corrupt report: commodity {i}: path rate {rate} is not finite"
                 )
+            recorded, delay = p["nodes"], p["delay"]
+            if not isinstance(recorded, list):
+                raise ValueError(
+                    f"corrupt report: commodity {i}: path nodes {recorded!r} are not a list"
+                )
+            if type(delay) not in (int, float):
+                raise ValueError(
+                    f"corrupt report: commodity {i}: path delay {delay!r} is not a number"
+                )
+            found = _mismatch("delay", delay, path.delay(net))
+            if recorded != list(nodes):
+                found.append(f"recorded nodes {recorded} != recomputed {list(nodes)}")
+            issues += [f"commodity {i}: path {list(path.edges)}: {s}" for s in found]
             paths.append((path, rate))
         flows.append(paths)
-    return FlowSolution(flows)
+    return FlowSolution(flows), issues
 
 
 def report_to_json(spec: ProblemSpec, report: SolveReport) -> dict:
@@ -197,13 +213,13 @@ def verify_report(doc: dict) -> list[str]:
         raise ValueError(f"corrupt report: feasible must be true or false, not {feasible!r}")
     net = load_topology(topology)
     spec = problem_from_json(doc["problem"], net)
-    sol = _flows_from_json(doc["flows"], spec)
+    sol, issues = _flows_from_json(doc["flows"], spec)
     if len(doc["metrics"]) != len(spec.commodities):
         raise ValueError(
             f"corrupt report: {len(doc['metrics'])} metrics records for "
             f"{len(spec.commodities)} commodities"
         )
-    issues = sol.check_feasible(net, spec.commodities)
+    issues += sol.check_feasible(net, spec.commodities)
     metrics = evaluate_metrics(net, sol)
     for i, (m, rec) in enumerate(zip(metrics, doc["metrics"])):
         issues += [
@@ -216,10 +232,10 @@ def verify_report(doc: dict) -> list[str]:
     algo = doc["algorithm"]
     hat = hat_metrics = eps = eps_max = None
     if "counterpart_flows" in doc:
-        hat = _flows_from_json(doc["counterpart_flows"], spec)
+        hat, hat_issues = _flows_from_json(doc["counterpart_flows"], spec)
         issues += [
             "counterpart: " + s
-            for s in hat.check_feasible(net, spec.commodities)
+            for s in hat_issues + hat.check_feasible(net, spec.commodities)
         ]
     if algo == "PASS":
         eps = float(doc["epsilon"])

@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 
+from delayflow.baselines import push_shortest
 from delayflow.graph import Edge, Network, shortest_path_by_delay
 from delayflow.problem import (
     Commodity,
@@ -58,14 +59,24 @@ def random_network(
     return Network(nodes, built)
 
 
-def random_concave_utility(rng: np.random.Generator) -> PLFunction:
+def _random_breakpoints(
+    rng: np.random.Generator, concave: bool
+) -> tuple[list[tuple[float, float]], list[float]]:
+    """Breakpoints from (0, 0) of 1-3 random segments, with slopes in
+    [0.2, 3) sorted decreasing (``concave``) or increasing and integer
+    widths in 1..7; returns the points and the slopes."""
     nseg = int(rng.integers(1, 4))
-    slopes = sorted((float(rng.uniform(0.2, 3.0)) for _ in range(nseg)), reverse=True)
+    slopes = sorted((float(rng.uniform(0.2, 3.0)) for _ in range(nseg)), reverse=concave)
     widths = [float(rng.integers(1, 8)) for _ in range(nseg)]
     pts = [(0.0, 0.0)]
     for s, w in zip(slopes, widths):
         a, u = pts[-1]
         pts.append((a + w, u + s * w))
+    return pts, slopes
+
+
+def random_concave_utility(rng: np.random.Generator) -> PLFunction:
+    pts, _ = _random_breakpoints(rng, concave=True)
     f = PLFunction(tuple(pts))
     assert validate_utility_t(f) is None
     return f
@@ -75,33 +86,12 @@ def random_convex_penalty(rng: np.random.Generator) -> PLFunction:
     """Convex non-decreasing penalty whose segment lines all have nonnegative
     intercepts (so scaling the argument scales the value at most linearly).
     Built by lifting the whole function until the steepest line clears zero."""
-    nseg = int(rng.integers(1, 4))
-    slopes = sorted(float(rng.uniform(0.2, 3.0)) for _ in range(nseg))
-    widths = [float(rng.integers(1, 8)) for _ in range(nseg)]
-    pts = [(0.0, 0.0)]
-    for s, w in zip(slopes, widths):
-        a, u = pts[-1]
-        pts.append((a + w, u + s * w))
+    pts, slopes = _random_breakpoints(rng, concave=False)
     lift = max(0.0, -min(u - s * a for (a, u), s in zip(pts, slopes + slopes[-1:])))
     pts = [(a, u + lift) for a, u in pts]
     f = PLFunction(tuple(pts))
     assert validate_utility_d(f) is None
     return f
-
-
-def _routable_rate(net: Network, s: str, t: str, residual: np.ndarray) -> float:
-    """Rate the greedy shortest-path pusher can route s->t; mutates residual."""
-    total = 0.0
-    while True:
-        p = shortest_path_by_delay(net, residual, s, t)
-        if p is None:
-            return total
-        room = min(residual[k] for k in p.edges)
-        if room <= 0:
-            return total
-        for k in p.edges:
-            residual[k] -= room
-        total += room
 
 
 def random_problem(
@@ -120,14 +110,10 @@ def random_problem(
                 s, t = (int(x) for x in rng.integers(0, n, size=2))
                 if s == t or (s, t) in used:
                     continue
-                sp = shortest_path_by_delay(
-                    net, net.capacities(), net.nodes[s], net.nodes[t]
-                )
-                if sp is None:
+                _, cap = push_shortest(net, residual, net.nodes[s], net.nodes[t])
+                if cap <= 0.5:  # cap is 0 when no s->t path exists
                     continue
-                cap = _routable_rate(net, net.nodes[s], net.nodes[t], residual)
-                if cap <= 0.5:
-                    continue
+                sp = shortest_path_by_delay(net, net.capacities(), net.nodes[s], net.nodes[t])
                 used.add((s, t))
                 break
             else:

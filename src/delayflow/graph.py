@@ -45,8 +45,8 @@ class Network:
 
     nodes: tuple[str, ...]
     edges: tuple[Edge, ...]
-    out_edges: tuple[tuple[int, ...], ...] = field(repr=False, default=())
-    in_edges: tuple[tuple[int, ...], ...] = field(repr=False, default=())
+    out_edges: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
+    in_edges: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
     heads: tuple[int, ...] = field(init=False, repr=False, compare=False)
     arc_tail: np.ndarray = field(init=False, repr=False, compare=False)
     arc_head: np.ndarray = field(init=False, repr=False, compare=False)

@@ -194,12 +194,6 @@ class FlowSolution:
         rates = [rate for path, rate in flow for _ in path.edges]
         return np.bincount(edges, weights=rates, minlength=len(net.edges))
 
-    def total_edge_flow(self, net: Network) -> np.ndarray:
-        x = np.zeros(len(net.edges))
-        for i in range(len(self.flows)):
-            x += self.edge_flow(net, i)
-        return x
-
     def check_feasible(
         self, net: Network, commodities: tuple[Commodity, ...], tol: float | None = None
     ) -> list[str]:
@@ -208,11 +202,14 @@ class FlowSolution:
         if tol is None:
             tol = net.check_tol
         issues = []
+        total = np.zeros(len(net.edges))
         for i, flow in enumerate(self.flows):
             for path, rate in flow:
                 if rate < -tol:
                     issues.append(f"commodity {i}: negative path rate {rate}")
-            outflow, inflow = node_flows(net, self.edge_flow(net, i))
+            x = self.edge_flow(net, i)
+            total += x
+            outflow, inflow = node_flows(net, x)
             bad = np.abs(inflow - outflow) > tol
             bad[[net.index_of(commodities[i].source), net.index_of(commodities[i].sink)]] = False
             for v in np.flatnonzero(bad).tolist():
@@ -223,7 +220,6 @@ class FlowSolution:
                     f"commodity {i}: conservation violated at {net.nodes[v]} "
                     f"(in {ins}, out {outs})"
                 )
-        total = self.total_edge_flow(net)
         for k in np.flatnonzero(total > net.capacity_array + tol).tolist():
             e = net.edges[k]
             issues.append(
@@ -321,9 +317,8 @@ def build_counterpart(
     uses, in edge order; then the max-min bound rows. The entries are
     written per block, as (row, column, value) arrays: conservation from
     the graph's ``arc_tail``/``arc_head`` (the node-edge incidence), delay
-    and epigraph rows as whole-array products, and capacity rows as one
-    tile over the commodities (on time-expanded graphs, ranked by a
-    ``bincount`` of the arcs' physical edges).
+    and epigraph rows as whole-array products, and capacity rows ranked by
+    a ``bincount`` of the arcs' physical edges.
     """
     net = spec.network
     comms = spec.commodities
@@ -352,12 +347,9 @@ def build_counterpart(
             nvars += 1
 
     is_delay = spec.objective.is_delay
-    # Arc-sized blocks as arrays: conservation entries (+1 at the row of
-    # every arc's tail, then -1 at its head's, so the columns are all arcs
-    # twice), then the rest; the few per-commodity entries as lists.
+    # Arc-sized blocks as (row, column, value) arrays; the few
+    # per-commodity entries as lists, the last block.
     all_arcs = np.arange(rate0)
-    tail_rows: list[np.ndarray] = []
-    head_rows: list[np.ndarray] = []
     blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     row_of: list[int] = []
     col_of: list[int] = []
@@ -381,8 +373,9 @@ def build_counterpart(
             pos[s + 1 :] -= 1
             pos[s] = top
         pos[t] = -1
-        tail_rows.append(pos[g.arc_tail])
-        head_rows.append(pos[g.arc_head])
+        # +1 at the row of every arc's tail, -1 at its head's.
+        blocks.append((pos[g.arc_tail], arcs, np.ones(arcs.size)))
+        blocks.append((pos[g.arc_head], arcs, np.full(arcs.size, -1.0)))
         entry(top, rate0 + i, -1.0)
         n_rows = len(g.nodes) - (s is not None)
         relations += ["="] * n_rows
@@ -437,15 +430,11 @@ def build_counterpart(
                 rhs.append(intercept)
 
     # Link capacity coupling: one row per physical edge that some arc uses,
-    # in edge order; on the physical network every edge, for each commodity.
-    if graphs is None:
-        cap_rows = np.tile(len(rhs) + every_edge, K)
-        cap_rhs = net.capacity_array
-    else:
-        arc_edge = np.array([k for *_, edges in shapes for k in edges], dtype=np.intp)
-        used = np.bincount(arc_edge, minlength=len(net.edges)) > 0
-        cap_rows = (len(rhs) - 1 + np.cumsum(used))[arc_edge]
-        cap_rhs = net.capacity_array[used]
+    # in edge order (on the physical network, every edge).
+    arc_edge = np.concatenate([np.asarray(edges, dtype=np.intp) for *_, edges in shapes])
+    used = np.bincount(arc_edge, minlength=len(net.edges)) > 0
+    cap_rows = (len(rhs) - 1 + np.cumsum(used))[arc_edge]
+    cap_rhs = net.capacity_array[used]
     blocks.append((cap_rows, all_arcs, np.ones(rate0)))
     relations += ["<="] * cap_rhs.size
     rhs_parts = [rhs, cap_rhs]
@@ -465,17 +454,8 @@ def build_counterpart(
         relations += [">=" if is_delay else "<="] * K
         rhs_parts.append(np.zeros(K))
 
-    rows = np.concatenate(
-        tail_rows + head_rows + [b[0] for b in blocks] + [np.array(row_of, dtype=np.intp)]
-    )
-    cols = np.concatenate(
-        [all_arcs, all_arcs] + [b[1] for b in blocks] + [np.array(col_of, dtype=np.intp)]
-    )
-    vals = np.concatenate(
-        [np.repeat((1.0, -1.0), rate0)]
-        + [b[2] for b in blocks]
-        + [np.array(val_of, dtype=np.float64)]
-    )
+    lists = (np.array(row_of, dtype=np.intp), np.array(col_of, dtype=np.intp), np.array(val_of))
+    rows, cols, vals = (np.concatenate(part) for part in zip(*blocks, lists))
     matrix = _csr(rows, cols, vals, len(relations), nvars)
     lp = LinearProgram(sense, objective, matrix, tuple(relations), np.concatenate(rhs_parts))
     return lp, CounterpartMap(tuple(arc_base))

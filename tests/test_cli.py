@@ -227,6 +227,47 @@ def test_verify_rejects_mistyped_fields(two_parallel_files, tmp_path, capsys, co
     assert capsys.readouterr().err == f"error: corrupt report: {message}\n"
 
 
+def _set_path(key, value, flows="flows"):
+    return lambda doc: doc[flows][0][0].update({key: value})
+
+
+@pytest.mark.parametrize(
+    "corrupt,rc,message",
+    [
+        (_set_path("delay", -1), 2, "commodity 0: path [0]: recorded delay -1 != recomputed 1.0"),
+        (_set_path("delay", float("nan")), 2, "path [0]: recorded delay nan != recomputed 1.0"),
+        (_set_path("nodes", ["XX"]), 2,
+         "commodity 0: path [0]: recorded nodes ['XX'] != recomputed ['s', 't']"),
+        (_set_path("nodes", []), 2, "path [0]: recorded nodes [] != recomputed ['s', 't']"),
+        (_set_path("delay", 99, "counterpart_flows"), 2,
+         "counterpart: commodity 0: path [0]: recorded delay 99 != recomputed 1.0"),
+        (_set_path("nodes", "st"), 1,
+         "error: corrupt report: commodity 0: path nodes 'st' are not a list"),
+        (_set_path("nodes", {}), 1,
+         "error: corrupt report: commodity 0: path nodes {} are not a list"),
+        (_set_path("delay", "x"), 1,
+         "error: corrupt report: commodity 0: path delay 'x' is not a number"),
+        (_set_path("delay", None), 1,
+         "error: corrupt report: commodity 0: path delay None is not a number"),
+        (_set_path("delay", True), 1,
+         "error: corrupt report: commodity 0: path delay True is not a number"),
+    ],
+    ids=["delay-negative", "delay-nan", "nodes-other", "nodes-empty", "counterpart-delay",
+         "nodes-str", "nodes-object", "delay-str", "delay-none", "delay-bool"],
+)
+def test_verify_recomputes_path_nodes_and_delay(
+    two_parallel_files, tmp_path, capsys, corrupt, rc, message
+):
+    """A path record's ``nodes`` and ``delay`` restate its ``edges``: a
+    mismatch is a violation, and a mistyped value a corrupt report."""
+    doc = _report(two_parallel_files, tmp_path, "pass")
+    corrupt(doc)
+    out = tmp_path / "report.json"
+    out.write_text(json.dumps(doc))
+    assert main(["verify", str(out)]) == rc
+    assert message + "\n" in capsys.readouterr().err
+
+
 _ZERO_DELAY_TOPOLOGY = """node n0
 node n1
 node n2

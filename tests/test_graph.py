@@ -116,6 +116,13 @@ def test_adjacency():
         net.index_of("zzz")
 
 
+@pytest.mark.parametrize("derived", ["out_edges", "in_edges"])
+def test_network_rejects_adjacency_arguments(derived):
+    """The adjacency lists are derived from the edges, never passed in."""
+    with pytest.raises(TypeError, match=derived):
+        Network(("a", "b"), (Edge(0, 1, 1.0, 1.0),), **{derived: ((5,), (7,))})
+
+
 def test_builtin_ec2_shape():
     net = builtin_ec2()
     assert len(net.nodes) == 6
