@@ -34,11 +34,16 @@ from delayflow.problem import (
 )
 from delayflow.decompose import cancel_cycles, decompose
 from delayflow.algorithms import (
+    Counterpart,
     InfeasibleError,
     SolveReport,
+    apply_pass,
+    apply_pass_m,
+    apply_pass_t,
     check_lemma1,
     compute_lambda,
     delete_slowest,
+    solve_counterpart,
     solve_pass,
     solve_pass_m,
     solve_pass_t,
@@ -72,11 +77,16 @@ __all__ = [
     "validate_utility_t",
     "cancel_cycles",
     "decompose",
+    "Counterpart",
     "InfeasibleError",
     "SolveReport",
+    "apply_pass",
+    "apply_pass_m",
+    "apply_pass_t",
     "check_lemma1",
     "compute_lambda",
     "delete_slowest",
+    "solve_counterpart",
     "solve_pass",
     "solve_pass_m",
     "solve_pass_t",

@@ -1,11 +1,14 @@
 """The slowest-path-deletion solver family and its certificate checks.
 
-All three solvers share the same first step: solve the average-delay-aware
-counterpart LP once and decompose it into path flows. They differ in what
-they delete afterwards: a fixed epsilon fraction of every commodity's rate
-(constant relaxation of both constraint families), whole slowest paths until
-each delay bound holds exactly, or nothing at all (throughput requirements
-met exactly).
+``solve_counterpart`` solves the average-delay-aware counterpart LP once and
+decomposes its optimum into path flows. Three deletion rules then read that
+one ``Counterpart`` and never touch an LP: ``apply_pass`` deletes a fixed
+epsilon fraction of every commodity's rate (constant relaxation of both
+constraint families), ``apply_pass_m`` deletes whole slowest paths until
+each delay bound holds exactly, and ``apply_pass_t`` deletes nothing
+(throughput requirements met exactly). ``solve_pass``, ``solve_pass_m`` and
+``solve_pass_t`` check their arguments, solve the counterpart and apply
+their rule.
 """
 
 from __future__ import annotations
@@ -108,8 +111,20 @@ def delete_slowest(net: Network, path_flow: PathFlow, amount: float) -> list[tup
     ]
 
 
-def _solve_counterpart(spec: ProblemSpec) -> FlowSolution:
+@dataclass(frozen=True)
+class Counterpart:
+    """The counterpart optimum of ``spec``, decomposed into paths, and the
+    seconds its solve took, which every rule's report counts in its wall
+    time."""
+
+    spec: ProblemSpec
+    flows: FlowSolution
+    seconds: float
+
+
+def solve_counterpart(spec: ProblemSpec) -> Counterpart:
     """Solve the counterpart LP and decompose each commodity into paths."""
+    t0 = time.perf_counter()
     lp, cmap = build_counterpart(spec)
     sol = solve_lp(lp)
     if sol.status == "infeasible":
@@ -117,42 +132,67 @@ def _solve_counterpart(spec: ProblemSpec) -> FlowSolution:
     if sol.status != "optimal":
         raise SolverError(f"counterpart LP ended with status {sol.status}")
     net = spec.network
-    return FlowSolution(
+    flows = FlowSolution(
         decompose(net, c.source, c.sink, cancel_cycles(net, x, c.source, c.sink))
         for c, x in zip(spec.commodities, cmap.edge_flows(sol.x))
     )
+    return Counterpart(spec, flows, time.perf_counter() - t0)
+
+
+def _check_epsilon(epsilon: float) -> None:
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError("epsilon must lie in (0, 1)")
+
+
+def _check_finite_bounds(spec: ProblemSpec) -> None:
+    for i, c in enumerate(spec.commodities):
+        if not math.isfinite(c.D):
+            raise ValueError(f"commodity {i}: PASS-M needs a finite delay bound")
 
 
 def solve_pass(spec: ProblemSpec, epsilon: float) -> SolveReport:
-    """Solve the counterpart once, then delete an epsilon fraction of each
-    commodity's rate from its slowest flow-carrying paths.
+    """``apply_pass`` to the solved counterpart of ``spec``."""
+    _check_epsilon(epsilon)
+    return apply_pass(solve_counterpart(spec), epsilon)
+
+
+def solve_pass_m(spec: ProblemSpec) -> SolveReport:
+    """``apply_pass_m`` to the solved counterpart of ``spec``."""
+    _check_finite_bounds(spec)
+    return apply_pass_m(solve_counterpart(spec))
+
+
+def solve_pass_t(spec: ProblemSpec) -> SolveReport:
+    """``apply_pass_t`` to the solved counterpart of ``spec``."""
+    return apply_pass_t(solve_counterpart(spec))
+
+
+def apply_pass(cp: Counterpart, epsilon: float) -> SolveReport:
+    """Delete an epsilon fraction of each commodity's rate from its slowest
+    flow-carrying counterpart paths.
 
     The result satisfies |f_i| >= (1-epsilon)*R_i, M(f_i) <= D_i/epsilon
     for finite D_i, and full feasibility.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
-    t0 = time.perf_counter()
-    hat = _solve_counterpart(spec)
+    _check_epsilon(epsilon)
+    t0 = time.perf_counter() - cp.seconds
     bar = FlowSolution(
-        delete_slowest(spec.network, pf, epsilon * sum(r for _, r in pf))
-        for pf in hat.flows
+        delete_slowest(cp.spec.network, pf, epsilon * sum(r for _, r in pf))
+        for pf in cp.flows.flows
     )
-    return build_report(spec, "PASS", bar, t0, hat, epsilon=epsilon)
+    return build_report(cp.spec, "PASS", bar, t0, cp.flows, epsilon=epsilon)
 
 
-def solve_pass_m(spec: ProblemSpec) -> SolveReport:
-    """Delete whole slowest paths until every commodity's maximum delay
-    meets its bound exactly; delay bounds must all be finite."""
-    for i, c in enumerate(spec.commodities):
-        if not math.isfinite(c.D):
-            raise ValueError(f"commodity {i}: PASS-M needs a finite delay bound")
-    t0 = time.perf_counter()
-    hat = _solve_counterpart(spec)
+def apply_pass_m(cp: Counterpart) -> SolveReport:
+    """Delete whole slowest counterpart paths until every commodity's
+    maximum delay meets its bound exactly; delay bounds must all be finite."""
+    spec = cp.spec
+    _check_finite_bounds(spec)
+    t0 = time.perf_counter() - cp.seconds
     net = spec.network
     bar_flows = []
     eps_i = []
-    for pf, c in zip(hat.flows, spec.commodities):
+    for pf, c in zip(cp.flows.flows, spec.commodities):
         # The paths over the bound form a prefix of the slowest-first order.
         kept = [pf[i] for i in slowest_first(net, pf) if pf[i][0].delay(net) <= c.D]
         bar_flows.append(kept)
@@ -164,18 +204,17 @@ def solve_pass_m(spec: ProblemSpec) -> SolveReport:
         "PASS-M",
         FlowSolution(bar_flows),
         t0,
-        hat,
+        cp.flows,
         epsilon_max=max(eps_i),
         epsilon_min=min(eps_i),
     )
 
 
-def solve_pass_t(spec: ProblemSpec) -> SolveReport:
+def apply_pass_t(cp: Counterpart) -> SolveReport:
     """Return the decomposed counterpart optimum unmodified; throughput
     requirements hold exactly."""
-    t0 = time.perf_counter()
-    hat = _solve_counterpart(spec)
-    return build_report(spec, "PASS-T", hat, t0, hat)
+    t0 = time.perf_counter() - cp.seconds
+    return build_report(cp.spec, "PASS-T", cp.flows, t0, cp.flows)
 
 
 def check_lemma1(

@@ -7,20 +7,17 @@ import operator
 
 import numpy as np
 
-from delayflow.graph import Network, Path, node_flows
+from delayflow.graph import Network, Path, unbalanced_nodes
 from delayflow.lp import SolverError
 
 
 def _check_conservation(net: Network, x: np.ndarray, s: int, t: int) -> None:
-    out, inflow = node_flows(net, x)
-    imbalance = out - inflow
-    bad = np.abs(imbalance) > net.check_tol
-    bad[[s, t]] = False
-    if bad.any():
-        v = int(bad.argmax())  # the first such node, in node order
+    bad, out, inflow = unbalanced_nodes(net, x, s, t, net.check_tol)
+    if bad:
+        v = bad[0]
         raise ValueError(
             f"flow conservation violated at node {net.nodes[v]} "
-            f"(imbalance {imbalance[v]})"
+            f"(imbalance {out[v] - inflow[v]})"
         )
 
 

@@ -135,6 +135,18 @@ def node_flows(graph, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
+def unbalanced_nodes(
+    graph, x: np.ndarray, s: int, t: int, tol: float
+) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """The nodes other than ``s`` and ``t`` whose outflow and inflow under
+    the edge flow ``x`` differ by more than ``tol``, in node order, and the
+    ``node_flows`` they were read from."""
+    outflow, inflow = node_flows(graph, x)
+    bad = np.abs(outflow - inflow) > tol
+    bad[[s, t]] = False
+    return np.flatnonzero(bad).tolist(), outflow, inflow
+
+
 @dataclass(frozen=True)
 class Path:
     """Simple directed path, stored as an ordered tuple of edge indices."""

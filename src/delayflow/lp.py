@@ -122,8 +122,11 @@ class LinearProgram:
             raise ValueError("row/relation/rhs dimension mismatch")
         if not {"<=", "=", ">="}.issuperset(self.relations):
             raise ValueError("relations must be one of <=, =, >=")
-        if not np.isfinite(self.rhs).all():
-            raise ValueError("rhs must be finite")
+        for name, values in (
+            ("objective", self.objective), ("row values", self.rows.data), ("rhs", self.rhs)
+        ):
+            if not np.isfinite(values).all():
+                raise ValueError(f"LP {name} must be finite")
 
     @property
     def num_vars(self) -> int:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from delayflow.graph import Network, Path, node_flows
+from delayflow.graph import Network, Path, unbalanced_nodes
 from delayflow.lp import CsrRows, LinearProgram
 
 
@@ -209,10 +209,10 @@ class FlowSolution:
                     issues.append(f"commodity {i}: negative path rate {rate}")
             x = self.edge_flow(net, i)
             total += x
-            outflow, inflow = node_flows(net, x)
-            bad = np.abs(inflow - outflow) > tol
-            bad[[net.index_of(commodities[i].source), net.index_of(commodities[i].sink)]] = False
-            for v in np.flatnonzero(bad).tolist():
+            c = commodities[i]
+            s, t = net.index_of(c.source), net.index_of(c.sink)
+            bad, outflow, inflow = unbalanced_nodes(net, x, s, t, tol)
+            for v in bad:
                 # A node without in- or out-edges reads 0, as an empty sum.
                 ins = inflow[v] if net.in_edges[v] else 0
                 outs = outflow[v] if net.out_edges[v] else 0
@@ -259,7 +259,8 @@ def evaluate_metrics(net: Network, sol: FlowSolution) -> tuple[CommodityMetrics,
 def objective_value(spec: ProblemSpec, metrics: tuple[CommodityMetrics, ...]) -> float:
     """The target objective evaluated at a solution's metrics. Throughput
     objectives are maximized; delay objectives report the penalty being
-    minimized. Always a plain ``float``, whatever type the metrics hold."""
+    minimized. Always a finite plain ``float``, whatever type the metrics
+    hold; raises ValueError when a utility overflows to a non-finite value."""
     obj = spec.objective
     comms = spec.commodities
     if obj.is_delay:
@@ -267,10 +268,14 @@ def objective_value(spec: ProblemSpec, metrics: tuple[CommodityMetrics, ...]) ->
     else:
         vals = [c.utility_t.value(m.throughput) for c, m in zip(comms, metrics)]
     if obj in (Objective.SUM_THROUGHPUT_UTILITY, Objective.SUM_DELAY_PENALTY):
-        return float(sum(vals))
-    if obj is Objective.MIN_THROUGHPUT_UTILITY:
-        return float(min(vals))
-    return float(max(vals))
+        value = float(sum(vals))
+    elif obj is Objective.MIN_THROUGHPUT_UTILITY:
+        value = float(min(vals))
+    else:
+        value = float(max(vals))
+    if not math.isfinite(value):
+        raise ValueError(f"the {obj.value} objective overflows a float ({value})")
+    return value
 
 
 @dataclass(frozen=True)

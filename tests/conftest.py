@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
-from delayflow import lp
+from delayflow import algorithms, lp
 from delayflow.algorithms import (
     check_lemma1,
     compute_lambda,
@@ -38,11 +38,13 @@ def ec2():
 @dataclass
 class Sweep:
     """One ``delayflow experiment`` sweep: its CSV text, its (params, spec,
-    report) rows in row order, and the LP of every HiGHS call it made."""
+    report) rows in row order, the LP of every HiGHS call it made, and the
+    spec of every counterpart LP the PASS family built."""
 
     text: str = field(repr=False)
     rows: list = field(repr=False)
     highs_calls: list
+    counterpart_specs: list = field(repr=False)
 
 
 @pytest.fixture(scope="session")
@@ -50,14 +52,18 @@ def ec2_sweeps():
     """Each ``delayflow experiment`` sweep, run once per session."""
     sweeps = {}
     calls: list = []
+    built: list = []
     real = lp._solve_highs
+    build = algorithms.build_counterpart
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lp, "_solve_highs", lambda prog: calls.append(prog) or real(prog))
+        mp.setattr(algorithms, "build_counterpart", lambda spec: built.append(spec) or build(spec))
         for name in EXPERIMENTS:
             buf = io.StringIO()
             rows = run_experiment(name, csv.writer(buf))
-            sweeps[name] = Sweep(buf.getvalue(), rows, calls[:])
+            sweeps[name] = Sweep(buf.getvalue(), rows, calls[:], built[:])
             calls.clear()
+            built.clear()
     return sweeps
 
 

@@ -601,6 +601,58 @@ def test_solve_infeasible_exit_code(two_parallel_files, tmp_path, capsys):
     assert "infeasible" in capsys.readouterr().err
 
 
+def _overflowing(objective: str, **commodity) -> dict:
+    """A problem that ``ec2`` can carry, whose utility has a slope of 1e308
+    and so overflows a float at any delay or rate above 1."""
+    return {"objective": objective, "commodities": [{"src": "VA", "dst": "SI", **commodity}]}
+
+
+_STEEP = {"points": [[0, 0], [1, 1e308]]}
+_PENALTY = _overflowing("SumDelayPenalty", R=50, utility_d=_STEEP)
+
+
+# numpy warns as a coefficient or utility overflows; the inf is rejected after.
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "algo,extra,problem,message",
+    [
+        ("pass", ["--eps", "0.1"], _PENALTY, "LP row values must be finite"),
+        ("pass-m", [], _overflowing("SumDelayPenalty", R=50, D=1000, utility_d=_STEEP),
+         "LP row values must be finite"),
+        ("pass-t", [], _PENALTY, "LP row values must be finite"),
+        ("greedy", [], _PENALTY, "the SumDelayPenalty objective overflows a float (inf)"),
+        ("exact", [], _PENALTY, "the SumDelayPenalty objective overflows a float (inf)"),
+        ("greedy", [], _overflowing("SumThroughputUtility", D=150, utility_t=_STEEP),
+         "the SumThroughputUtility objective overflows a float (inf)"),
+    ],
+    ids=["pass", "pass-m", "pass-t", "greedy", "exact", "greedy-utility_t"],
+)
+def test_overflowing_objective_exits_1(tmp_path, capsys, algo, extra, problem, message):
+    """An objective that overflows is an input error, not an infeasible
+    problem or a report with a non-JSON ``Infinity``."""
+    prob = tmp_path / "prob.json"
+    prob.write_text(json.dumps(problem))
+    out = tmp_path / "report.json"
+    argv = ["solve", "--topo", "ec2", "--problem", str(prob), "--algo", algo, "--out", str(out)]
+    assert main(argv + extra) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_verify_rejects_overflowing_objective(two_parallel_files, tmp_path, capsys):
+    topo, prob = two_parallel_files
+    out = tmp_path / "report.json"
+    main(["solve", "--topo", topo, "--problem", prob, "--algo", "greedy", "--out", str(out)])
+    doc = json.loads(out.read_text())
+    doc["problem"]["commodities"][0]["utility_d"] = _STEEP
+    doc["objective"] = float("inf")
+    out.write_text(json.dumps(doc))
+    assert main(["verify", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: the SumDelayPenalty objective overflows a float (inf)\n"
+    )
+
+
 def test_exact_rejects_fractional_delays(tmp_path, capsys):
     topo = tmp_path / "net.topo"
     topo.write_text("node s\nnode t\nedge s t 1.5 1\n")
@@ -671,6 +723,17 @@ def test_experiment_shapes_and_stability(ec2_sweeps):
         assert buf.getvalue().splitlines() == lines[1:], name
         # Every EC2 LP is small enough for the deterministic tableau.
         assert sweep.highs_calls == [], name
+
+
+def test_experiment_solves_each_counterpart_once(ec2_sweeps):
+    """The PASS-family rows of a spec share one counterpart LP: 226 builds
+    over the four sweeps, where one per PASS-family row would be 748."""
+    built = {}
+    for name, sweep in ec2_sweeps.items():
+        specs = {id(spec) for _, spec, _ in sweep.rows}
+        assert {id(spec) for spec in sweep.counterpart_specs} == specs, name
+        built[name] = len(sweep.counterpart_specs)
+    assert built == {"tcdm-eps": 1, "tcdm-rate": 124, "dcum-eps": 1, "utility-weights": 100}
 
 
 def test_experiment_utility_weights_shape(ec2_sweeps):

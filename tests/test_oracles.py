@@ -1,5 +1,5 @@
-"""Oracle tests of the array-built counterpart LP, the engines' inputs and
-the list-walk decomposition.
+"""Oracle tests of the array-built counterpart LP, the engines' inputs,
+the list-walk decomposition and the deletion rules on a shared counterpart.
 
 The references below are the row-at-a-time builder (with its triplet
 collector ``_Rows``), the numpy-scalar ``cancel_cycles``/``decompose``
@@ -11,6 +11,7 @@ model and tableau, and the same paths with the same rates bit for bit.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -18,7 +19,15 @@ import pytest
 import scipy.sparse as sp
 
 from delayflow import baselines
-from delayflow.algorithms import solve_pass
+from delayflow.algorithms import (
+    apply_pass,
+    apply_pass_m,
+    apply_pass_t,
+    solve_counterpart,
+    solve_pass,
+    solve_pass_m,
+    solve_pass_t,
+)
 from delayflow.baselines import solve_exact
 from delayflow.decompose import cancel_cycles, decompose
 from delayflow.gen import random_problem
@@ -442,6 +451,41 @@ def test_pass_paths_match_reference_on_corpus():
                 net, c.source, c.sink, _ref_cancel_cycles(net, xi, c.source, c.sink)
             )
             assert _path_key(flow) == _path_key(ref)
+
+
+def _rules_match_entries(spec, eps_list) -> int:
+    """Apply the rules to one shared counterpart of ``spec``: PASS at each
+    epsilon, then PASS-M where every bound is finite, then PASS-T, whose
+    flows are the shared ones. So a rule that changed the shared object
+    would fail a later comparison. Each report must equal that of its
+    entry, which solves its own counterpart, in every field but
+    ``wall_time``. Returns the number of reports compared."""
+    cp = solve_counterpart(spec)
+    pairs = [(apply_pass(cp, eps), solve_pass(spec, eps)) for eps in eps_list]
+    if all(math.isfinite(c.D) for c in spec.commodities):
+        pairs.append((apply_pass_m(cp), solve_pass_m(spec)))
+    pairs.append((apply_pass_t(cp), solve_pass_t(spec)))
+    for got, want in pairs:
+        assert dataclasses.replace(got, wall_time=0.0) == dataclasses.replace(
+            want, wall_time=0.0
+        ), got.algorithm
+    return len(pairs)
+
+
+def test_rules_on_shared_counterpart_match_entries_on_corpus():
+    assert sum(_rules_match_entries(spec, [eps]) for spec, eps in _corpus_specs()) > 400
+
+
+def test_rules_on_shared_counterpart_match_entries_on_ec2_sweeps(ec2_sweeps, ec2_sweep_specs):
+    """Each spec at every epsilon its sweep runs PASS at."""
+    eps_of: dict = {}
+    for sweep in ec2_sweeps.values():
+        for params, spec, rep in sweep.rows:
+            if rep.algorithm == "PASS":
+                eps_of.setdefault(id(spec), []).append(params["eps"])
+    compared = sum(_rules_match_entries(spec, eps_of[id(spec)]) for spec in ec2_sweep_specs)
+    # The sweeps' 748 PASS-family rows, and PASS-T on the dcum-eps spec.
+    assert compared == 749
 
 
 def test_exact_lp_without_any_arc_matches_reference(monkeypatch):
