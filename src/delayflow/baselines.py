@@ -93,9 +93,34 @@ def simple_path_delays(net: Network, s: str, t: str) -> list[float]:
     return sorted(delays)
 
 
+def _delays_to(net: Network, t: int) -> list[float]:
+    """Each node's least delay to ``t`` over all edges, capacity ignored
+    (inf where ``t`` is unreachable): a heap Dijkstra over ``in_edges``."""
+    dist = [math.inf] * len(net.nodes)
+    dist[t] = 0.0
+    heap = [(0.0, t)]
+    while heap:
+        d, v = heapq.heappop(heap)
+        if d > dist[v]:
+            continue
+        for k in net.in_edges[v]:
+            e = net.edges[k]
+            if d + e.delay < dist[e.u]:
+                dist[e.u] = d + e.delay
+                heapq.heappush(heap, (dist[e.u], e.u))
+    return dist
+
+
 class _TimeExpanded:
     """Per-commodity layered graph over states (v, elapsed delay tau),
     pruned to those on some source-to-sink walk with tau <= deadline.
+
+    A reached state lies on such a walk exactly when tau + d(v) <=
+    deadline, d(v) being v's least delay to t (``_delays_to``): a
+    least-delay v->t path ends at its first visit to t, and each state on
+    it passes the same test. So one forward search that expands only
+    passing states reaches the pruned graph and nothing else (integer
+    delays keep the sums exact).
 
     It has the integer graph shape that ``decompose`` and
     ``build_counterpart`` read: ``nodes`` are the sorted non-sink states
@@ -110,41 +135,29 @@ class _TimeExpanded:
     """
 
     def __init__(self, net: Network, s: int, t: int, deadline: float):
-        # Forward reachability from (s, 0), collecting every arc between
-        # reached states; sink states absorb.
-        reach: set[tuple[int, float]] = {(s, 0.0)}
-        frontier = [(s, 0.0)]
+        dist = _delays_to(net, t)
+        reach = {(s, 0.0)} if dist[s] <= deadline else set()
+        frontier = list(reach)
         arcs: list[tuple[tuple[int, float], int, tuple[int, float]]] = []
-        preds: dict[tuple[int, float], list[tuple[int, float]]] = {}
         while frontier:
             st = frontier.pop()
             u, tau = st
-            if u == t:
+            if u == t:  # sink states absorb
                 continue
             for k in net.out_edges[u]:
                 e = net.edges[k]
                 nxt = (e.v, tau + e.delay)
-                if nxt[1] > deadline:
+                if nxt[1] + dist[e.v] > deadline:
                     continue
                 arcs.append((st, k, nxt))
-                preds.setdefault(nxt, []).append(st)
                 if nxt not in reach:
                     reach.add(nxt)
                     frontier.append(nxt)
-        # Reverse BFS from the sink states: keep states that reach one.
-        useful = {st for st in reach if st[0] == t}
-        frontier = list(useful)
-        while frontier:
-            for p in preds.get(frontier.pop(), ()):
-                if p not in useful:
-                    useful.add(p)
-                    frontier.append(p)
-        states = sorted(st for st in useful if st[0] != t)
+        states = sorted(st for st in reach if st[0] != t)
         sink = len(states)
         index = {st: i for i, st in enumerate(states)}
-        index.update((st, sink) for st in useful if st[0] == t)
-        # An arc into a useful state leaves a useful one.
-        kept = sorted((index[a], k, index[b]) for a, k, b in arcs if b in index)
+        index.update((st, sink) for st in reach if st[0] == t)
+        kept = sorted((index[a], k, index[b]) for a, k, b in arcs)
         self.nodes = states + [(t, None)]
         tails, edge_of, heads = zip(*kept) if kept else ((), (), ())
         self.edge_of = list(edge_of)
@@ -213,20 +226,21 @@ def _extract_paths(
 
 
 def _simplify_walk(net: Network, edges: list[int]) -> list[int]:
-    """Drop cycles from a physical walk so it becomes a simple path."""
-    while True:
-        seq = [net.edges[edges[0]].u] + [net.edges[k].v for k in edges]
-        seen: dict[int, int] = {}
-        cut = None
-        for pos, v in enumerate(seq):
-            if v in seen:
-                cut = (seen[v], pos)
-                break
-            seen[v] = pos
-        if cut is None:
-            return edges
-        a, b = cut
-        edges = edges[:a] + edges[b:]
+    """Erase cycles from a physical walk in the order they close, so it
+    becomes a simple path: on reaching a node already on the kept prefix,
+    truncate back to it."""
+    kept: list[int] = []
+    at = {net.edges[edges[0]].u: 0}  # node -> number of kept edges before it
+    for k in edges:
+        v = net.edges[k].v
+        if v in at:
+            for j in kept[at[v] :]:
+                del at[net.edges[j].v]
+            del kept[at[v] :]
+        else:
+            kept.append(k)
+            at[v] = len(kept)
+    return kept
 
 
 def _bind_cache(cache: dict | None, net: Network) -> dict:
@@ -252,8 +266,10 @@ def solve_exact(
 
     Throughput objectives need one LP (larger deadlines never hurt). Delay
     objectives enumerate candidate deadline vectors drawn from achievable
-    simple-path delays, best-first by objective value, with monotone
-    dominance pruning; the first feasible vector is optimal.
+    simple-path delays, best-first by objective value; the first feasible
+    vector is optimal. A larger vector found infeasible settles a vector
+    without an LP, as h only grows with the deadlines. A smaller feasible
+    one never can: its key is smaller, so the search ended there first.
 
     ``cache`` is a dict the caller owns, empty at first; without one each
     call uses a fresh dict. It is bound to the first call's network and
@@ -336,33 +352,18 @@ def solve_exact(
             return max(vals)
         return sum(vals)
 
-    def solve_scale(deltas: tuple[float, ...]) -> float:
-        """Solve the LP of ``deltas``, keep (h, LP result), return h."""
-        out = _exact_lp(spec, list(deltas), profile, graphs)
-        sol = out[0]
-        if sol.status == "infeasible":
-            h = 0.0
-        elif sol.status == "unbounded":
-            h = math.inf
-        else:
-            h = sol.objective
-        scales[deltas] = (h, out)
-        return h
-
-    def max_scale(deltas: tuple[float, ...]) -> float:
+    def feasible(deltas: tuple[float, ...]) -> bool:
+        """Whether h of ``deltas`` reaches ``needed``: cached, settled by a
+        larger cached vector with h < needed, or else solved and cached."""
         if deltas in scales:
-            return scales[deltas][0]
-        # Monotone dominance against exact cached values, first match in
-        # insertion order: h only grows with the deadline vector, so a
-        # large infeasible vector or a small feasible one settles this
-        # vector without an LP. The borrowed h is one-sided, so it is not
-        # written back into the cache.
+            return scales[deltas][0] >= needed
         for other, (h, _) in scales.items():
-            if all(o >= d for o, d in zip(other, deltas)) and h < needed:
-                return h
-            if all(o <= d for o, d in zip(other, deltas)) and h >= needed:
-                return h
-        return solve_scale(deltas)
+            if h < needed and all(o >= d for o, d in zip(other, deltas)):
+                return False
+        out = _exact_lp(spec, list(deltas), profile, graphs)
+        h = {"infeasible": 0.0, "unbounded": math.inf}.get(out[0].status, out[0].objective)
+        scales[deltas] = (h, out)
+        return h >= needed
 
     start = tuple(0 for _ in comms)
     heap = [(value(start), start)]
@@ -374,9 +375,7 @@ def solve_exact(
             raise SolverError("deadline enumeration budget exceeded")
         _, idx = heapq.heappop(heap)
         deltas = tuple(cands[i][j] for i, j in enumerate(idx))
-        if max_scale(deltas) >= needed:
-            if deltas not in scales:  # h was borrowed by dominance
-                solve_scale(deltas)
+        if feasible(deltas):
             sol, tes, cmap = scales[deltas][1]
             flows = _flows_from_arcs(net, tes, cmap, sol.x)
             # Trim surplus rate from the slowest paths so |f_i| = R_i.

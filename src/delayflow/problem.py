@@ -156,6 +156,17 @@ class ProblemSpec:
             for node in (c.source, c.sink):
                 if node not in idx:
                     raise ValueError(f"unknown node {node!r}")
+        # The objective at the largest metrics the network allows, once per
+        # spec: a commodity carries at most its source's out-capacity, and no
+        # simple path is slower than the n-1 slowest edges together. So a
+        # utility that overflows a float is an input error, found here.
+        net = self.network
+        longest = sum(sorted(net.delay_array.tolist(), reverse=True)[: len(net.nodes) - 1])
+        most = []
+        for c in self.commodities:
+            cap = sum(net.edges[k].capacity for k in net.out_edges[idx[c.source]])
+            most.append(CommodityMetrics(cap, longest, cap * longest, longest))
+        objective_value(self, tuple(most))
 
     def validate(self) -> None:
         """Raise if objective-relevant utilities fail their shape checks."""

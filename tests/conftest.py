@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
-from delayflow import algorithms, lp
+from delayflow import algorithms, baselines, lp
 from delayflow.algorithms import (
     check_lemma1,
     compute_lambda,
@@ -38,13 +38,16 @@ def ec2():
 @dataclass
 class Sweep:
     """One ``delayflow experiment`` sweep: its CSV text, its (params, spec,
-    report) rows in row order, the LP of every HiGHS call it made, and the
-    spec of every counterpart LP the PASS family built."""
+    report) rows in row order, the LP of every HiGHS call it made, the spec
+    of every counterpart LP the PASS family built, and how many LPs the
+    exact solver solved and time-expanded graphs it built."""
 
     text: str = field(repr=False)
     rows: list = field(repr=False)
     highs_calls: list
     counterpart_specs: list = field(repr=False)
+    exact_lps: int
+    exact_graphs: int
 
 
 @pytest.fixture(scope="session")
@@ -53,17 +56,25 @@ def ec2_sweeps():
     sweeps = {}
     calls: list = []
     built: list = []
+    exact_lps: list = []
+    graphs: list = []
     real = lp._solve_highs
     build = algorithms.build_counterpart
+    solve = baselines.solve_lp
+    expand = baselines._TimeExpanded
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lp, "_solve_highs", lambda prog: calls.append(prog) or real(prog))
         mp.setattr(algorithms, "build_counterpart", lambda spec: built.append(spec) or build(spec))
+        mp.setattr(baselines, "solve_lp", lambda prog: exact_lps.append(prog) or solve(prog))
+        mp.setattr(baselines, "_TimeExpanded", lambda *a: graphs.append(a) or expand(*a))
         for name in EXPERIMENTS:
             buf = io.StringIO()
             rows = run_experiment(name, csv.writer(buf))
-            sweeps[name] = Sweep(buf.getvalue(), rows, calls[:], built[:])
-            calls.clear()
-            built.clear()
+            sweeps[name] = Sweep(
+                buf.getvalue(), rows, calls[:], built[:], len(exact_lps), len(graphs)
+            )
+            for seen in (calls, built, exact_lps, graphs):
+                seen.clear()
     return sweeps
 
 

@@ -7,7 +7,7 @@ from scipy.optimize import linprog
 
 from delayflow import baselines
 from delayflow.baselines import (
-    _simplify_walk,
+    _TimeExpanded,
     simple_path_delays,
     solve_exact,
     solve_greedy,
@@ -319,6 +319,24 @@ class _ReferenceTimeExpanded:
         self.feasible = (s, 0.0) in useful
 
 
+def _reference_simplify_walk(net, edges):
+    """The walk simplifier as first written: cut the first cycle that
+    closes, then rescan the walk from its start."""
+    while True:
+        seq = [net.edges[edges[0]].u] + [net.edges[k].v for k in edges]
+        seen = {}
+        cut = None
+        for pos, v in enumerate(seq):
+            if v in seen:
+                cut = (seen[v], pos)
+                break
+            seen[v] = pos
+        if cut is None:
+            return edges
+        a, b = cut
+        edges = edges[:a] + edges[b:]
+
+
 def _reference_extract_paths(net, te, arc_flow):
     """The exact solver's path extraction before it shared ``decompose``'s
     loop, including the dust branch that dropped tiny stranded walks."""
@@ -365,7 +383,7 @@ def _reference_extract_paths(net, te, arc_flow):
             x[j] -= bottleneck
             if x[j] < zero:
                 x[j] = 0.0
-        phys = _simplify_walk(net, [te.arcs[j][1] for j in edges])
+        phys = _reference_simplify_walk(net, [te.arcs[j][1] for j in edges])
         if bottleneck > zero and phys:
             raw[tuple(phys)] = raw.get(tuple(phys), 0.0) + bottleneck
     return [(Path(p), r) for p, r in sorted(raw.items())]
@@ -373,6 +391,20 @@ def _reference_extract_paths(net, te, arc_flow):
 
 def _hexed(path_flow):
     return [(p.edges, r.hex()) for p, r in path_flow]
+
+
+def _assert_graph_matches_reference(te, net, s, t, deadline):
+    """``te`` has the reference graph's arcs in the same order (sink states
+    merged into one node), and a source exactly when the reference has one.
+    Returns the reference graph."""
+    ref = _ReferenceTimeExpanded(net, s, t, deadline)
+    tail = {j: u for u, outs in enumerate(te.out_edges) for j in outs}
+    assert [
+        (te.nodes[tail[j]], k, te.nodes[v])
+        for j, (k, v) in enumerate(zip(te.edge_of, te.heads))
+    ] == [(a, k, (t, None) if b[0] == t else b) for a, k, b in ref.arcs]
+    assert (te.source is not None) == ref.feasible
+    return ref
 
 
 def _check_extractions_against_reference(monkeypatch, solve_all):
@@ -398,16 +430,65 @@ def _check_extractions_against_reference(monkeypatch, solve_all):
     monkeypatch.setattr(baselines, "_extract_paths", recorded_extract)
     solve_all()
     for te, flow, paths in records:
-        net, _, t, _ = te.args
-        ref = _ReferenceTimeExpanded(*te.args)
-        tail = {j: u for u, outs in enumerate(te.out_edges) for j in outs}
-        assert [
-            (te.nodes[tail[j]], k, te.nodes[v])
-            for j, (k, v) in enumerate(zip(te.edge_of, te.heads))
-        ] == [(a, k, (t, None) if b[0] == t else b) for a, k, b in ref.arcs]
-        assert (te.source is not None) == ref.feasible
+        ref = _assert_graph_matches_reference(te, *te.args)
+        net = te.args[0]
         assert _hexed(paths) == _hexed(_reference_extract_paths(net, ref, flow))
     return len(records)
+
+
+# Hand cases for the pruned build; ``random_problem`` draws no zero delays.
+# Nodes s=0 .. t=3; each case gives its edges (u, v, delay), the deadline
+# and the number of arcs the pruned graph keeps.
+_HAND_GRAPHS = {
+    # s->a, then a<->b at zero delay, then a->t or b->t.
+    "zero-delay cycle": ([(0, 1, 1), (1, 2, 0), (2, 1, 0), (1, 3, 1), (2, 3, 1)], 2, 5),
+    # b is reached at 1 but needs 5 more; c never reaches t.
+    "untimely branch": ([(0, 1, 1), (1, 3, 1), (0, 2, 1), (2, 3, 5), (0, 4, 1)], 3, 2),
+    # the least delay from s to t is 2.
+    "deadline below d(s)": ([(0, 1, 1), (1, 3, 1), (0, 3, 4)], 1, 0),
+    # s->a->t and the walk s->a->s->a->t, of delay 5, meet deadline 5.
+    "deadline equals a walk": ([(0, 1, 1), (1, 0, 2), (1, 3, 1), (2, 3, 1)], 5, 5),
+}
+
+
+@pytest.mark.parametrize("name", list(_HAND_GRAPHS))
+def test_pruned_build_matches_reference_on_hand_graphs(name):
+    edges, deadline, n_arcs = _HAND_GRAPHS[name]
+    net = Network(
+        ("s", "a", "b", "t", "c"), tuple(Edge(u, v, float(d), 1.0) for u, v, d in edges)
+    )
+    te = _TimeExpanded(net, 0, 3, float(deadline))
+    _assert_graph_matches_reference(te, net, 0, 3, float(deadline))
+    assert len(te.edge_of) == n_arcs
+    assert (te.source is None) == (n_arcs == 0)
+
+
+def test_simplify_walk_matches_reference_on_random_walks():
+    rng = np.random.default_rng(7)
+    walks = 0
+    for _ in range(300):
+        n = int(rng.integers(2, 7))
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        keep = rng.random(len(pairs)) < 0.6
+        net = Network(
+            tuple(f"n{i}" for i in range(n)),
+            tuple(Edge(u, v, 1.0, 1.0) for (u, v), k in zip(pairs, keep) if k),
+        )
+        for _ in range(10):
+            start = u = int(rng.integers(n))
+            walk = []
+            for _ in range(int(rng.integers(1, 25))):
+                if not net.out_edges[u]:
+                    break
+                k = int(rng.choice(net.out_edges[u]))
+                walk.append(k)
+                u = net.edges[k].v
+            if u != start:  # an open walk, as a source-to-sink walk is
+                walks += 1
+                assert baselines._simplify_walk(net, walk) == _reference_simplify_walk(
+                    net, walk
+                )
+    assert walks > 1000
 
 
 def test_extraction_matches_reference_on_corpus(monkeypatch):
@@ -502,3 +583,14 @@ def test_shared_exact_cache_matches_fresh_and_repeats_no_work(monkeypatch, ec2):
     assert all(_same_report(a, b) for a, b in zip(shared, fresh))
     assert len(solved) == len(set(lp_keys)) > 0
     assert len(built) == len(set(built)) > 0
+
+
+def test_exact_work_per_sweep_is_pinned(ec2_sweeps):
+    """The exact LPs solved and time-expanded graphs built by each
+    ``delayflow experiment`` sweep, with one shared cache per sweep."""
+    assert {name: s.exact_lps for name, s in ec2_sweeps.items()} == {
+        "tcdm-eps": 86, "tcdm-rate": 141, "dcum-eps": 1, "utility-weights": 100
+    }
+    assert {name: s.exact_graphs for name, s in ec2_sweeps.items()} == {
+        "tcdm-eps": 34, "tcdm-rate": 50, "dcum-eps": 2, "utility-weights": 2
+    }

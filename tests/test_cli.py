@@ -611,21 +611,30 @@ _STEEP = {"points": [[0, 0], [1, 1e308]]}
 _PENALTY = _overflowing("SumDelayPenalty", R=50, utility_d=_STEEP)
 
 
-# numpy warns as a coefficient or utility overflows; the inf is rejected after.
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+_UTILITY = _overflowing("SumThroughputUtility", D=150, utility_t=_STEEP)
+_OVERFLOWS = "the {} objective overflows a float (inf)"
+
+
+# The spec is rejected when it is built, before any solver runs, so numpy
+# never meets the overflowing coefficients and warns about nothing.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "algo,extra,problem,message",
     [
-        ("pass", ["--eps", "0.1"], _PENALTY, "LP row values must be finite"),
+        ("pass", ["--eps", "0.1"], _PENALTY, _OVERFLOWS.format("SumDelayPenalty")),
         ("pass-m", [], _overflowing("SumDelayPenalty", R=50, D=1000, utility_d=_STEEP),
-         "LP row values must be finite"),
-        ("pass-t", [], _PENALTY, "LP row values must be finite"),
-        ("greedy", [], _PENALTY, "the SumDelayPenalty objective overflows a float (inf)"),
-        ("exact", [], _PENALTY, "the SumDelayPenalty objective overflows a float (inf)"),
-        ("greedy", [], _overflowing("SumThroughputUtility", D=150, utility_t=_STEEP),
-         "the SumThroughputUtility objective overflows a float (inf)"),
+         _OVERFLOWS.format("SumDelayPenalty")),
+        ("pass-t", [], _PENALTY, _OVERFLOWS.format("SumDelayPenalty")),
+        ("greedy", [], _PENALTY, _OVERFLOWS.format("SumDelayPenalty")),
+        ("exact", [], _PENALTY, _OVERFLOWS.format("SumDelayPenalty")),
+        ("pass", ["--eps", "0.1"], _UTILITY, _OVERFLOWS.format("SumThroughputUtility")),
+        ("pass-m", [], _UTILITY, _OVERFLOWS.format("SumThroughputUtility")),
+        ("pass-t", [], _UTILITY, _OVERFLOWS.format("SumThroughputUtility")),
+        ("greedy", [], _UTILITY, _OVERFLOWS.format("SumThroughputUtility")),
+        ("exact", [], _UTILITY, _OVERFLOWS.format("SumThroughputUtility")),
     ],
-    ids=["pass", "pass-m", "pass-t", "greedy", "exact", "greedy-utility_t"],
+    ids=["pass", "pass-m", "pass-t", "greedy", "exact", "pass-utility_t", "pass-m-utility_t",
+         "pass-t-utility_t", "greedy-utility_t", "exact-utility_t"],
 )
 def test_overflowing_objective_exits_1(tmp_path, capsys, algo, extra, problem, message):
     """An objective that overflows is an input error, not an infeasible
