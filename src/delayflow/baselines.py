@@ -55,7 +55,6 @@ def solve_greedy(spec: ProblemSpec) -> SolveReport:
 
     An unmet requirement yields a partial solution flagged infeasible.
     """
-    spec.validate()
     t0 = time.perf_counter()
     net = spec.network
     residual = net.capacities()
@@ -264,12 +263,13 @@ def solve_exact(
     """True optimum of the delay-constrained problem via time-expanded
     networks; requires integer edge delays.
 
-    Throughput objectives need one LP (larger deadlines never hurt). Delay
-    objectives enumerate candidate deadline vectors drawn from achievable
-    simple-path delays, best-first by objective value; the first feasible
-    vector is optimal. A larger vector found infeasible settles a vector
-    without an LP, as h only grows with the deadlines. A smaller feasible
-    one never can: its key is smaller, so the search ended there first.
+    Each commodity's deadline is its D, or ``deadline_cap`` in place of an
+    infinite D, clamped to ``net.max_path_delay``: no simple path is
+    slower, and a longer walk projects to no new path. Throughput
+    objectives need one LP at those deadlines (larger deadlines never
+    hurt). Delay objectives enumerate candidate deadline vectors drawn from
+    achievable simple-path delays, best-first by objective value; the first
+    feasible vector is optimal.
 
     ``cache`` is a dict the caller owns, empty at first; without one each
     call uses a fresh dict. It is bound to the first call's network and
@@ -284,7 +284,6 @@ def solve_exact(
     the requirements, and SolverError when an LP fails or the search
     exceeds its budget.
     """
-    spec.validate()
     if not spec.network.has_integer_delays():
         raise ValueError("integer delays required for the exact solver")
     t0 = time.perf_counter()
@@ -292,25 +291,8 @@ def solve_exact(
     comms = spec.commodities
     cache = _bind_cache(cache, net)
     graphs = cache.setdefault("graphs", {})
-    path_delays = cache.setdefault("path_delays", {})
-
-    def delays_of(c) -> list[float]:
-        ends = (c.source, c.sink)
-        if ends not in path_delays:
-            path_delays[ends] = simple_path_delays(net, c.source, c.sink)
-        return path_delays[ends]
-
-    caps = []
-    for c in comms:
-        cap = c.D
-        if not math.isfinite(cap):
-            cap = deadline_cap
-        if cap is None or not math.isfinite(cap):
-            all_delays = delays_of(c)
-            if not all_delays:
-                raise InfeasibleError(f"no path from {c.source} to {c.sink}")
-            cap = all_delays[-1]
-        caps.append(cap)
+    d_inf = math.inf if deadline_cap is None else deadline_cap
+    caps = [min(c.D if c.D < math.inf else d_inf, net.max_path_delay) for c in comms]
 
     if not spec.objective.is_delay:
         sol, tes, cmap = _exact_lp(spec, caps, None, graphs)
@@ -322,14 +304,16 @@ def solve_exact(
         return build_report(spec, "EXACT", FlowSolution(flows), t0)
 
     # Delay objective: best-first over candidate deadline vectors.
+    path_delays = cache.setdefault("path_delays", {})
     cands = []
     for c, cap in zip(comms, caps):
-        all_delays = delays_of(c)
-        ds = all_delays[: bisect.bisect_right(all_delays, cap)]
+        ends = (c.source, c.sink)
+        if ends not in path_delays:
+            path_delays[ends] = simple_path_delays(net, c.source, c.sink)
+        ds = path_delays[ends]
+        ds = ds[: bisect.bisect_right(ds, cap)]
         if not ds:
-            raise InfeasibleError(
-                f"no {c.source}->{c.sink} path within delay bound {cap}"
-            )
+            raise InfeasibleError(f"no {c.source}->{c.sink} path within delay bound {c.D}")
         cands.append(ds)
 
     max_r = max(c.R for c in comms)
@@ -353,17 +337,13 @@ def solve_exact(
         return sum(vals)
 
     def feasible(deltas: tuple[float, ...]) -> bool:
-        """Whether h of ``deltas`` reaches ``needed``: cached, settled by a
-        larger cached vector with h < needed, or else solved and cached."""
-        if deltas in scales:
-            return scales[deltas][0] >= needed
-        for other, (h, _) in scales.items():
-            if h < needed and all(o >= d for o, d in zip(other, deltas)):
-                return False
-        out = _exact_lp(spec, list(deltas), profile, graphs)
-        h = {"infeasible": 0.0, "unbounded": math.inf}.get(out[0].status, out[0].objective)
-        scales[deltas] = (h, out)
-        return h >= needed
+        """Whether h of ``deltas`` reaches ``needed``; one LP per vector,
+        cached."""
+        if deltas not in scales:
+            out = _exact_lp(spec, list(deltas), profile, graphs)
+            h = {"infeasible": 0.0, "unbounded": math.inf}.get(out[0].status, out[0].objective)
+            scales[deltas] = (h, out)
+        return scales[deltas][0] >= needed
 
     start = tuple(0 for _ in comms)
     heap = [(value(start), start)]

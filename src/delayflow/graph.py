@@ -40,7 +40,8 @@ class Network:
     arrays, and ``delay_array``/``capacity_array`` its delay and capacity.
     ``flow_unit`` is 2**ceil(log2(largest capacity)), or 1.0 when no edge
     has capacity; ``zero_tol`` and ``check_tol`` are ZERO_TOL and CHECK_TOL
-    in that unit.
+    in that unit. ``max_path_delay``, the sum of the n-1 largest edge
+    delays, bounds the delay of every simple path.
     """
 
     nodes: tuple[str, ...]
@@ -56,6 +57,7 @@ class Network:
     flow_unit: float = field(init=False, repr=False, compare=False)
     zero_tol: float = field(init=False, repr=False, compare=False)
     check_tol: float = field(init=False, repr=False, compare=False)
+    max_path_delay: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in self.nodes:  # one token of topology text, before any '#'
@@ -99,6 +101,8 @@ class Network:
         # and rate-weighted delay sums stay finite.
         if not math.isfinite(sum(e.delay for e in self.edges)):
             raise TopologyError("the sum of edge delays overflows a float")
+        longest = sorted(self.delay_array.tolist(), reverse=True)[: len(self.nodes) - 1]
+        object.__setattr__(self, "max_path_delay", sum(longest))
         cap = max((e.capacity for e in self.edges), default=0.0)
         mantissa, exp = math.frexp(cap)  # cap = mantissa * 2**exp, exactly
         try:

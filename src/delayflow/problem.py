@@ -144,6 +144,12 @@ class Objective(enum.Enum):
 
 @dataclass(frozen=True)
 class ProblemSpec:
+    """A network, its commodities and the objective, checked once, here:
+    every endpoint is a node, each commodity meets the objective's
+    conditions (a concave throughput utility, or a convex sublinear delay
+    penalty with R > 0), and the objective stays finite at the largest
+    metrics the network allows. So a spec that exists is valid."""
+
     network: Network
     commodities: tuple[Commodity, ...]
     objective: Objective
@@ -151,25 +157,12 @@ class ProblemSpec:
     def __post_init__(self):
         if not self.commodities:
             raise ValueError("need at least one commodity")
-        idx = self.network.node_index
+        net = self.network
+        idx = net.node_index
         for c in self.commodities:
             for node in (c.source, c.sink):
                 if node not in idx:
                     raise ValueError(f"unknown node {node!r}")
-        # The objective at the largest metrics the network allows, once per
-        # spec: a commodity carries at most its source's out-capacity, and no
-        # simple path is slower than the n-1 slowest edges together. So a
-        # utility that overflows a float is an input error, found here.
-        net = self.network
-        longest = sum(sorted(net.delay_array.tolist(), reverse=True)[: len(net.nodes) - 1])
-        most = []
-        for c in self.commodities:
-            cap = sum(net.edges[k].capacity for k in net.out_edges[idx[c.source]])
-            most.append(CommodityMetrics(cap, longest, cap * longest, longest))
-        objective_value(self, tuple(most))
-
-    def validate(self) -> None:
-        """Raise if objective-relevant utilities fail their shape checks."""
         for i, c in enumerate(self.commodities):
             if self.objective.is_delay:
                 msg = validate_utility_d(c.utility_d)
@@ -184,6 +177,15 @@ class ProblemSpec:
                 msg = validate_utility_t(c.utility_t)
                 if msg:
                     raise ValueError(f"commodity {i} throughput utility: {msg}")
+        # A commodity carries at most its source's out-capacity, and no
+        # simple path is slower than ``max_path_delay``. So a utility that
+        # overflows a float is an input error, found here.
+        longest = net.max_path_delay
+        most = []
+        for c in self.commodities:
+            cap = sum(net.edges[k].capacity for k in net.out_edges[idx[c.source]])
+            most.append(CommodityMetrics(cap, longest, cap * longest, longest))
+        objective_value(self, tuple(most))
 
 
 @dataclass(frozen=True)
@@ -315,16 +317,16 @@ def build_counterpart(
     D_i*R_i, minimizing the penalty of the average delay T_i/R_i. PL
     utilities enter exactly through one epigraph variable per commodity.
 
-    By default every commodity routes over the physical network, and the
-    spec is validated first. ``graphs`` instead gives one graph per
-    commodity with the integer shape that ``decompose`` reads plus
-    ``source`` (None when the commodity has no arcs), ``sink``, the
-    integer arrays ``arc_tail`` and ``arc_head``, and ``edge_of``: arc j
-    runs from node ``arc_tail[j]`` to ``arc_head[j]`` along physical edge
-    ``edge_of[j]`` and counts against its capacity. These are the exact
-    solver's time-expanded graphs (its caller has validated the spec), on
-    which every walk meets its deadline, so they get no average-delay row. With ``profile`` the objective becomes
-    max t subject to |f_i| >= t*profile_i.
+    By default every commodity routes over the physical network.
+    ``graphs`` instead gives one graph per commodity with the integer shape
+    that ``decompose`` reads plus ``source`` (None when the commodity has
+    no arcs), ``sink``, the integer arrays ``arc_tail`` and ``arc_head``,
+    and ``edge_of``: arc j runs from node ``arc_tail[j]`` to
+    ``arc_head[j]`` along physical edge ``edge_of[j]`` and counts against
+    its capacity. These are the exact solver's time-expanded graphs, on
+    which every walk meets its deadline, so they get no average-delay row.
+    With ``profile`` the objective becomes max t subject to
+    |f_i| >= t*profile_i.
 
     Rows, per commodity: the source row (net outflow - |f_i| = 0, or
     -|f_i| = 0 without a source), conservation at the other non-sink nodes
@@ -340,7 +342,6 @@ def build_counterpart(
     comms = spec.commodities
     K = len(comms)
     if graphs is None:
-        spec.validate()
         every_edge = np.arange(len(net.edges))
         shapes = [
             (net, net.index_of(c.source), net.index_of(c.sink), every_edge)

@@ -110,6 +110,70 @@ def test_simple_path_delays_node_limit():
         simple_path_delays(Network(nodes, edges), "n0", f"n{n - 1}")
 
 
+# -- large deadlines: every deadline is clamped to max_path_delay -------------
+
+
+def _forbid_graphs_past_bound(monkeypatch) -> list:
+    """Make every time-expanded build assert that its deadline is at most
+    ``net.max_path_delay`` before it allocates anything; returns the list
+    of (deadline, arc count) of the graphs built."""
+    built = []
+
+    class Bounded(baselines._TimeExpanded):
+        def __init__(self, net, s, t, deadline):
+            assert deadline <= net.max_path_delay, f"unclamped deadline {deadline}"
+            super().__init__(net, s, t, deadline)
+            built.append((deadline, len(self.edge_of)))
+
+    monkeypatch.setattr(baselines, "_TimeExpanded", Bounded)
+    return built
+
+
+def test_exact_huge_deadline_on_a_dag_caches_clamped_graphs():
+    # s->a->t (delay 3) and s->t (delay 4); the two largest delays sum to 6.
+    net = Network(
+        ("s", "a", "t"), (Edge(0, 1, 1.0, 1.0), Edge(1, 2, 2.0, 1.0), Edge(0, 2, 4.0, 2.0))
+    )
+    cache: dict = {}
+    rep = solve_exact(make_dcum(net, [("s", "t", 1e308, IDENTITY)]), cache=cache)
+    assert rep.objective == pytest.approx(3.0)
+    assert [key[2] for key in cache["graphs"]] == [6.0]
+    assert net.max_path_delay == 6.0
+
+
+def test_exact_huge_deadline_on_a_cycle_builds_a_small_graph(monkeypatch):
+    # s<->a is a cycle; an unclamped deadline of 1e308 unrolls it forever.
+    net = Network(
+        ("s", "a", "t"),
+        (Edge(0, 1, 1.0, 1.0), Edge(1, 0, 1.0, 1.0), Edge(1, 2, 2.0, 1.0), Edge(0, 2, 4.0, 2.0)),
+    )
+    built = _forbid_graphs_past_bound(monkeypatch)
+    rep = solve_exact(make_dcum(net, [("s", "t", 1e308, IDENTITY), ("a", "t", 1e308, IDENTITY)]))
+    assert rep.objective == pytest.approx(3.0)
+    assert built == [(6.0, 7), (6.0, 8)]
+
+
+def test_exact_throughput_past_the_enumeration_limit(monkeypatch):
+    """A throughput objective with infinite D needs no simple-path delays,
+    so the 12-node enumeration limit does not bind."""
+    n = 13
+    edges = [Edge(i, i + 1, 1.0, 1.0) for i in range(n - 1)]
+    edges += [Edge(i + 1, i, 1.0, 1.0) for i in range(n - 1)]
+    net = Network(tuple(f"n{i}" for i in range(n)), tuple(edges) + (Edge(0, n - 1, 5.0, 2.0),))
+    built = _forbid_graphs_past_bound(monkeypatch)
+    rep = solve_exact(make_dcum(net, [("n0", f"n{n - 1}", math.inf, IDENTITY)]))
+    assert rep.objective == pytest.approx(3.0)
+    assert [deadline for deadline, _ in built] == [net.max_path_delay]
+
+
+def test_max_path_delay_bounds_every_simple_path(ec2):
+    for net in [ec2] + [random_problem(np.random.default_rng(seed)).network for seed in range(200)]:
+        for s in net.nodes:
+            for t in net.nodes:
+                if s != t:
+                    assert max(simple_path_delays(net, s, t), default=0.0) <= net.max_path_delay
+
+
 # -- independent oracle via full simple-path enumeration ---------------------
 
 

@@ -404,6 +404,12 @@ _BAD_PROBLEMS = [
       "commodities": [{"src": "s", "dst": "t",
                        "utility_t": {"points": [[0, 0], [1e-300, 1e300]]}}]},
      "commodity 0: utility_t: segment 0 (slope inf, intercept nan) is not finite"),
+    ({"objective": "SumDelayPenalty",
+      "commodities": [{"src": "s", "dst": "t", "R": 1.0,
+                       "utility_d": {"points": [[0, 0], [100, 200], [1000, 300]]}}]},
+     "commodity 0 delay utility: slopes decrease at segment 1"),
+    ({"objective": "MaxDelayPenalty", "commodities": [{"src": "s", "dst": "t", "R": 0}]},
+     "commodity 0: delay objectives need R > 0"),
 ]
 
 

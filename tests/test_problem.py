@@ -4,8 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from delayflow.algorithms import solve_pass
-from delayflow.baselines import solve_exact
 from delayflow.graph import Edge, Network, Path
 from delayflow.lp import solve_lp
 from delayflow.problem import (
@@ -82,21 +80,17 @@ def test_commodity_validation():
 
 
 def test_problem_spec_validation(two_parallel):
-    spec = ProblemSpec(
-        two_parallel,
-        (Commodity("s", "t", R=1.0),),
-        Objective.SUM_DELAY_PENALTY,
-    )
-    spec.validate()
+    """A spec is checked once, when it is built: its nodes first, then each
+    commodity against the objective's conditions."""
+    ProblemSpec(two_parallel, (Commodity("s", "t", R=1.0),), Objective.SUM_DELAY_PENALTY)
     with pytest.raises(ValueError, match="unknown node"):
         ProblemSpec(two_parallel, (Commodity("s", "x"),), Objective.SUM_DELAY_PENALTY)
-    bad = ProblemSpec(
-        two_parallel,
-        (Commodity("s", "t", R=0.0),),
-        Objective.SUM_DELAY_PENALTY,
-    )
+    zero_rate = (Commodity("s", "t", R=0.0),)
     with pytest.raises(ValueError, match="R > 0"):
-        bad.validate()
+        ProblemSpec(two_parallel, zero_rate, Objective.SUM_DELAY_PENALTY)
+    ProblemSpec(two_parallel, zero_rate, Objective.SUM_THROUGHPUT_UTILITY)
+    with pytest.raises(ValueError, match="unknown node"):
+        ProblemSpec(two_parallel, zero_rate + (Commodity("x", "t"),), Objective.SUM_DELAY_PENALTY)
 
 
 def test_flow_solution_metrics(two_parallel):
@@ -154,15 +148,11 @@ def test_check_feasible_two_violated_nodes():
     ],
 )
 def test_invalid_utility_raises_from_every_entry(two_parallel, objective, commodity, message):
-    """``build_counterpart`` validates the specs it routes over the physical
-    network; the solvers validate before they build."""
-    spec = ProblemSpec(two_parallel, (commodity,), objective)
+    """The constructor raises, so no entry (``build_counterpart``, a solver,
+    ``verify``) is ever handed a spec that breaks its objective's
+    conditions."""
     with pytest.raises(ValueError, match=message):
-        build_counterpart(spec)
-    with pytest.raises(ValueError, match=message):
-        solve_pass(spec, 0.5)
-    with pytest.raises(ValueError, match=message):
-        solve_exact(spec)
+        ProblemSpec(two_parallel, (commodity,), objective)
 
 
 def test_objective_values(two_parallel):
