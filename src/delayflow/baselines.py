@@ -20,7 +20,7 @@ from delayflow.algorithms import (
 from delayflow.decompose import _cancel, _strip_paths
 from delayflow.graph import Network, Path, shortest_path_by_delay
 from delayflow.lp import LpSolution, SolverError, solve_lp
-from delayflow.problem import FlowSolution, Objective, ProblemSpec, build_counterpart
+from delayflow.problem import FlowSolution, ProblemSpec, build_counterpart
 
 _MAX_ENUM_NODES = 12
 
@@ -92,33 +92,15 @@ def simple_path_delays(net: Network, s: str, t: str) -> list[float]:
     return sorted(delays)
 
 
-def _delays_to(net: Network, t: int) -> list[float]:
-    """Each node's least delay to ``t`` over all edges, capacity ignored
-    (inf where ``t`` is unreachable): a heap Dijkstra over ``in_edges``."""
-    dist = [math.inf] * len(net.nodes)
-    dist[t] = 0.0
-    heap = [(0.0, t)]
-    while heap:
-        d, v = heapq.heappop(heap)
-        if d > dist[v]:
-            continue
-        for k in net.in_edges[v]:
-            e = net.edges[k]
-            if d + e.delay < dist[e.u]:
-                dist[e.u] = d + e.delay
-                heapq.heappush(heap, (dist[e.u], e.u))
-    return dist
-
-
 class _TimeExpanded:
     """Per-commodity layered graph over states (v, elapsed delay tau),
     pruned to those on some source-to-sink walk with tau <= deadline.
 
     A reached state lies on such a walk exactly when tau + d(v) <=
-    deadline, d(v) being v's least delay to t (``_delays_to``): a
-    least-delay v->t path ends at its first visit to t, and each state on
-    it passes the same test. So one forward search that expands only
-    passing states reaches the pruned graph and nothing else (integer
+    deadline, d(v) = ``net.least_delays[v, t]`` being v's least delay to
+    t: a least-delay v->t path ends at its first visit to t, and each
+    state on it passes the same test. So one forward search that expands
+    only passing states reaches the pruned graph and nothing else (integer
     delays keep the sums exact).
 
     It has the integer graph shape that ``decompose`` and
@@ -134,7 +116,7 @@ class _TimeExpanded:
     """
 
     def __init__(self, net: Network, s: int, t: int, deadline: float):
-        dist = _delays_to(net, t)
+        dist = net.least_delays[:, t].tolist()
         reach = {(s, 0.0)} if dist[s] <= deadline else set()
         frontier = list(reach)
         arcs: list[tuple[tuple[int, float], int, tuple[int, float]]] = []
@@ -184,6 +166,8 @@ def _exact_lp(
     deadline) to a graph already built and takes each one built here.
     Returns (LpSolution, graphs, CounterpartMap), with an infeasible
     solution and no map when a commodity that must carry rate has no walk.
+    The LP is bounded, so any status but optimal or infeasible raises
+    SolverError.
     """
     net = spec.network
     tes = []
@@ -198,7 +182,10 @@ def _exact_lp(
         if te.source is None and (profile is not None or c.R > 0):
             return LpSolution("infeasible"), tes, None
     lp, cmap = build_counterpart(spec, tes, profile)
-    return solve_lp(lp), tes, cmap
+    sol = solve_lp(lp)
+    if sol.status not in ("optimal", "infeasible"):
+        raise SolverError(f"exact LP status {sol.status}")
+    return sol, tes, cmap
 
 
 def _extract_paths(
@@ -298,8 +285,6 @@ def solve_exact(
         sol, tes, cmap = _exact_lp(spec, caps, None, graphs)
         if sol.status == "infeasible":
             raise InfeasibleError("no feasible flow within the delay bounds")
-        if sol.status != "optimal":
-            raise SolverError(f"exact LP status {sol.status}")
         flows = _flows_from_arcs(net, tes, cmap, sol.x)
         return build_report(spec, "EXACT", FlowSolution(flows), t0)
 
@@ -325,6 +310,7 @@ def solve_exact(
     scales = cache.setdefault("scales", {}).setdefault((ends, tuple(profile)), {})
 
     costs: list[dict[int, float]] = [{} for _ in comms]
+    combine = spec.objective.combine
 
     def value(idx: tuple[int, ...]) -> float:
         vals = []
@@ -332,17 +318,14 @@ def solve_exact(
             if j not in costs[i]:
                 costs[i][j] = comms[i].utility_d.value(cands[i][j])
             vals.append(costs[i][j])
-        if spec.objective is Objective.MAX_DELAY_PENALTY:
-            return max(vals)
-        return sum(vals)
+        return combine(vals)
 
     def feasible(deltas: tuple[float, ...]) -> bool:
         """Whether h of ``deltas`` reaches ``needed``; one LP per vector,
         cached."""
         if deltas not in scales:
             out = _exact_lp(spec, list(deltas), profile, graphs)
-            h = {"infeasible": 0.0, "unbounded": math.inf}.get(out[0].status, out[0].objective)
-            scales[deltas] = (h, out)
+            scales[deltas] = (out[0].objective if out[0].status == "optimal" else 0.0, out)
         return scales[deltas][0] >= needed
 
     start = tuple(0 for _ in comms)

@@ -11,14 +11,24 @@ from delayflow.graph import Network, Path, unbalanced_nodes
 from delayflow.lp import SolverError
 
 
-def _check_conservation(net: Network, x: np.ndarray, s: int, t: int) -> None:
-    bad, out, inflow = unbalanced_nodes(net, x, s, t, net.check_tol)
+def _checked_flow(net: Network, edge_flow: np.ndarray, s: str, t: str) -> list[float]:
+    """One commodity's s->t edge flow as a list of floats, which the walks
+    read in place of numpy scalars; a rate in (-zero_tol, 0) reads 0.
+    Raises ValueError when a rate is negative or a node other than s and t
+    is unbalanced."""
+    x = np.array(edge_flow, dtype=np.float64)
+    x[(x < 0) & (x > -net.zero_tol)] = 0.0
+    if np.any(x < 0):
+        raise ValueError("edge flow must be nonnegative")
+    si, ti = net.index_of(s), net.index_of(t)
+    bad, out, inflow = unbalanced_nodes(net, x, si, ti, net.check_tol)
     if bad:
         v = bad[0]
         raise ValueError(
             f"flow conservation violated at node {net.nodes[v]} "
             f"(imbalance {out[v] - inflow[v]})"
         )
+    return x.tolist()
 
 
 def _find_cycle(graph, x: list[float]) -> list[int] | None:
@@ -63,12 +73,7 @@ def cancel_cycles(net: Network, edge_flow: np.ndarray, s: str, t: str) -> np.nda
     The result has an acyclic support, the same source throughput, and is
     pointwise <= the input; total delay never increases.
     """
-    x = np.array(edge_flow, dtype=np.float64)
-    x[(x < 0) & (x > -net.zero_tol)] = 0.0
-    if np.any(x < 0):
-        raise ValueError("edge flow must be nonnegative")
-    _check_conservation(net, x, net.index_of(s), net.index_of(t))
-    flow = x.tolist()  # the walk reads plain floats, not numpy scalars
+    flow = _checked_flow(net, edge_flow, s, t)
     _cancel(net, flow)
     return np.array(flow, dtype=np.float64)
 
@@ -94,14 +99,10 @@ def decompose(
     positive-flow outgoing edge with the smallest index, then strip the
     bottleneck rate.
     """
-    si, ti = net.index_of(s), net.index_of(t)
-    x = np.array(edge_flow, dtype=np.float64)
-    if np.any(x < -net.zero_tol):
-        raise ValueError("edge flow must be nonnegative")
-    _check_conservation(net, x, si, ti)
+    flow = _checked_flow(net, edge_flow, s, t)
     return [
         (Path(tuple(edges)), rate)
-        for edges, rate in _strip_paths(net, x.tolist(), si, ti)
+        for edges, rate in _strip_paths(net, flow, net.index_of(s), net.index_of(t))
     ]
 
 

@@ -13,16 +13,8 @@ import math
 import numpy as np
 
 from delayflow.baselines import push_shortest
-from delayflow.graph import Edge, Network, shortest_path_by_delay
-from delayflow.problem import (
-    Commodity,
-    Objective,
-    PLFunction,
-    ProblemSpec,
-    scaled_identity,
-    validate_utility_d,
-    validate_utility_t,
-)
+from delayflow.graph import Edge, Network
+from delayflow.problem import Commodity, Objective, PLFunction, ProblemSpec, scaled_identity
 
 
 def random_network(
@@ -77,9 +69,7 @@ def _random_breakpoints(
 
 def random_concave_utility(rng: np.random.Generator) -> PLFunction:
     pts, _ = _random_breakpoints(rng, concave=True)
-    f = PLFunction(tuple(pts))
-    assert validate_utility_t(f) is None
-    return f
+    return PLFunction(tuple(pts))
 
 
 def random_convex_penalty(rng: np.random.Generator) -> PLFunction:
@@ -89,9 +79,7 @@ def random_convex_penalty(rng: np.random.Generator) -> PLFunction:
     pts, slopes = _random_breakpoints(rng, concave=False)
     lift = max(0.0, -min(u - s * a for (a, u), s in zip(pts, slopes + slopes[-1:])))
     pts = [(a, u + lift) for a, u in pts]
-    f = PLFunction(tuple(pts))
-    assert validate_utility_d(f) is None
-    return f
+    return PLFunction(tuple(pts))
 
 
 def random_problem(
@@ -113,12 +101,10 @@ def random_problem(
                 _, cap = push_shortest(net, residual, net.nodes[s], net.nodes[t])
                 if cap <= 0.5:  # cap is 0 when no s->t path exists
                     continue
-                sp = shortest_path_by_delay(net, net.capacities(), net.nodes[s], net.nodes[t])
                 used.add((s, t))
                 break
             else:
                 continue
-            sp_delay = sp.delay(net)
             if objective.is_delay:
                 # Requirement the greedy pusher just met; no delay bound so the
                 # counterpart stays feasible.
@@ -142,7 +128,9 @@ def random_problem(
                         net.nodes[s],
                         net.nodes[t],
                         R=0.0,
-                        D=float(math.ceil(sp_delay * float(rng.uniform(1.0, 3.0)))),
+                        D=float(
+                            math.ceil(net.least_delays[s, t] * float(rng.uniform(1.0, 3.0)))
+                        ),
                         utility_t=(
                             random_concave_utility(rng)
                             if rng.random() < 0.5

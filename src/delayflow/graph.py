@@ -41,7 +41,9 @@ class Network:
     ``flow_unit`` is 2**ceil(log2(largest capacity)), or 1.0 when no edge
     has capacity; ``zero_tol`` and ``check_tol`` are ZERO_TOL and CHECK_TOL
     in that unit. ``max_path_delay``, the sum of the n-1 largest edge
-    delays, bounds the delay of every simple path.
+    delays, bounds the delay of every simple path. ``least_delays[u, v]``
+    is the least delay of a u->v walk, capacity ignored (inf where v is
+    unreachable), computed on first read.
     """
 
     nodes: tuple[str, ...]
@@ -58,6 +60,9 @@ class Network:
     zero_tol: float = field(init=False, repr=False, compare=False)
     check_tol: float = field(init=False, repr=False, compare=False)
     max_path_delay: float = field(init=False, repr=False, compare=False)
+    # ``least_delays`` once read. A cached_property would write ``__dict__``,
+    # after which CPython 3.11 reads every attribute of the network slower.
+    _least_delays: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in self.nodes:  # one token of topology text, before any '#'
@@ -114,6 +119,23 @@ class Network:
         object.__setattr__(self, "flow_unit", unit)
         object.__setattr__(self, "zero_tol", ZERO_TOL * unit)
         object.__setattr__(self, "check_tol", CHECK_TOL * unit)
+
+    @property
+    def least_delays(self) -> np.ndarray:
+        """The n x n read-only array of least walk delays, computed on first
+        read: the min-plus closure of the edge delays, one pivot node at a
+        time (Floyd-Warshall). Each entry is a sum of edge delays, so
+        integer delays stay exact."""
+        if self._least_delays is None:
+            n = len(self.nodes)
+            dist = np.full((n, n), math.inf)
+            np.minimum.at(dist, (self.arc_tail, self.arc_head), self.delay_array)
+            np.fill_diagonal(dist, 0.0)
+            for k in range(n):
+                np.minimum(dist, dist[:, k, None] + dist[k], out=dist)
+            dist.flags.writeable = False
+            object.__setattr__(self, "_least_delays", dist)
+        return self._least_delays
 
     def index_of(self, node: str) -> int:
         try:

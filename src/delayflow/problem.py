@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,6 +141,14 @@ class Objective(enum.Enum):
     @property
     def is_delay(self) -> bool:
         return self in (Objective.SUM_DELAY_PENALTY, Objective.MAX_DELAY_PENALTY)
+
+    @property
+    def combine(self) -> Callable[[Iterable[float]], float]:
+        """How the per-commodity values combine into the objective: ``sum``,
+        ``min`` (max-min throughput) or ``max`` (min-max delay)."""
+        if self in (Objective.SUM_THROUGHPUT_UTILITY, Objective.SUM_DELAY_PENALTY):
+            return sum
+        return min if self is Objective.MIN_THROUGHPUT_UTILITY else max
 
 
 @dataclass(frozen=True)
@@ -280,12 +289,7 @@ def objective_value(spec: ProblemSpec, metrics: tuple[CommodityMetrics, ...]) ->
         vals = [c.utility_d.value(m.max_delay) for c, m in zip(comms, metrics)]
     else:
         vals = [c.utility_t.value(m.throughput) for c, m in zip(comms, metrics)]
-    if obj in (Objective.SUM_THROUGHPUT_UTILITY, Objective.SUM_DELAY_PENALTY):
-        value = float(sum(vals))
-    elif obj is Objective.MIN_THROUGHPUT_UTILITY:
-        value = float(min(vals))
-    else:
-        value = float(max(vals))
+    value = float(obj.combine(vals))
     if not math.isfinite(value):
         raise ValueError(f"the {obj.value} objective overflows a float ({value})")
     return value
@@ -359,7 +363,7 @@ def build_counterpart(
         nvars += 1
     else:
         nvars += K
-        if spec.objective in (Objective.MIN_THROUGHPUT_UTILITY, Objective.MAX_DELAY_PENALTY):
+        if spec.objective.combine is not sum:
             bound_var = nvars
             nvars += 1
 

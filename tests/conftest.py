@@ -118,7 +118,7 @@ class CorpusRecord:
 
 
 def _sum_objective(obj: Objective) -> bool:
-    return obj in (Objective.SUM_THROUGHPUT_UTILITY, Objective.SUM_DELAY_PENALTY)
+    return obj.combine is sum
 
 
 def run_corpus_instance(seed: int) -> CorpusRecord:

@@ -482,6 +482,13 @@ def _highs_breaks_rows(monkeypatch):
     )
 
 
+def _highs_says_unbounded(monkeypatch):
+    monkeypatch.setattr(lp_module, "_AUTO_TABLEAU_CELLS", 0)
+    monkeypatch.setattr(
+        lp_module, "linprog", lambda model, presolve: (HighsModelStatus.kUnbounded, None)
+    )
+
+
 def _simplex_stalls(monkeypatch):
     monkeypatch.setattr(
         lp_module, "simplex_iterations", lambda *args: lp_module.STATUS_ITER_LIMIT
@@ -501,6 +508,8 @@ def _highs_binding_missing(monkeypatch):
         ("pass", _highs_fails, "LP solver failure: HiGHS model status kSolveError"),
         ("pass-t", _highs_breaks_rows, "LP solver failure: HiGHS solution violates"),
         ("exact", _highs_fails, "LP solver failure: HiGHS model status kSolveError"),
+        ("exact", _highs_says_unbounded, "exact LP status unbounded"),
+        ("pass-t", _highs_says_unbounded, "counterpart LP ended with status unbounded"),
         ("pass", _simplex_stalls, "simplex iteration failure in phase 1"),
         (
             "pass",

@@ -94,6 +94,16 @@ def test_decompose_rejects_stranded_flow():
         decompose(net, "s", "t", np.array([2.0, 1.0]))
 
 
+def test_decompose_reads_tiny_negative_rates_as_zero(diamond):
+    """A rate in (-zero_tol, 0) reads 0, as in ``cancel_cycles``; a larger
+    negative one is rejected."""
+    x = np.array([2.0, 1.5, 2.0, 1.5, -diamond.zero_tol / 2])
+    assert decompose(diamond, "s", "t", x) == decompose(diamond, "s", "t", np.maximum(x, 0.0))
+    x[4] = -2 * diamond.zero_tol
+    with pytest.raises(ValueError, match="nonnegative"):
+        decompose(diamond, "s", "t", x)
+
+
 def test_decompose_empty_flow(diamond):
     assert decompose(diamond, "s", "t", np.zeros(5)) == []
 

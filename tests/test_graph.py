@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -6,6 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import CORPUS_SIZE
+from delayflow.baselines import simple_path_delays
+from delayflow.gen import random_problem
 from delayflow.graph import (
     Edge,
     Network,
@@ -136,6 +140,40 @@ def test_builtin_ec2_shape():
     assert by_pair[("OR", "TO")] == (68.0, 138.0)
     assert by_pair[("SI", "SP")] == (182.0, 33.0)
     assert net.has_integer_delays()
+
+
+def _zero_delay_cycle() -> Network:
+    """a <-> b at zero delay, both reaching c; d is isolated."""
+    return Network(
+        ("a", "b", "c", "d"),
+        (
+            Edge(0, 1, 0.0, 1.0),
+            Edge(1, 0, 0.0, 1.0),
+            Edge(1, 2, 3.0, 1.0),
+            Edge(0, 2, 5.0, 1.0),
+        ),
+    )
+
+
+def test_least_delays_match_simple_path_delays():
+    """Each entry is the least simple-path delay (inf with no path, 0 on the
+    diagonal) on EC2, a zero-delay cycle and every corpus network."""
+    nets = [builtin_ec2(), _zero_delay_cycle()]
+    nets += [random_problem(np.random.default_rng(seed)).network for seed in range(CORPUS_SIZE)]
+    for net in nets:
+        for u, v in itertools.product(net.nodes, repeat=2):
+            delays = simple_path_delays(net, u, v)  # [0.0] when u == v
+            want = delays[0] if delays else math.inf
+            assert net.least_delays[net.index_of(u), net.index_of(v)] == want, (net, u, v)
+
+
+def test_least_delays_is_read_only_and_cached():
+    net = _zero_delay_cycle()
+    assert net.least_delays[1].tolist() == [0.0, 0.0, 3.0, math.inf]
+    assert net.least_delays is net.least_delays
+    with pytest.raises(ValueError, match="read-only"):
+        net.least_delays[0, 2] = 1.0
+    assert net == _zero_delay_cycle()  # not a field: equality ignores it
 
 
 def test_path_delay_and_nodes():

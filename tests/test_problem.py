@@ -171,6 +171,19 @@ def test_objective_values(two_parallel):
         assert objective_value(spec, metrics) == pytest.approx(expect)
 
 
+@pytest.mark.parametrize(
+    "objective,combine",
+    [
+        (Objective.SUM_THROUGHPUT_UTILITY, sum),
+        (Objective.SUM_DELAY_PENALTY, sum),
+        (Objective.MIN_THROUGHPUT_UTILITY, min),
+        (Objective.MAX_DELAY_PENALTY, max),
+    ],
+)
+def test_objective_combine(objective, combine):
+    assert objective.combine is combine
+
+
 @pytest.mark.parametrize("objective", ["tcdm", "dcum"])
 def test_objective_is_a_plain_float(ec2_sweeps, objective):
     """Every report of the EC2 sweeps on that objective: PASS, PASS-T,
