@@ -29,6 +29,7 @@ from delayflow.problem import (
     evaluate_metrics,
     make_dcum,
     make_tcdm,
+    scaled_identity,
     validate_utility_d,
     validate_utility_t,
 )
@@ -73,6 +74,7 @@ __all__ = [
     "evaluate_metrics",
     "make_dcum",
     "make_tcdm",
+    "scaled_identity",
     "validate_utility_d",
     "validate_utility_t",
     "cancel_cycles",

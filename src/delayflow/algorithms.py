@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from delayflow.decompose import cancel_cycles, decompose
 from delayflow.graph import Network, Path
-from delayflow.lp import SolverError, solve_lp
+from delayflow.lp import solve_lp
 from delayflow.problem import (
     CommodityMetrics,
     FlowSolution,
@@ -129,8 +129,6 @@ def solve_counterpart(spec: ProblemSpec) -> Counterpart:
     sol = solve_lp(lp)
     if sol.status == "infeasible":
         raise InfeasibleError("average-delay counterpart is infeasible")
-    if sol.status != "optimal":
-        raise SolverError(f"counterpart LP ended with status {sol.status}")
     net = spec.network
     flows = FlowSolution(
         decompose(net, c.source, c.sink, cancel_cycles(net, x, c.source, c.sink))

@@ -18,8 +18,8 @@ from delayflow.algorithms import (
     delete_slowest,
 )
 from delayflow.decompose import _cancel, _strip_paths
-from delayflow.graph import Network, Path, shortest_path_by_delay
-from delayflow.lp import LpSolution, SolverError, solve_lp
+from delayflow.graph import Network, Path, adjacency, shortest_path_by_delay
+from delayflow.lp import SolverError, solve_lp
 from delayflow.problem import FlowSolution, ProblemSpec, build_counterpart
 
 _MAX_ENUM_NODES = 12
@@ -145,11 +145,7 @@ class _TimeExpanded:
         self.heads = list(heads)
         self.arc_tail = np.array(tails, dtype=np.intp)
         self.arc_head = np.array(heads, dtype=np.intp)
-        self.out_edges: list[list[int]] = [[] for _ in self.nodes]
-        self.in_edges: list[list[int]] = [[] for _ in self.nodes]
-        for j, (u, _, v) in enumerate(kept):
-            self.out_edges[u].append(j)
-            self.in_edges[v].append(j)
+        self.out_edges, self.in_edges = adjacency(len(self.nodes), tails, heads)
         self.source = index.get((s, 0.0))
         self.sink = sink
         self.zero_tol = net.zero_tol
@@ -164,10 +160,9 @@ def _exact_lp(
     """Solve the counterpart LP over per-commodity time-expanded graphs;
     ``profile`` is ``build_counterpart``'s. ``graphs`` maps (source, sink,
     deadline) to a graph already built and takes each one built here.
-    Returns (LpSolution, graphs, CounterpartMap), with an infeasible
-    solution and no map when a commodity that must carry rate has no walk.
-    The LP is bounded, so any status but optimal or infeasible raises
-    SolverError.
+    Returns (LpSolution, graphs, CounterpartMap); the solution is optimal
+    or infeasible. A commodity with no walk gets the row -|f_i| = 0, so its
+    rate is 0.
     """
     net = spec.network
     tes = []
@@ -179,13 +174,8 @@ def _exact_lp(
                 net, net.index_of(c.source), net.index_of(c.sink), delta
             )
         tes.append(te)
-        if te.source is None and (profile is not None or c.R > 0):
-            return LpSolution("infeasible"), tes, None
     lp, cmap = build_counterpart(spec, tes, profile)
-    sol = solve_lp(lp)
-    if sol.status not in ("optimal", "infeasible"):
-        raise SolverError(f"exact LP status {sol.status}")
-    return sol, tes, cmap
+    return solve_lp(lp), tes, cmap
 
 
 def _extract_paths(
@@ -268,14 +258,24 @@ def solve_exact(
     any specs on one network, whatever their endpoints, rates and
     objectives; a spec on another network (compared with ``is``, then
     ``==``) raises ValueError. Raises InfeasibleError when no flow meets
-    the requirements, and SolverError when an LP fails or the search
-    exceeds its budget.
+    the requirements, before any LP when a commodity's R exceeds its
+    source's out-capacity or its sink's in-capacity (plus ``check_tol``),
+    and SolverError when an LP fails or the search exceeds its budget.
     """
     if not spec.network.has_integer_delays():
         raise ValueError("integer delays required for the exact solver")
     t0 = time.perf_counter()
     net = spec.network
     comms = spec.commodities
+    for c in comms:  # no flow is larger than what leaves s or enters t
+        most = min(
+            net.out_capacity[net.index_of(c.source)], net.in_capacity[net.index_of(c.sink)]
+        )
+        if c.R > most + net.check_tol:
+            raise InfeasibleError(
+                f"{c.source}->{c.sink} requires {c.R}, above the capacity out of "
+                f"{c.source} or into {c.sink} ({float(most)})"
+            )
     cache = _bind_cache(cache, net)
     graphs = cache.setdefault("graphs", {})
     d_inf = math.inf if deadline_cap is None else deadline_cap

@@ -37,7 +37,9 @@ class Network:
     indices in declaration order so runs are deterministic. ``node_index``
     maps each name to its index, and ``heads[k]`` is edge k's head node;
     ``arc_tail``/``arc_head`` hold every edge's tail and head as integer
-    arrays, and ``delay_array``/``capacity_array`` its delay and capacity.
+    arrays, and ``delay_array``/``capacity_array`` its delay and capacity;
+    ``out_capacity``/``in_capacity`` hold each node's total capacity out and
+    in, summed in edge order.
     ``flow_unit`` is 2**ceil(log2(largest capacity)), or 1.0 when no edge
     has capacity; ``zero_tol`` and ``check_tol`` are ZERO_TOL and CHECK_TOL
     in that unit. ``max_path_delay``, the sum of the n-1 largest edge
@@ -55,6 +57,8 @@ class Network:
     arc_head: np.ndarray = field(init=False, repr=False, compare=False)
     delay_array: np.ndarray = field(init=False, repr=False, compare=False)
     capacity_array: np.ndarray = field(init=False, repr=False, compare=False)
+    out_capacity: np.ndarray = field(init=False, repr=False, compare=False)
+    in_capacity: np.ndarray = field(init=False, repr=False, compare=False)
     node_index: dict[str, int] = field(init=False, repr=False, compare=False)
     flow_unit: float = field(init=False, repr=False, compare=False)
     zero_tol: float = field(init=False, repr=False, compare=False)
@@ -82,19 +86,23 @@ class Network:
                 raise TopologyError("negative delay")
             if e.capacity < 0:
                 raise TopologyError("negative capacity")
-        out = [[] for _ in self.nodes]
-        inc = [[] for _ in self.nodes]
-        for k, e in enumerate(self.edges):
-            out[e.u].append(k)
-            inc[e.v].append(k)
+        n = len(self.nodes)
+        tails = [e.u for e in self.edges]
+        heads = tuple(e.v for e in self.edges)
+        out, inc = adjacency(n, tails, heads)
         object.__setattr__(self, "out_edges", tuple(tuple(x) for x in out))
         object.__setattr__(self, "in_edges", tuple(tuple(x) for x in inc))
-        object.__setattr__(self, "heads", tuple(e.v for e in self.edges))
+        object.__setattr__(self, "heads", heads)
+        arc_tail = np.array(tails, dtype=np.intp)
+        arc_head = np.array(heads, dtype=np.intp)
+        capacity = np.array([e.capacity for e in self.edges], dtype=np.float64)
         arrays = {
-            "arc_tail": np.array([e.u for e in self.edges], dtype=np.intp),
-            "arc_head": np.array(self.heads, dtype=np.intp),
+            "arc_tail": arc_tail,
+            "arc_head": arc_head,
             "delay_array": np.array([e.delay for e in self.edges], dtype=np.float64),
-            "capacity_array": np.array([e.capacity for e in self.edges], dtype=np.float64),
+            "capacity_array": capacity,
+            "out_capacity": np.bincount(arc_tail, weights=capacity, minlength=n),
+            "in_capacity": np.bincount(arc_head, weights=capacity, minlength=n),
         }
         for name, a in arrays.items():
             a.flags.writeable = False  # the network is immutable
@@ -148,6 +156,17 @@ class Network:
 
     def has_integer_delays(self) -> bool:
         return all(float(e.delay).is_integer() for e in self.edges)
+
+
+def adjacency(n: int, tails, heads) -> tuple[list[list[int]], list[list[int]]]:
+    """Out- and in-edge lists of an ``n``-node graph whose edge k runs from
+    node ``tails[k]`` to node ``heads[k]``: each node's edges, ascending."""
+    out = [[] for _ in range(n)]
+    inc = [[] for _ in range(n)]
+    for k, (u, v) in enumerate(zip(tails, heads)):
+        out[u].append(k)
+        inc[v].append(k)
+    return out, inc
 
 
 def node_flows(graph, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -331,10 +350,9 @@ def shortest_path_by_delay(
             return Path(edge_seq)
         for k in net.out_edges[u]:
             e = net.edges[k]
+            # The popped path's nodes are all settled, so paths stay simple.
             if residual[k] <= net.zero_tol or e.v in settled:
                 continue
-            if net.nodes[e.v] in names:
-                continue  # zero-delay edges could otherwise close a cycle
             heapq.heappush(
                 heap,
                 (dist + e.delay, names + (net.nodes[e.v],), e.v, edge_seq + (k,)),

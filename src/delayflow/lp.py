@@ -8,7 +8,8 @@ deterministic, each pivot one numpy rank-1 update), and HiGHS's dual
 simplex (Huangfu & Hall, Math. Prog. Comp. 10, 2018) for instances too
 large for a dense tableau. ``solve_lp`` picks the engine by tableau size,
 so identical inputs always take the same route and yield bit-identical
-solutions. An engine that fails raises ``SolverError``.
+solutions, optimal or infeasible. An engine that fails, or that calls an
+LP unbounded, raises ``SolverError``.
 
 HiGHS is called through scipy's bundled binding
 ``scipy.optimize._highspy._core``, a private API (pyproject.toml pins the
@@ -66,12 +67,22 @@ class CsrRows:
     shape: tuple[int, int]
 
     @classmethod
-    def from_dense(cls, dense: np.ndarray) -> CsrRows:
-        """The nonzeros of a 2-D array, in row-major order."""
+    def from_triplets(cls, rows, cols, vals, shape: tuple[int, int]) -> CsrRows:
+        """The (row, column, value) array triplets with a nonzero value and
+        a row >= 0, in canonical order; (row, column) pairs must be distinct."""
+        keep = (vals != 0.0) & (rows >= 0)
+        rows, cols, vals = rows[keep], cols[keep], vals[keep]
+        order = np.lexsort((cols, rows))
+        indptr = np.zeros(shape[0] + 1, dtype=np.intp)
+        np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+        return cls(vals[order], cols[order], indptr, shape)
+
+    @classmethod
+    def from_dense(cls, dense) -> CsrRows:
+        """The nonzeros of a 2-D array-like, as float64."""
+        dense = np.asarray(dense, dtype=np.float64)
         r, c = np.nonzero(dense)
-        indptr = np.zeros(dense.shape[0] + 1, dtype=np.intp)
-        np.cumsum(np.bincount(r, minlength=dense.shape[0]), out=indptr[1:])
-        return cls(dense[r, c], c, indptr, dense.shape)
+        return cls.from_triplets(r, c, dense[r, c], dense.shape)
 
     @property
     def nnz(self) -> int:
@@ -93,10 +104,8 @@ class CsrRows:
 @dataclass
 class LinearProgram:
     """``sense`` c.x subject to rows[i].x <relations[i]> rhs[i] and x >= 0
-    (every variable is nonnegative). ``rows`` is a canonical ``CsrRows``
-    (as ``problem.build_counterpart`` makes them) or anything
-    ``np.asarray`` reads as the dense matrix, which is stored as a
-    ``CsrRows`` of its nonzeros."""
+    (every variable is nonnegative). ``rows`` is a canonical ``CsrRows``;
+    ``CsrRows.from_dense`` makes one of a dense matrix."""
 
     sense: str  # "min" or "max"
     objective: np.ndarray
@@ -109,12 +118,10 @@ class LinearProgram:
             raise ValueError("sense must be 'min' or 'max'")
         self.objective = np.asarray(self.objective, dtype=np.float64)
         n = self.objective.shape[0]
-        if isinstance(self.rows, CsrRows):
-            if self.rows.shape[1] != n:
-                raise ValueError("row/objective dimension mismatch")
-        else:
-            dense = np.asarray(self.rows, dtype=np.float64).reshape(-1, n)
-            self.rows = CsrRows.from_dense(dense)
+        if not isinstance(self.rows, CsrRows):
+            raise TypeError(f"rows must be a CsrRows, not {type(self.rows).__name__}")
+        if self.rows.shape[1] != n:
+            raise ValueError("row/objective dimension mismatch")
         self.rhs = np.asarray(self.rhs, dtype=np.float64)
         self.relations = tuple(self.relations)
         m = self.rows.shape[0]
@@ -139,24 +146,27 @@ class LinearProgram:
 
 @dataclass
 class LpSolution:
-    status: str  # "optimal", "infeasible", "unbounded"
+    status: str  # "optimal" or "infeasible"; an engine may also say "unbounded"
     x: np.ndarray | None = None
     objective: float | None = None
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
-    """Solve ``lp`` over x >= 0. Small LPs go to the tableau, which calls
-    the LP feasible when its phase-1 objective (the sum of the artificials,
-    on rows scaled to max-abs coefficient 1) is within SOLUTION_TOL of 0.
-    Larger LPs go to HiGHS, whose x is accepted only when it is finite,
-    x >= -tol, every inequality row holds within tol and every "=" row
-    within tol, with tol HIGHS_CHECK_TOL (about 3.16e-4, in the LP's own
-    units); the first of them imports scipy's HiGHS binding. Raises
-    ``SolverError`` when an engine fails or the binding cannot be imported."""
+    """Solve ``lp`` over x >= 0; the solution is optimal or infeasible.
+    Small LPs go to the tableau, which calls the LP feasible when its
+    phase-1 objective (the sum of the artificials, on rows scaled to
+    max-abs coefficient 1) is within SOLUTION_TOL of 0. Larger LPs go to
+    HiGHS, whose x is accepted only when it is finite, x >= -tol, every
+    inequality row holds within tol and every "=" row within tol, with tol
+    HIGHS_CHECK_TOL (about 3.16e-4, in the LP's own units); the first of
+    them imports scipy's HiGHS binding. Raises ``SolverError`` when an
+    engine fails or calls the LP unbounded (every LP this package builds
+    is bounded by link capacities), or the binding cannot be imported."""
     cells = (lp.num_rows + 1) * (lp.num_vars + 2 * lp.num_rows + 2)
-    if cells <= _AUTO_TABLEAU_CELLS:
-        return _solve_simplex(lp)
-    return _solve_highs(lp)
+    sol = _solve_simplex(lp) if cells <= _AUTO_TABLEAU_CELLS else _solve_highs(lp)
+    if sol.status == "unbounded":
+        raise SolverError("LP solver failure: an LP engine reported the LP unbounded")
+    return sol
 
 
 #: Slack of linprog's post-solve check on HiGHS's x: 10 * sqrt(1e-9).

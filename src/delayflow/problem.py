@@ -190,9 +190,10 @@ class ProblemSpec:
         # simple path is slower than ``max_path_delay``. So a utility that
         # overflows a float is an input error, found here.
         longest = net.max_path_delay
+        out_capacity = net.out_capacity.tolist()
         most = []
         for c in self.commodities:
-            cap = sum(net.edges[k].capacity for k in net.out_edges[idx[c.source]])
+            cap = out_capacity[idx[c.source]]
             most.append(CommodityMetrics(cap, longest, cap * longest, longest))
         objective_value(self, tuple(most))
 
@@ -386,7 +387,7 @@ def build_counterpart(
     for i, (c, (g, s, t, edges)) in enumerate(zip(comms, shapes)):
         arcs = all_arcs[arc_base[i] : arc_base[i + 1]]
         # Row of each node: the source row comes first, then the other
-        # nodes in order; the sink has none (row -1, dropped below).
+        # nodes in order; the sink has none (row -1, dropped by from_triplets).
         top = len(rhs)
         pos = np.arange(top + 1, top + 1 + len(g.nodes))
         pos[t + 1 :] -= 1
@@ -477,20 +478,9 @@ def build_counterpart(
 
     lists = (np.array(row_of, dtype=np.intp), np.array(col_of, dtype=np.intp), np.array(val_of))
     rows, cols, vals = (np.concatenate(part) for part in zip(*blocks, lists))
-    matrix = _csr(rows, cols, vals, len(relations), nvars)
+    matrix = CsrRows.from_triplets(rows, cols, vals, (len(relations), nvars))
     lp = LinearProgram(sense, objective, matrix, tuple(relations), np.concatenate(rhs_parts))
     return lp, CounterpartMap(tuple(arc_base))
-
-
-def _csr(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, m: int, n: int) -> CsrRows:
-    """Canonical CSR of the (row, column, value) triplets with a nonzero
-    value and a row >= 0; (row, column) pairs must be distinct."""
-    keep = (vals != 0.0) & (rows >= 0)
-    rows, cols, vals = rows[keep], cols[keep], vals[keep]
-    order = np.lexsort((cols, rows))
-    indptr = np.zeros(m + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=m), out=indptr[1:])
-    return CsrRows(vals[order], cols[order], indptr, (m, n))
 
 
 def make_tcdm(

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -84,6 +85,55 @@ def test_exact_requires_integer_delays():
 def test_exact_infeasible_requirement(two_parallel):
     with pytest.raises(InfeasibleError):
         solve_exact(make_tcdm(two_parallel, [("s", "t", 3.0, 1.0)]))
+
+
+def _lp_spy(monkeypatch) -> list:
+    """Count the exact solver's LPs; the 21st raises, so a search over
+    every deadline vector fails fast."""
+    calls = []
+    solve = baselines.solve_lp
+
+    def spy(lp):
+        calls.append(lp)
+        if len(calls) > 20:
+            raise AssertionError("more than 20 exact LPs")
+        return solve(lp)
+
+    monkeypatch.setattr(baselines, "solve_lp", spy)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "demand,message",
+    [
+        (
+            ("VA", "SI", 320.0),
+            "VA->SI requires 320.0, above the capacity out of VA or into SI (317.0)",
+        ),
+        (("VA", "SI", 1000.0), "(317.0)"),
+        (("SI", "VA", 320.0), "(317.0)"),  # SI's out-capacity is 369, VA's in-capacity 317
+    ],
+    ids=["out-of-VA-320", "out-of-VA-1000", "into-VA-320"],
+)
+def test_exact_rejects_a_requirement_above_its_ends_capacity_before_any_lp(
+    monkeypatch, ec2, demand, message
+):
+    calls = _lp_spy(monkeypatch)
+    spec = make_tcdm(ec2, [(*demand, 1.0), ("OR", "TO", 230.0, 1.0)])
+    with pytest.raises(InfeasibleError, match=re.escape(message)):
+        solve_exact(spec)
+    assert not calls
+
+
+def test_exact_pre_check_allows_what_the_ends_carry(monkeypatch, ec2):
+    """R up to VA's out-capacity passes the pre-check; the LP decides."""
+    calls = _lp_spy(monkeypatch)
+    assert ec2.out_capacity[ec2.index_of("VA")] == 317.0
+    spec = ProblemSpec(
+        ec2, (Commodity("VA", "SI", R=317.0, D=500.0),), Objective.SUM_THROUGHPUT_UTILITY
+    )
+    assert solve_exact(spec).metrics[0].throughput == pytest.approx(317.0)
+    assert len(calls) == 1
 
 
 def test_exact_commodity_without_timely_path(diamond):

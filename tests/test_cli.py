@@ -10,6 +10,7 @@ import pytest
 import scipy
 from scipy.optimize._highspy._core import HighsModelStatus
 
+from delayflow import baselines
 from delayflow import lp as lp_module
 from delayflow.cli import _csv_row, main, report_to_json, verify_report
 from delayflow.graph import Path, load_topology, serialize_topology
@@ -482,6 +483,10 @@ def _highs_breaks_rows(monkeypatch):
     )
 
 
+#: ``solve_lp``'s message when an engine calls a bounded LP unbounded.
+UNBOUNDED = "LP solver failure: an LP engine reported the LP unbounded"
+
+
 def _highs_says_unbounded(monkeypatch):
     monkeypatch.setattr(lp_module, "_AUTO_TABLEAU_CELLS", 0)
     monkeypatch.setattr(
@@ -508,8 +513,8 @@ def _highs_binding_missing(monkeypatch):
         ("pass", _highs_fails, "LP solver failure: HiGHS model status kSolveError"),
         ("pass-t", _highs_breaks_rows, "LP solver failure: HiGHS solution violates"),
         ("exact", _highs_fails, "LP solver failure: HiGHS model status kSolveError"),
-        ("exact", _highs_says_unbounded, "exact LP status unbounded"),
-        ("pass-t", _highs_says_unbounded, "counterpart LP ended with status unbounded"),
+        ("exact", _highs_says_unbounded, UNBOUNDED),
+        ("pass-t", _highs_says_unbounded, UNBOUNDED),
         ("pass", _simplex_stalls, "simplex iteration failure in phase 1"),
         (
             "pass",
@@ -614,6 +619,33 @@ def test_solve_infeasible_exit_code(two_parallel_files, tmp_path, capsys):
     )
     assert rc == 2
     assert "infeasible" in capsys.readouterr().err
+
+
+def test_exact_huge_requirement_exits_2_before_any_lp(tmp_path, capsys, monkeypatch):
+    """R=1e308 exceeds every source's out-capacity, so the exact solver says
+    infeasible before its first LP."""
+
+    def no_lp(lp):
+        raise AssertionError("the exact solver solved an LP")
+
+    monkeypatch.setattr(baselines, "solve_lp", no_lp)
+    prob = tmp_path / "huge.json"
+    prob.write_text(
+        json.dumps(
+            {
+                "objective": "SumDelayPenalty",
+                "commodities": [
+                    {"src": "VA", "dst": "SI", "R": 1e308},
+                    {"src": "OR", "dst": "TO", "R": 230},
+                ],
+            }
+        )
+    )
+    rc = main(["solve", "--topo", "ec2", "--problem", str(prob), "--algo", "exact"])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "infeasible: VA->SI requires 1e+308, above the capacity out of VA or into SI (317.0)\n"
+    )
 
 
 def _overflowing(objective: str, **commodity) -> dict:

@@ -15,6 +15,7 @@ from delayflow.graph import (
     Network,
     Path,
     TopologyError,
+    adjacency,
     builtin_ec2,
     load_topology,
     serialize_topology,
@@ -174,6 +175,28 @@ def test_least_delays_is_read_only_and_cached():
     with pytest.raises(ValueError, match="read-only"):
         net.least_delays[0, 2] = 1.0
     assert net == _zero_delay_cycle()  # not a field: equality ignores it
+
+
+def test_node_capacities_are_the_python_sums():
+    """``out_capacity``/``in_capacity`` equal the sums over each node's
+    out- and in-edges in edge order, bit for bit, and are read-only."""
+    nets = [builtin_ec2(), _zero_delay_cycle(), load_topology(TOPO)]
+    nets += [random_problem(np.random.default_rng(seed)).network for seed in range(20)]
+    for net in nets:
+        for v in range(len(net.nodes)):
+            cap_out = sum(net.edges[k].capacity for k in net.out_edges[v])
+            cap_in = sum(net.edges[k].capacity for k in net.in_edges[v])
+            assert (net.out_capacity[v], net.in_capacity[v]) == (cap_out, cap_in)
+    ec2 = builtin_ec2()
+    assert ec2.out_capacity[ec2.index_of("VA")] == 317.0
+    with pytest.raises(ValueError, match="read-only"):
+        ec2.in_capacity[0] = 1.0
+
+
+def test_adjacency_lists_edges_by_tail_and_head():
+    out, inc = adjacency(4, [2, 0, 2, 1], [0, 2, 1, 2])
+    assert out == [[1], [3], [0, 2], []]
+    assert inc == [[0], [2], [1, 3], []]
 
 
 def test_path_delay_and_nodes():

@@ -25,10 +25,11 @@ def test_bundled_highs_binding():
     for status in ("kOptimal", "kInfeasible", "kUnbounded", "kModelError"):
         assert hasattr(core.HighsModelStatus, status), f"scipy {scipy.__version__}: no {status}"
 
-    from delayflow.lp import LinearProgram, _solve_highs
+    from delayflow.lp import CsrRows, LinearProgram, _solve_highs
 
     # max 3x + 2y s.t. x + y <= 4, x <= 2, x, y >= 0: optimum (2, 2).
-    lp = LinearProgram("max", [3, 2], [[1, 1], [1, 0]], ("<=", "<="), [4, 2])
+    rows = CsrRows.from_dense([[1, 1], [1, 0]])
+    lp = LinearProgram("max", [3, 2], rows, ("<=", "<="), [4, 2])
     sol = _solve_highs(lp)
     assert sol.status == "optimal", f"scipy {scipy.__version__}: {sol.status}"
     assert sol.x.tolist() == [2.0, 2.0]

@@ -16,6 +16,7 @@ from delayflow.lp import (
     STATUS_ITER_LIMIT,
     STATUS_OPTIMAL,
     STATUS_UNBOUNDED,
+    CsrRows,
     LinearProgram,
     LpSolution,
     SolverError,
@@ -27,7 +28,7 @@ from delayflow.problem import PLFunction, build_counterpart, make_dcum, make_tcd
 
 
 def test_simple_max():
-    lp = LinearProgram("max", [3, 2], [[1, 1], [1, 0]], ("<=", "<="), [4, 2])
+    lp = LinearProgram("max", [3, 2], CsrRows.from_dense([[1, 1], [1, 0]]), ("<=", "<="), [4, 2])
     sol = _solve_simplex(lp)
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(10.0)
@@ -35,7 +36,7 @@ def test_simple_max():
 
 
 def test_simple_min_with_equality():
-    lp = LinearProgram("min", [1, 2], [[1, 1]], ("=",), [3])
+    lp = LinearProgram("min", [1, 2], CsrRows.from_dense([[1, 1]]), ("=",), [3])
     sol = _solve_simplex(lp)
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(3.0)
@@ -43,24 +44,53 @@ def test_simple_min_with_equality():
 
 
 def test_infeasible():
-    lp = LinearProgram("min", [1], [[1], [1]], ("<=", ">="), [1, 2])
+    lp = LinearProgram("min", [1], CsrRows.from_dense([[1], [1]]), ("<=", ">="), [1, 2])
     assert _solve_simplex(lp).status == "infeasible"
     assert _solve_highs(lp).status == "infeasible"
 
 
 def test_unbounded():
-    lp = LinearProgram("max", [1, 0], [[0, 1]], ("<=",), [1])
+    lp = LinearProgram("max", [1, 0], CsrRows.from_dense([[0, 1]]), ("<=",), [1])
     assert _solve_simplex(lp).status == "unbounded"
     assert _solve_highs(lp).status == "unbounded"
 
 
+@pytest.mark.parametrize("cells", [lp_module._AUTO_TABLEAU_CELLS, 0], ids=["tableau", "highs"])
+def test_solve_lp_raises_on_unbounded(monkeypatch, cells):
+    """Every LP the package builds is bounded, so ``solve_lp`` returns only
+    optimal or infeasible solutions and reports an unbounded one as a
+    solver failure, whichever engine said so."""
+    monkeypatch.setattr(lp_module, "_AUTO_TABLEAU_CELLS", cells)
+    lp = LinearProgram("max", [1, 0], CsrRows.from_dense([[0, 1]]), ("<=",), [1])
+    with pytest.raises(SolverError, match="an LP engine reported the LP unbounded"):
+        solve_lp(lp)
+
+
+def test_csr_rows_from_triplets_is_canonical():
+    """Zero values and rows below 0 are dropped, each row's columns sorted;
+    ``from_dense`` gives the same rows for the dense matrix."""
+    rows = np.array([1, 0, -1, 1, 0, 2])
+    cols = np.array([2, 1, 0, 0, 0, 1])
+    vals = np.array([5.0, 0.0, 9.0, -3.0, 4.0, 7.0])
+    csr = CsrRows.from_triplets(rows, cols, vals, (3, 3))
+    assert csr.data.tolist() == [4.0, -3.0, 5.0, 7.0]
+    assert csr.indices.tolist() == [0, 0, 2, 1]
+    assert csr.indptr.tolist() == [0, 1, 3, 4]
+    dense = CsrRows.from_dense(csr.toarray())
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(dense, name), getattr(csr, name))
+        assert getattr(dense, name).dtype == getattr(csr, name).dtype
+
+
 def test_validation_errors():
     with pytest.raises(ValueError):
-        LinearProgram("maximize", [1], [[1]], ("<=",), [1])
+        LinearProgram("maximize", [1], CsrRows.from_dense([[1]]), ("<=",), [1])
     with pytest.raises(ValueError):
-        LinearProgram("max", [1], [[1]], ("<",), [1])
+        LinearProgram("max", [1], CsrRows.from_dense([[1]]), ("<",), [1])
     with pytest.raises(ValueError):
-        LinearProgram("max", [1], [[1], [1]], ("<=",), [1])
+        LinearProgram("max", [1], CsrRows.from_dense([[1], [1]]), ("<=",), [1])
+    with pytest.raises(TypeError, match="rows must be a CsrRows, not list"):
+        LinearProgram("max", [1], [[1]], ("<=",), [1])
 
 
 def test_determinism():
@@ -68,7 +98,7 @@ def test_determinism():
     lp = LinearProgram(
         "max",
         rng.integers(-3, 4, size=5).astype(float),
-        rng.integers(-3, 4, size=(5, 5)).astype(float),
+        CsrRows.from_dense(rng.integers(-3, 4, size=(5, 5)).astype(float)),
         ("<=", ">=", "=", "<=", "<="),
         rng.integers(0, 9, size=5).astype(float),
     )
@@ -130,7 +160,7 @@ def test_against_vertex_enumeration():
         lp = LinearProgram(
             "max" if rng.random() < 0.5 else "min",
             rng.integers(-5, 6, size=n).astype(float),
-            rng.integers(-5, 6, size=(m, n)).astype(float),
+            CsrRows.from_dense(rng.integers(-5, 6, size=(m, n)).astype(float)),
             tuple(rng.choice(["<=", "=", ">="], size=m, p=[0.6, 0.2, 0.2])),
             rng.integers(0, 10, size=m).astype(float),
         )
@@ -159,7 +189,7 @@ def test_engines_agree_on_random_lps():
         lp = LinearProgram(
             "max" if rng.random() < 0.5 else "min",
             rng.integers(-5, 6, size=n).astype(float),
-            rng.integers(-5, 6, size=(m, n)).astype(float),
+            CsrRows.from_dense(rng.integers(-5, 6, size=(m, n)).astype(float)),
             tuple(rng.choice(["<=", "=", ">="], size=m)),
             rng.integers(0, 10, size=m).astype(float),
         )
@@ -175,7 +205,7 @@ def test_auto_engine_picks_simplex_for_small(monkeypatch):
         raise AssertionError("small LP sent to HiGHS")
 
     monkeypatch.setattr(lp_module, "_solve_highs", no_highs)
-    lp = LinearProgram("max", [1], [[1]], ("<=",), [1])
+    lp = LinearProgram("max", [1], CsrRows.from_dense([[1]]), ("<=",), [1])
     sol = solve_lp(lp)
     assert sol.status == "optimal"
     assert sol.x.tolist() == [1.0]
@@ -334,7 +364,7 @@ def test_array_engine_matches_reference_on_random_feasible_lps():
         lp = LinearProgram(
             "max" if rng.random() < 0.5 else "min",
             rng.integers(-5, 6, size=n).astype(float),
-            np.vstack((a, np.eye(n)[bounded])),
+            CsrRows.from_dense(np.vstack((a, np.eye(n)[bounded]))),
             tuple(rels) + ("<=",) * bounded.size,
             np.concatenate((rhs, x0[bounded] + rng.integers(0, 4, size=bounded.size))),
         )
@@ -437,7 +467,7 @@ def test_highs_result_is_checked(monkeypatch, runner, message):
     lp = LinearProgram(
         "max",
         [1, 1, 1, 0],
-        [[1, 1, 0, 0], [1, -1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]],
+        CsrRows.from_dense([[1, 1, 0, 0], [1, -1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]),
         ("<=", "=", ">=", "<="),
         [2, 0, 0.5, 1],
     )
@@ -464,14 +494,15 @@ def test_highs_retries_without_presolve(monkeypatch):
     lp = LinearProgram(
         "max",
         [-4, 5, -1, 2],
-        [[-1, 2, -2, 3], [0, 5, -4, -4], [-4, 3, -5, 4]],
+        CsrRows.from_dense([[-1, 2, -2, 3], [0, 5, -4, -4], [-4, 3, -5, 4]]),
         (">=", "=", "<="),
         [2, 9, 7],
     )
     assert _solve_highs(lp).status == "unbounded"
     assert calls == [True, False]
     calls.clear()
-    assert _solve_highs(LinearProgram("max", [1], [[1]], ("<=",), [1])).status == "optimal"
+    one = LinearProgram("max", [1], CsrRows.from_dense([[1]]), ("<=",), [1])
+    assert _solve_highs(one).status == "optimal"
     assert calls == [True]
 
 

@@ -404,7 +404,9 @@ def test_engine_inputs_match_scipy_on_counterparts(ec2_sweep_specs):
     ],
 )
 def test_engine_inputs_match_scipy_on_edge_shapes(rows, relations, rhs):
-    _assert_same_engine_inputs(LinearProgram("max", [1, 1], rows, relations, rhs))
+    _assert_same_engine_inputs(
+        LinearProgram("max", [1, 1], CsrRows.from_dense(rows), relations, rhs)
+    )
 
 
 def _spy_exact_builds(monkeypatch) -> list[int]:

@@ -61,7 +61,8 @@ def test_first_lp_above_the_tableau_threshold_loads_highs(tmp_path):
     code = (
         "import numpy as np\n"
         "from delayflow import lp\n"
-        "prog = lp.LinearProgram('max', np.ones(300), np.eye(300), ('<=',) * 300, np.ones(300))\n"
+        "eye = lp.CsrRows.from_dense(np.eye(300))\n"
+        "prog = lp.LinearProgram('max', np.ones(300), eye, ('<=',) * 300, np.ones(300))\n"
         "assert (prog.num_rows + 1) * (prog.num_vars + 2 * prog.num_rows + 2)"
         " > lp._AUTO_TABLEAU_CELLS\n"
         + REPORT

@@ -20,12 +20,19 @@ in the order ``cli.EXPERIMENTS`` lists them. Neither line depends on --seed.
 Equal digests on two commits mean byte-identical reports. Issues (failed
 calls and verification findings) go to stderr, and the exit status is 1
 when there are any. perfbench is imported, never modified.
+
+    python3 tools/report_digests.py --seed 1 --expect tools/report_digests_seed1.txt
+
+also compares each printed line with the same line of the ``--expect``
+file; when any line moved it names each on stderr and exits 1.
+``report_digests_seed1.txt`` holds the seed-1 lines of the current outputs.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -116,6 +123,7 @@ def _hash_call(h, issues: list[str], label: str, spec, solve) -> None:
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--expect", metavar="FILE", help="lines the run must print")
     args = p.parse_args(argv)
     sys.path.insert(0, str(PERFBENCH))
     import run
@@ -123,6 +131,7 @@ def main(argv=None) -> int:
     run.cap_threads()
     run.import_delayflow()
     failed = False
+    lines = []
     for name in (*run.WORKLOADS, "corpus"):
         if name == "corpus":
             digest, calls, issues = corpus_digest()
@@ -130,11 +139,29 @@ def main(argv=None) -> int:
             digest, calls, issues = report_digest(name, args.seed)
         for msg in issues:
             print(f"{name}: {msg}", file=sys.stderr)
-        print(f"{name} {digest} calls={calls} issues={len(issues)}")
+        lines.append(f"{name} {digest} calls={calls} issues={len(issues)}")
+        print(lines[-1])
         failed = failed or bool(issues)
     digest, rows = experiments_digest()
-    print(f"experiments {digest} rows={rows}")
+    lines.append(f"experiments {digest} rows={rows}")
+    print(lines[-1])
+    if args.expect:
+        moved = moved_lines(Path(args.expect).read_text().splitlines(), lines)
+        for msg in moved:
+            print(f"moved: {msg}", file=sys.stderr)
+        failed = failed or bool(moved)
     return 1 if failed else 0
+
+
+def moved_lines(expected: list[str], got: list[str]) -> list[str]:
+    """One message per line of ``expected`` or ``got`` that differs from the
+    same line of the other."""
+    pairs = itertools.zip_longest(expected, got, fillvalue="(no line)")
+    return [
+        f"line {i}: expected {want!r}, got {have!r}"
+        for i, (want, have) in enumerate(pairs, start=1)
+        if want != have
+    ]
 
 
 if __name__ == "__main__":
