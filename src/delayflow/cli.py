@@ -422,7 +422,23 @@ def cmd_solve(args) -> int:
     doc = report_to_json(spec, report)
     text = json.dumps(doc, indent=2)
     _write_out(args.out, text)
-    return 0 if report.feasible else 2
+    if not report.feasible:
+        print(f"infeasible: {_first_miss(spec, report)}", file=sys.stderr)
+        return 2
+    return 0
+
+
+def _first_miss(spec: ProblemSpec, report: SolveReport) -> str:
+    """Which commodity of a report flagged infeasible misses its
+    requirement or its delay bound: the first one that does."""
+    net = spec.network
+    for i, (c, m) in enumerate(zip(spec.commodities, report.metrics)):
+        name = f"commodity {i} ({c.source}->{c.sink})"
+        if m.throughput < c.R - net.check_tol:
+            return f"{name} carries {m.throughput}, below its requirement {c.R}"
+        if m.max_delay > c.D + _bound_tol(c.D):
+            return f"{name} has max delay {m.max_delay}, above its bound {c.D}"
+    return f"{report.algorithm} reports its result infeasible"
 
 
 def cmd_verify(args) -> int:

@@ -13,10 +13,12 @@ LP unbounded, raises ``SolverError``.
 
 HiGHS is called through scipy's bundled binding
 ``scipy.optimize._highspy._core``, a private API (pyproject.toml pins the
-scipy range it was verified on). Importing it runs all of
-``scipy.optimize``, so it is imported on the first LP that goes to HiGHS,
-not with this module: a process whose LPs all fit the tableau never loads
-scipy. A fresh HiGHS instance per call gets the model and options that
+scipy range it was verified on). It is loaded on the first LP that goes to
+HiGHS, not with this module, and straight from its extension file, so
+neither ``scipy`` nor ``scipy.optimize`` is imported: a process whose LPs
+all fit the tableau never loads scipy, and one that reaches HiGHS loads
+only the binding (a plain import, if the direct load fails). A fresh HiGHS
+instance per call gets the model and options that
 ``scipy.optimize.linprog`` would give it, so x is linprog's, without
 linprog's input cleaning. The model goes in as plain arrays
 (``HighsModel``, the array overload of ``_Highs.passModel``), not as a
@@ -27,7 +29,11 @@ from __future__ import annotations
 
 import functools
 import importlib
+import importlib.util
+import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -159,7 +165,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     HiGHS, whose x is accepted only when it is finite, x >= -tol, every
     inequality row holds within tol and every "=" row within tol, with tol
     HIGHS_CHECK_TOL (about 3.16e-4, in the LP's own units); the first of
-    them imports scipy's HiGHS binding. Raises ``SolverError`` when an
+    them loads scipy's HiGHS binding. Raises ``SolverError`` when an
     engine fails or calls the LP unbounded (every LP this package builds
     is bounded by link capacities), or the binding cannot be imported."""
     cells = (lp.num_rows + 1) * (lp.num_vars + 2 * lp.num_rows + 2)
@@ -176,14 +182,41 @@ HIGHS_CHECK_TOL = 10 * np.sqrt(1e-9)
 _BINDING = "scipy.optimize._highspy._core"
 
 
+def _binding_file() -> Path:
+    """The binding's extension file in scipy's ``optimize/_highspy``
+    directory, found without importing scipy."""
+    scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
+    files = (Path(scipy_dir, "optimize", "_highspy", f"_core{s}") for s in EXTENSION_SUFFIXES)
+    return next(path for path in files if path.is_file())
+
+
+def _load_binding():
+    """The binding, loaded from ``_binding_file()`` and registered in
+    ``sys.modules`` under ``_BINDING``, so that importing it runs none of
+    ``scipy.optimize``; a later ``import scipy.optimize`` reuses it. Falls
+    back to a plain import when ``sys.modules`` already has a ``_BINDING``
+    entry (``None`` blocks the import) or the direct load fails."""
+    if _BINDING not in sys.modules:
+        try:
+            spec = importlib.util.spec_from_file_location(_BINDING, _binding_file())
+            core = importlib.util.module_from_spec(spec)
+            sys.modules[_BINDING] = core
+            spec.loader.exec_module(core)
+            return core
+        except Exception:  # whatever failed, the plain import below says what is wrong
+            sys.modules.pop(_BINDING, None)
+    return importlib.import_module(_BINDING)
+
+
 @functools.cache
 def _highs():
-    """The HiGHS binding, imported on first call, and the model statuses
-    after which a solve is repeated with presolve off (HiGHS presolve can
-    report "infeasible" for unbounded problems). Raises ``SolverError``,
-    naming the installed scipy, when the binding cannot be imported."""
+    """The HiGHS binding, loaded on first call by ``_load_binding``, and the
+    model statuses after which a solve is repeated with presolve off (HiGHS
+    presolve can report "infeasible" for unbounded problems). Raises
+    ``SolverError``, naming the installed scipy, when the binding cannot be
+    imported."""
     try:
-        core = importlib.import_module(_BINDING)
+        core = _load_binding()
     except ImportError as e:
         try:
             found = "scipy " + importlib.import_module("scipy").__version__

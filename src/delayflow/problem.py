@@ -535,9 +535,17 @@ def _pl_to_json(u: PLFunction):
     return {"points": [[a, v] for a, v in u.points]}
 
 
+def _known_keys(obj: dict, keys: tuple[str, ...]) -> None:
+    """Raise ValueError naming the first key of ``obj`` not in ``keys``."""
+    for key in obj:
+        if key not in keys:
+            raise ValueError(f"unknown key {key!r} (expected one of {', '.join(keys)})")
+
+
 def _commodity_from_json(c) -> Commodity:
     if not isinstance(c, dict):
         raise ValueError(f"must be a JSON object, got {c!r}")
+    _known_keys(c, ("src", "dst", "R", "D", "w", "utility_t", "utility_d"))
     for key in ("src", "dst"):
         if not isinstance(c.get(key), str):
             raise ValueError(f"{key} must be a node name, got {c.get(key)!r}")
@@ -553,9 +561,11 @@ def _commodity_from_json(c) -> Commodity:
 
 
 def problem_from_json(doc, net: Network) -> ProblemSpec:
-    """Parse a problem document; a ValueError names the first bad field."""
+    """Parse a problem document; a ValueError names the first bad field or
+    unknown key. Missing keys take their defaults."""
     if not isinstance(doc, dict):
         raise ValueError("problem must be a JSON object")
+    _known_keys(doc, ("objective", "commodities"))
     name = doc.get("objective")
     if not isinstance(name, str) or name not in _OBJECTIVE_NAMES:
         raise ValueError(f"unknown objective {name!r}")

@@ -753,6 +753,55 @@ def test_gen_then_solve(tmp_path):
     assert main(["verify", str(out)]) == 0
 
 
+def _gen_seed_3(tmp_path, edit) -> tuple[str, str]:
+    """``gen --seed 3``'s topology and problem files, the first commodity
+    of the problem changed in place by ``edit``."""
+    inst = tmp_path / "inst.json"
+    assert main(["gen", "--seed", "3", "--out", str(inst)]) == 0
+    doc = json.loads(inst.read_text())
+    topo = tmp_path / "net.topo"
+    topo.write_text(doc["topology"])
+    edit(doc["problem"]["commodities"][0])
+    prob = tmp_path / "prob.json"
+    prob.write_text(json.dumps(doc["problem"]))
+    return str(topo), str(prob)
+
+
+def test_misspelled_requirement_exits_1(tmp_path, capsys):
+    """A misspelled key is an input error, not a commodity that silently
+    solves with R = 0."""
+    topo, prob = _gen_seed_3(tmp_path, lambda c: c.update(r=c.pop("R")))
+    rc = main(["solve", "--topo", topo, "--problem", prob, "--algo", "greedy"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: commodity 0: unknown key 'r' "
+        "(expected one of src, dst, R, D, w, utility_t, utility_d)\n"
+    )
+
+
+def test_missing_requirement_takes_its_default(tmp_path):
+    topo, prob = _gen_seed_3(tmp_path, lambda c: c.pop("R"))
+    out = str(tmp_path / "report.json")
+    rc = main(["solve", "--topo", topo, "--problem", prob, "--algo", "greedy", "--out", out])
+    assert rc == 0
+    assert main(["verify", out]) == 0
+
+
+def test_infeasible_report_names_the_commodity_that_misses(tmp_path, capsys):
+    """A solver that writes a report flagged infeasible exits 2 with one
+    ``infeasible:`` line on stderr, as a solver that raises does; the
+    report is still written and verifies."""
+    topo, prob = _gen_seed_3(tmp_path, lambda c: c.update(R=1e308))
+    out = tmp_path / "report.json"
+    rc = main(["solve", "--topo", topo, "--problem", prob, "--algo", "greedy", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "infeasible: commodity 0 (n2->n3) carries 17.0, below its requirement 1e+308\n"
+    )
+    assert json.loads(out.read_text())["feasible"] is False
+    assert main(["verify", str(out)]) == 0
+
+
 #: Row count and sha256 of each sweep's CSV. The digests pin the output
 #: bit for bit; a change that moves them must explain why.
 _SWEEPS = {

@@ -4,10 +4,13 @@ scipy releases. pyproject.toml pins the range it was verified on; this test
 fails with the installed scipy version when the binding moves."""
 
 import importlib
+import sys
 
 import numpy as np
 import pytest
 import scipy
+
+from delayflow import lp as lp_module
 
 
 def test_bundled_highs_binding():
@@ -74,3 +77,67 @@ def test_array_overload_of_pass_model():
     highs.run()
     assert highs.getModelStatus() == core.HighsModelStatus.kOptimal, version
     assert list(highs.getSolution().col_value) == [2.0, 2.0], version
+
+
+def _large_lp() -> lp_module.LinearProgram:
+    """A random bounded LP whose tableau is above ``_AUTO_TABLEAU_CELLS``:
+    max c.x over 300 sparse nonnegative rows and a row sum(x) <= 50."""
+    rng = np.random.default_rng(21)
+    dense = rng.uniform(0.5, 2.0, (300, 400)) * (rng.random((300, 400)) < 0.02)
+    dense = np.vstack((dense, np.ones(400)))
+    rhs = np.append(rng.uniform(1.0, 10.0, 300), 50.0)
+    prog = lp_module.LinearProgram(
+        "max", rng.uniform(0.0, 1.0, 400), lp_module.CsrRows.from_dense(dense), ("<=",) * 301, rhs
+    )
+    assert (prog.num_rows + 1) * (prog.num_vars + 2 * prog.num_rows + 2) > (
+        lp_module._AUTO_TABLEAU_CELLS
+    )
+    return prog
+
+
+def _missing_file(tmp_path):
+    """A binding-file lookup that finds no file."""
+
+    def lookup():
+        raise FileNotFoundError("no binding file")
+
+    return lookup
+
+
+def _raising_file(tmp_path):
+    """A binding-file lookup whose file raises as it runs, after it is
+    registered in ``sys.modules``."""
+    path = tmp_path / "_core.py"
+    path.write_text("raise RuntimeError('half loaded')\n")
+    return lambda: path
+
+
+@pytest.mark.parametrize("lookup", [_missing_file, _raising_file], ids=["no-file", "exec-fails"])
+def test_failed_direct_load_falls_back_to_a_plain_import(tmp_path, monkeypatch, lookup):
+    """When the binding cannot be loaded from its file, ``_highs`` imports
+    it the usual way, with no half-loaded module left behind, and an LP
+    above the tableau threshold gets the same x, bit for bit."""
+    prog = _large_lp()
+    expected = lp_module.solve_lp(prog)
+    assert expected.status == "optimal"
+
+    imported = []
+    import_module = importlib.import_module
+
+    def spy(name, *args):
+        imported.append(name)
+        return import_module(name, *args)
+
+    monkeypatch.setattr(lp_module, "_binding_file", lookup(tmp_path))
+    monkeypatch.setattr(importlib, "import_module", spy)
+    monkeypatch.delitem(sys.modules, lp_module._BINDING, raising=False)
+    lp_module._highs.cache_clear()
+    try:
+        got = lp_module.solve_lp(prog)
+        assert imported == [lp_module._BINDING]
+        assert sys.modules[lp_module._BINDING] is lp_module._highs()[0]
+    finally:
+        lp_module._highs.cache_clear()
+    assert got.status == "optimal"
+    assert got.x.tobytes() == expected.x.tobytes()
+    assert got.objective == expected.objective

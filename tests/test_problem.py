@@ -275,3 +275,24 @@ def test_json_defaults_and_inf(two_parallel):
     assert problem_to_json(spec)["commodities"][0]["D"] == "inf"
     with pytest.raises(ValueError, match="unknown objective"):
         problem_from_json({"objective": "Nope", "commodities": []}, two_parallel)
+
+
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        (
+            {"objective": "SumDelayPenalty", "commodities": [{"src": "s", "dst": "t", "r": 2}]},
+            "commodity 0: unknown key 'r' (expected one of src, dst, R, D, w, "
+            "utility_t, utility_d)",
+        ),
+        (
+            {"objective": "SumDelayPenalty", "commodities": [], "comodities": []},
+            "unknown key 'comodities' (expected one of objective, commodities)",
+        ),
+    ],
+    ids=["commodity", "top-level"],
+)
+def test_json_rejects_unknown_keys(two_parallel, doc, message):
+    with pytest.raises(ValueError) as info:
+        problem_from_json(doc, two_parallel)
+    assert str(info.value) == message

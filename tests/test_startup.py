@@ -1,8 +1,9 @@
 """Start-up cost: importing delayflow, and solving or verifying an EC2
 problem whose LPs all fit the tableau, loads neither scipy.sparse nor
 scipy.optimize, which make up most of the import time when loaded. The
-first LP too large for the tableau imports scipy's HiGHS binding. Each case
-runs in a fresh interpreter, since this process has loaded scipy."""
+first LP too large for the tableau loads scipy's HiGHS binding, and only
+that module. Each case runs in a fresh interpreter, since this process has
+loaded scipy."""
 
 from __future__ import annotations
 
@@ -69,4 +70,21 @@ def test_first_lp_above_the_tableau_threshold_loads_highs(tmp_path):
         + "assert lp.solve_lp(prog).objective == 300.0\n"
         + REPORT
     )
-    assert _loaded(code, cwd=tmp_path) == [[], list(WATCHED)]
+    assert _loaded(code, cwd=tmp_path) == [[], ["scipy.optimize._highspy._core"]]
+
+
+def test_binding_loads_alone_and_a_later_scipy_optimize_reuses_it(tmp_path):
+    code = (
+        "from delayflow import lp\n"
+        "core, _ = lp._highs()\n"
+        + REPORT
+        + "import scipy.optimize\n"
+        "from scipy.optimize._highspy import _core\n"
+        "assert _core is core\n"
+        "res = scipy.optimize.linprog(\n"
+        "    [-3, -2], A_ub=[[1, 1], [1, 0]], b_ub=[4, 2], method='highs'\n"
+        ")\n"
+        "assert res.status == 0 and res.x.tolist() == [2.0, 2.0], res\n"
+        + REPORT
+    )
+    assert _loaded(code, cwd=tmp_path) == [["scipy.optimize._highspy._core"], list(WATCHED)]
