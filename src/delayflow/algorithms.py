@@ -19,7 +19,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from delayflow.decompose import cancel_cycles, decompose
-from delayflow.graph import Network, Path
+from delayflow.graph import Network, Path, bound_tol
 from delayflow.lp import solve_lp
 from delayflow.problem import (
     CommodityMetrics,
@@ -28,7 +28,6 @@ from delayflow.problem import (
     build_counterpart,
     evaluate_metrics,
     objective_value,
-    path_flow_sums,
 )
 
 
@@ -216,14 +215,13 @@ def apply_pass_t(cp: Counterpart) -> SolveReport:
 
 
 def check_lemma1(
-    net: Network, f_hat_i: PathFlow, f_bar_i: PathFlow, epsilon: float
+    net: Network, hat: CommodityMetrics, bar: CommodityMetrics, epsilon: float
 ) -> tuple[bool, float]:
-    """Deletion inequality for one commodity:
+    """Deletion inequality for one commodity, from the metrics of its
+    counterpart flow ``hat`` and its flow after deletion ``bar``:
     T(f_bar) + epsilon*|f_hat|*M(f_bar) <= T(f_hat). Returns (holds, slack)."""
-    rate_hat, t_hat, _ = path_flow_sums(net, f_hat_i)
-    _, t_bar, m_bar = path_flow_sums(net, f_bar_i)
-    lhs = t_bar + epsilon * rate_hat * m_bar
-    slack = t_hat - lhs
+    lhs = bar.total_delay + epsilon * hat.throughput * bar.max_delay
+    slack = hat.total_delay - lhs
     return slack >= -net.check_tol, slack
 
 
@@ -267,6 +265,37 @@ def guarantees(
     else:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     return [(floor, cap if math.isfinite(c.D) else None) for (floor, cap), c in zip(table, comms)]
+
+
+def missed_guarantees(
+    spec: ProblemSpec,
+    algorithm: str,
+    metrics: Sequence[CommodityMetrics],
+    counterpart: Sequence[CommodityMetrics] | None = None,
+    epsilon: float | None = None,
+    epsilon_max: float | None = None,
+    feasible: bool = True,
+) -> list[str]:
+    """The guarantees of ``algorithm`` that a result with ``metrics``
+    misses, one message each: per commodity, a floor of ``guarantees``
+    missed by more than ``check_tol``, then a cap missed by more than
+    ``bound_tol`` of it; for PASS with ``counterpart`` metrics, then each
+    commodity's deletion inequality (``check_lemma1``). Raises ValueError
+    for an unknown algorithm."""
+    net = spec.network
+    table = guarantees(spec, algorithm, epsilon, epsilon_max, counterpart, feasible)
+    issues = []
+    for i, (m, (floor, cap)) in enumerate(zip(metrics, table)):
+        if floor is not None and m.throughput < floor[1] - net.check_tol:
+            issues.append(f"commodity {i}: throughput {m.throughput} below {floor[0]} {floor[1]}")
+        if cap is not None and m.max_delay > cap[1] + bound_tol(cap[1]):
+            issues.append(f"commodity {i}: max delay {m.max_delay} exceeds {cap[0]} {cap[1]}")
+    if algorithm == "PASS" and counterpart is not None:
+        for i, (h, m) in enumerate(zip(counterpart, metrics)):
+            ok, slack = check_lemma1(net, h, m, epsilon)
+            if not ok:
+                issues.append(f"commodity {i}: deletion inequality violated (slack {slack})")
+    return issues
 
 
 def compute_lambda(pass_t_report: SolveReport, pass_report: SolveReport) -> float:

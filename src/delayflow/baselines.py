@@ -16,6 +16,7 @@ from delayflow.algorithms import (
     SolveReport,
     build_report,
     delete_slowest,
+    missed_guarantees,
 )
 from delayflow.decompose import _cancel, _strip_paths
 from delayflow.graph import Network, Path, adjacency, shortest_path_by_delay
@@ -53,20 +54,19 @@ def solve_greedy(spec: ProblemSpec) -> SolveReport:
     residual paths that meet its delay bound (``push_shortest``) until its
     throughput requirement is met or no path remains.
 
-    An unmet requirement yields a partial solution flagged infeasible.
+    An unmet requirement yields a partial solution flagged infeasible
+    (``missed_guarantees``).
     """
     t0 = time.perf_counter()
     net = spec.network
     residual = net.capacities()
     flows = []
-    feasible = True
     for c in spec.commodities:
         target = c.R if c.R > 0 else math.inf
-        paths, pushed = push_shortest(net, residual, c.source, c.sink, target, c.D)
-        if c.R > 0 and pushed < c.R - net.check_tol:
-            feasible = False
-        flows.append(paths)
-    return build_report(spec, "GREEDY", FlowSolution(flows), t0, feasible=feasible)
+        flows.append(push_shortest(net, residual, c.source, c.sink, target, c.D)[0])
+    report = build_report(spec, "GREEDY", FlowSolution(flows), t0)
+    report.feasible = not missed_guarantees(spec, "GREEDY", report.metrics)
+    return report
 
 
 def simple_path_delays(net: Network, s: str, t: str) -> list[float]:
@@ -259,8 +259,10 @@ def solve_exact(
     objectives; a spec on another network (compared with ``is``, then
     ``==``) raises ValueError. Raises InfeasibleError when no flow meets
     the requirements, before any LP when a commodity's R exceeds its
-    source's out-capacity or its sink's in-capacity (plus ``check_tol``),
-    and SolverError when an LP fails or the search exceeds its budget.
+    source's out-capacity or its sink's in-capacity, or the R's of the
+    commodities that share a source (a sink) together exceed its
+    out-capacity (in-capacity), each plus ``check_tol``; and SolverError
+    when an LP fails or the search exceeds its budget.
     """
     if not spec.network.has_integer_delays():
         raise ValueError("integer delays required for the exact solver")
@@ -276,6 +278,21 @@ def solve_exact(
                 f"{c.source}->{c.sink} requires {c.R}, above the capacity out of "
                 f"{c.source} or into {c.sink} ({float(most)})"
             )
+    # Nor are the flows that share a source, or a sink, together.
+    for side, capacity, ends in (
+        ("out of", net.out_capacity, [c.source for c in comms]),
+        ("into", net.in_capacity, [c.sink for c in comms]),
+    ):
+        for v in dict.fromkeys(u for u in ends if ends.count(u) > 1):
+            group = [c for c, u in zip(comms, ends) if u == v]
+            need = sum(c.R for c in group)
+            most = capacity[net.index_of(v)]
+            if need > most + net.check_tol:
+                names = ", ".join(f"{c.source}->{c.sink}" for c in group)
+                raise InfeasibleError(
+                    f"{names} require {need} together, above the capacity {side} "
+                    f"{v} ({float(most)})"
+                )
     cache = _bind_cache(cache, net)
     graphs = cache.setdefault("graphs", {})
     d_inf = math.inf if deadline_cap is None else deadline_cap

@@ -20,8 +20,7 @@ from delayflow.algorithms import (
     apply_pass,
     apply_pass_m,
     apply_pass_t,
-    check_lemma1,
-    guarantees,
+    missed_guarantees,
     removed_fraction,
     solve_counterpart,
     solve_pass,
@@ -31,9 +30,9 @@ from delayflow.algorithms import (
 from delayflow.baselines import solve_exact, solve_greedy
 from delayflow.gen import random_problem
 from delayflow.graph import (
-    CHECK_TOL,
     Network,
     Path,
+    bound_tol,
     builtin_ec2,
     load_topology,
     serialize_topology,
@@ -184,15 +183,10 @@ def report_to_json(spec: ProblemSpec, report: SolveReport) -> dict:
     return doc
 
 
-def _bound_tol(x: float) -> float:
-    """Slack of a check of ``x`` that is no rate: a metric, objective or delay."""
-    return max(CHECK_TOL, CHECK_TOL * abs(x))
-
-
 def _mismatch(name: str, recorded, got: float) -> list[str]:
     """The issue of a report whose ``recorded`` value of ``name`` is not the
     recomputed ``got``, if it is not."""
-    if abs(got - float(recorded)) <= _bound_tol(got):
+    if abs(got - float(recorded)) <= bound_tol(got):
         return []
     return [f"recorded {name} {recorded} != recomputed {got}"]
 
@@ -204,10 +198,11 @@ def _tagged(flows) -> Counter:
 
 def verify_report(doc: dict) -> list[str]:
     """Re-derive every claim in a serialized report from its embedded
-    topology, problem, and flows. Returns a list of violations.
+    topology, problem, and flows. Returns a list of violations: those of
+    the report's own fields, then ``missed_guarantees`` of its algorithm.
 
-    Feasibility and throughput bounds allow the network's ``check_tol``;
-    recorded values and delay bounds a relative CHECK_TOL."""
+    Feasibility allows the network's ``check_tol``, recorded values
+    ``bound_tol``."""
     topology, feasible = doc["topology"], doc["feasible"]
     if not isinstance(topology, str):
         raise ValueError(
@@ -241,6 +236,7 @@ def verify_report(doc: dict) -> list[str]:
             "counterpart: " + s
             for s in hat_issues + hat.check_feasible(net, spec.commodities)
         ]
+        hat_metrics = evaluate_metrics(net, hat)
     if algo == "PASS":
         eps = float(doc["epsilon"])
         if not 0.0 < eps < 1.0:
@@ -257,7 +253,6 @@ def verify_report(doc: dict) -> list[str]:
                 f"commodity {i}: path {list(p.edges)} at rate {r} is not a "
                 "counterpart path at that rate"
             )
-        hat_metrics = evaluate_metrics(net, hat)
         eps_max = float(doc["epsilon_max"])
         if 0.0 <= eps_max <= 1.0:
             removed = [
@@ -270,23 +265,11 @@ def verify_report(doc: dict) -> list[str]:
             issues.append(f"epsilon_max {doc['epsilon_max']} outside [0, 1]")
             eps_max = None
     try:
-        table = guarantees(spec, algo, eps, eps_max, hat_metrics, feasible)
+        return issues + missed_guarantees(
+            spec, algo, metrics, hat_metrics, eps, eps_max, feasible
+        )
     except ValueError as e:  # an unknown algorithm
         return issues + [str(e)]
-    for i, (m, (floor, cap)) in enumerate(zip(metrics, table)):
-        if floor is not None and m.throughput < floor[1] - net.check_tol:
-            issues.append(f"commodity {i}: throughput {m.throughput} below {floor[0]} {floor[1]}")
-        if cap is not None and m.max_delay > cap[1] + _bound_tol(cap[1]):
-            issues.append(f"commodity {i}: max delay {m.max_delay} exceeds {cap[0]} {cap[1]}")
-    if algo == "PASS" and hat is not None:
-        for i in range(len(spec.commodities)):
-            ok, slack = check_lemma1(net, hat.flows[i], sol.flows[i], eps)
-            if not ok:
-                issues.append(
-                    f"commodity {i}: deletion inequality violated "
-                    f"(slack {slack})"
-                )
-    return issues
 
 
 # -- experiments -------------------------------------------------------------
@@ -423,22 +406,11 @@ def cmd_solve(args) -> int:
     text = json.dumps(doc, indent=2)
     _write_out(args.out, text)
     if not report.feasible:
-        print(f"infeasible: {_first_miss(spec, report)}", file=sys.stderr)
+        # Only a result's missed guarantee makes a solver flag it infeasible.
+        missed = missed_guarantees(spec, report.algorithm, report.metrics)
+        print(f"infeasible: {missed[0]}", file=sys.stderr)
         return 2
     return 0
-
-
-def _first_miss(spec: ProblemSpec, report: SolveReport) -> str:
-    """Which commodity of a report flagged infeasible misses its
-    requirement or its delay bound: the first one that does."""
-    net = spec.network
-    for i, (c, m) in enumerate(zip(spec.commodities, report.metrics)):
-        name = f"commodity {i} ({c.source}->{c.sink})"
-        if m.throughput < c.R - net.check_tol:
-            return f"{name} carries {m.throughput}, below its requirement {c.R}"
-        if m.max_delay > c.D + _bound_tol(c.D):
-            return f"{name} has max delay {m.max_delay}, above its bound {c.D}"
-    return f"{report.algorithm} reports its result infeasible"
 
 
 def cmd_verify(args) -> int:

@@ -12,9 +12,16 @@ import numpy as np
 #: at most ZERO_TOL units counts as zero (pruned, saturated, not carrying),
 #: and a conservation, capacity, throughput or certificate bound may be
 #: missed by CHECK_TOL units. Delays do not scale with capacities, so these
-#: do not apply to them.
+#: do not apply to them; a delay, metric or objective x may be missed by
+#: ``bound_tol(x)``.
 ZERO_TOL = 1e-12
 CHECK_TOL = 1e-6
+
+
+def bound_tol(x: float) -> float:
+    """Slack of a check of ``x`` that is no rate: a metric, objective or
+    delay. CHECK_TOL relative to |x|, and at least CHECK_TOL."""
+    return max(CHECK_TOL, CHECK_TOL * abs(x))
 
 
 class TopologyError(ValueError):

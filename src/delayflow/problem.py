@@ -260,20 +260,15 @@ class CommodityMetrics:
     avg_delay: float
 
 
-def path_flow_sums(net: Network, flow) -> tuple[float, float, float]:
-    """(|f|, T(f), M(f)) of one commodity's path flow: the total rate, the
-    rate-weighted delay sum, and the largest delay of a path carrying more
-    than ``net.zero_tol`` (0 when none does)."""
-    thr = sum(rate for _, rate in flow)
-    total_d = sum(r * p.delay(net) for p, r in flow)
-    max_d = max((p.delay(net) for p, r in flow if r > net.zero_tol), default=0.0)
-    return thr, total_d, max_d
-
-
 def evaluate_metrics(net: Network, sol: FlowSolution) -> tuple[CommodityMetrics, ...]:
+    """Per commodity of ``sol``: |f|, the total rate; M(f), the largest
+    delay of a path carrying more than ``net.zero_tol`` (0 when none does);
+    T(f), the rate-weighted delay sum; and T(f)/|f| (0 when |f| is 0)."""
     out = []
     for flow in sol.flows:
-        thr, total_d, max_d = path_flow_sums(net, flow)
+        thr = sum(rate for _, rate in flow)
+        total_d = sum(r * p.delay(net) for p, r in flow)
+        max_d = max((p.delay(net) for p, r in flow if r > net.zero_tol), default=0.0)
         avg_d = total_d / thr if thr > 0 else 0.0
         out.append(CommodityMetrics(thr, max_d, total_d, avg_d))
     return tuple(out)

@@ -16,6 +16,7 @@ from delayflow import algorithms, baselines, lp
 from delayflow.algorithms import (
     check_lemma1,
     compute_lambda,
+    missed_guarantees,
     solve_pass,
     solve_pass_m,
     solve_pass_t,
@@ -148,10 +149,8 @@ def run_corpus_instance(seed: int) -> CorpusRecord:
         )
 
     # Deletion inequality per commodity of the epsilon run.
-    for i in range(len(comms)):
-        ok, slack = check_lemma1(
-            net, list(p.counterpart.flows[i]), list(p.solution.flows[i]), eps
-        )
+    for hat, bar in zip(evaluate_metrics(net, p.counterpart), p.metrics):
+        ok, slack = check_lemma1(net, hat, bar, eps)
         rec.lemma1_slacks.append(slack)
         rec.checks.setdefault("lemma1", True)
         rec.checks["lemma1"] &= ok
@@ -209,6 +208,8 @@ def run_corpus_instance(seed: int) -> CorpusRecord:
     rec.checks["greedy:delay"] = all(
         m.max_delay <= c.D + tol for c, m in zip(comms, g.metrics)
     )
+    # Greedy flags a result infeasible exactly when it misses a guarantee.
+    rec.checks["greedy:flag"] = g.feasible == (not missed_guarantees(spec, "GREEDY", g.metrics))
     if not spec.objective.is_delay and g.feasible:
         rec.checks["greedy:bounded"] = g.objective <= exact.objective + tol
     return rec

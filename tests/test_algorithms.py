@@ -8,6 +8,7 @@ from delayflow.algorithms import (
     check_lemma1,
     compute_lambda,
     delete_slowest,
+    missed_guarantees,
     solve_pass,
     solve_pass_m,
     solve_pass_t,
@@ -16,8 +17,10 @@ from delayflow.gen import random_problem
 from delayflow.graph import Edge, Network, Path
 from delayflow.problem import (
     Commodity,
+    CommodityMetrics,
     Objective,
     ProblemSpec,
+    evaluate_metrics,
     make_tcdm,
     scaled_identity,
 )
@@ -76,12 +79,8 @@ def test_pass_two_parallel_half(two_parallel):
     assert rep.metrics[0].throughput == pytest.approx(1.0)
     assert rep.metrics[0].max_delay == 1.0
     assert rep.objective == pytest.approx(1.0)
-    ok, slack = check_lemma1(
-        two_parallel,
-        list(rep.counterpart.flows[0]),
-        list(rep.solution.flows[0]),
-        0.5,
-    )
+    hat = evaluate_metrics(two_parallel, rep.counterpart)[0]
+    ok, slack = check_lemma1(two_parallel, hat, rep.metrics[0], 0.5)
     assert ok
     assert slack == pytest.approx(9.0)  # 11 - (1 + 0.5*2*1)
 
@@ -134,11 +133,40 @@ def test_pass_certificates_on_diamond(diamond):
     rep = solve_pass(spec, 0.2)
     assert rep.metrics[0].throughput >= (1 - 0.2) * 10.0 - 1e-9
     assert not rep.solution.check_feasible(diamond, spec.commodities)
-    for i in range(1):
-        ok, _ = check_lemma1(
-            diamond, list(rep.counterpart.flows[i]), list(rep.solution.flows[i]), 0.2
-        )
-        assert ok
+    hat = evaluate_metrics(diamond, rep.counterpart)[0]
+    ok, _ = check_lemma1(diamond, hat, rep.metrics[0], 0.2)
+    assert ok
+
+
+def test_missed_guarantees_names_each_miss_in_order(two_parallel):
+    """Per commodity the floor, then the cap, then PASS's deletion
+    inequality; a floor may be missed by ``check_tol`` (1e-6 here), a cap
+    by ``bound_tol`` of it."""
+    spec = _tcdm(two_parallel, 2.0, d=4.0)  # PASS at eps 0.5: floor 1, cap 8
+    hat = CommodityMetrics(2.0, 10.0, 11.0, 5.5)
+
+    def missed(throughput, max_delay):
+        bar = CommodityMetrics(throughput, max_delay, 0.0, 0.0)
+        return missed_guarantees(spec, "PASS", [bar], [hat], epsilon=0.5)
+
+    assert missed(1.0 - 0.9e-6, 8.0 + 7e-6) == []  # bound_tol(8) = 8e-6
+    assert missed(1.0 - 1.1e-6, 8.0 + 9e-6) == [
+        f"commodity 0: throughput {1.0 - 1.1e-6} below (1-eps)*R = 1.0",
+        f"commodity 0: max delay {8.0 + 9e-6} exceeds D/eps = 8.0",
+    ]
+    bar = CommodityMetrics(0.5, 9.0, 9.0, 18.0)  # slack 11 - (9 + 0.5*2*9)
+    assert missed_guarantees(spec, "PASS", [bar], [hat], epsilon=0.5) == [
+        "commodity 0: throughput 0.5 below (1-eps)*R = 1.0",
+        "commodity 0: max delay 9.0 exceeds D/eps = 8.0",
+        "commodity 0: deletion inequality violated (slack -7.0)",
+    ]
+    short = [CommodityMetrics(1.0, 4.0, 4.0, 4.0)]
+    assert missed_guarantees(spec, "GREEDY", short) == [
+        "commodity 0: throughput 1.0 below requirement 2.0"
+    ]
+    assert missed_guarantees(spec, "GREEDY", short, feasible=False) == []
+    with pytest.raises(ValueError, match="unknown algorithm 'FAST'"):
+        missed_guarantees(spec, "FAST", short)
 
 
 def test_report_fields(two_parallel):

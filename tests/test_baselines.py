@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import re
@@ -13,7 +14,7 @@ from delayflow.baselines import (
     solve_exact,
     solve_greedy,
 )
-from delayflow.algorithms import InfeasibleError
+from delayflow.algorithms import InfeasibleError, missed_guarantees
 from delayflow.cli import EC2_PAIRS
 from delayflow.gen import random_problem
 from delayflow.graph import Edge, Network, Path, builtin_ec2
@@ -55,6 +56,25 @@ def test_greedy_unreachable_sink(two_parallel):
     rep = solve_greedy(spec)
     assert not rep.feasible
     assert rep.metrics[0].throughput == 0.0
+
+
+def test_greedy_flag_is_the_missed_guarantees_rule_on_doubled_corpus():
+    """With every corpus requirement doubled, greedy misses some: it flags
+    a result infeasible exactly when ``missed_guarantees`` names a miss,
+    and exactly when some commodity carries less than R - check_tol."""
+    flagged = 0
+    for seed in range(200):
+        spec = random_problem(np.random.default_rng(seed))
+        comms = tuple(dataclasses.replace(c, R=2 * c.R) for c in spec.commodities)
+        spec = ProblemSpec(spec.network, comms, spec.objective)
+        rep = solve_greedy(spec)
+        tol = spec.network.check_tol
+        assert rep.feasible == (not missed_guarantees(spec, "GREEDY", rep.metrics))
+        assert rep.feasible == all(
+            m.throughput >= c.R - tol for c, m in zip(comms, rep.metrics)
+        )
+        flagged += not rep.feasible
+    assert 0 < flagged < 200
 
 
 def test_exact_tcdm_two_parallel(two_parallel):
@@ -123,6 +143,41 @@ def test_exact_rejects_a_requirement_above_its_ends_capacity_before_any_lp(
     with pytest.raises(InfeasibleError, match=re.escape(message)):
         solve_exact(spec)
     assert not calls
+
+
+@pytest.mark.parametrize(
+    "demands,message",
+    [
+        (
+            [("VA", "SI"), ("VA", "TO")],
+            "VA->SI, VA->TO require 400.0 together, above the capacity out of VA (317.0)",
+        ),
+        (
+            [("VA", "SI"), ("OR", "SI")],
+            "VA->SI, OR->SI require 400.0 together, above the capacity into SI (369.0)",
+        ),
+    ],
+    ids=["out-of-VA", "into-SI"],
+)
+def test_exact_rejects_requirements_that_share_an_end_above_its_capacity_before_any_lp(
+    monkeypatch, ec2, demands, message
+):
+    """Each R of 200 fits its own ends; the two together do not fit the
+    end they share."""
+    calls = _lp_spy(monkeypatch)
+    spec = make_tcdm(ec2, [(s, t, 200.0, 1.0) for s, t in demands])
+    with pytest.raises(InfeasibleError, match=re.escape(message)):
+        solve_exact(spec)
+    assert not calls
+
+
+def test_exact_pre_check_allows_what_a_shared_end_carries(monkeypatch, ec2):
+    """R's that fill VA's out-capacity together pass the pre-check."""
+    calls = _lp_spy(monkeypatch)
+    comms = tuple(Commodity("VA", t, R=158.5, D=500.0) for t in ("SI", "TO"))
+    rep = solve_exact(ProblemSpec(ec2, comms, Objective.SUM_THROUGHPUT_UTILITY))
+    assert [m.throughput for m in rep.metrics] == pytest.approx([158.5, 158.5])
+    assert len(calls) == 1
 
 
 def test_exact_pre_check_allows_what_the_ends_carry(monkeypatch, ec2):

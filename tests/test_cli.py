@@ -796,7 +796,7 @@ def test_infeasible_report_names_the_commodity_that_misses(tmp_path, capsys):
     rc = main(["solve", "--topo", topo, "--problem", prob, "--algo", "greedy", "--out", str(out)])
     assert rc == 2
     assert capsys.readouterr().err == (
-        "infeasible: commodity 0 (n2->n3) carries 17.0, below its requirement 1e+308\n"
+        "infeasible: commodity 0: throughput 17.0 below requirement 1e+308\n"
     )
     assert json.loads(out.read_text())["feasible"] is False
     assert main(["verify", str(out)]) == 0

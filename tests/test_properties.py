@@ -42,6 +42,10 @@ def test_pass_m_certificates(corpus):
 def test_greedy_properties(corpus):
     _all(corpus, "greedy:delay")
     _all(corpus, "greedy:bounded")
+    # Flagged infeasible exactly when ``missed_guarantees`` names a miss, so
+    # ``delayflow solve`` has a first miss to print. No corpus report is
+    # flagged; test_baselines doubles the requirements to flag some.
+    _all(corpus, "greedy:flag")
 
 
 def test_corpus_covers_all_objectives(corpus):
