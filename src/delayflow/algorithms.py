@@ -48,7 +48,6 @@ class SolveReport:
     epsilon: float | None = None
     epsilon_max: float | None = None
     epsilon_min: float | None = None
-    lam: float | None = None  # PASS-T delay ratio; math.inf when unbounded
     feasible: bool = True
     wall_time: float = 0.0
 

@@ -258,39 +258,30 @@ def solve_exact(
     any specs on one network, whatever their endpoints, rates and
     objectives; a spec on another network (compared with ``is``, then
     ``==``) raises ValueError. Raises InfeasibleError when no flow meets
-    the requirements, before any LP when a commodity's R exceeds its
-    source's out-capacity or its sink's in-capacity, or the R's of the
-    commodities that share a source (a sink) together exceed its
-    out-capacity (in-capacity), each plus ``check_tol``; and SolverError
-    when an LP fails or the search exceeds its budget.
+    the requirements, before any LP when the R's of the commodities that
+    leave a source (enter a sink), one or several, sum past its
+    out-capacity (in-capacity) plus ``check_tol``; and SolverError when an
+    LP fails or the search exceeds its budget.
     """
     if not spec.network.has_integer_delays():
         raise ValueError("integer delays required for the exact solver")
     t0 = time.perf_counter()
     net = spec.network
     comms = spec.commodities
-    for c in comms:  # no flow is larger than what leaves s or enters t
-        most = min(
-            net.out_capacity[net.index_of(c.source)], net.in_capacity[net.index_of(c.sink)]
-        )
-        if c.R > most + net.check_tol:
-            raise InfeasibleError(
-                f"{c.source}->{c.sink} requires {c.R}, above the capacity out of "
-                f"{c.source} or into {c.sink} ({float(most)})"
-            )
-    # Nor are the flows that share a source, or a sink, together.
+    # The flows out of a source (into a sink), one or several, together fit
+    # its out-capacity (in-capacity).
     for side, capacity, ends in (
         ("out of", net.out_capacity, [c.source for c in comms]),
         ("into", net.in_capacity, [c.sink for c in comms]),
     ):
-        for v in dict.fromkeys(u for u in ends if ends.count(u) > 1):
+        for v in dict.fromkeys(ends):
             group = [c for c, u in zip(comms, ends) if u == v]
             need = sum(c.R for c in group)
             most = capacity[net.index_of(v)]
             if need > most + net.check_tol:
                 names = ", ".join(f"{c.source}->{c.sink}" for c in group)
                 raise InfeasibleError(
-                    f"{names} require {need} together, above the capacity {side} "
+                    f"requirements of {names} total {need}, above the capacity {side} "
                     f"{v} ({float(most)})"
                 )
     cache = _bind_cache(cache, net)

@@ -171,7 +171,6 @@ def report_to_json(spec: ProblemSpec, report: SolveReport) -> dict:
         "epsilon": report.epsilon,
         "epsilon_max": report.epsilon_max,
         "epsilon_min": report.epsilon_min,
-        "lambda": report.lam,
         "wall_time": report.wall_time,
         "topology": serialize_topology(net),
         "problem": problem_to_json(spec),

@@ -112,7 +112,7 @@ def random_problem(
                     Commodity(
                         net.nodes[s],
                         net.nodes[t],
-                        R=round(float(rng.uniform(0.3, 0.9)) * cap, 3),
+                        R=round(float(rng.uniform(0.3, 0.9) * cap), 3),
                         D=math.inf,
                         w=float(rng.integers(1, 5)),
                         utility_d=(

@@ -83,7 +83,8 @@ def _check_pl_shape(u: PLFunction, concave: bool) -> str | None:
             return f"segment {k} has negative slope {s} (not non-decreasing)"
     turn, shape = ("increase", "concave") if concave else ("decrease", "convex")
     for k, (s0, s1) in enumerate(zip(slopes, slopes[1:])):
-        if (s1 > s0 + 1e-12) if concave else (s1 < s0 - 1e-12):
+        tol = 1e-12 * max(1.0, abs(s0), abs(s1))  # relative to the slopes compared
+        if (s1 > s0 + tol) if concave else (s1 < s0 - tol):
             return f"slopes {turn} at segment {k + 1} ({s0} -> {s1}, not {shape})"
     return None
 
@@ -102,8 +103,8 @@ def validate_utility_d(u: PLFunction) -> str | None:
     msg = _check_pl_shape(u, concave=False)
     if msg:
         return msg
-    for k, (slope, intercept) in enumerate(u.segments()):
-        if intercept < -1e-12:
+    for k, ((a0, u0), (slope, intercept)) in enumerate(zip(u.points, u.segments())):
+        if intercept < -1e-12 * max(1.0, abs(u0), abs(slope * a0)):
             return (
                 f"segment {k} line y = {slope}*a + {intercept} has negative "
                 "intercept, so scaling the argument can outgrow the value"

@@ -128,10 +128,14 @@ def _lp_spy(monkeypatch) -> list:
     [
         (
             ("VA", "SI", 320.0),
-            "VA->SI requires 320.0, above the capacity out of VA or into SI (317.0)",
+            "requirements of VA->SI total 320.0, above the capacity out of VA (317.0)",
         ),
         (("VA", "SI", 1000.0), "(317.0)"),
-        (("SI", "VA", 320.0), "(317.0)"),  # SI's out-capacity is 369, VA's in-capacity 317
+        # SI's out-capacity is 369, VA's in-capacity 317: short only at its sink.
+        (
+            ("SI", "VA", 320.0),
+            "requirements of SI->VA total 320.0, above the capacity into VA (317.0)",
+        ),
     ],
     ids=["out-of-VA-320", "out-of-VA-1000", "into-VA-320"],
 )
@@ -149,23 +153,29 @@ def test_exact_rejects_a_requirement_above_its_ends_capacity_before_any_lp(
     "demands,message",
     [
         (
-            [("VA", "SI"), ("VA", "TO")],
-            "VA->SI, VA->TO require 400.0 together, above the capacity out of VA (317.0)",
+            [("VA", "SI", 200.0), ("VA", "TO", 200.0)],
+            "requirements of VA->SI, VA->TO total 400.0, above the capacity out of VA (317.0)",
         ),
         (
-            [("VA", "SI"), ("OR", "SI")],
-            "VA->SI, OR->SI require 400.0 together, above the capacity into SI (369.0)",
+            [("VA", "SI", 200.0), ("OR", "SI", 200.0)],
+            "requirements of VA->SI, OR->SI total 400.0, above the capacity into SI (369.0)",
+        ),
+        # SI->VA is also short alone, at its sink VA (320 > 317); sources are
+        # checked first, so the shared source VA is named.
+        (
+            [("VA", "SI", 200.0), ("VA", "TO", 200.0), ("SI", "VA", 320.0)],
+            "requirements of VA->SI, VA->TO total 400.0, above the capacity out of VA (317.0)",
         ),
     ],
-    ids=["out-of-VA", "into-SI"],
+    ids=["out-of-VA", "into-SI", "out-of-VA-before-into-VA"],
 )
 def test_exact_rejects_requirements_that_share_an_end_above_its_capacity_before_any_lp(
     monkeypatch, ec2, demands, message
 ):
-    """Each R of 200 fits its own ends; the two together do not fit the
-    end they share."""
+    """Each R of 200 fits its own ends; two together do not fit the end
+    they share."""
     calls = _lp_spy(monkeypatch)
-    spec = make_tcdm(ec2, [(s, t, 200.0, 1.0) for s, t in demands])
+    spec = make_tcdm(ec2, [(*d, 1.0) for d in demands])
     with pytest.raises(InfeasibleError, match=re.escape(message)):
         solve_exact(spec)
     assert not calls

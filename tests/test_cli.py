@@ -644,7 +644,7 @@ def test_exact_huge_requirement_exits_2_before_any_lp(tmp_path, capsys, monkeypa
     rc = main(["solve", "--topo", "ec2", "--problem", str(prob), "--algo", "exact"])
     assert rc == 2
     assert capsys.readouterr().err == (
-        "infeasible: VA->SI requires 1e+308, above the capacity out of VA or into SI (317.0)\n"
+        "infeasible: requirements of VA->SI total 1e+308, above the capacity out of VA (317.0)\n"
     )
 
 

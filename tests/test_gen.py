@@ -23,3 +23,10 @@ def test_generator_output_is_pinned():
         h.update(serialize_topology(spec.network).encode())
         h.update(json.dumps(problem_to_json(spec)).encode())
     assert h.hexdigest() == CORPUS_DIGEST
+
+
+def test_every_requirement_is_a_python_float():
+    """R's are rounded as floats, so JSON and reprs carry no numpy scalar."""
+    for seed in range(CORPUS_SIZE):
+        spec = random_problem(np.random.default_rng(seed))
+        assert all(type(c.R) is float for c in spec.commodities), seed

@@ -70,6 +70,31 @@ def test_validate_utility_d():
     )
 
 
+def test_shape_checks_scale_with_the_slopes_and_values_compared():
+    """A steep line through three breakpoints is both concave and convex,
+    whatever rounding its computed slopes and intercepts carry; a slope
+    rise of 1e-6 relative is still a kink."""
+    line = PLFunction(
+        (
+            (0.0, 0.0),
+            (8.402277707737092, 15517191.429610873),
+            (9.223753523525636, 17034279.763485953),
+        )
+    )
+    assert validate_utility_t(line) is None
+    assert validate_utility_d(line) is None
+    s = 1e5
+    assert "not concave" in validate_utility_t(
+        PLFunction(((0.0, 0.0), (1.0, s), (2.0, s + s * (1 + 1e-6))))
+    )
+    assert "not convex" in validate_utility_d(
+        PLFunction(((0.0, 0.0), (1.0, s * (1 + 1e-6)), (2.0, s * (1 + 1e-6) + s)))
+    )
+    assert "intercept" in validate_utility_d(
+        PLFunction(((0.0, 0.0), (1.0, s), (2.0, s + s * (1 + 1e-6))))
+    )
+
+
 def test_commodity_validation():
     with pytest.raises(ValueError):
         Commodity("a", "a")
