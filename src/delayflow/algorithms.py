@@ -35,6 +35,29 @@ class InfeasibleError(RuntimeError):
     """The average-delay counterpart (hence the problem itself) is infeasible."""
 
 
+def check_endpoint_capacities(spec: ProblemSpec) -> None:
+    """Raise InfeasibleError when the R's of the commodities that leave a
+    source (enter a sink), one or several, sum past its out-capacity
+    (in-capacity) plus ``check_tol``: each distinct source first, then each
+    distinct sink. Every LP solver calls this before building an LP."""
+    net = spec.network
+    comms = spec.commodities
+    for side, capacity, ends in (
+        ("out of", net.out_capacity, [c.source for c in comms]),
+        ("into", net.in_capacity, [c.sink for c in comms]),
+    ):
+        for v in dict.fromkeys(ends):
+            group = [c for c, u in zip(comms, ends) if u == v]
+            need = sum(c.R for c in group)
+            most = capacity[net.index_of(v)]
+            if need > most + net.check_tol:
+                names = ", ".join(f"{c.source}->{c.sink}" for c in group)
+                raise InfeasibleError(
+                    f"requirements of {names} total {need}, above the capacity {side} "
+                    f"{v} ({float(most)})"
+                )
+
+
 PathFlow = Sequence[tuple[Path, float]]
 
 
@@ -121,8 +144,11 @@ class Counterpart:
 
 
 def solve_counterpart(spec: ProblemSpec) -> Counterpart:
-    """Solve the counterpart LP and decompose each commodity into paths."""
+    """Solve the counterpart LP and decompose each commodity into paths.
+    Raises InfeasibleError, before any LP when ``check_endpoint_capacities``
+    finds an endpoint short."""
     t0 = time.perf_counter()
+    check_endpoint_capacities(spec)
     lp, cmap = build_counterpart(spec)
     sol = solve_lp(lp)
     if sol.status == "infeasible":

@@ -15,6 +15,7 @@ from delayflow.algorithms import (
     InfeasibleError,
     SolveReport,
     build_report,
+    check_endpoint_capacities,
     delete_slowest,
     missed_guarantees,
 )
@@ -112,7 +113,8 @@ class _TimeExpanded:
     ``arc_tail`` and ``arc_head`` hold. Arcs are ordered by (tail state,
     physical edge).
     ``source`` is the node of (s, 0), or None when no walk meets the
-    deadline. Rates are physical, so ``zero_tol`` is the network's.
+    deadline. Rates are physical, so ``zero_tol`` and ``check_tol`` are
+    the network's.
     """
 
     def __init__(self, net: Network, s: int, t: int, deadline: float):
@@ -149,6 +151,7 @@ class _TimeExpanded:
         self.source = index.get((s, 0.0))
         self.sink = sink
         self.zero_tol = net.zero_tol
+        self.check_tol = net.check_tol
 
 
 def _exact_lp(
@@ -258,32 +261,16 @@ def solve_exact(
     any specs on one network, whatever their endpoints, rates and
     objectives; a spec on another network (compared with ``is``, then
     ``==``) raises ValueError. Raises InfeasibleError when no flow meets
-    the requirements, before any LP when the R's of the commodities that
-    leave a source (enter a sink), one or several, sum past its
-    out-capacity (in-capacity) plus ``check_tol``; and SolverError when an
-    LP fails or the search exceeds its budget.
+    the requirements, before any LP when ``check_endpoint_capacities``
+    finds an endpoint short; and SolverError when an LP fails or the search
+    exceeds its budget.
     """
     if not spec.network.has_integer_delays():
         raise ValueError("integer delays required for the exact solver")
+    check_endpoint_capacities(spec)
     t0 = time.perf_counter()
     net = spec.network
     comms = spec.commodities
-    # The flows out of a source (into a sink), one or several, together fit
-    # its out-capacity (in-capacity).
-    for side, capacity, ends in (
-        ("out of", net.out_capacity, [c.source for c in comms]),
-        ("into", net.in_capacity, [c.sink for c in comms]),
-    ):
-        for v in dict.fromkeys(ends):
-            group = [c for c, u in zip(comms, ends) if u == v]
-            need = sum(c.R for c in group)
-            most = capacity[net.index_of(v)]
-            if need > most + net.check_tol:
-                names = ", ".join(f"{c.source}->{c.sink}" for c in group)
-                raise InfeasibleError(
-                    f"requirements of {names} total {need}, above the capacity {side} "
-                    f"{v} ({float(most)})"
-                )
     cache = _bind_cache(cache, net)
     graphs = cache.setdefault("graphs", {})
     d_inf = math.inf if deadline_cap is None else deadline_cap

@@ -253,7 +253,8 @@ def verify_report(doc: dict) -> list[str]:
                 "counterpart path at that rate"
             )
         eps_max = float(doc["epsilon_max"])
-        if 0.0 <= eps_max <= 1.0:
+        # A deletion that removes nothing can read a rounding below 0.
+        if -bound_tol(0.0) <= eps_max <= 1.0:
             removed = [
                 removed_fraction(net, h.throughput, m.throughput)
                 for h, m in zip(hat_metrics, metrics)

@@ -13,11 +13,11 @@ from delayflow.lp import SolverError
 
 def _checked_flow(net: Network, edge_flow: np.ndarray, s: str, t: str) -> list[float]:
     """One commodity's s->t edge flow as a list of floats, which the walks
-    read in place of numpy scalars; a rate in (-zero_tol, 0) reads 0.
-    Raises ValueError when a rate is negative or a node other than s and t
-    is unbalanced."""
+    read in place of numpy scalars; a rate in (-check_tol, 0), an LP's
+    rounding, reads 0. Raises ValueError when a rate is more negative or a
+    node other than s and t is unbalanced by more than ``check_tol``."""
     x = np.array(edge_flow, dtype=np.float64)
-    x[(x < 0) & (x > -net.zero_tol)] = 0.0
+    x[(x < 0) & (x > -net.check_tol)] = 0.0
     if np.any(x < 0):
         raise ValueError("edge flow must be nonnegative")
     si, ti = net.index_of(s), net.index_of(t)
@@ -119,8 +119,10 @@ def _strip_paths(graph, x: list[float], s: int, t: int) -> list[tuple[list[int],
 
     ``graph`` is a ``Network`` or any graph with the same integer shape:
     ``nodes`` (names for messages), ``heads`` (head node of each edge),
-    node-indexed ``out_edges``/``in_edges`` (edge indices, ascending), and
-    the ``zero_tol`` below which a rate is zero.
+    node-indexed ``out_edges``/``in_edges`` (edge indices, ascending), the
+    ``zero_tol`` below which a rate is zero and the ``check_tol`` within
+    which conservation holds. A walk that strands with a bottleneck of at
+    most ``check_tol`` is an LP's rounding: it is dropped, not returned.
     """
     zero = graph.zero_tol
     heads = graph.heads
@@ -139,20 +141,24 @@ def _strip_paths(graph, x: list[float], s: int, t: int) -> list[tuple[list[int],
                     nxt = k
                     break
             if nxt < 0:
-                raise ValueError(
-                    f"flow stranded at node {graph.nodes[u]}: cannot reach sink"
-                )
+                if min((x[k] for k in edges), default=out_rate) > graph.check_tol:
+                    raise ValueError(
+                        f"flow stranded at node {graph.nodes[u]}: cannot reach sink"
+                    )
+                break
             edges.append(nxt)
             u = heads[nxt]
             if u in seen:
                 raise ValueError("cycle encountered; cancel cycles first")
             seen.add(u)
+        if not edges:  # what leaves s is rounding on edges that read 0
+            break
         bottleneck = min(x[k] for k in edges)
         for k in edges:
             x[k] -= bottleneck
             if x[k] < zero:
                 x[k] = 0.0
-        if bottleneck > zero:
+        if u == t and bottleneck > zero:
             paths.append((edges, np.float64(bottleneck)))
         if len(paths) > len(graph.heads):
             raise SolverError("decomposition exceeded |E| paths")

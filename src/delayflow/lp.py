@@ -162,14 +162,19 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     Small LPs go to the tableau, which calls the LP feasible when its
     phase-1 objective (the sum of the artificials, on rows scaled to
     max-abs coefficient 1) is within SOLUTION_TOL of 0. Larger LPs go to
-    HiGHS, whose x is accepted only when it is finite, x >= -tol, every
-    inequality row holds within tol and every "=" row within tol, with tol
-    HIGHS_CHECK_TOL (about 3.16e-4, in the LP's own units); the first of
-    them loads scipy's HiGHS binding. Raises ``SolverError`` when an
-    engine fails or calls the LP unbounded (every LP this package builds
-    is bounded by link capacities), or the binding cannot be imported."""
+    HiGHS, and so does a small LP whose tableau x ``_holds`` rejects (its
+    pivots lost accuracy); the first of them loads scipy's HiGHS binding.
+    HiGHS's x is accepted only when ``_holds``. Raises ``SolverError`` when
+    an engine fails or calls the LP unbounded (every LP this package
+    builds is bounded by link capacities), or the binding cannot be
+    imported."""
     cells = (lp.num_rows + 1) * (lp.num_vars + 2 * lp.num_rows + 2)
-    sol = _solve_simplex(lp) if cells <= _AUTO_TABLEAU_CELLS else _solve_highs(lp)
+    if cells > _AUTO_TABLEAU_CELLS:
+        sol = _solve_highs(lp)
+    else:
+        sol = _solve_simplex(lp)
+        if sol.status == "optimal" and not _holds(lp, sol.x):
+            sol = _solve_highs(lp)  # the tableau's pivots lost accuracy
     if sol.status == "unbounded":
         raise SolverError("LP solver failure: an LP engine reported the LP unbounded")
     return sol
@@ -177,6 +182,22 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
 
 #: Slack of linprog's post-solve check on HiGHS's x: 10 * sqrt(1e-9).
 HIGHS_CHECK_TOL = 10 * np.sqrt(1e-9)
+
+
+def _holds(lp: LinearProgram, x: np.ndarray) -> bool:
+    """linprog's check of a returned point: x is finite, x >= 0 and every
+    row of ``lp`` holds, each within HIGHS_CHECK_TOL (about 3.16e-4, in the
+    LP's own units)."""
+    tol = HIGHS_CHECK_TOL
+    if not (np.isfinite(x).all() and (x >= -tol).all()):
+        return False
+    rows = lp.rows
+    ax = np.bincount(rows.row_of(), weights=rows.data * x[rows.indices], minlength=lp.num_rows)
+    return all(
+        g <= tol if r == "<=" else g >= -tol if r == ">=" else abs(g) <= tol
+        for g, r in zip((ax - lp.rhs).tolist(), lp.relations)
+    )
+
 
 #: scipy's HiGHS binding.
 _BINDING = "scipy.optimize._highspy._core"
@@ -322,17 +343,10 @@ def _solve_highs(lp: LinearProgram) -> LpSolution:
         return LpSolution("unbounded")
     if status != core.HighsModelStatus.kOptimal:
         raise SolverError(f"LP solver failure: HiGHS model status {status.name}")
-    # linprog's check of the returned point, at its tolerance: x finite,
-    # x >= 0 and row_lower <= A x <= row_upper, each within tol.
-    tol = HIGHS_CHECK_TOL
-    ok = np.isfinite(x).all() and (x >= -tol).all()
-    if ok:
-        col = np.repeat(np.arange(model.num_col), np.diff(model.start))
-        ax = np.bincount(model.index, weights=model.value * x[col], minlength=model.num_row)
-        ok = (model.row_upper - ax >= -tol).all() and (ax - model.row_lower >= -tol).all()
-    if not ok:
+    if not _holds(lp, x):
         raise SolverError(
-            f"LP solver failure: HiGHS solution violates the constraints by more than {tol:.2e}"
+            f"LP solver failure: HiGHS solution violates the constraints by more than "
+            f"{HIGHS_CHECK_TOL:.2e}"
         )
     return LpSolution("optimal", x, float(lp.objective @ x))
 

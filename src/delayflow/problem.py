@@ -72,6 +72,17 @@ def scaled_identity(w: float) -> PLFunction:
     return PLFunction(((0.0, 0.0), (1.0, float(w))))
 
 
+def _slope_scales(u: PLFunction) -> list[float]:
+    """Per segment, the magnitude its computed slope's rounding error scales
+    with: its breakpoints' largest |u| over its width. A narrow segment's
+    slope carries more rounding than the slope itself suggests."""
+    pts = u.points
+    scales = [
+        max(abs(u0), abs(u1)) / (a1 - a0) for (a0, u0), (a1, u1) in zip(pts, pts[1:])
+    ]
+    return scales or [0.0]
+
+
 def _check_pl_shape(u: PLFunction, concave: bool) -> str | None:
     """None when u(0) >= 0, no slope is negative and the slopes never
     increase (``concave``) or never decrease; else the first violation."""
@@ -82,8 +93,10 @@ def _check_pl_shape(u: PLFunction, concave: bool) -> str | None:
         if s < 0:
             return f"segment {k} has negative slope {s} (not non-decreasing)"
     turn, shape = ("increase", "concave") if concave else ("decrease", "convex")
+    scales = _slope_scales(u)
     for k, (s0, s1) in enumerate(zip(slopes, slopes[1:])):
-        tol = 1e-12 * max(1.0, abs(s0), abs(s1))  # relative to the slopes compared
+        # Relative to the slopes compared and to the rounding each carries.
+        tol = 1e-12 * max(1.0, abs(s0), abs(s1), scales[k], scales[k + 1])
         if (s1 > s0 + tol) if concave else (s1 < s0 - tol):
             return f"slopes {turn} at segment {k + 1} ({s0} -> {s1}, not {shape})"
     return None
@@ -103,8 +116,10 @@ def validate_utility_d(u: PLFunction) -> str | None:
     msg = _check_pl_shape(u, concave=False)
     if msg:
         return msg
-    for k, ((a0, u0), (slope, intercept)) in enumerate(zip(u.points, u.segments())):
-        if intercept < -1e-12 * max(1.0, abs(u0), abs(slope * a0)):
+    segments = zip(u.points, u.segments(), _slope_scales(u))
+    for k, ((a0, u0), (slope, intercept), scale) in enumerate(segments):
+        # u0 - slope*a0 carries the slope's rounding times a0.
+        if intercept < -1e-12 * max(1.0, abs(u0), abs(slope * a0), abs(a0) * scale):
             return (
                 f"segment {k} line y = {slope}*a + {intercept} has negative "
                 "intercept, so scaling the argument can outgrow the value"

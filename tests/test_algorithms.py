@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from delayflow import algorithms
 from delayflow.algorithms import (
     InfeasibleError,
     check_lemma1,
@@ -95,6 +96,26 @@ def test_pass_infeasible_counterpart(two_parallel):
     # capacity only allows rate 2 in total
     with pytest.raises(InfeasibleError):
         solve_pass(_tcdm(two_parallel, 3.0), 0.1)
+
+
+@pytest.mark.parametrize(
+    "solve", [lambda spec: solve_pass(spec, 0.1), solve_pass_m, solve_pass_t],
+    ids=["pass", "pass-m", "pass-t"],
+)
+def test_a_short_inner_cut_is_left_to_the_counterpart_lp(monkeypatch, solve):
+    """s sends and t takes up to 5, but the cut a->b carries 1: the
+    endpoint rule lets R = 2 through, and the one counterpart LP finds it
+    infeasible."""
+    net = Network(
+        ("s", "a", "b", "t"),
+        (Edge(0, 1, 1.0, 5.0), Edge(1, 2, 1.0, 1.0), Edge(2, 3, 1.0, 5.0)),
+    )
+    calls = []
+    real = algorithms.solve_lp
+    monkeypatch.setattr(algorithms, "solve_lp", lambda lp: calls.append(lp) or real(lp))
+    with pytest.raises(InfeasibleError, match="^average-delay counterpart is infeasible$"):
+        solve(_tcdm(net, 2.0, d=10.0))
+    assert len(calls) == 1
 
 
 def test_pass_m_two_parallel(two_parallel):

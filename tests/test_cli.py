@@ -10,7 +10,7 @@ import pytest
 import scipy
 from scipy.optimize._highspy._core import HighsModelStatus
 
-from delayflow import baselines
+from delayflow import algorithms, baselines
 from delayflow import lp as lp_module
 from delayflow.cli import _csv_row, main, report_to_json, verify_report
 from delayflow.graph import Path, load_topology, serialize_topology
@@ -646,6 +646,112 @@ def test_exact_huge_requirement_exits_2_before_any_lp(tmp_path, capsys, monkeypa
     assert capsys.readouterr().err == (
         "infeasible: requirements of VA->SI total 1e+308, above the capacity out of VA (317.0)\n"
     )
+
+
+_SHORT_ENDPOINTS = [
+    (
+        {
+            "objective": "SumThroughputUtility",
+            "commodities": [
+                {"src": "VA", "dst": "SI", "R": 0, "D": 150},
+                {"src": "OR", "dst": "TO", "R": 1e308, "D": 150},
+            ],
+        },
+        "requirements of OR->TO total 1e+308, above the capacity out of OR (447.0)",
+    ),
+    (
+        {
+            "objective": "SumThroughputUtility",
+            "commodities": [
+                {"src": "VA", "dst": "SI", "R": 200, "D": 150},
+                {"src": "VA", "dst": "TO", "R": 200, "D": 150},
+            ],
+        },
+        "requirements of VA->SI, VA->TO total 400.0, above the capacity out of VA (317.0)",
+    ),
+]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "algo", [["pass", "--eps", "0.03"], ["pass-m"], ["pass-t"], ["exact"]],
+    ids=["pass", "pass-m", "pass-t", "exact"],
+)
+@pytest.mark.parametrize("problem,message", _SHORT_ENDPOINTS, ids=["OR-1e308", "VA-shared"])
+def test_every_lp_solver_names_a_short_endpoint_before_any_lp(
+    tmp_path, capsys, monkeypatch, algo, problem, message
+):
+    """One endpoint rule for PASS, PASS-M, PASS-T and EXACT: the same
+    single line, exit 2, no LP and no numpy warning."""
+    calls = []
+    for module in (algorithms, baselines):
+        monkeypatch.setattr(module, "solve_lp", lambda lp: calls.append(lp))
+    prob = tmp_path / "short.json"
+    prob.write_text(json.dumps(problem))
+    rc = main(["solve", "--topo", "ec2", "--problem", str(prob), "--algo", *algo])
+    assert rc == 2
+    assert capsys.readouterr().err == f"infeasible: {message}\n"
+    assert not calls
+
+
+#: Valid EC2 problems that generated input found, each of which exited 1 or
+#: wrote a report that ``verify`` rejects.
+_GENERATED = {
+    # The tableau's optimum broke conservation by 27.8 at VA (objective
+    # 7513.8 where HiGHS finds 4008.2); its x now fails the row check and
+    # HiGHS solves the LP.
+    "tableau-x-breaks-rows": ("pass-t", {
+        "objective": "MaxDelayPenalty",
+        "commodities": [
+            {"src": "SP", "dst": "OR", "R": 43.16018508603089, "utility_d": {"points": [
+                [0.0, 0.2], [170.3181502343755, 6563.950141364235],
+                [423.3018321423987, 16313.593148019583],
+                [423.3028321423987, 16313.631686703664],
+                [424.3028321423987, 16352.170601277276]]}},
+            {"src": "SP", "dst": "OR", "R": 1.5, "utility_d": {"points": [
+                [0.0, 967.5169172728513], [65.8906625451624, 1000.4622485454324],
+                [230.85333010368598, 1082.9435823246943],
+                [231.85333010368598, 1083.4435823246943]]}},
+        ],
+    }),
+    # The tableau left -8.4e-10 on IR->TO and 1.7e-9 on IR->SI, which no
+    # flow leaves: a negative rate within check_tol reads 0, and a walk
+    # stranded on such a fragment is dropped.
+    "rounding-fragment": ("pass-t", {
+        "objective": "SumDelayPenalty",
+        "commodities": [
+            {"src": "IR", "dst": "VA", "R": 198.3988764843983, "D": 921.8035502814324,
+             "utility_d": {"points": [
+                 [0.0, 698.4293828757799], [153.20964006296214, 13858.372082951231],
+                 [191.41306300721408, 17217.406343500603],
+                 [377.9294402702611, 33616.85544266515],
+                 [378.9294402702611, 33705.80552662428]]}},
+            {"src": "SI", "dst": "OR", "R": 57.52055534441893, "utility_d": {"points": [
+                [0.0, 977.1416298924398], [7.098163976869029, 977.1416298924398],
+                [306.09816397686905, 23459.68344169427],
+                [307.09816397686905, 23536.3244876153]]}},
+        ],
+    }),
+    # PASS-M kept every path; the two rates, summed in different orders,
+    # gave epsilon_max = -2.1e-16, which verify read as outside [0, 1].
+    "pass-m-removes-nothing": ("pass-m", {
+        "objective": "SumThroughputUtility",
+        "commodities": [
+            {"src": "SP", "dst": "SI", "R": 0.0, "D": 690.0796012627657, "utility_t": {
+                "points": [[0.0, 791.3274798947882], [67.23152065341365, 2856.7353965781435]]}},
+        ],
+    }),
+}
+
+
+@pytest.mark.parametrize("algo,problem", _GENERATED.values(), ids=_GENERATED.keys())
+def test_generated_problems_solve_and_verify(tmp_path, algo, problem):
+    prob = tmp_path / "problem.json"
+    prob.write_text(json.dumps(problem))
+    report = str(tmp_path / "report.json")
+    assert main(["solve", "--topo", "ec2", "--problem", str(prob), "--algo", algo,
+                 "--out", report]) == 0
+    assert main(["verify", report]) == 0
 
 
 def _overflowing(objective: str, **commodity) -> dict:

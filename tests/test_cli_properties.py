@@ -86,6 +86,8 @@ _PROBLEMS = _problems()
 _ALGOS = [["pass", "--eps", "0.03"], ["pass-m"], ["pass-t"], ["greedy"]]
 
 
+# A numpy RuntimeWarning (an overflow in the tableau, say) is a failure.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_solve_never_raises_on_a_mutated_problem_field(report_file, data):

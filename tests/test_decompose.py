@@ -95,12 +95,26 @@ def test_decompose_rejects_stranded_flow():
 
 
 def test_decompose_reads_tiny_negative_rates_as_zero(diamond):
-    """A rate in (-zero_tol, 0) reads 0, as in ``cancel_cycles``; a larger
+    """A rate in (-check_tol, 0) reads 0, as in ``cancel_cycles``; a larger
     negative one is rejected."""
-    x = np.array([2.0, 1.5, 2.0, 1.5, -diamond.zero_tol / 2])
+    x = np.array([2.0, 1.5, 2.0, 1.5, -diamond.check_tol / 2])
     assert decompose(diamond, "s", "t", x) == decompose(diamond, "s", "t", np.maximum(x, 0.0))
-    x[4] = -2 * diamond.zero_tol
+    x[4] = -2 * diamond.check_tol
     with pytest.raises(ValueError, match="nonnegative"):
+        decompose(diamond, "s", "t", x)
+
+
+def test_decompose_drops_a_stranded_rounding_fragment(diamond):
+    """An LP's rounding can leave a rate of a few zero_tol on an edge into
+    a node that passes no more on: a walk stranded there with at most
+    check_tol is dropped. More than check_tol breaks conservation."""
+    x = np.array([2.0, 1.5, 2.0, 1.5, 0.0])
+    x[1] += diamond.check_tol / 2  # s->b, b passes only 1.5 on
+    assert decompose(diamond, "s", "t", x) == decompose(
+        diamond, "s", "t", np.array([2.0, 1.5, 2.0, 1.5, 0.0])
+    )
+    x[1] = 1.5 + 2 * diamond.check_tol
+    with pytest.raises(ValueError, match="conservation"):
         decompose(diamond, "s", "t", x)
 
 

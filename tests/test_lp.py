@@ -442,6 +442,35 @@ def test_highs_matches_linprog_on_random_counterparts():
     assert statuses.count("optimal") == 30
 
 
+@pytest.mark.parametrize(
+    "tableau_x,highs_calls",
+    [
+        ([1.0, 1.0, 1.0, 0.0], 0),  # the optimum: the tableau's answer stands
+        ([1.5, 1.5, 1.0, 0.0], 1),  # x0 + x1 <= 2 broken
+        ([1.0, 0.9, 1.0, 0.0], 1),  # x0 - x1 = 0 broken
+        ([1.0, 1.0, 1.0, -0.01], 1),  # x >= 0 broken
+    ],
+    ids=["holds", "le-row", "eq-row", "negative"],
+)
+def test_tableau_x_that_breaks_a_row_goes_to_highs(monkeypatch, tableau_x, highs_calls):
+    """A tableau whose pivots lost accuracy returns an x off its rows;
+    ``solve_lp`` checks it as it checks HiGHS's, and HiGHS decides."""
+    lp = LinearProgram(
+        "max",
+        [1, 1, 1, 0],
+        CsrRows.from_dense([[1, 1, 0, 0], [1, -1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]),
+        ("<=", "=", ">=", "<="),
+        [2, 0, 0.5, 1],
+    )
+    x = np.array(tableau_x)
+    monkeypatch.setattr(lp_module, "_solve_simplex", lambda lp: LpSolution("optimal", x, 3.0))
+    calls = []
+    highs = lp_module._solve_highs
+    monkeypatch.setattr(lp_module, "_solve_highs", lambda lp: calls.append(lp) or highs(lp))
+    assert solve_lp(lp).x.tolist() == [1.0, 1.0, 1.0, 0.0]
+    assert len(calls) == highs_calls
+
+
 def _optimal_runner(x):
     def runner(model, presolve):
         return HighsModelStatus.kOptimal, np.array(x, dtype=float)

@@ -95,6 +95,21 @@ def test_shape_checks_scale_with_the_slopes_and_values_compared():
     )
 
 
+def test_shape_checks_scale_with_the_segment_width():
+    """A slope over a segment 6e-4 wide carries about eps*|u|/6e-4 of
+    rounding, more than the slope's own magnitude suggests: this straight
+    line is both concave and convex, and a sublinear penalty."""
+    line = PLFunction(
+        (
+            (0.0, 0.0),
+            (7.084828928258201, 984.4015687832474),
+            (7.0854707326842465, 984.4907443004334),
+        )
+    )
+    assert validate_utility_t(line) is None
+    assert validate_utility_d(line) is None
+
+
 def test_commodity_validation():
     with pytest.raises(ValueError):
         Commodity("a", "a")

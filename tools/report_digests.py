@@ -13,9 +13,12 @@ it without ``wall_time``. Prints one line per workload:
 then ``corpus``, over the certificate corpus of the test suite: the
 ``random_problem`` instances of seeds 0-199, each solved by EXACT, PASS (at
 the seed's epsilon), PASS-T, GREEDY and, when every delay bound is finite,
-PASS-M, in that order. Last comes ``experiments <sha256> rows=<n>``, over the
+PASS-M, in that order. Then comes ``experiments <sha256> rows=<n>``, over the
 CSV text of the four ``delayflow experiment`` sweeps (``cli.run_experiment``)
-in the order ``cli.EXPERIMENTS`` lists them. Neither line depends on --seed.
+in the order ``cli.EXPERIMENTS`` lists them. Last comes ``greedy-doubled``,
+GREEDY on the corpus instances with every R doubled, where many reports are
+flagged ``"feasible": false``, so verify's branch for them is hashed too.
+None of these three lines depends on --seed.
 
 Equal digests on two commits mean byte-identical reports. Issues (failed
 calls and verification findings) go to stderr, and the exit status is 1
@@ -88,6 +91,27 @@ def corpus_digest() -> tuple[str, int, list[str]]:
     return h.hexdigest(), calls, issues
 
 
+def greedy_doubled_digest() -> tuple[str, int, list[str]]:
+    """(sha256, number of calls, issues) of GREEDY on the certificate
+    corpus with every requirement doubled."""
+    import dataclasses
+
+    import numpy as np
+    from delayflow import baselines
+    from delayflow.gen import random_problem
+    from delayflow.problem import ProblemSpec
+
+    h = hashlib.sha256()
+    issues: list[str] = []
+    for seed in range(CORPUS_SIZE):
+        spec = random_problem(np.random.default_rng(seed))
+        comms = tuple(dataclasses.replace(c, R=2 * c.R) for c in spec.commodities)
+        doubled = ProblemSpec(spec.network, comms, spec.objective)
+        _hash_call(h, issues, f"greedy seed={seed}", doubled,
+                   lambda: baselines.solve_greedy(doubled))
+    return h.hexdigest(), CORPUS_SIZE, issues
+
+
 def experiments_digest() -> tuple[str, int]:
     """(sha256, number of data rows) of the four experiment CSVs."""
     import csv
@@ -132,19 +156,22 @@ def main(argv=None) -> int:
     run.import_delayflow()
     failed = False
     lines = []
-    for name in (*run.WORKLOADS, "corpus"):
-        if name == "corpus":
-            digest, calls, issues = corpus_digest()
-        else:
-            digest, calls, issues = report_digest(name, args.seed)
+
+    def report(name: str, digest: str, calls: int, issues: list[str]) -> None:
+        nonlocal failed
         for msg in issues:
             print(f"{name}: {msg}", file=sys.stderr)
         lines.append(f"{name} {digest} calls={calls} issues={len(issues)}")
         print(lines[-1])
         failed = failed or bool(issues)
+
+    for name in run.WORKLOADS:
+        report(name, *report_digest(name, args.seed))
+    report("corpus", *corpus_digest())
     digest, rows = experiments_digest()
     lines.append(f"experiments {digest} rows={rows}")
     print(lines[-1])
+    report("greedy-doubled", *greedy_doubled_digest())
     if args.expect:
         moved = moved_lines(Path(args.expect).read_text().splitlines(), lines)
         for msg in moved:
