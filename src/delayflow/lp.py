@@ -2,21 +2,22 @@
 
 Every LP has one form: optimise c.x subject to rows[i].x <rel_i> rhs[i]
 and x >= 0, with <rel_i> one of <=, =, >=. The rows are a ``CsrRows``:
-plain numpy arrays in compressed sparse row form. Two engines behind one
-contract: a from-scratch two-phase dense-tableau simplex (Bland's rule,
-deterministic, each pivot one numpy rank-1 update), and HiGHS's dual
-simplex (Huangfu & Hall, Math. Prog. Comp. 10, 2018) for instances too
-large for a dense tableau. ``solve_lp`` picks the engine by tableau size,
-so identical inputs always take the same route and yield bit-identical
-solutions, optimal or infeasible. An engine that fails, or that calls an
-LP unbounded, raises ``SolverError``.
+plain numpy arrays in compressed sparse row form. HiGHS's dual simplex
+(Huangfu & Hall, Math. Prog. Comp. 10, 2018) is the one authority on an
+LP's outcome. A from-scratch two-phase dense-tableau simplex (Bland's
+rule, deterministic, each pivot one numpy rank-1 update) is its fast path
+for LPs that fit a dense tableau: it returns an optimum whose x holds on
+every row, or nothing, and then HiGHS solves the LP. So identical inputs
+always take the same route and yield bit-identical solutions, optimal or
+infeasible; only HiGHS calls an LP infeasible, and when it calls one
+unbounded or fails, ``SolverError`` is raised.
 
 HiGHS is called through scipy's bundled binding
 ``scipy.optimize._highspy._core``, a private API (pyproject.toml pins the
 scipy range it was verified on). It is loaded on the first LP that goes to
 HiGHS, not with this module, and straight from its extension file, so
 neither ``scipy`` nor ``scipy.optimize`` is imported: a process whose LPs
-all fit the tableau never loads scipy, and one that reaches HiGHS loads
+the tableau settles never loads scipy, and one that reaches HiGHS loads
 only the binding (a plain import, if the direct load fails). A fresh HiGHS
 instance per call gets the model and options that
 ``scipy.optimize.linprog`` would give it, so x is linprog's, without
@@ -44,20 +45,18 @@ PIVOT_TOL = 1e-9
 #: Phase-1 feasibility tolerance of the tableau simplex (after row scaling).
 SOLUTION_TOL = 1e-7
 
-#: Above this many tableau cells, ``solve_lp`` switches to HiGHS.
+#: Above this many tableau cells, ``solve_lp`` goes straight to HiGHS.
 _AUTO_TABLEAU_CELLS = 250_000
 
-_MAX_ITER = 200_000
-
-STATUS_OPTIMAL = 0
-STATUS_UNBOUNDED = 1
-STATUS_ITER_LIMIT = 2
+#: Pivots per tableau row and column that a simplex phase may take before
+#: the tableau hands the LP to HiGHS.
+_PIVOTS_PER_LINE = 10
 
 
 class SolverError(RuntimeError):
-    """A solver failed on a well-formed input: an LP engine gave up or
-    returned a point that breaks its constraints, or a search ran out of
-    its budget. Not a statement about the problem's feasibility."""
+    """A solver failed on a well-formed input: HiGHS gave up, called an LP
+    unbounded or returned a point that breaks its constraints, or a search
+    ran out of its budget. Not a statement about the problem's feasibility."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,32 +151,24 @@ class LinearProgram:
 
 @dataclass
 class LpSolution:
-    status: str  # "optimal" or "infeasible"; an engine may also say "unbounded"
+    status: str  # "optimal" or "infeasible"
     x: np.ndarray | None = None
     objective: float | None = None
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
     """Solve ``lp`` over x >= 0; the solution is optimal or infeasible.
-    Small LPs go to the tableau, which calls the LP feasible when its
-    phase-1 objective (the sum of the artificials, on rows scaled to
-    max-abs coefficient 1) is within SOLUTION_TOL of 0. Larger LPs go to
-    HiGHS, and so does a small LP whose tableau x ``_holds`` rejects (its
-    pivots lost accuracy); the first of them loads scipy's HiGHS binding.
-    HiGHS's x is accepted only when ``_holds``. Raises ``SolverError`` when
-    an engine fails or calls the LP unbounded (every LP this package
-    builds is bounded by link capacities), or the binding cannot be
-    imported."""
+    One rule: an LP whose dense tableau fits ``_AUTO_TABLEAU_CELLS`` goes
+    to the tableau, and its optimum stands (its x ``_holds``). HiGHS
+    solves every other LP: one too large for the tableau, and one the
+    tableau gives up. The first of them loads scipy's HiGHS binding.
+    HiGHS alone calls an LP infeasible, and its x too must ``_holds``.
+    Raises ``SolverError`` when HiGHS fails or calls the LP unbounded
+    (every LP this package builds is bounded by link capacities), or the
+    binding cannot be imported."""
     cells = (lp.num_rows + 1) * (lp.num_vars + 2 * lp.num_rows + 2)
-    if cells > _AUTO_TABLEAU_CELLS:
-        sol = _solve_highs(lp)
-    else:
-        sol = _solve_simplex(lp)
-        if sol.status == "optimal" and not _holds(lp, sol.x):
-            sol = _solve_highs(lp)  # the tableau's pivots lost accuracy
-    if sol.status == "unbounded":
-        raise SolverError("LP solver failure: an LP engine reported the LP unbounded")
-    return sol
+    sol = _solve_simplex(lp) if cells <= _AUTO_TABLEAU_CELLS else None
+    return _solve_highs(lp) if sol is None else sol
 
 
 #: Slack of linprog's post-solve check on HiGHS's x: 10 * sqrt(1e-9).
@@ -231,9 +222,7 @@ def _load_binding():
 
 @functools.cache
 def _highs():
-    """The HiGHS binding, loaded on first call by ``_load_binding``, and the
-    model statuses after which a solve is repeated with presolve off (HiGHS
-    presolve can report "infeasible" for unbounded problems). Raises
+    """The HiGHS binding, loaded on first call by ``_load_binding``. Raises
     ``SolverError``, naming the installed scipy, when the binding cannot be
     imported."""
     try:
@@ -244,7 +233,7 @@ def _highs():
         except ImportError:
             found = "no scipy installed"
         raise SolverError(f"cannot import HiGHS ({_BINDING}) with {found}: {e}") from e
-    return core, (core.HighsModelStatus.kInfeasible, core.HighsModelStatus.kModelError)
+    return core
 
 
 class HighsModel(NamedTuple):
@@ -274,7 +263,7 @@ def linprog(model: HighsModel, presolve: bool) -> tuple[object, np.ndarray | Non
     output; returns the ``HighsModelStatus`` and, when optimal, x. Named
     after the scipy function whose HiGHS call it reproduces; ``_solve_highs``
     looks it up at call time, so the benchmark's tracer can wrap it."""
-    core, _ = _highs()
+    core = _highs()
     highs = core._Highs()
     highs.setOptionValue("output_flag", False)
     highs.setOptionValue("log_to_console", False)
@@ -294,7 +283,7 @@ def _highs_model(lp: LinearProgram) -> HighsModel:
     the inequality rows, ">=" rows negated, then the "=" rows, each group in
     row order; the matrix goes column-wise, each column's entries in row
     order."""
-    core, _ = _highs()
+    core = _highs()
     rows = lp.rows
     m, n = rows.shape
     rel = np.array(lp.relations, dtype=object)
@@ -332,7 +321,13 @@ def _highs_model(lp: LinearProgram) -> HighsModel:
 
 
 def _solve_highs(lp: LinearProgram) -> LpSolution:
-    core, retry = _highs()
+    """HiGHS's verdict on ``lp``: optimal, with an x that ``_holds``, or
+    infeasible. Raises ``SolverError`` on any other model status,
+    unbounded included."""
+    core = _highs()
+    # HiGHS presolve can report "infeasible" for unbounded problems, so
+    # these statuses get a second solve with presolve off.
+    retry = (core.HighsModelStatus.kInfeasible, core.HighsModelStatus.kModelError)
     model = _highs_model(lp)
     status, x = linprog(model, presolve=True)
     if status in retry:
@@ -340,7 +335,7 @@ def _solve_highs(lp: LinearProgram) -> LpSolution:
     if status in retry:
         return LpSolution("infeasible")
     if status == core.HighsModelStatus.kUnbounded:
-        return LpSolution("unbounded")
+        raise SolverError("LP solver failure: an LP engine reported the LP unbounded")
     if status != core.HighsModelStatus.kOptimal:
         raise SolverError(f"LP solver failure: HiGHS model status {status.name}")
     if not _holds(lp, x):
@@ -362,14 +357,15 @@ def _pivot(T: np.ndarray, row: int, col: int) -> None:
     T[hit] -= f[hit, None] * T[row]
 
 
-def simplex_iterations(T: np.ndarray, basis: np.ndarray, n_enterable: int, max_iter: int) -> int:
+def simplex_iterations(T: np.ndarray, basis: np.ndarray, n_enterable: int, max_iter: int) -> bool:
     """Run Bland-rule simplex pivots on tableau T in place.
 
     T has shape (m+1, n+1): m constraint rows plus the objective row last,
     n columns plus the rhs column last. The objective row holds reduced
     costs for a maximization; a column j with T[m, j] < -PIVOT_TOL can
     improve. Only columns < n_enterable may enter (artificials stay out
-    in phase 2). Returns a status code.
+    in phase 2). Returns True at an optimum, and False when an improving
+    column has no leaving row or ``max_iter`` pivots reach no optimum.
     """
     m = T.shape[0] - 1
     reduced = T[m, :n_enterable]
@@ -379,11 +375,11 @@ def simplex_iterations(T: np.ndarray, basis: np.ndarray, n_enterable: int, max_i
         improving = reduced < -PIVOT_TOL
         enter = int(improving.argmax())
         if not improving[enter]:
-            return STATUS_OPTIMAL
+            return True
         col = T[:m, enter]
         rows = (col > PIVOT_TOL).nonzero()[0]
         if not rows.size:
-            return STATUS_UNBOUNDED
+            return False
         # Ratio test; ties go to the smallest basis index (Bland).
         ratios = rhs[rows] / col[rows]
         leave = -1
@@ -397,7 +393,7 @@ def simplex_iterations(T: np.ndarray, basis: np.ndarray, n_enterable: int, max_i
                 leave = i
         _pivot(T, leave, enter)
         basis[leave] = in_basis[leave] = enter
-    return STATUS_ITER_LIMIT
+    return False
 
 
 #: Relation as the sign of its slack column: "<=" +1, "=" none, ">=" -1.
@@ -446,7 +442,12 @@ def _tableau(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray, int, np.ndarray
     return T, aux, n_slack, art_rows
 
 
-def _solve_simplex(lp: LinearProgram) -> LpSolution:
+def _solve_simplex(lp: LinearProgram) -> LpSolution | None:
+    """The tableau's optimum of ``lp``, whose x ``_holds``. None, for HiGHS
+    to decide, when phase 1 ends with artificials summing above
+    SOLUTION_TOL (on rows scaled to max-abs coefficient 1), an improving
+    column has no leaving row, a phase runs out of pivots, or x breaks a
+    row (the pivots lost accuracy)."""
     # Internally a maximization.
     c_user = lp.objective
     c = c_user if lp.sense == "max" else -c_user
@@ -454,16 +455,14 @@ def _solve_simplex(lp: LinearProgram) -> LpSolution:
     m = lp.num_rows
     T, basis, n_slack, art_rows = _tableau(lp)
     ncols = T.shape[1] - 1
+    max_iter = _PIVOTS_PER_LINE * sum(T.shape)
 
     # Phase 1: maximize -(sum of artificials).
     if art_rows.size:
         # Row by row in row order, as one sequential reduction.
         T[m] = np.subtract.reduce(T[np.concatenate(([m], art_rows))], axis=0)
-        status = simplex_iterations(T, basis, n + n_slack, _MAX_ITER)
-        if status != STATUS_OPTIMAL:
-            raise SolverError("simplex iteration failure in phase 1")
-        if T[m, -1] < -SOLUTION_TOL:
-            return LpSolution("infeasible")
+        if not simplex_iterations(T, basis, n + n_slack, max_iter) or T[m, -1] < -SOLUTION_TOL:
+            return None
         # Drive remaining artificials out of the basis; a row with no
         # usable pivot is redundant and dropped.
         keep = np.ones(m + 1, dtype=bool)
@@ -484,13 +483,10 @@ def _solve_simplex(lp: LinearProgram) -> LpSolution:
     c_ext[:n] = c
     cb = c_ext[basis]
     T[m, :] = cb @ T[:m, :] - c_ext
-    status = simplex_iterations(T, basis, n + n_slack, _MAX_ITER)
-    if status == STATUS_UNBOUNDED:
-        return LpSolution("unbounded")
-    if status != STATUS_OPTIMAL:
-        raise SolverError("simplex iteration failure in phase 2")
+    if not simplex_iterations(T, basis, n + n_slack, max_iter):
+        return None
 
     y = np.zeros(ncols)
     y[basis] = T[:m, -1]
     x = y[:n]
-    return LpSolution("optimal", x, float(c_user @ x))
+    return LpSolution("optimal", x, float(c_user @ x)) if _holds(lp, x) else None

@@ -483,7 +483,7 @@ def _highs_breaks_rows(monkeypatch):
     )
 
 
-#: ``solve_lp``'s message when an engine calls a bounded LP unbounded.
+#: ``solve_lp``'s message when HiGHS calls a bounded LP unbounded.
 UNBOUNDED = "LP solver failure: an LP engine reported the LP unbounded"
 
 
@@ -494,9 +494,11 @@ def _highs_says_unbounded(monkeypatch):
     )
 
 
-def _simplex_stalls(monkeypatch):
+def _simplex_stalls_highs_fails(monkeypatch):
+    """The tableau gives the LP up, and HiGHS fails on it too."""
+    monkeypatch.setattr(lp_module, "simplex_iterations", lambda *args: False)
     monkeypatch.setattr(
-        lp_module, "simplex_iterations", lambda *args: lp_module.STATUS_ITER_LIMIT
+        lp_module, "linprog", lambda model, presolve: (HighsModelStatus.kSolveError, None)
     )
 
 
@@ -515,7 +517,7 @@ def _highs_binding_missing(monkeypatch):
         ("exact", _highs_fails, "LP solver failure: HiGHS model status kSolveError"),
         ("exact", _highs_says_unbounded, UNBOUNDED),
         ("pass-t", _highs_says_unbounded, UNBOUNDED),
-        ("pass", _simplex_stalls, "simplex iteration failure in phase 1"),
+        ("pass", _simplex_stalls_highs_fails, "LP solver failure: HiGHS model status kSolveError"),
         (
             "pass",
             _highs_binding_missing,
@@ -743,13 +745,55 @@ _GENERATED = {
     }),
 }
 
+_PENALTY_POINTS = {"points": [
+    [0.0, 206.47907838973862], [286.63812872591313, 18269.866604989387],
+    [311.5267717705471, 19838.301543197347], [312.5267717705471, 19901.524856922188]]}
+
+#: Counterpart LPs the tableau gave up on, so the solve exited 1 ("simplex
+#: iteration failure"); the tableau now hands each to HiGHS.
+_TABLEAU_GIVES_UP = {
+    # In both, phase 1 found an improving column with no leaving row.
+    "no-leaving-row-SI-VA": {
+        "objective": "MaxDelayPenalty",
+        "commodities": [
+            {"src": "SI", "dst": "VA", "w": 0.0, "D": "inf", "R": 2.00001, "utility_d": {
+                "points": [[0.0, 845.3018909784842], [0.001, 845.3018909784842],
+                           [1.001, 452423.09835357615]]}},
+        ],
+    },
+    "no-leaving-row-IR-SI": {
+        "objective": "MaxDelayPenalty",
+        "commodities": [
+            {"src": "IR", "dst": "SI", "w": 1.0, "D": 969.3513052351585,
+             "R": 21.354611961958078, "utility_d": {"points": [
+                 [0.0, 1e-05], [0.3333333333333333, 21.44033402902092],
+                 [1.3333333333333333, 85.76131611608369]]}},
+        ],
+    },
+    # Phase 2 cycled through its 200 000 pivots (about 7 s).
+    "phase-2-stall": {
+        "objective": "SumDelayPenalty",
+        "commodities": [
+            {"src": "OR", "dst": "IR", "w": 1.0, "D": 377.93327315684087,
+             "R": 7.0639792971227, "utility_d": _PENALTY_POINTS},
+            {"src": "TO", "dst": "OR", "w": 1.0, "D": "inf", "R": 379.9151996650479,
+             "utility_d": _PENALTY_POINTS},
+        ],
+    },
+}
+_GENERATED.update(
+    (f"{name}-{algo.split()[0]}", (algo, problem))
+    for name, problem in _TABLEAU_GIVES_UP.items()
+    for algo in ("pass-t", "pass --eps 0.1")
+)
+
 
 @pytest.mark.parametrize("algo,problem", _GENERATED.values(), ids=_GENERATED.keys())
 def test_generated_problems_solve_and_verify(tmp_path, algo, problem):
     prob = tmp_path / "problem.json"
     prob.write_text(json.dumps(problem))
     report = str(tmp_path / "report.json")
-    assert main(["solve", "--topo", "ec2", "--problem", str(prob), "--algo", algo,
+    assert main(["solve", "--topo", "ec2", "--problem", str(prob), "--algo", *algo.split(),
                  "--out", report]) == 0
     assert main(["verify", report]) == 0
 

@@ -135,7 +135,7 @@ def test_failed_direct_load_falls_back_to_a_plain_import(tmp_path, monkeypatch, 
     try:
         got = lp_module.solve_lp(prog)
         assert imported == [lp_module._BINDING]
-        assert sys.modules[lp_module._BINDING] is lp_module._highs()[0]
+        assert sys.modules[lp_module._BINDING] is lp_module._highs()
     finally:
         lp_module._highs.cache_clear()
     assert got.status == "optimal"

@@ -13,9 +13,6 @@ from delayflow.graph import Edge, Network
 from delayflow.lp import (
     PIVOT_TOL,
     SOLUTION_TOL,
-    STATUS_ITER_LIMIT,
-    STATUS_OPTIMAL,
-    STATUS_UNBOUNDED,
     CsrRows,
     LinearProgram,
     LpSolution,
@@ -43,26 +40,33 @@ def test_simple_min_with_equality():
     assert sol.x == pytest.approx([3.0, 0.0])
 
 
+#: ``_solve_highs``'s message when HiGHS calls an LP unbounded.
+UNBOUNDED = "an LP engine reported the LP unbounded"
+
+
 def test_infeasible():
+    """The tableau settles no infeasible LP; HiGHS calls it infeasible."""
     lp = LinearProgram("min", [1], CsrRows.from_dense([[1], [1]]), ("<=", ">="), [1, 2])
-    assert _solve_simplex(lp).status == "infeasible"
+    assert _solve_simplex(lp) is None
     assert _solve_highs(lp).status == "infeasible"
 
 
 def test_unbounded():
+    """The tableau settles no unbounded LP; HiGHS calls it unbounded."""
     lp = LinearProgram("max", [1, 0], CsrRows.from_dense([[0, 1]]), ("<=",), [1])
-    assert _solve_simplex(lp).status == "unbounded"
-    assert _solve_highs(lp).status == "unbounded"
+    assert _solve_simplex(lp) is None
+    with pytest.raises(SolverError, match=UNBOUNDED):
+        _solve_highs(lp)
 
 
 @pytest.mark.parametrize("cells", [lp_module._AUTO_TABLEAU_CELLS, 0], ids=["tableau", "highs"])
 def test_solve_lp_raises_on_unbounded(monkeypatch, cells):
     """Every LP the package builds is bounded, so ``solve_lp`` returns only
     optimal or infeasible solutions and reports an unbounded one as a
-    solver failure, whichever engine said so."""
+    solver failure, whether or not the tableau saw the LP first."""
     monkeypatch.setattr(lp_module, "_AUTO_TABLEAU_CELLS", cells)
     lp = LinearProgram("max", [1, 0], CsrRows.from_dense([[0, 1]]), ("<=",), [1])
-    with pytest.raises(SolverError, match="an LP engine reported the LP unbounded"):
+    with pytest.raises(SolverError, match=UNBOUNDED):
         solve_lp(lp)
 
 
@@ -104,8 +108,8 @@ def test_determinism():
     )
     a = _solve_simplex(lp)
     b = _solve_simplex(lp)
-    assert a.status == b.status
-    if a.status == "optimal":
+    assert (a is None) == (b is None)
+    if a is not None:
         assert np.array_equal(a.x, b.x)
 
 
@@ -166,18 +170,18 @@ def test_against_vertex_enumeration():
         )
         sol = _solve_simplex(lp)
         verts = _enumerate_vertices(lp)
-        if sol.status == "infeasible":
-            assert not verts
+        if not verts:
+            assert sol is None
+            assert solve_lp(lp).status == "infeasible"
             continue
-        assert verts, "solver claims feasible but no vertex exists"
+        if sol is None:  # unbounded: HiGHS must say so
+            with pytest.raises(SolverError, match=UNBOUNDED):
+                solve_lp(lp)
+            continue
         vals = [float(lp.objective @ v) for v in verts]
         best = max(vals) if lp.sense == "max" else min(vals)
-        if sol.status == "optimal":
-            assert sol.objective == pytest.approx(best, abs=1e-6)
-            checked_optimal += 1
-        else:  # unbounded: the solver's claim must beat every vertex
-            hs = _solve_highs(lp)
-            assert hs.status == "unbounded"
+        assert sol.objective == pytest.approx(best, abs=1e-6)
+        checked_optimal += 1
     assert checked_optimal > 20
 
 
@@ -195,8 +199,10 @@ def test_engines_agree_on_random_lps():
         )
         a = _solve_simplex(lp)
         b = _assert_same_as_linprog(lp)
-        assert a.status == b.status
-        if a.status == "optimal":
+        if a is None:
+            assert b.status in ("infeasible", "unbounded")
+        else:
+            assert b.status == "optimal"
             assert a.objective == pytest.approx(b.objective, abs=1e-6)
 
 
@@ -213,8 +219,13 @@ def test_auto_engine_picks_simplex_for_small(monkeypatch):
 
 # -- reference engine ---------------------------------------------------------
 # A scalar two-phase tableau simplex with one Python loop per row and per
-# column. The array engine must reproduce its x and objective bit for bit,
+# column, with its own status codes. Wherever the array engine settles an
+# LP, it must reproduce the reference's x and objective bit for bit,
 # because every tableau cell gets the same floating-point operations.
+
+STATUS_OPTIMAL = 0
+STATUS_UNBOUNDED = 1
+STATUS_ITER_LIMIT = 2
 
 
 def _reference_iterations(T, basis, n_enterable, max_iter):
@@ -338,12 +349,15 @@ def _reference_simplex(lp: LinearProgram):
 
 
 def _assert_same_as_reference(lp: LinearProgram) -> str:
+    """The tableau settles an LP exactly when the reference finds an
+    optimum whose x holds, and then returns the same x bit for bit."""
     ref = _reference_simplex(lp)
     got = _solve_simplex(lp)
-    assert got.status == ref.status
-    if ref.status == "optimal":
+    if ref.status == "optimal" and lp_module._holds(lp, ref.x):
         assert got.x.tobytes() == ref.x.tobytes()
         assert got.objective == ref.objective
+    else:
+        assert got is None
     return ref.status
 
 
@@ -423,6 +437,10 @@ def _linprog_highs(lp: LinearProgram) -> LpSolution:
 
 def _assert_same_as_linprog(lp: LinearProgram) -> LpSolution:
     ref = _linprog_highs(lp)
+    if ref.status == "unbounded":
+        with pytest.raises(SolverError, match=UNBOUNDED):
+            _solve_highs(lp)
+        return ref
     got = _solve_highs(lp)
     assert got.status == ref.status
     if ref.status == "optimal":
@@ -442,19 +460,60 @@ def test_highs_matches_linprog_on_random_counterparts():
     assert statuses.count("optimal") == 30
 
 
+_ITERATE = lp_module.simplex_iterations
+
+
+def _ends_at(x):
+    """Both phases pivot as usual, then phase 2 leaves every column of the
+    LP basic at ``x``, as pivots that lost accuracy would."""
+
+    def phase(number, T, basis, *args):
+        if not _ITERATE(T, basis, *args):
+            return False
+        if number == 2:
+            basis[:] = range(len(x))
+            T[:-1, -1] = x
+        return True
+
+    return phase
+
+
+def _stalls(number, T, basis, *args):
+    """Every phase runs out of pivots."""
+    return False
+
+
+def _phase_1_residual(number, T, basis, *args):
+    """Phase 1 stops where it starts, with its artificials at 0.5."""
+    return number == 1 or _ITERATE(T, basis, *args)
+
+
+def _unbounded_column(number, T, basis, n_enterable, max_iter):
+    """Phase 2 starts with no leaving row for its first improving column."""
+    if number == 2:
+        enter = int((T[-1, :n_enterable] < -PIVOT_TOL).argmax())
+        T[:-1, enter] = -1.0
+    return _ITERATE(T, basis, n_enterable, max_iter)
+
+
 @pytest.mark.parametrize(
-    "tableau_x,highs_calls",
+    "tableau,highs_calls",
     [
-        ([1.0, 1.0, 1.0, 0.0], 0),  # the optimum: the tableau's answer stands
-        ([1.5, 1.5, 1.0, 0.0], 1),  # x0 + x1 <= 2 broken
-        ([1.0, 0.9, 1.0, 0.0], 1),  # x0 - x1 = 0 broken
-        ([1.0, 1.0, 1.0, -0.01], 1),  # x >= 0 broken
+        (_ends_at([1.0, 1.0, 1.0, 0.0]), 0),  # the optimum: the tableau's answer stands
+        (_ends_at([1.5, 1.5, 1.0, 0.0]), 1),  # x0 + x1 <= 2 broken
+        (_ends_at([1.0, 0.9, 1.0, 0.0]), 1),  # x0 - x1 = 0 broken
+        (_ends_at([1.0, 1.0, 1.0, -0.01]), 1),  # x >= 0 broken
+        (_stalls, 1),
+        (_phase_1_residual, 1),
+        (_unbounded_column, 1),
     ],
-    ids=["holds", "le-row", "eq-row", "negative"],
+    ids=["holds", "le-row", "eq-row", "negative", "stall", "phase-1-residual", "unbounded-column"],
 )
-def test_tableau_x_that_breaks_a_row_goes_to_highs(monkeypatch, tableau_x, highs_calls):
-    """A tableau whose pivots lost accuracy returns an x off its rows;
-    ``solve_lp`` checks it as it checks HiGHS's, and HiGHS decides."""
+def test_tableau_x_that_breaks_a_row_goes_to_highs(monkeypatch, tableau, highs_calls):
+    """A tableau whose pivots lost accuracy returns an x off its rows, and
+    one that stalls, keeps a phase-1 residual or finds an improving column
+    with no leaving row on a bounded feasible LP returns nothing. In each
+    case HiGHS decides, and its optimum is the one ``solve_lp`` returns."""
     lp = LinearProgram(
         "max",
         [1, 1, 1, 0],
@@ -462,15 +521,13 @@ def test_tableau_x_that_breaks_a_row_goes_to_highs(monkeypatch, tableau_x, highs
         ("<=", "=", ">=", "<="),
         [2, 0, 0.5, 1],
     )
-    x = np.array(tableau_x)
-    monkeypatch.setattr(lp_module, "_solve_simplex", lambda lp: LpSolution("optimal", x, 3.0))
+    phases = itertools.count(1)
+    monkeypatch.setattr(lp_module, "simplex_iterations", lambda *a: tableau(next(phases), *a))
     calls = []
     highs = lp_module._solve_highs
     monkeypatch.setattr(lp_module, "_solve_highs", lambda lp: calls.append(lp) or highs(lp))
     assert solve_lp(lp).x.tolist() == [1.0, 1.0, 1.0, 0.0]
     assert len(calls) == highs_calls
-
-
 def _optimal_runner(x):
     def runner(model, presolve):
         return HighsModelStatus.kOptimal, np.array(x, dtype=float)
@@ -527,7 +584,8 @@ def test_highs_retries_without_presolve(monkeypatch):
         (">=", "=", "<="),
         [2, 9, 7],
     )
-    assert _solve_highs(lp).status == "unbounded"
+    with pytest.raises(SolverError, match=UNBOUNDED):
+        _solve_highs(lp)
     assert calls == [True, False]
     calls.clear()
     one = LinearProgram("max", [1], CsrRows.from_dense([[1]]), ("<=",), [1])

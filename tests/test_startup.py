@@ -76,7 +76,7 @@ def test_first_lp_above_the_tableau_threshold_loads_highs(tmp_path):
 def test_binding_loads_alone_and_a_later_scipy_optimize_reuses_it(tmp_path):
     code = (
         "from delayflow import lp\n"
-        "core, _ = lp._highs()\n"
+        "core = lp._highs()\n"
         + REPORT
         + "import scipy.optimize\n"
         "from scipy.optimize._highspy import _core\n"
