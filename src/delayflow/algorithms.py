@@ -156,7 +156,7 @@ def solve_counterpart(spec: ProblemSpec) -> Counterpart:
     net = spec.network
     flows = FlowSolution(
         decompose(net, c.source, c.sink, cancel_cycles(net, x, c.source, c.sink))
-        for c, x in zip(spec.commodities, cmap.edge_flows(sol.x))
+        for c, x in zip(spec.commodities, cmap.columns(sol.x))
     )
     return Counterpart(spec, flows, time.perf_counter() - t0)
 
@@ -216,10 +216,12 @@ def apply_pass_m(cp: Counterpart) -> SolveReport:
     eps_i = []
     for pf, c in zip(cp.flows.flows, spec.commodities):
         # The paths over the bound form a prefix of the slowest-first order.
-        kept = [pf[i] for i in slowest_first(net, pf) if pf[i][0].delay(net) <= c.D]
+        # Both sums add in that order, so losing nothing removes exactly 0.
+        order = slowest_first(net, pf)
+        kept = [pf[i] for i in order if pf[i][0].delay(net) <= c.D]
         bar_flows.append(kept)
         eps_i.append(
-            removed_fraction(net, sum(r for _, r in pf), sum(r for _, r in kept))
+            removed_fraction(net, sum(pf[i][1] for i in order), sum(r for _, r in kept))
         )
     return build_report(
         spec,

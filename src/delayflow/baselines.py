@@ -1,5 +1,6 @@
 """Comparison solvers: a greedy shortest-path heuristic and the exact
-optimum via per-commodity time-expanded networks (integer delays only).
+optimum via a path LP over each commodity's simple paths within its
+deadline (integer delays only).
 """
 
 from __future__ import annotations
@@ -19,12 +20,13 @@ from delayflow.algorithms import (
     delete_slowest,
     missed_guarantees,
 )
-from delayflow.decompose import _cancel, _strip_paths
-from delayflow.graph import Network, Path, adjacency, shortest_path_by_delay
+from delayflow.graph import Network, Path, shortest_path_by_delay
 from delayflow.lp import SolverError, solve_lp
-from delayflow.problem import FlowSolution, ProblemSpec, build_counterpart
+from delayflow.problem import FlowSolution, PathSet, ProblemSpec, build_counterpart
 
-_MAX_ENUM_NODES = 12
+#: The most simple paths the exact solver enumerates for one endpoint pair
+#: within its deadline.
+PATH_BUDGET = 100_000
 
 
 def push_shortest(
@@ -70,156 +72,111 @@ def solve_greedy(spec: ProblemSpec) -> SolveReport:
     return report
 
 
-def simple_path_delays(net: Network, s: str, t: str) -> list[float]:
-    """Sorted distinct delays of all simple s->t paths."""
-    if len(net.nodes) > _MAX_ENUM_NODES:
-        raise ValueError(
-            f"path enumeration limited to {_MAX_ENUM_NODES} nodes "
-            f"(graph has {len(net.nodes)})"
-        )
-    si, ti = net.index_of(s), net.index_of(t)
-    delays: set[float] = set()
+class _PairPaths:
+    """Every simple s->t path of delay at most ``cap``, sorted by (delay,
+    edge tuple), as the ``PathSet`` columns its prefixes give: the paths
+    within deadline d are the first ``bisect_right(delays, d)``.
+    ``distinct`` holds their distinct delays, ascending."""
 
-    def rec(u: int, seen: set[int], acc: float) -> None:
-        if u == ti:
-            delays.add(acc)
-            return
+    def __init__(self, net: Network, s: int, t: int, cap: float):
+        found = _enumerate_paths(net, s, t, cap)
+        self.cap = cap
+        self.delays = [d for d, _ in found]
+        self.distinct = sorted(set(self.delays))
+        self.paths = tuple(Path(edges) for _, edges in found)
+        lengths = [len(edges) for _, edges in found]
+        self.ends = np.cumsum([0] + lengths).tolist()
+        self.edges = np.array([k for _, edges in found for k in edges], dtype=np.intp)
+        self.owner = np.repeat(np.arange(len(found)), lengths)
+        self.delay_array = np.array(self.delays)
+
+    def within(self, deadline: float) -> PathSet:
+        """The columns of the paths of delay at most ``deadline``."""
+        m = bisect.bisect_right(self.delays, deadline)
+        e = self.ends[m]
+        return PathSet(self.paths[:m], self.delay_array[:m], self.edges[:e], self.owner[:e])
+
+
+def _enumerate_paths(
+    net: Network, s: int, t: int, cap: float
+) -> list[tuple[float, tuple[int, ...]]]:
+    """(delay, edges) of every simple s->t path of delay at most ``cap``,
+    sorted, by one depth-first search. A prefix ending at v is dropped once
+    its delay plus ``net.least_delays[v, t]`` passes ``cap``. Raises
+    SolverError as soon as more than ``PATH_BUDGET`` paths are found."""
+    dist = net.least_delays[:, t].tolist()
+    delay = net.delay_array.tolist()
+    heads = net.heads
+    on_path = [False] * len(net.nodes)
+    on_path[s] = True
+    edges: list[int] = []
+    found: list[tuple[float, tuple[int, ...]]] = []
+
+    def extend(u: int, acc: float) -> None:
         for k in net.out_edges[u]:
-            v = net.edges[k].v
-            if v not in seen:
-                rec(v, seen | {v}, acc + net.edges[k].delay)
-
-    rec(si, {si}, 0.0)
-    return sorted(delays)
-
-
-class _TimeExpanded:
-    """Per-commodity layered graph over states (v, elapsed delay tau),
-    pruned to those on some source-to-sink walk with tau <= deadline.
-
-    A reached state lies on such a walk exactly when tau + d(v) <=
-    deadline, d(v) = ``net.least_delays[v, t]`` being v's least delay to
-    t: a least-delay v->t path ends at its first visit to t, and each
-    state on it passes the same test. So one forward search that expands
-    only passing states reaches the pruned graph and nothing else (integer
-    delays keep the sums exact).
-
-    It has the integer graph shape that ``decompose`` and
-    ``build_counterpart`` read: ``nodes`` are the sorted non-sink states
-    followed by one node, ``(t, None)``, that stands for every sink state
-    (t, tau), since sink states absorb; arc j runs along physical edge
-    ``edge_of[j]`` into node ``heads[j]``; and ``out_edges``/``in_edges``
-    list each node's arcs, whose tail and head nodes the integer arrays
-    ``arc_tail`` and ``arc_head`` hold. Arcs are ordered by (tail state,
-    physical edge).
-    ``source`` is the node of (s, 0), or None when no walk meets the
-    deadline. Rates are physical, so ``zero_tol`` and ``check_tol`` are
-    the network's.
-    """
-
-    def __init__(self, net: Network, s: int, t: int, deadline: float):
-        dist = net.least_delays[:, t].tolist()
-        reach = {(s, 0.0)} if dist[s] <= deadline else set()
-        frontier = list(reach)
-        arcs: list[tuple[tuple[int, float], int, tuple[int, float]]] = []
-        while frontier:
-            st = frontier.pop()
-            u, tau = st
-            if u == t:  # sink states absorb
+            v = heads[k]
+            d = acc + delay[k]
+            if on_path[v] or d + dist[v] > cap:
                 continue
-            for k in net.out_edges[u]:
-                e = net.edges[k]
-                nxt = (e.v, tau + e.delay)
-                if nxt[1] + dist[e.v] > deadline:
-                    continue
-                arcs.append((st, k, nxt))
-                if nxt not in reach:
-                    reach.add(nxt)
-                    frontier.append(nxt)
-        states = sorted(st for st in reach if st[0] != t)
-        sink = len(states)
-        index = {st: i for i, st in enumerate(states)}
-        index.update((st, sink) for st in reach if st[0] == t)
-        kept = sorted((index[a], k, index[b]) for a, k, b in arcs)
-        self.nodes = states + [(t, None)]
-        tails, edge_of, heads = zip(*kept) if kept else ((), (), ())
-        self.edge_of = list(edge_of)
-        self.heads = list(heads)
-        self.arc_tail = np.array(tails, dtype=np.intp)
-        self.arc_head = np.array(heads, dtype=np.intp)
-        self.out_edges, self.in_edges = adjacency(len(self.nodes), tails, heads)
-        self.source = index.get((s, 0.0))
-        self.sink = sink
-        self.zero_tol = net.zero_tol
-        self.check_tol = net.check_tol
+            edges.append(k)
+            if v == t:
+                found.append((d, tuple(edges)))
+                if len(found) > PATH_BUDGET:
+                    raise SolverError(
+                        f"more than {PATH_BUDGET} simple {net.nodes[s]}->{net.nodes[t]} "
+                        f"paths within delay {cap}, the exact solver's path budget"
+                    )
+            else:
+                on_path[v] = True
+                extend(v, d)
+                on_path[v] = False
+            edges.pop()
+
+    if s == t:  # the empty path
+        found.append((0.0, ()))
+    elif dist[s] <= cap:
+        extend(s, 0.0)
+    found.sort()
+    return found
 
 
-def _exact_lp(
-    spec: ProblemSpec,
-    deadlines: list[float],
-    profile: list[float] | None,
-    graphs: dict,
-):
-    """Solve the counterpart LP over per-commodity time-expanded graphs;
-    ``profile`` is ``build_counterpart``'s. ``graphs`` maps (source, sink,
-    deadline) to a graph already built and takes each one built here.
-    Returns (LpSolution, graphs, CounterpartMap); the solution is optimal
-    or infeasible. A commodity with no walk gets the row -|f_i| = 0, so its
-    rate is 0.
-    """
-    net = spec.network
-    tes = []
-    for c, delta in zip(spec.commodities, deadlines):
-        key = (c.source, c.sink, delta)
-        te = graphs.get(key)
-        if te is None:
-            te = graphs[key] = _TimeExpanded(
-                net, net.index_of(c.source), net.index_of(c.sink), delta
-            )
-        tes.append(te)
-    lp, cmap = build_counterpart(spec, tes, profile)
-    return solve_lp(lp), tes, cmap
+def simple_path_delays(net: Network, s: str, t: str) -> list[float]:
+    """Sorted distinct delays of all simple s->t paths; raises SolverError
+    past ``PATH_BUDGET`` paths."""
+    found = _enumerate_paths(net, net.index_of(s), net.index_of(t), math.inf)
+    return sorted({d for d, _ in found})
 
 
-def _extract_paths(
-    net: Network, te: _TimeExpanded, arc_flow: np.ndarray
-) -> list[tuple[Path, float]]:
-    """Decompose a time-expanded arc flow and project to physical paths.
-
-    Every arc raises tau except along a zero-delay edge, so only a network
-    with one can give the layered graph cycles; those are cancelled first.
-    Stranded flow raises ValueError. Projected walks that revisit a
-    physical node have the enclosed cycle excised, which only shortens
-    them; equal projections are merged.
-    """
-    if te.source is None:  # no walk meets the deadline, so no arcs
-        return []
-    x = arc_flow.tolist()
-    if not net.delay_array.all():
-        _cancel(te, x)
-    raw: dict[tuple[int, ...], float] = {}
-    for arcs, rate in _strip_paths(te, x, te.source, te.sink):
-        phys = tuple(_simplify_walk(net, [te.edge_of[j] for j in arcs]))
-        raw[phys] = raw.get(phys, 0.0) + rate
-    return [(Path(p), r) for p, r in sorted(raw.items())]
+def _pair_paths(net: Network, cache: dict, c, cap: float) -> _PairPaths:
+    """The cached paths of ``c``'s endpoints, enumerated anew only when
+    ``cap`` passes the cap they were enumerated at."""
+    pairs = cache.setdefault("paths", {})
+    ends = (c.source, c.sink)
+    pp = pairs.get(ends)
+    if pp is None or pp.cap < cap:
+        pp = pairs[ends] = _PairPaths(net, net.index_of(c.source), net.index_of(c.sink), cap)
+    return pp
 
 
-def _simplify_walk(net: Network, edges: list[int]) -> list[int]:
-    """Erase cycles from a physical walk in the order they close, so it
-    becomes a simple path: on reaching a node already on the kept prefix,
-    truncate back to it."""
-    kept: list[int] = []
-    at = {net.edges[edges[0]].u: 0}  # node -> number of kept edges before it
-    for k in edges:
-        v = net.edges[k].v
-        if v in at:
-            for j in kept[at[v] :]:
-                del at[net.edges[j].v]
-            del kept[at[v] :]
-        else:
-            kept.append(k)
-            at[v] = len(kept)
-    return kept
+def _exact_lp(spec: ProblemSpec, sets: list[PathSet], profile: list[float] | None):
+    """Solve the counterpart LP over the path sets ``sets``, one per
+    commodity; ``profile`` is ``build_counterpart``'s. Returns
+    (LpSolution, CounterpartMap); the solution is optimal or infeasible. A
+    commodity with no path gets the row -|f_i| = 0, so its rate is 0."""
+    lp, cmap = build_counterpart(spec, sets, profile)
+    return solve_lp(lp), cmap
+
+
+def _path_flows(
+    net: Network, sets: list[PathSet], cmap, x: np.ndarray
+) -> list[list[tuple[Path, float]]]:
+    """Each commodity's paths with a rate above ``zero_tol``, in column
+    order."""
+    zero = net.zero_tol
+    return [
+        [(ps.paths[j], r) for j, r in enumerate(rates) if r > zero]
+        for ps, rates in zip(sets, cmap.columns(x))
+    ]
 
 
 def _bind_cache(cache: dict | None, net: Network) -> dict:
@@ -240,21 +197,24 @@ def solve_exact(
     cache: dict | None = None,
     deadline_cap: float | None = None,
 ) -> SolveReport:
-    """True optimum of the delay-constrained problem via time-expanded
-    networks; requires integer edge delays.
+    """True optimum of the delay-constrained problem via a path LP over the
+    simple paths that meet each commodity's deadline; requires integer edge
+    delays.
 
-    Each commodity's deadline is its D, or ``deadline_cap`` in place of an
-    infinite D, clamped to ``net.max_path_delay``: no simple path is
-    slower, and a longer walk projects to no new path. Throughput
-    objectives need one LP at those deadlines (larger deadlines never
-    hurt). Delay objectives enumerate candidate deadline vectors drawn from
-    achievable simple-path delays, best-first by objective value; the first
+    A walk within a deadline projects, after loop erasure, to a simple path
+    that is no slower and uses no edge more often, so these paths lose
+    nothing, and the LP's x is already a path flow. Each commodity's
+    deadline is its D, or ``deadline_cap`` in place of an infinite D,
+    clamped to ``net.max_path_delay``, which no simple path passes.
+    Throughput objectives need one LP at those deadlines (larger deadlines
+    never hurt). Delay objectives enumerate candidate deadline vectors
+    drawn from the paths' delays, best-first by objective value; the first
     feasible vector is optimal.
 
     ``cache`` is a dict the caller owns, empty at first; without one each
     call uses a fresh dict. It is bound to the first call's network and
-    holds that network's work: each (source, sink)'s simple-path delays,
-    each (source, sink, deadline) time-expanded graph and, per deadline
+    holds that network's work: each (source, sink)'s simple paths within
+    the largest deadline asked of it, sorted by delay, and, per deadline
     vector tried, the largest common scale h of the relative requirement
     profile with the LP result it came from, keyed by the commodities'
     endpoints, the deadlines and the profile. So one cache may be shared by
@@ -262,8 +222,9 @@ def solve_exact(
     objectives; a spec on another network (compared with ``is``, then
     ``==``) raises ValueError. Raises InfeasibleError when no flow meets
     the requirements, before any LP when ``check_endpoint_capacities``
-    finds an endpoint short; and SolverError when an LP fails or the search
-    exceeds its budget.
+    finds an endpoint short; and SolverError when an LP fails, an endpoint
+    pair has more than ``PATH_BUDGET`` paths within its deadline, or the
+    search exceeds its budget.
     """
     if not spec.network.has_integer_delays():
         raise ValueError("integer delays required for the exact solver")
@@ -272,26 +233,22 @@ def solve_exact(
     net = spec.network
     comms = spec.commodities
     cache = _bind_cache(cache, net)
-    graphs = cache.setdefault("graphs", {})
     d_inf = math.inf if deadline_cap is None else deadline_cap
     caps = [min(c.D if c.D < math.inf else d_inf, net.max_path_delay) for c in comms]
+    pairs = [_pair_paths(net, cache, c, cap) for c, cap in zip(comms, caps)]
 
     if not spec.objective.is_delay:
-        sol, tes, cmap = _exact_lp(spec, caps, None, graphs)
+        sets = [pp.within(cap) for pp, cap in zip(pairs, caps)]
+        sol, cmap = _exact_lp(spec, sets, None)
         if sol.status == "infeasible":
             raise InfeasibleError("no feasible flow within the delay bounds")
-        flows = _flows_from_arcs(net, tes, cmap, sol.x)
+        flows = _path_flows(net, sets, cmap, sol.x)
         return build_report(spec, "EXACT", FlowSolution(flows), t0)
 
     # Delay objective: best-first over candidate deadline vectors.
-    path_delays = cache.setdefault("path_delays", {})
     cands = []
-    for c, cap in zip(comms, caps):
-        ends = (c.source, c.sink)
-        if ends not in path_delays:
-            path_delays[ends] = simple_path_delays(net, c.source, c.sink)
-        ds = path_delays[ends]
-        ds = ds[: bisect.bisect_right(ds, cap)]
+    for c, cap, pp in zip(comms, caps, pairs):
+        ds = pp.distinct[: bisect.bisect_right(pp.distinct, cap)]
         if not ds:
             raise InfeasibleError(f"no {c.source}->{c.sink} path within delay bound {c.D}")
         cands.append(ds)
@@ -319,8 +276,10 @@ def solve_exact(
         """Whether h of ``deltas`` reaches ``needed``; one LP per vector,
         cached."""
         if deltas not in scales:
-            out = _exact_lp(spec, list(deltas), profile, graphs)
-            scales[deltas] = (out[0].objective if out[0].status == "optimal" else 0.0, out)
+            sets = [pp.within(d) for pp, d in zip(pairs, deltas)]
+            sol, cmap = _exact_lp(spec, sets, profile)
+            h = sol.objective if sol.status == "optimal" else 0.0
+            scales[deltas] = (h, sol, sets, cmap)
         return scales[deltas][0] >= needed
 
     start = tuple(0 for _ in comms)
@@ -334,11 +293,10 @@ def solve_exact(
         _, idx = heapq.heappop(heap)
         deltas = tuple(cands[i][j] for i, j in enumerate(idx))
         if feasible(deltas):
-            sol, tes, cmap = scales[deltas][1]
-            flows = _flows_from_arcs(net, tes, cmap, sol.x)
+            _, sol, sets, cmap = scales[deltas]
             # Trim surplus rate from the slowest paths so |f_i| = R_i.
             trimmed = []
-            for pf, c in zip(flows, comms):
+            for pf, c in zip(_path_flows(net, sets, cmap, sol.x), comms):
                 rate = sum(r for _, r in pf)
                 if rate > c.R + net.zero_tol:
                     pf = delete_slowest(net, pf, rate - c.R)
@@ -351,7 +309,3 @@ def solve_exact(
                     visited.add(nxt)
                     heapq.heappush(heap, (value(nxt), nxt))
     raise InfeasibleError("throughput requirements cannot be met")
-
-
-def _flows_from_arcs(net, tes, cmap, x):
-    return [_extract_paths(net, te, f) for te, f in zip(tes, cmap.edge_flows(x))]

@@ -31,17 +31,16 @@ def _checked_flow(net: Network, edge_flow: np.ndarray, s: str, t: str) -> list[f
     return x.tolist()
 
 
-def _find_cycle(graph, x: list[float]) -> list[int] | None:
-    """A directed cycle (edge indices) in the support of ``x``, or None.
-    ``graph`` has ``_strip_paths``' integer shape."""
-    n = len(graph.nodes)
-    heads = graph.heads
-    zero = graph.zero_tol
+def _find_cycle(net: Network, x: list[float]) -> list[int] | None:
+    """A directed cycle (edge indices) in the support of ``x``, or None."""
+    n = len(net.nodes)
+    heads = net.heads
+    zero = net.zero_tol
     color = [0] * n  # 0 unvisited, 1 on stack, 2 done
     for start in range(n):
         if color[start]:
             continue
-        stack = [(start, iter(graph.out_edges[start]))]
+        stack = [(start, iter(net.out_edges[start]))]
         color[start] = 1
         via: dict[int, int] = {}
         while stack:
@@ -58,7 +57,7 @@ def _find_cycle(graph, x: list[float]) -> list[int] | None:
                 if color[v] == 0:
                     color[v] = 1
                     via[v] = k
-                    stack.append((v, iter(graph.out_edges[v])))
+                    stack.append((v, iter(net.out_edges[v])))
                     advanced = True
                     break
             if not advanced:
@@ -74,19 +73,13 @@ def cancel_cycles(net: Network, edge_flow: np.ndarray, s: str, t: str) -> np.nda
     pointwise <= the input; total delay never increases.
     """
     flow = _checked_flow(net, edge_flow, s, t)
-    _cancel(net, flow)
-    return np.array(flow, dtype=np.float64)
-
-
-def _cancel(graph, flow: list[float]) -> None:
-    """Cancel every cycle of ``flow``, a list of floats, in place; ``graph``
-    has ``_strip_paths``' integer shape."""
-    while (cycle := _find_cycle(graph, flow)) is not None:
+    while (cycle := _find_cycle(net, flow)) is not None:
         reduce = min(flow[k] for k in cycle)
         for k in cycle:
             flow[k] -= reduce
-            if flow[k] < graph.zero_tol:
+            if flow[k] < net.zero_tol:
                 flow[k] = 0.0
+    return np.array(flow, dtype=np.float64)
 
 
 def decompose(
@@ -112,23 +105,20 @@ def _fold(x: list[float], edges) -> float:
     return functools.reduce(operator.add, (x[k] for k in edges), 0.0)
 
 
-def _strip_paths(graph, x: list[float], s: int, t: int) -> list[tuple[list[int], np.float64]]:
+def _strip_paths(
+    net: Network, x: list[float], s: int, t: int
+) -> list[tuple[list[int], np.float64]]:
     """Strip s->t paths off the edge flow ``x``, a list of floats modified
-    in place, until the net outflow of ``s`` is at most ``graph.zero_tol``;
-    see ``decompose``. Rates are returned as ``np.float64``.
-
-    ``graph`` is a ``Network`` or any graph with the same integer shape:
-    ``nodes`` (names for messages), ``heads`` (head node of each edge),
-    node-indexed ``out_edges``/``in_edges`` (edge indices, ascending), the
-    ``zero_tol`` below which a rate is zero and the ``check_tol`` within
-    which conservation holds. A walk that strands with a bottleneck of at
-    most ``check_tol`` is an LP's rounding: it is dropped, not returned.
+    in place, until the net outflow of ``s`` is at most ``net.zero_tol``;
+    see ``decompose``. Rates are returned as ``np.float64``. A walk that
+    strands with a bottleneck of at most ``net.check_tol`` is an LP's
+    rounding: it is dropped, not returned.
     """
-    zero = graph.zero_tol
-    heads = graph.heads
+    zero = net.zero_tol
+    heads = net.heads
     paths: list[tuple[list[int], np.float64]] = []
     while True:
-        out_rate = _fold(x, graph.out_edges[s]) - _fold(x, graph.in_edges[s])
+        out_rate = _fold(x, net.out_edges[s]) - _fold(x, net.in_edges[s])
         if out_rate <= zero:
             break
         edges: list[int] = []
@@ -136,14 +126,14 @@ def _strip_paths(graph, x: list[float], s: int, t: int) -> list[tuple[list[int],
         seen = {s}
         while u != t:
             nxt = -1
-            for k in graph.out_edges[u]:
+            for k in net.out_edges[u]:
                 if x[k] > zero:
                     nxt = k
                     break
             if nxt < 0:
-                if min((x[k] for k in edges), default=out_rate) > graph.check_tol:
+                if min((x[k] for k in edges), default=out_rate) > net.check_tol:
                     raise ValueError(
-                        f"flow stranded at node {graph.nodes[u]}: cannot reach sink"
+                        f"flow stranded at node {net.nodes[u]}: cannot reach sink"
                     )
                 break
             edges.append(nxt)
@@ -160,6 +150,6 @@ def _strip_paths(graph, x: list[float], s: int, t: int) -> list[tuple[list[int],
                 x[k] = 0.0
         if u == t and bottleneck > zero:
             paths.append((edges, np.float64(bottleneck)))
-        if len(paths) > len(graph.heads):
+        if len(paths) > len(heads):
             raise SolverError("decomposition exceeded |E| paths")
     return paths

@@ -3,7 +3,7 @@
 Instances are feasible by construction: throughput requirements are set to a
 fraction of what the greedy pusher can route, and delay bounds sit at or
 above each commodity's shortest-path delay. Delays are small integers so the
-exact time-expanded solver applies.
+exact solver applies.
 """
 
 from __future__ import annotations

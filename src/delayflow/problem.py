@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -308,23 +308,37 @@ def objective_value(spec: ProblemSpec, metrics: tuple[CommodityMetrics, ...]) ->
 
 
 @dataclass(frozen=True)
+class PathSet:
+    """One commodity's columns in a path LP: ``paths`` in column order and
+    the ``delays`` of each; ``edges`` lists every path's edges in turn, and
+    ``owner[k]`` is the column of the path that ``edges[k]`` lies on."""
+
+    paths: tuple[Path, ...]
+    delays: np.ndarray
+    edges: np.ndarray
+    owner: np.ndarray
+
+
+@dataclass(frozen=True)
 class CounterpartMap:
     """Maps counterpart-LP variables back to model quantities. Columns
-    ``arc_base[i]:arc_base[i+1]`` hold commodity i's arc flows (on the
-    physical network, its flow on each edge). After the arcs come K rate
-    columns |f_i|, then K epigraph columns and, for max-min objectives, one
-    bound column; or, with a rate profile, the single scale column t."""
+    ``col_base[i]:col_base[i+1]`` hold commodity i's flow on each edge, or
+    with a path set its rate on each path. After them come K rate columns
+    |f_i|, then K epigraph columns and, for max-min objectives, one bound
+    column; or, with a rate profile, the single scale column t."""
 
-    arc_base: tuple[int, ...]
+    col_base: tuple[int, ...]
 
-    def edge_flows(self, x: np.ndarray) -> list[np.ndarray]:
-        """One view of ``x`` per commodity: its flow on each of its arcs."""
-        b = self.arc_base
+    def columns(self, x: np.ndarray) -> list[np.ndarray]:
+        """One view of ``x`` per commodity: its edge flows or path rates."""
+        b = self.col_base
         return [x[lo:hi] for lo, hi in zip(b, b[1:])]
 
 
 def build_counterpart(
-    spec: ProblemSpec, graphs=None, profile: list[float] | None = None
+    spec: ProblemSpec,
+    paths: Sequence[PathSet | None] | None = None,
+    profile: list[float] | None = None,
 ) -> tuple[LinearProgram, CounterpartMap]:
     """Average-delay-aware counterpart LP of ``spec``.
 
@@ -333,42 +347,34 @@ def build_counterpart(
     D_i*R_i, minimizing the penalty of the average delay T_i/R_i. PL
     utilities enter exactly through one epigraph variable per commodity.
 
-    By default every commodity routes over the physical network.
-    ``graphs`` instead gives one graph per commodity with the integer shape
-    that ``decompose`` reads plus ``source`` (None when the commodity has
-    no arcs), ``sink``, the integer arrays ``arc_tail`` and ``arc_head``,
-    and ``edge_of``: arc j runs from node ``arc_tail[j]`` to
-    ``arc_head[j]`` along physical edge ``edge_of[j]`` and counts against
-    its capacity. These are the exact solver's time-expanded graphs, on
-    which every walk meets its deadline, so they get no average-delay row.
-    With ``profile`` the objective becomes max t subject to
-    |f_i| >= t*profile_i.
+    By default every commodity routes over the physical network, one
+    column per edge. ``paths`` instead gives, per commodity, a ``PathSet``
+    or None for the physical network. A path set has one column per path
+    and counts each path against the capacity of each of its edges. These
+    are the exact solver's paths, which all meet their deadline, so a path
+    set gets no average-delay row. With ``profile`` the objective becomes
+    max t subject to |f_i| >= t*profile_i.
 
-    Rows, per commodity: the source row (net outflow - |f_i| = 0, or
-    -|f_i| = 0 without a source), conservation at the other non-sink nodes
-    in node order, then the profile row, or the requirement, delay and
-    epigraph rows; then one capacity row per physical edge that some arc
-    uses, in edge order; then the max-min bound rows. The entries are
-    written per block, as (row, column, value) arrays: conservation from
-    the graph's ``arc_tail``/``arc_head`` (the node-edge incidence), delay
-    and epigraph rows as whole-array products, and capacity rows ranked by
-    a ``bincount`` of the arcs' physical edges.
+    Rows, per commodity: on the physical network the source row (net
+    outflow - |f_i| = 0) and conservation at the other non-sink nodes in
+    node order, or for a path set the rate row (sum of path rates - |f_i|
+    = 0); then the profile row, or the requirement, delay and epigraph
+    rows; then one capacity row per physical edge that some column uses,
+    in edge order; then the max-min bound rows. The entries are written per
+    block, as (row, column, value) arrays: conservation from the network's
+    ``arc_tail``/``arc_head`` (the node-edge incidence), delay and epigraph
+    rows as whole-array products, and capacity rows ranked by a
+    ``bincount`` of the columns' edges.
     """
     net = spec.network
     comms = spec.commodities
     K = len(comms)
-    if graphs is None:
-        every_edge = np.arange(len(net.edges))
-        shapes = [
-            (net, net.index_of(c.source), net.index_of(c.sink), every_edge)
-            for c in comms
-        ]
-    else:
-        shapes = [(g, g.source, g.sink, g.edge_of) for g in graphs]
-    arc_base = [0]
-    for *_, edges in shapes:
-        arc_base.append(arc_base[-1] + len(edges))
-    rate0 = arc_base[-1]  # |f_i| is column rate0 + i
+    if paths is None:
+        paths = [None] * K
+    col_base = [0]
+    for ps in paths:
+        col_base.append(col_base[-1] + (len(net.edges) if ps is None else len(ps.paths)))
+    rate0 = col_base[-1]  # |f_i| is column rate0 + i
     aux0 = nvars = rate0 + K  # then the epigraph columns, or the scale t
     bound_var = None
     if profile is not None:
@@ -380,37 +386,51 @@ def build_counterpart(
             nvars += 1
 
     is_delay = spec.objective.is_delay
-    # Arc-sized blocks as (row, column, value) arrays; the few
+    every_edge = np.arange(len(net.edges))
+    # Column-sized blocks as (row, column, value) arrays; the few
     # per-commodity entries as lists, the last block.
-    all_arcs = np.arange(rate0)
+    all_cols = np.arange(rate0)
     blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     row_of: list[int] = []
     col_of: list[int] = []
     val_of: list[float] = []
     relations: list[str] = []
     rhs: list[float] = []
+    # Each column's edges, as (column, edge) arrays, for the capacity rows.
+    cap_cols: list[np.ndarray] = []
+    cap_edges: list[np.ndarray] = []
 
     def entry(row: int, col: int, val: float) -> None:
         row_of.append(row)
         col_of.append(col)
         val_of.append(val)
 
-    for i, (c, (g, s, t, edges)) in enumerate(zip(comms, shapes)):
-        arcs = all_arcs[arc_base[i] : arc_base[i + 1]]
-        # Row of each node: the source row comes first, then the other
-        # nodes in order; the sink has none (row -1, dropped by from_triplets).
+    for i, (c, ps) in enumerate(zip(comms, paths)):
+        cols = all_cols[col_base[i] : col_base[i + 1]]
         top = len(rhs)
-        pos = np.arange(top + 1, top + 1 + len(g.nodes))
-        pos[t + 1 :] -= 1
-        if s is not None:
+        if ps is None:
+            # Row of each node: the source row comes first, then the other
+            # nodes in order; the sink has none (row -1, dropped by from_triplets).
+            s, t = net.index_of(c.source), net.index_of(c.sink)
+            pos = np.arange(top + 1, top + 1 + len(net.nodes))
+            pos[t + 1 :] -= 1
             pos[s + 1 :] -= 1
             pos[s] = top
-        pos[t] = -1
-        # +1 at the row of every arc's tail, -1 at its head's.
-        blocks.append((pos[g.arc_tail], arcs, np.ones(arcs.size)))
-        blocks.append((pos[g.arc_head], arcs, np.full(arcs.size, -1.0)))
+            pos[t] = -1
+            # +1 at the row of every edge's tail, -1 at its head's.
+            blocks.append((pos[net.arc_tail], cols, np.ones(cols.size)))
+            blocks.append((pos[net.arc_head], cols, np.full(cols.size, -1.0)))
+            n_rows = len(net.nodes) - 1
+            cap_cols.append(cols)
+            cap_edges.append(every_edge)
+            delays = net.delay_array
+        else:
+            blocks.append((np.full(cols.size, top), cols, np.ones(cols.size)))
+            n_rows = 1
+            cap_cols.append(col_base[i] + ps.owner)
+            cap_edges.append(ps.edges)
+            delays = ps.delays
         entry(top, rate0 + i, -1.0)
-        n_rows = len(g.nodes) - (s is not None)
         relations += ["="] * n_rows
         rhs += [0.0] * n_rows
         row = top + n_rows
@@ -426,13 +446,10 @@ def build_counterpart(
             relations.append("=" if is_delay else ">=")
             rhs.append(c.R)
             row += 1
-        # Average-delay bound, dropped when D_i is infinite and on
-        # time-expanded graphs, whose walks all meet the deadline.
-        bounded = graphs is None and math.isfinite(c.D)
-        if bounded or is_delay:  # rows on T(f_i), the rate-weighted delay sum
-            delays = net.delay_array[edges]
-        if bounded:
-            blocks.append((np.full(arcs.size, row), arcs, delays))
+        # Average-delay bound on T(f_i), the rate-weighted delay sum,
+        # dropped when D_i is infinite and for a path set.
+        if ps is None and math.isfinite(c.D):
+            blocks.append((np.full(cols.size, row), cols, delays))
             relations.append("<=")
             if is_delay:
                 rhs.append(c.D * c.R)
@@ -446,8 +463,8 @@ def build_counterpart(
             segs = c.utility_d.segments()
             slopes = np.array([slope for slope, _ in segs])
             blocks.append((
-                np.repeat(np.arange(row, row + len(segs)), arcs.size),
-                np.tile(arcs, len(segs)),
+                np.repeat(np.arange(row, row + len(segs)), cols.size),
+                np.tile(cols, len(segs)),
                 np.outer(-slopes, delays).ravel(),
             ))
             for k, (_, intercept) in enumerate(segs):
@@ -462,13 +479,14 @@ def build_counterpart(
                 relations.append("<=")
                 rhs.append(intercept)
 
-    # Link capacity coupling: one row per physical edge that some arc uses,
-    # in edge order (on the physical network, every edge).
-    arc_edge = np.concatenate([np.asarray(edges, dtype=np.intp) for *_, edges in shapes])
-    used = np.bincount(arc_edge, minlength=len(net.edges)) > 0
-    cap_rows = (len(rhs) - 1 + np.cumsum(used))[arc_edge]
+    # Link capacity coupling: one row per physical edge that some column
+    # uses, in edge order (on the physical network, every edge).
+    cap_col = np.concatenate(cap_cols)
+    cap_edge = np.concatenate(cap_edges)
+    used = np.bincount(cap_edge, minlength=len(net.edges)) > 0
+    cap_rows = (len(rhs) - 1 + np.cumsum(used))[cap_edge]
     cap_rhs = net.capacity_array[used]
-    blocks.append((cap_rows, all_arcs, np.ones(rate0)))
+    blocks.append((cap_rows, cap_col, np.ones(cap_col.size)))
     relations += ["<="] * cap_rhs.size
     rhs_parts = [rhs, cap_rhs]
 
@@ -491,7 +509,7 @@ def build_counterpart(
     rows, cols, vals = (np.concatenate(part) for part in zip(*blocks, lists))
     matrix = CsrRows.from_triplets(rows, cols, vals, (len(relations), nvars))
     lp = LinearProgram(sense, objective, matrix, tuple(relations), np.concatenate(rhs_parts))
-    return lp, CounterpartMap(tuple(arc_base))
+    return lp, CounterpartMap(tuple(col_base))
 
 
 def make_tcdm(

@@ -41,14 +41,14 @@ class Sweep:
     """One ``delayflow experiment`` sweep: its CSV text, its (params, spec,
     report) rows in row order, the LP of every HiGHS call it made, the spec
     of every counterpart LP the PASS family built, and how many LPs the
-    exact solver solved and time-expanded graphs it built."""
+    exact solver solved and simple-path enumerations it ran."""
 
     text: str = field(repr=False)
     rows: list = field(repr=False)
     highs_calls: list
     counterpart_specs: list = field(repr=False)
     exact_lps: int
-    exact_graphs: int
+    exact_enumerations: int
 
 
 @pytest.fixture(scope="session")
@@ -58,23 +58,27 @@ def ec2_sweeps():
     calls: list = []
     built: list = []
     exact_lps: list = []
-    graphs: list = []
+    enumerations: list = []
     real = lp._solve_highs
     build = algorithms.build_counterpart
     solve = baselines.solve_lp
-    expand = baselines._TimeExpanded
+    enumerate_paths = baselines._enumerate_paths
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lp, "_solve_highs", lambda prog: calls.append(prog) or real(prog))
         mp.setattr(algorithms, "build_counterpart", lambda spec: built.append(spec) or build(spec))
         mp.setattr(baselines, "solve_lp", lambda prog: exact_lps.append(prog) or solve(prog))
-        mp.setattr(baselines, "_TimeExpanded", lambda *a: graphs.append(a) or expand(*a))
+        mp.setattr(
+            baselines,
+            "_enumerate_paths",
+            lambda *a: enumerations.append(a) or enumerate_paths(*a),
+        )
         for name in EXPERIMENTS:
             buf = io.StringIO()
             rows = run_experiment(name, csv.writer(buf))
             sweeps[name] = Sweep(
-                buf.getvalue(), rows, calls[:], built[:], len(exact_lps), len(graphs)
+                buf.getvalue(), rows, calls[:], built[:], len(exact_lps), len(enumerations)
             )
-            for seen in (calls, built, exact_lps, graphs):
+            for seen in (calls, built, exact_lps, enumerations):
                 seen.clear()
     return sweeps
 

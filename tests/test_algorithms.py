@@ -15,13 +15,14 @@ from delayflow.algorithms import (
     solve_pass_t,
 )
 from delayflow.gen import random_problem
-from delayflow.graph import Edge, Network, Path
+from delayflow.graph import Edge, Network, Path, load_topology
 from delayflow.problem import (
     Commodity,
     CommodityMetrics,
     Objective,
     ProblemSpec,
     evaluate_metrics,
+    make_dcum,
     make_tcdm,
     scaled_identity,
 )
@@ -126,6 +127,45 @@ def test_pass_m_two_parallel(two_parallel):
     assert rep.epsilon_min == pytest.approx(0.5)
     assert rep.metrics[0].max_delay <= 6.0
     assert rep.metrics[0].throughput == pytest.approx(1.0)
+
+
+#: A generated DCUM instance (6 nodes, 4 commodities) on which
+#: two commodities keep every counterpart path under PASS-M.
+_LOSSLESS_PASS_M = """
+edge v0 v1 2 17
+edge v0 v2 3 20
+edge v0 v3 1 15
+edge v1 v0 2 9
+edge v1 v3 1 12
+edge v2 v1 3 10
+edge v2 v3 5 9
+edge v2 v4 3 19
+edge v2 v5 7 10
+edge v3 v0 10 10
+edge v3 v4 8 5
+edge v3 v5 6 11
+edge v4 v1 5 13
+edge v4 v5 7 8
+edge v5 v3 7 14
+edge v5 v4 3 17
+"""
+
+
+def test_pass_m_removes_exactly_nothing_from_commodities_that_keep_every_path():
+    """Their counterpart and kept rates add in one order, so their removed
+    fraction is 0, not a rounding of about -1e-16."""
+    nodes = "".join(f"node v{i}\n" for i in range(6))
+    net = load_topology(nodes + _LOSSLESS_PASS_M)
+    demands = [("v3", "v4", 16.0), ("v2", "v1", 6.0), ("v4", "v0", 9.0), ("v1", "v2", 9.0)]
+    spec = make_dcum(net, [(s, t, d, scaled_identity(3.0)) for s, t, d in demands])
+    rep = solve_pass_m(spec)
+    kept = [
+        all(p.delay(net) <= c.D for p, _ in pf)
+        for pf, c in zip(rep.counterpart.flows, spec.commodities)
+    ]
+    assert kept.count(True) == 2
+    assert rep.epsilon_min == 0.0
+    assert rep.epsilon_max > 0.5
 
 
 def test_pass_m_requires_finite_bounds(two_parallel):

@@ -8,16 +8,12 @@ import pytest
 from scipy.optimize import linprog
 
 from delayflow import baselines
-from delayflow.baselines import (
-    _TimeExpanded,
-    simple_path_delays,
-    solve_exact,
-    solve_greedy,
-)
+from delayflow.baselines import simple_path_delays, solve_exact, solve_greedy
 from delayflow.algorithms import InfeasibleError, missed_guarantees
 from delayflow.cli import EC2_PAIRS
 from delayflow.gen import random_problem
 from delayflow.graph import Edge, Network, Path, builtin_ec2
+from delayflow.lp import SolverError
 from delayflow.problem import (
     IDENTITY,
     Commodity,
@@ -202,8 +198,8 @@ def test_exact_pre_check_allows_what_the_ends_carry(monkeypatch, ec2):
 
 
 def test_exact_commodity_without_timely_path(diamond):
-    # s->t takes at least 2, so commodity 0 (D=1, R=0) has no source in its
-    # time-expanded graph; commodity 1 (D=4) gets both 2- and 4-delay paths.
+    # s->t takes at least 2, so commodity 0 (D=1, R=0) has no path within
+    # its deadline; commodity 1 (D=4) gets both 2- and 4-delay paths.
     rep = solve_exact(make_dcum(diamond, [("s", "t", 1.0, IDENTITY), ("s", "t", 4.0, IDENTITY)]))
     assert rep.solution.flows[0] == ()
     assert rep.metrics[0].throughput == 0.0
@@ -217,31 +213,46 @@ def test_simple_path_delays(diamond):
     assert simple_path_delays(diamond, "t", "s") == []
 
 
-def test_simple_path_delays_node_limit():
+def test_path_enumeration_stops_past_its_budget(monkeypatch):
+    """Node count does not bind: a 13-node chain has one path. Path count
+    does: the (budget+1)-th path raises, naming the pair and the cap."""
     n = 13
-    nodes = tuple(f"n{i}" for i in range(n))
-    edges = tuple(Edge(i, i + 1, 1.0, 1.0) for i in range(n - 1))
-    with pytest.raises(ValueError, match="enumeration limited"):
-        simple_path_delays(Network(nodes, edges), "n0", f"n{n - 1}")
+    chain = Network(
+        tuple(f"n{i}" for i in range(n)), tuple(Edge(i, i + 1, 1.0, 1.0) for i in range(n - 1))
+    )
+    assert simple_path_delays(chain, "n0", f"n{n - 1}") == [12.0]
+    # s->t directly and through each of a, b, c: four paths.
+    fan = Network(
+        ("s", "a", "b", "c", "t"),
+        tuple(Edge(0, v, 1.0, 1.0) for v in (1, 2, 3))
+        + tuple(Edge(v, 4, 1.0, 1.0) for v in (1, 2, 3))
+        + (Edge(0, 4, 3.0, 1.0),),
+    )
+    monkeypatch.setattr(baselines, "PATH_BUDGET", 4)
+    assert simple_path_delays(fan, "s", "t") == [2.0, 3.0]
+    monkeypatch.setattr(baselines, "PATH_BUDGET", 3)
+    with pytest.raises(SolverError, match=r"more than 3 simple s->t paths within delay inf"):
+        simple_path_delays(fan, "s", "t")
 
 
 # -- large deadlines: every deadline is clamped to max_path_delay -------------
 
 
-def _forbid_graphs_past_bound(monkeypatch) -> list:
-    """Make every time-expanded build assert that its deadline is at most
-    ``net.max_path_delay`` before it allocates anything; returns the list
-    of (deadline, arc count) of the graphs built."""
-    built = []
+def _forbid_caps_past_bound(monkeypatch) -> list:
+    """Make every path enumeration assert that its cap is at most
+    ``net.max_path_delay`` before it starts; returns the list of (cap,
+    path count) of the enumerations run."""
+    ran = []
+    enumerate_paths = baselines._enumerate_paths
 
-    class Bounded(baselines._TimeExpanded):
-        def __init__(self, net, s, t, deadline):
-            assert deadline <= net.max_path_delay, f"unclamped deadline {deadline}"
-            super().__init__(net, s, t, deadline)
-            built.append((deadline, len(self.edge_of)))
+    def bounded(net, s, t, cap):
+        assert cap <= net.max_path_delay, f"unclamped cap {cap}"
+        found = enumerate_paths(net, s, t, cap)
+        ran.append((cap, len(found)))
+        return found
 
-    monkeypatch.setattr(baselines, "_TimeExpanded", Bounded)
-    return built
+    monkeypatch.setattr(baselines, "_enumerate_paths", bounded)
+    return ran
 
 
 def test_exact_huge_deadline_on_a_dag_caches_clamped_graphs():
@@ -252,33 +263,68 @@ def test_exact_huge_deadline_on_a_dag_caches_clamped_graphs():
     cache: dict = {}
     rep = solve_exact(make_dcum(net, [("s", "t", 1e308, IDENTITY)]), cache=cache)
     assert rep.objective == pytest.approx(3.0)
-    assert [key[2] for key in cache["graphs"]] == [6.0]
+    assert [(ends, pp.cap, pp.delays) for ends, pp in cache["paths"].items()] == [
+        (("s", "t"), 6.0, [3.0, 4.0])
+    ]
     assert net.max_path_delay == 6.0
 
 
 def test_exact_huge_deadline_on_a_cycle_builds_a_small_graph(monkeypatch):
-    # s<->a is a cycle; an unclamped deadline of 1e308 unrolls it forever.
+    # s<->a is a cycle; an unclamped deadline of 1e308 allows every walk.
     net = Network(
         ("s", "a", "t"),
         (Edge(0, 1, 1.0, 1.0), Edge(1, 0, 1.0, 1.0), Edge(1, 2, 2.0, 1.0), Edge(0, 2, 4.0, 2.0)),
     )
-    built = _forbid_graphs_past_bound(monkeypatch)
+    ran = _forbid_caps_past_bound(monkeypatch)
     rep = solve_exact(make_dcum(net, [("s", "t", 1e308, IDENTITY), ("a", "t", 1e308, IDENTITY)]))
     assert rep.objective == pytest.approx(3.0)
-    assert built == [(6.0, 7), (6.0, 8)]
+    # s->t and s->a->t; a->t and a->s->t.
+    assert ran == [(6.0, 2), (6.0, 2)]
+
+
+def _two_way_chain(n: int) -> Network:
+    """n0 <-> n1 <-> ... at delay 1 and capacity 1, plus n0 -> n{n-1} at
+    delay 5 and capacity 2: two n0 -> n{n-1} paths, one back."""
+    edges = [Edge(i, i + 1, 1.0, 1.0) for i in range(n - 1)]
+    edges += [Edge(i + 1, i, 1.0, 1.0) for i in range(n - 1)]
+    return Network(tuple(f"n{i}" for i in range(n)), tuple(edges) + (Edge(0, n - 1, 5.0, 2.0),))
 
 
 def test_exact_throughput_past_the_enumeration_limit(monkeypatch):
-    """A throughput objective with infinite D needs no simple-path delays,
-    so the 12-node enumeration limit does not bind."""
-    n = 13
-    edges = [Edge(i, i + 1, 1.0, 1.0) for i in range(n - 1)]
-    edges += [Edge(i + 1, i, 1.0, 1.0) for i in range(n - 1)]
-    net = Network(tuple(f"n{i}" for i in range(n)), tuple(edges) + (Edge(0, n - 1, 5.0, 2.0),))
-    built = _forbid_graphs_past_bound(monkeypatch)
-    rep = solve_exact(make_dcum(net, [("n0", f"n{n - 1}", math.inf, IDENTITY)]))
+    """A 13-node network with two n0->n12 paths solves: the path budget
+    binds on paths, not on nodes."""
+    net = _two_way_chain(13)
+    ran = _forbid_caps_past_bound(monkeypatch)
+    rep = solve_exact(make_dcum(net, [("n0", "n12", math.inf, IDENTITY)]))
     assert rep.objective == pytest.approx(3.0)
-    assert [deadline for deadline, _ in built] == [net.max_path_delay]
+    assert ran == [(net.max_path_delay, 2)]
+
+
+def test_exact_delay_objective_past_twelve_nodes_matches_oracle():
+    """Delay objectives solve on a 13-node network too: its few paths fit
+    the budget."""
+    net = _two_way_chain(13)
+    spec = make_tcdm(net, [("n0", "n12", 2.5, 1.0), ("n12", "n0", 1.0, 2.0)])
+    rep = solve_exact(spec)
+    # n0->n12 needs the chain beside the shortcut; n12->n0 has the chain only.
+    assert rep.objective == _oracle_delay(spec) == 12.0 + 2 * 12.0
+    assert rep.solution.check_feasible(net, spec.commodities) == []
+
+
+def test_exact_cache_enumerates_again_only_for_a_larger_cap(monkeypatch, ec2):
+    """A pair's paths within D=150 serve D=150 again; an infinite D, clamped
+    to ``max_path_delay``, enumerates once more, and that list serves both
+    D=150 and D=160 after it."""
+    ran = _forbid_caps_past_bound(monkeypatch)
+    cache: dict = {}
+    for d in (150.0, 150.0, math.inf, 150.0, 160.0):
+        spec = make_dcum(ec2, [("VA", "SI", d, IDENTITY)])
+        want = solve_exact(spec).objective
+        assert solve_exact(spec, cache=cache).objective == want
+    caps = [cap for cap, _ in ran]
+    # Each fresh solve enumerates once; the shared cache adds two caps.
+    assert caps == [150.0, 150.0, 150.0, ec2.max_path_delay, ec2.max_path_delay, 150.0, 160.0]
+    assert cache["paths"][("VA", "SI")].cap == ec2.max_path_delay
 
 
 def test_max_path_delay_bounds_every_simple_path(ec2):
@@ -452,240 +498,43 @@ def test_exact_matches_path_enumeration_oracle(seed):
     assert rep.solution.check_feasible(spec.network, spec.commodities, 1e-5) == []
 
 
-# -- time-expanded extraction against the pre-refactor code -------------------
-
-
-class _ReferenceTimeExpanded:
-    """The time-expanded graph as first written: states (v, tau) with one
-    state per sink arrival time, pruned by repeated sweeps over the arcs."""
-
-    def __init__(self, net, s, t, deadline):
-        self.s = s
-        self.t = t
-        reach = {(s, 0.0)}
-        frontier = [(s, 0.0)]
-        while frontier:
-            u, tau = frontier.pop()
-            if u == t:
-                continue
-            for k in net.out_edges[u]:
-                e = net.edges[k]
-                nxt = (e.v, tau + e.delay)
-                if nxt[1] <= deadline and nxt not in reach:
-                    reach.add(nxt)
-                    frontier.append(nxt)
-        useful = {st for st in reach if st[0] == t}
-        arcs_all = []
-        for u, tau in reach:
-            if u == t:
-                continue
-            for k in net.out_edges[u]:
-                e = net.edges[k]
-                nxt = (e.v, tau + e.delay)
-                if nxt in reach:
-                    arcs_all.append(((u, tau), k, nxt))
-        changed = True
-        while changed:
-            changed = False
-            for src, _, dst in arcs_all:
-                if dst in useful and src not in useful:
-                    useful.add(src)
-                    changed = True
-        self.arcs = sorted(
-            (a for a in arcs_all if a[0] in useful and a[2] in useful),
-            key=lambda a: (a[0], a[1]),
-        )
-        self.feasible = (s, 0.0) in useful
-
-
-def _reference_simplify_walk(net, edges):
-    """The walk simplifier as first written: cut the first cycle that
-    closes, then rescan the walk from its start."""
-    while True:
-        seq = [net.edges[edges[0]].u] + [net.edges[k].v for k in edges]
-        seen = {}
-        cut = None
-        for pos, v in enumerate(seq):
-            if v in seen:
-                cut = (seen[v], pos)
-                break
-            seen[v] = pos
-        if cut is None:
-            return edges
-        a, b = cut
-        edges = edges[:a] + edges[b:]
-
-
-def _reference_extract_paths(net, te, arc_flow):
-    """The exact solver's path extraction before it shared ``decompose``'s
-    loop, including the dust branch that dropped tiny stranded walks."""
-    zero = net.zero_tol
-    x = arc_flow.copy()
-    out_arcs = {}
-    for j, (src, _, _) in enumerate(te.arcs):
-        out_arcs.setdefault(src, []).append(j)
-    source = (te.s, 0.0)
-    raw = {}
-    while True:
-        avail = [j for j in out_arcs.get(source, []) if x[j] > zero]
-        if not avail:
-            break
-        edges = []
-        st = source
-        seen = {st}
-        stranded = False
-        while st[0] != te.t:
-            nxt = -1
-            for j in out_arcs.get(st, []):
-                if x[j] > zero:
-                    nxt = j
-                    break
-            if nxt < 0:
-                dust = min(x[j] for j in edges)
-                if dust > 1e-6:
-                    raise RuntimeError("stranded time-expanded flow")
-                for j in edges:
-                    x[j] = max(0.0, x[j] - dust)
-                    if x[j] < zero:
-                        x[j] = 0.0
-                stranded = True
-                break
-            edges.append(nxt)
-            st = te.arcs[nxt][2]
-            if st in seen:
-                raise RuntimeError("zero-delay cycle in time-expanded flow")
-            seen.add(st)
-        if stranded:
-            continue
-        bottleneck = min(x[j] for j in edges)
-        for j in edges:
-            x[j] -= bottleneck
-            if x[j] < zero:
-                x[j] = 0.0
-        phys = _reference_simplify_walk(net, [te.arcs[j][1] for j in edges])
-        if bottleneck > zero and phys:
-            raw[tuple(phys)] = raw.get(tuple(phys), 0.0) + bottleneck
-    return [(Path(p), r) for p, r in sorted(raw.items())]
+# -- pruned enumeration against the exhaustive one ---------------------------
 
 
 def _hexed(path_flow):
     return [(p.edges, r.hex()) for p, r in path_flow]
 
 
-def _assert_graph_matches_reference(te, net, s, t, deadline):
-    """``te`` has the reference graph's arcs in the same order (sink states
-    merged into one node), and a source exactly when the reference has one.
-    Returns the reference graph."""
-    ref = _ReferenceTimeExpanded(net, s, t, deadline)
-    tail = {j: u for u, outs in enumerate(te.out_edges) for j in outs}
-    assert [
-        (te.nodes[tail[j]], k, te.nodes[v])
-        for j, (k, v) in enumerate(zip(te.edge_of, te.heads))
-    ] == [(a, k, (t, None) if b[0] == t else b) for a, k, b in ref.arcs]
-    assert (te.source is not None) == ref.feasible
-    return ref
-
-
-def _check_extractions_against_reference(monkeypatch, solve_all):
-    """Run ``solve_all`` with every time-expanded graph and extraction
-    recorded, then rebuild each graph and its paths with the reference
-    code: same arcs in the same order (sink states merged into one node)
-    and bit-identical path lists. Returns the number of extractions."""
-    records = []
-    extract = baselines._extract_paths
-
-    class Recorded(baselines._TimeExpanded):
-        def __init__(self, net, s, t, deadline):
-            super().__init__(net, s, t, deadline)
-            self.args = (net, s, t, deadline)
-
-    def recorded_extract(net, te, arc_flow):
-        flow = arc_flow.copy()
-        paths = extract(net, te, arc_flow)
-        records.append((te, flow, paths))
-        return paths
-
-    monkeypatch.setattr(baselines, "_TimeExpanded", Recorded)
-    monkeypatch.setattr(baselines, "_extract_paths", recorded_extract)
-    solve_all()
-    for te, flow, paths in records:
-        ref = _assert_graph_matches_reference(te, *te.args)
-        net = te.args[0]
-        assert _hexed(paths) == _hexed(_reference_extract_paths(net, ref, flow))
-    return len(records)
-
-
-# Hand cases for the pruned build; ``random_problem`` draws no zero delays.
-# Nodes s=0 .. t=3; each case gives its edges (u, v, delay), the deadline
-# and the number of arcs the pruned graph keeps.
+# Hand cases for the pruned enumeration; ``random_problem`` draws no zero
+# delays. Nodes s=0 .. t=3; each case gives its edges (u, v, delay), the
+# deadline and the number of simple s->t paths within it.
 _HAND_GRAPHS = {
     # s->a, then a<->b at zero delay, then a->t or b->t.
-    "zero-delay cycle": ([(0, 1, 1), (1, 2, 0), (2, 1, 0), (1, 3, 1), (2, 3, 1)], 2, 5),
+    "zero-delay cycle": ([(0, 1, 1), (1, 2, 0), (2, 1, 0), (1, 3, 1), (2, 3, 1)], 2, 2),
     # b is reached at 1 but needs 5 more; c never reaches t.
-    "untimely branch": ([(0, 1, 1), (1, 3, 1), (0, 2, 1), (2, 3, 5), (0, 4, 1)], 3, 2),
+    "untimely branch": ([(0, 1, 1), (1, 3, 1), (0, 2, 1), (2, 3, 5), (0, 4, 1)], 3, 1),
     # the least delay from s to t is 2.
     "deadline below d(s)": ([(0, 1, 1), (1, 3, 1), (0, 3, 4)], 1, 0),
-    # s->a->t and the walk s->a->s->a->t, of delay 5, meet deadline 5.
-    "deadline equals a walk": ([(0, 1, 1), (1, 0, 2), (1, 3, 1), (2, 3, 1)], 5, 5),
+    # s->a->t and the walk s->a->s->a->t, of delay 5, meet deadline 5; only
+    # the first is a simple path.
+    "deadline equals a walk": ([(0, 1, 1), (1, 0, 2), (1, 3, 1), (2, 3, 1)], 5, 1),
 }
 
 
 @pytest.mark.parametrize("name", list(_HAND_GRAPHS))
 def test_pruned_build_matches_reference_on_hand_graphs(name):
-    edges, deadline, n_arcs = _HAND_GRAPHS[name]
+    """The pruned enumeration gives the exhaustive one's paths within the
+    deadline, sorted by (delay, edges)."""
+    edges, deadline, n_paths = _HAND_GRAPHS[name]
     net = Network(
         ("s", "a", "b", "t", "c"), tuple(Edge(u, v, float(d), 1.0) for u, v, d in edges)
     )
-    te = _TimeExpanded(net, 0, 3, float(deadline))
-    _assert_graph_matches_reference(te, net, 0, 3, float(deadline))
-    assert len(te.edge_of) == n_arcs
-    assert (te.source is None) == (n_arcs == 0)
-
-
-def test_simplify_walk_matches_reference_on_random_walks():
-    rng = np.random.default_rng(7)
-    walks = 0
-    for _ in range(300):
-        n = int(rng.integers(2, 7))
-        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
-        keep = rng.random(len(pairs)) < 0.6
-        net = Network(
-            tuple(f"n{i}" for i in range(n)),
-            tuple(Edge(u, v, 1.0, 1.0) for (u, v), k in zip(pairs, keep) if k),
-        )
-        for _ in range(10):
-            start = u = int(rng.integers(n))
-            walk = []
-            for _ in range(int(rng.integers(1, 25))):
-                if not net.out_edges[u]:
-                    break
-                k = int(rng.choice(net.out_edges[u]))
-                walk.append(k)
-                u = net.edges[k].v
-            if u != start:  # an open walk, as a source-to-sink walk is
-                walks += 1
-                assert baselines._simplify_walk(net, walk) == _reference_simplify_walk(
-                    net, walk
-                )
-    assert walks > 1000
-
-
-def test_extraction_matches_reference_on_corpus(monkeypatch):
-    def solve_all():
-        for seed in range(200):
-            solve_exact(random_problem(np.random.default_rng(seed)))
-
-    assert _check_extractions_against_reference(monkeypatch, solve_all) >= 200
-
-
-def test_extraction_matches_reference_on_ec2_sweeps(monkeypatch, ec2_sweep_specs):
-    def solve_all():
-        cache: dict = {}
-        for spec in ec2_sweep_specs:
-            solve_exact(spec, cache=cache, deadline_cap=900.0)
-
-    count = _check_extractions_against_reference(monkeypatch, solve_all)
-    assert count >= 2 * len(ec2_sweep_specs)
+    want = sorted(
+        (sum(net.edges[k].delay for k in p), p) for p in _simple_paths(net, "s", "t")
+    )
+    got = baselines._enumerate_paths(net, 0, 3, float(deadline))
+    assert got == [(d, p) for d, p in want if d <= deadline]
+    assert len(got) == n_paths
 
 
 def _ec2_tcdm(net, pairs, r):
@@ -732,44 +581,45 @@ def test_exact_cache_is_bound_to_one_network(ec2):
 def test_shared_exact_cache_matches_fresh_and_repeats_no_work(monkeypatch, ec2):
     """The tcdm-rate sweep gives the same reports with one shared cache as
     with a fresh cache per call, and the shared run solves no deadline
-    vector's LP and builds no time-expanded graph twice."""
+    vector's LP twice and enumerates each endpoint pair's paths once."""
     specs = [_ec2_tcdm(ec2, EC2_PAIRS, float(r)) for r in range(116, 240)]
     fresh = [solve_exact(spec, deadline_cap=900.0) for spec in specs]
 
-    lp_keys, solved, built = [], [], []
+    lp_keys, solved, ran = [], [], []
     exact_lp, solve = baselines._exact_lp, baselines.solve_lp
+    enumerate_paths = baselines._enumerate_paths
 
-    def recorded_exact_lp(spec, deadlines, profile, graphs):
+    def recorded_exact_lp(spec, sets, profile):
+        # A deadline's columns are a prefix of its pair's paths.
         ends = tuple((c.source, c.sink) for c in spec.commodities)
-        lp_keys.append((ends, tuple(deadlines), tuple(profile)))
-        return exact_lp(spec, deadlines, profile, graphs)
+        lp_keys.append((ends, tuple(len(ps.paths) for ps in sets), tuple(profile)))
+        return exact_lp(spec, sets, profile)
 
     def recorded_solve(lp):
         solved.append(lp)
         return solve(lp)
 
-    class Recorded(baselines._TimeExpanded):
-        def __init__(self, net, s, t, deadline):
-            built.append((s, t, deadline))
-            super().__init__(net, s, t, deadline)
+    def recorded_enumerate(net, s, t, cap):
+        ran.append((s, t))
+        return enumerate_paths(net, s, t, cap)
 
     monkeypatch.setattr(baselines, "_exact_lp", recorded_exact_lp)
     monkeypatch.setattr(baselines, "solve_lp", recorded_solve)
-    monkeypatch.setattr(baselines, "_TimeExpanded", Recorded)
+    monkeypatch.setattr(baselines, "_enumerate_paths", recorded_enumerate)
     cache: dict = {}
     shared = [solve_exact(spec, cache=cache, deadline_cap=900.0) for spec in specs]
 
     assert all(_same_report(a, b) for a, b in zip(shared, fresh))
     assert len(solved) == len(set(lp_keys)) > 0
-    assert len(built) == len(set(built)) > 0
+    assert sorted(ran) == sorted((ec2.index_of(s), ec2.index_of(t)) for s, t in EC2_PAIRS)
 
 
 def test_exact_work_per_sweep_is_pinned(ec2_sweeps):
-    """The exact LPs solved and time-expanded graphs built by each
+    """The exact LPs solved and simple-path enumerations run by each
     ``delayflow experiment`` sweep, with one shared cache per sweep."""
     assert {name: s.exact_lps for name, s in ec2_sweeps.items()} == {
         "tcdm-eps": 86, "tcdm-rate": 141, "dcum-eps": 1, "utility-weights": 100
     }
-    assert {name: s.exact_graphs for name, s in ec2_sweeps.items()} == {
-        "tcdm-eps": 34, "tcdm-rate": 50, "dcum-eps": 2, "utility-weights": 2
+    assert {name: s.exact_enumerations for name, s in ec2_sweeps.items()} == {
+        "tcdm-eps": 2, "tcdm-rate": 2, "dcum-eps": 2, "utility-weights": 2
     }

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -290,9 +291,10 @@ edge n4 n2 0 5
 
 
 def test_exact_cancels_zero_delay_cycles(tmp_path, capsys):
-    """Zero-delay edges give the time-expanded graphs cycles, which are
-    cancelled before decomposition. 14 is the optimum that
-    ``_oracle_throughput`` in test_baselines.py finds by brute force."""
+    """Zero-delay cycles let a walk within a deadline revisit nodes at no
+    cost; the exact solver's simple paths lose nothing by that. 14 is the
+    optimum that ``_oracle_throughput`` in test_baselines.py finds by brute
+    force."""
     topo = tmp_path / "net.topo"
     topo.write_text(_ZERO_DELAY_TOPOLOGY)
     prob = tmp_path / "prob.json"
@@ -309,6 +311,30 @@ def test_exact_cancels_zero_delay_cycles(tmp_path, capsys):
     assert json.loads(out.read_text())["objective"] == 14.0
     assert main(["verify", str(out)]) == 0
     assert capsys.readouterr().out.endswith("ok\n")
+
+
+def test_exact_past_its_path_budget_is_one_line_and_exit_1(tmp_path, capsys):
+    """On a complete 12-node digraph n0 has millions of simple paths to
+    n11; the exact solver stops at its path budget, well before any LP."""
+    nodes = [f"n{i}" for i in range(12)]
+    topo = tmp_path / "net.topo"
+    topo.write_text(
+        "".join(f"node {v}\n" for v in nodes)
+        + "".join(f"edge {u} {v} 1 1\n" for u in nodes for v in nodes if u != v)
+    )
+    prob = tmp_path / "prob.json"
+    prob.write_text(json.dumps({
+        "objective": "SumThroughputUtility",
+        "commodities": [{"src": "n0", "dst": "n11"}],
+    }))
+    argv = ["solve", "--topo", str(topo), "--problem", str(prob), "--algo", "exact"]
+    t0 = time.perf_counter()
+    assert main(argv) == 1
+    assert time.perf_counter() - t0 < 10.0
+    assert capsys.readouterr().err == (
+        f"error: solver failure: more than {baselines.PATH_BUDGET} simple n0->n11 "
+        "paths within delay 11.0, the exact solver's path budget\n"
+    )
 
 
 def _nan_rates(doc):
@@ -955,8 +981,8 @@ def test_infeasible_report_names_the_commodity_that_misses(tmp_path, capsys):
 #: Row count and sha256 of each sweep's CSV. The digests pin the output
 #: bit for bit; a change that moves them must explain why.
 _SWEEPS = {
-    "tcdm-eps": (1 + 99 * 4, "0efe9ffeb9a6d2384a5345b3028069463cd223875daf5ba4e5ae8542a928418c"),
-    "tcdm-rate": (1 + 124 * 4, "780cc2ab67e31191bc0074d9eafc60ef3735e4a0e040f3ab39c9e47b8617ffd7"),
+    "tcdm-eps": (1 + 99 * 4, "c0566e06f80a36205ca24b4ea2b1aedf7adf7f13806214d58c0904d2af7259ff"),
+    "tcdm-rate": (1 + 124 * 4, "976430bdd1cc620cd289ee72161d8494a609b69b7c665dcf4b4462e0ab546cf5"),
     "dcum-eps": (1 + 99 * 4, "3bbc48be366a00e1f87388251b0b82d4da7176d3523f742b49a29b5dafaf3154"),
     "utility-weights": (
         1 + 100 * 5, "f2c65bef4864bdcc8d84df766bda2033ae68723173af84167c2549785e2aa7aa"

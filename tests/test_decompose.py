@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delayflow.baselines import _extract_paths, _TimeExpanded
 from delayflow.decompose import _strip_paths, cancel_cycles, decompose
-from delayflow.graph import Edge, Network, Path
+from delayflow.graph import Edge, Network
 
 
 @pytest.fixture
@@ -122,41 +121,12 @@ def test_decompose_empty_flow(diamond):
     assert decompose(diamond, "s", "t", np.zeros(5)) == []
 
 
-# The path-stripping loop is shared by ``decompose`` and the exact solver's
-# time-expanded graphs; on stranded flow it raises ValueError for both.
-# Cyclic flow on a time-expanded graph is cancelled before stripping.
-
-# The a->b->a cycle has zero delay, so it stays a cycle after time expansion.
-_ZERO_CYCLE = Network(
-    ("s", "a", "b", "t"),
-    (
-        Edge(0, 1, 1.0, 5.0),
-        Edge(1, 2, 0.0, 5.0),
-        Edge(2, 1, 0.0, 5.0),
-        Edge(1, 3, 1.0, 5.0),
-    ),
-)
-
-
 def test_strip_paths_raises_value_error_on_network():
     # decompose's conservation check would catch this flow first; cyclic
     # network flow is test_decompose_rejects_cycles.
     net = Network(("s", "a", "t"), (Edge(0, 1, 1.0, 5.0), Edge(1, 2, 1.0, 5.0)))
     with pytest.raises(ValueError, match="stranded at node a"):
         _strip_paths(net, np.array([2.0, 1.0]), 0, 2)
-
-
-def test_strip_paths_raises_value_error_on_time_expanded():
-    te = _TimeExpanded(_ZERO_CYCLE, 0, 3, 2.0)
-    # Nodes (s,0) (a,1) (b,1) and the sink; arcs s->a, a->b, a->t, b->a.
-    assert te.nodes == [(0, 0.0), (1, 1.0), (2, 1.0), (3, None)]
-    assert te.edge_of == [0, 1, 3, 2]
-    with pytest.raises(ValueError, match=r"stranded at node \(1, 1.0\)"):
-        _extract_paths(_ZERO_CYCLE, te, np.array([1.0, 0.0, 0.0, 0.0]))
-    # The zero-delay cycle a->b->a is cancelled, leaving the path s->a->t.
-    assert _extract_paths(_ZERO_CYCLE, te, np.array([1.0, 1.0, 1.0, 1.0])) == [
-        (Path((0, 3)), 1.0)
-    ]
 
 
 @st.composite

@@ -655,34 +655,32 @@ def _exact_lps(spec, monkeypatch):
 def test_exact_lp_matrix_dcum(monkeypatch):
     u = PLFunction(((0.0, 0.0), (3.0, 6.0), (5.0, 7.0)))  # slopes 2, 0.5
     (lp,) = _exact_lps(make_dcum(_three_node_net(), [("a", "c", 4.0, u)]), monkeypatch)
-    # Within D=4 the time-expanded graph is (a,0) -> (b,1) -> c; a->c is too
-    # slow. columns: arc flows y0 (edge a->b) y1 (edge b->c), rate, aux
+    # Within D=4 the one path is a->b->c; a->c is too slow.
+    # columns: path rate p0 (a->b->c), rate, aux
     expected = [
-        [1, 0, -1, 0],  # net outflow at (a,0) equals the rate
-        [-1, 1, 0, 0],  # conservation at (b,1)
-        [0, 0, -2, 1],  # aux <= 2 * rate; no average-delay row
-        [0, 0, -0.5, 1],  # aux <= 0.5 * rate + 4.5
-        [1, 0, 0, 0],  # capacities of the edges some arc uses
-        [0, 1, 0, 0],
+        [1, -1, 0],  # the path rates sum to the rate
+        [0, -2, 1],  # aux <= 2 * rate; no average-delay row
+        [0, -0.5, 1],  # aux <= 0.5 * rate + 4.5
+        [1, 0, 0],  # capacities of the edges some path uses
+        [1, 0, 0],
     ]
     assert np.array_equal(lp.rows.toarray(), expected)
-    assert lp.relations == ("=", "=", "<=", "<=", "<=", "<=")
-    assert lp.rhs.tolist() == [0, 0, 0, 4.5, 10, 10]
-    assert lp.sense == "max" and lp.objective.tolist() == [0, 0, 0, 1]
+    assert lp.relations == ("=", "<=", "<=", "<=", "<=")
+    assert lp.rhs.tolist() == [0, 0, 4.5, 10, 10]
+    assert lp.sense == "max" and lp.objective.tolist() == [0, 0, 1]
 
 
 def test_exact_lp_matrix_tcdm(monkeypatch):
     (lp,) = _exact_lps(make_tcdm(_three_node_net(), [("a", "c", 6.0, 2.0)]), monkeypatch)
     # The first deadline tried is the fastest path's delay, 3, which carries
-    # 10 >= R. columns: y0 y1 as above, rate, scale t
+    # 10 >= R. columns: p0 as above, rate, scale t
     expected = [
-        [1, 0, -1, 0],  # net outflow at (a,0) equals the rate
-        [-1, 1, 0, 0],  # conservation at (b,1)
-        [0, 0, 1, -1],  # rate >= t * R_i / max R
-        [1, 0, 0, 0],  # capacities
-        [0, 1, 0, 0],
+        [1, -1, 0],  # the path rates sum to the rate
+        [0, 1, -1],  # rate >= t * R_i / max R
+        [1, 0, 0],  # capacities
+        [1, 0, 0],
     ]
     assert np.array_equal(lp.rows.toarray(), expected)
-    assert lp.relations == ("=", "=", ">=", "<=", "<=")
-    assert lp.rhs.tolist() == [0, 0, 0, 10, 10]
-    assert lp.sense == "max" and lp.objective.tolist() == [0, 0, 0, 1]
+    assert lp.relations == ("=", ">=", "<=", "<=")
+    assert lp.rhs.tolist() == [0, 0, 10, 10]
+    assert lp.sense == "max" and lp.objective.tolist() == [0, 0, 1]

@@ -2,8 +2,9 @@
 the list-walk decomposition and the deletion rules on a shared counterpart.
 
 The references below are the row-at-a-time builder (with its triplet
-collector ``_Rows``), the numpy-scalar ``cancel_cycles``/``decompose``
-that the block builder and the list walk replaced, and the engine inputs
+collector ``_Rows``), in the arc form and in the exact solver's path form,
+the numpy-scalar ``cancel_cycles``/``decompose`` that the block builder
+and the list walk replaced, and the engine inputs
 as scipy.sparse built them before ``lp.CsrRows`` replaced it. They must
 give the same canonical CSR, relations, rhs and objective, the same HiGHS
 model and tableau, and the same paths with the same rates bit for bit.
@@ -73,23 +74,25 @@ class _Rows:
         return LinearProgram(sense, objective, rows, tuple(self._relations), np.array(self._rhs))
 
 
-def _reference_build(spec, graphs=None, profile=None) -> LinearProgram:
+def _reference_build(spec, paths=None, profile=None) -> LinearProgram:
     net = spec.network
     comms = spec.commodities
     K = len(comms)
-    if graphs is None:
-        every_edge = range(len(net.edges))
-        shapes = [
-            (net, net.index_of(c.source), net.index_of(c.sink), every_edge)
-            for c in comms
-        ]
-    else:
-        shapes = [(g, g.source, g.sink, g.edge_of) for g in graphs]
-    arc_base = [0]
-    for *_, edge_of in shapes:
-        arc_base.append(arc_base[-1] + len(edge_of))
-    rate_var = [arc_base[-1] + i for i in range(K)]
-    nvars = arc_base[-1] + K
+    if paths is None:
+        paths = [None] * K
+    # Each commodity's columns as (edges it uses, delay): one per edge of
+    # the network, or one per path of its path set.
+    columns = [
+        [((k,), e.delay) for k, e in enumerate(net.edges)]
+        if ps is None
+        else [(p.edges, p.delay(net)) for p in ps.paths]
+        for ps in paths
+    ]
+    col_base = [0]
+    for cols in columns:
+        col_base.append(col_base[-1] + len(cols))
+    rate_var = [col_base[-1] + i for i in range(K)]
+    nvars = col_base[-1] + K
     if profile is not None:
         scale_var = nvars
         nvars += 1
@@ -103,19 +106,22 @@ def _reference_build(spec, graphs=None, profile=None) -> LinearProgram:
 
     lp_rows = _Rows(nvars)
     is_delay = spec.objective.is_delay
-    for i, (c, (g, s, t, edge_of)) in enumerate(zip(comms, shapes)):
-        base = arc_base[i]
-        if s is None:
-            lp_rows.add([rate_var[i]], [-1.0], "=", 0.0)
-        interior = [v for v in range(len(g.nodes)) if v != s and v != t]
-        for v in interior if s is None else [s] + interior:
-            outs, ins = list(g.out_edges[v]), list(g.in_edges[v])
-            cols = [base + j for j in outs + ins]
-            vals = [1.0] * len(outs) + [-1.0] * len(ins)
-            if v == s:
-                cols.append(rate_var[i])
-                vals.append(-1.0)
-            lp_rows.add(cols, vals, "=", 0.0)
+    for i, (c, ps, cols) in enumerate(zip(comms, paths, columns)):
+        base = col_base[i]
+        own = list(range(base, col_base[i + 1]))
+        if ps is None:
+            s, t = net.index_of(c.source), net.index_of(c.sink)
+            interior = [v for v in range(len(net.nodes)) if v != s and v != t]
+            for v in [s] + interior:
+                outs, ins = list(net.out_edges[v]), list(net.in_edges[v])
+                row_cols = [base + j for j in outs + ins]
+                vals = [1.0] * len(outs) + [-1.0] * len(ins)
+                if v == s:
+                    row_cols.append(rate_var[i])
+                    vals.append(-1.0)
+                lp_rows.add(row_cols, vals, "=", 0.0)
+        else:
+            lp_rows.add(own + [rate_var[i]], [1.0] * len(own) + [-1.0], "=", 0.0)
         if profile is not None:
             lp_rows.add([rate_var[i], scale_var], [1.0, -profile[i]], ">=", 0.0)
             continue
@@ -123,19 +129,16 @@ def _reference_build(spec, graphs=None, profile=None) -> LinearProgram:
             lp_rows.add([rate_var[i]], [1.0], "=", c.R)
         elif c.R > 0:
             lp_rows.add([rate_var[i]], [1.0], ">=", c.R)
-        bounded = graphs is None and math.isfinite(c.D)
-        if bounded or is_delay:
-            arc_cols = list(range(base, arc_base[i + 1]))
-            delays = [net.edges[k].delay for k in edge_of]
-        if bounded:
+        delays = [d for _, d in cols]
+        if ps is None and math.isfinite(c.D):
             if is_delay:
-                lp_rows.add(arc_cols, delays, "<=", c.D * c.R)
+                lp_rows.add(own, delays, "<=", c.D * c.R)
             else:
-                lp_rows.add(arc_cols + [rate_var[i]], delays + [-c.D], "<=", 0.0)
+                lp_rows.add(own + [rate_var[i]], delays + [-c.D], "<=", 0.0)
         if is_delay:
             for slope, intercept in c.utility_d.segments():
                 lp_rows.add(
-                    arc_cols + [aux_var[i]],
+                    own + [aux_var[i]],
                     [-slope * d for d in delays] + [c.R],
                     ">=",
                     intercept * c.R,
@@ -144,11 +147,12 @@ def _reference_build(spec, graphs=None, profile=None) -> LinearProgram:
             for slope, intercept in c.utility_t.segments():
                 lp_rows.add([aux_var[i], rate_var[i]], [1.0, -slope], "<=", intercept)
 
-    arcs_of_edge: list[list[int]] = [[] for _ in net.edges]
-    for base, (*_, edge_of) in zip(arc_base, shapes):
-        for j, k in enumerate(edge_of, base):
-            arcs_of_edge[k].append(j)
-    for k, cols in enumerate(arcs_of_edge):
+    cols_of_edge: list[list[int]] = [[] for _ in net.edges]
+    for base, cols in zip(col_base, columns):
+        for j, (edges, _) in enumerate(cols, base):
+            for k in edges:
+                cols_of_edge[k].append(j)
+    for k, cols in enumerate(cols_of_edge):
         if cols:
             lp_rows.add(cols, [1.0] * len(cols), "<=", net.edges[k].capacity)
 
@@ -363,7 +367,7 @@ def _check_counterpart(spec) -> int:
         return 0
     net = spec.network
     count = 0
-    for c, x in zip(spec.commodities, cmap.edge_flows(sol.x)):
+    for c, x in zip(spec.commodities, cmap.columns(sol.x)):
         got_x = cancel_cycles(net, x, c.source, c.sink)
         ref_x = _ref_cancel_cycles(net, x, c.source, c.sink)
         assert got_x.dtype == ref_x.dtype
@@ -415,9 +419,9 @@ def _spy_exact_builds(monkeypatch) -> list[int]:
     built = []
     builder = baselines.build_counterpart
 
-    def spy(spec, graphs=None, profile=None):
-        out = builder(spec, graphs, profile)
-        _assert_same_lp(out[0], _reference_build(spec, graphs, profile))
+    def spy(spec, paths=None, profile=None):
+        out = builder(spec, paths, profile)
+        _assert_same_lp(out[0], _reference_build(spec, paths, profile))
         _assert_same_engine_inputs(out[0])
         built.append(out[0].num_rows)
         return out
@@ -448,7 +452,7 @@ def test_pass_paths_match_reference_on_corpus():
         lp, cmap = build_counterpart(spec)
         x = solve_lp(lp).x
         net = spec.network
-        for c, flow, xi in zip(spec.commodities, rep.counterpart.flows, cmap.edge_flows(x)):
+        for c, flow, xi in zip(spec.commodities, rep.counterpart.flows, cmap.columns(x)):
             ref = _ref_decompose(
                 net, c.source, c.sink, _ref_cancel_cycles(net, xi, c.source, c.sink)
             )
@@ -491,10 +495,31 @@ def test_rules_on_shared_counterpart_match_entries_on_ec2_sweeps(ec2_sweeps, ec2
 
 
 def test_exact_lp_without_any_arc_matches_reference(monkeypatch):
-    """No commodity has a walk within its deadline, so no graph has an arc
-    and the LP has no capacity row."""
+    """No commodity has a path within its deadline, so no path set has a
+    column and the LP has no capacity row."""
     built = _spy_exact_builds(monkeypatch)
     net = Network(("s", "a", "t"), (Edge(0, 1, 5.0, 1.0), Edge(1, 2, 5.0, 1.0)))
     spec = make_dcum(net, [("s", "t", 3.0, IDENTITY), ("s", "t", 2.0, IDENTITY)])
     assert solve_exact(spec).objective == 0.0
     assert built == [4]  # per commodity: -|f_i| = 0 and one epigraph row
+
+
+def test_mixed_arc_and_path_lp_matches_reference(ec2_sweep_specs):
+    """One builder: a commodity may route on the network while another
+    routes on a path set, in either order, under both objectives the
+    sweeps use (delay and throughput), with and without a rate profile."""
+    compared = 0
+    for spec in ec2_sweep_specs[::20]:
+        net = spec.network
+        cache: dict = {}
+        sets = [
+            baselines._pair_paths(net, cache, c, 300.0).within(300.0) for c in spec.commodities
+        ]
+        for keep in range(len(sets)):
+            mixed = [ps if i == keep else None for i, ps in enumerate(sets)]
+            for profile in (None, [1.0] * len(sets)):
+                lp, _ = build_counterpart(spec, mixed, profile)
+                _assert_same_lp(lp, _reference_build(spec, mixed, profile))
+                _assert_same_engine_inputs(lp)
+                compared += 1
+    assert compared >= 40

@@ -240,7 +240,7 @@ def test_counterpart_tcdm_two_parallel(two_parallel):
     sol = solve_lp(lp)
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(5.5)  # average delay 11/2
-    (x,) = cmap.edge_flows(sol.x)
+    (x,) = cmap.columns(sol.x)
     assert x == pytest.approx([1.0, 1.0])
 
 
