@@ -117,7 +117,7 @@ def _flows_from_json(doc, spec: ProblemSpec) -> tuple[FlowSolution, list[str]]:
             f"{len(spec.commodities)} commodities"
         )
     net = spec.network
-    n_edges = len(net.edges)
+    n_edges = len(net.heads)
     flows = []
     issues = []
     for i, (pf, c) in enumerate(zip(doc, spec.commodities)):

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
+from functools import partial
 
 import numpy as np
 
@@ -36,17 +37,30 @@ class Edge:
     capacity: float
 
 
-@dataclass(frozen=True)
+#: The checks of every edge of a network, in the order each edge meets
+#: them. The first edge that fails one fails with the first it fails.
+_EDGE_FAULTS = (
+    "edge endpoint out of range",
+    "self-loops are not allowed",
+    "non-finite delay or capacity",
+    "negative delay",
+    "negative capacity",
+)
+
+
 class Network:
     """Immutable directed graph with per-edge delay (ms) and capacity (Mbps).
 
     Node identifiers are opaque strings; internally nodes get dense integer
     indices in declaration order so runs are deterministic. ``node_index``
-    maps each name to its index, and ``heads[k]`` is edge k's head node;
-    ``arc_tail``/``arc_head`` hold every edge's tail and head as integer
-    arrays, and ``delay_array``/``capacity_array`` its delay and capacity;
-    ``out_capacity``/``in_capacity`` hold each node's total capacity out and
-    in, summed in edge order.
+    maps each name to its index. Edge k runs from node ``tails[k]`` to node
+    ``heads[k]`` with delay ``delays[k]``, as given (tuples, for
+    per-element reads); ``arc_tail``/``arc_head`` hold the same endpoints
+    as integer arrays, and ``delay_array``/``capacity_array`` each edge's
+    delay and capacity; ``out_capacity``/``in_capacity`` hold each node's
+    total capacity out and in, summed in edge order. ``edges`` holds every
+    edge as an ``Edge``: the ones passed in, or, for a network made by
+    ``from_arrays``, ones built on first read.
     ``flow_unit`` is 2**ceil(log2(largest capacity)), or 1.0 when no edge
     has capacity; ``zero_tol`` and ``check_tol`` are ZERO_TOL and CHECK_TOL
     in that unit. ``max_path_delay``, the sum of the n-1 largest edge
@@ -56,74 +70,106 @@ class Network:
     """
 
     nodes: tuple[str, ...]
-    edges: tuple[Edge, ...]
-    out_edges: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
-    in_edges: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
-    heads: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    arc_tail: np.ndarray = field(init=False, repr=False, compare=False)
-    arc_head: np.ndarray = field(init=False, repr=False, compare=False)
-    delay_array: np.ndarray = field(init=False, repr=False, compare=False)
-    capacity_array: np.ndarray = field(init=False, repr=False, compare=False)
-    out_capacity: np.ndarray = field(init=False, repr=False, compare=False)
-    in_capacity: np.ndarray = field(init=False, repr=False, compare=False)
-    node_index: dict[str, int] = field(init=False, repr=False, compare=False)
-    flow_unit: float = field(init=False, repr=False, compare=False)
-    zero_tol: float = field(init=False, repr=False, compare=False)
-    check_tol: float = field(init=False, repr=False, compare=False)
-    max_path_delay: float = field(init=False, repr=False, compare=False)
-    # ``least_delays`` once read. A cached_property would write ``__dict__``,
-    # after which CPython 3.11 reads every attribute of the network slower.
-    _least_delays: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    tails: tuple[int, ...]
+    heads: tuple[int, ...]
+    delays: tuple[float, ...]
+    out_edges: tuple[tuple[int, ...], ...]
+    in_edges: tuple[tuple[int, ...], ...]
+    arc_tail: np.ndarray
+    arc_head: np.ndarray
+    delay_array: np.ndarray
+    capacity_array: np.ndarray
+    out_capacity: np.ndarray
+    in_capacity: np.ndarray
+    node_index: dict[str, int]
+    flow_unit: float
+    zero_tol: float
+    check_tol: float
+    max_path_delay: float
 
-    def __post_init__(self):
-        for name in self.nodes:  # one token of topology text, before any '#'
+    def __init__(self, nodes: tuple[str, ...], edges: tuple[Edge, ...]):
+        edges = tuple(edges)
+        self._build(
+            nodes,
+            [e.u for e in edges],
+            [e.v for e in edges],
+            [e.delay for e in edges],
+            [e.capacity for e in edges],
+        )
+        object.__setattr__(self, "_edges", edges)
+
+    @classmethod
+    def from_arrays(cls, nodes, tails, heads, delays, capacities) -> Network:
+        """The network whose edge k runs from node ``tails[k]`` to node
+        ``heads[k]`` with delay ``delays[k]`` and capacity
+        ``capacities[k]``, checked as ``Network(nodes, edges)`` checks it,
+        without an ``Edge`` object."""
+        net = cls.__new__(cls)
+        net._build(nodes, tails, heads, delays, capacities)
+        return net
+
+    def _build(self, nodes, tails, heads, delays, capacities) -> None:
+        put = partial(object.__setattr__, self)  # the class refuses assignment
+        nodes = tuple(nodes)
+        for name in nodes:  # one token of topology text, before any '#'
             if not isinstance(name, str) or name.split() != [name] or "#" in name:
                 msg = "must be a non-empty string without whitespace or '#'"
                 raise TopologyError(f"node name {name!r} {msg}")
-        if len(set(self.nodes)) != len(self.nodes):
+        if len(set(nodes)) != len(nodes):
             raise TopologyError("duplicate node identifier")
-        for e in self.edges:
-            if not (0 <= e.u < len(self.nodes) and 0 <= e.v < len(self.nodes)):
-                raise TopologyError("edge endpoint out of range")
-            if e.u == e.v:
-                raise TopologyError("self-loops are not allowed")
-            if not (math.isfinite(e.delay) and math.isfinite(e.capacity)):
-                raise TopologyError("non-finite delay or capacity")
-            if e.delay < 0:
-                raise TopologyError("negative delay")
-            if e.capacity < 0:
-                raise TopologyError("negative capacity")
-        n = len(self.nodes)
-        tails = [e.u for e in self.edges]
-        heads = tuple(e.v for e in self.edges)
-        out, inc = adjacency(n, tails, heads)
-        object.__setattr__(self, "out_edges", tuple(tuple(x) for x in out))
-        object.__setattr__(self, "in_edges", tuple(tuple(x) for x in inc))
-        object.__setattr__(self, "heads", heads)
-        arc_tail = np.array(tails, dtype=np.intp)
-        arc_head = np.array(heads, dtype=np.intp)
-        capacity = np.array([e.capacity for e in self.edges], dtype=np.float64)
+        n = len(nodes)
+        arc_tail, arc_head = np.array(tails), np.array(heads)
+        for a in (arc_tail, arc_head):  # an endpoint that is no integer fails first
+            if a.size and a.dtype.kind not in "biu":
+                raise TopologyError(_EDGE_FAULTS[0])
+        arc_tail, arc_head = arc_tail.astype(np.intp), arc_head.astype(np.intp)
+        delay = np.array(delays, dtype=np.float64)
+        capacity = np.array(capacities, dtype=np.float64)
+        # Edges that fail any check: a negative or NaN number has no
+        # least value >= 0, and an infinite one is the greater.
+        bad = (
+            (np.minimum(arc_tail, arc_head) < 0)
+            | (np.maximum(arc_tail, arc_head) >= n)
+            | (arc_tail == arc_head)
+            | ~(np.minimum(delay, capacity) >= 0)
+            | (np.maximum(delay, capacity) == math.inf)
+        )
+        if bad.any():
+            k = int(bad.argmax())
+            u, v, d, c = int(arc_tail[k]), int(arc_head[k]), float(delay[k]), float(capacity[k])
+            fails = (
+                not (0 <= u < n and 0 <= v < n),
+                u == v,
+                not (math.isfinite(d) and math.isfinite(c)),
+                d < 0,
+                c < 0,
+            )
+            raise TopologyError(_EDGE_FAULTS[fails.index(True)])
+        put("nodes", nodes)
+        put("tails", tuple(arc_tail.tolist()))
+        put("heads", tuple(arc_head.tolist()))
+        put("delays", tuple(delays))
+        out, inc = adjacency(n, self.tails, self.heads)
+        put("out_edges", tuple(map(tuple, out)))
+        put("in_edges", tuple(map(tuple, inc)))
         arrays = {
             "arc_tail": arc_tail,
             "arc_head": arc_head,
-            "delay_array": np.array([e.delay for e in self.edges], dtype=np.float64),
+            "delay_array": delay,
             "capacity_array": capacity,
             "out_capacity": np.bincount(arc_tail, weights=capacity, minlength=n),
             "in_capacity": np.bincount(arc_head, weights=capacity, minlength=n),
         }
         for name, a in arrays.items():
             a.flags.writeable = False  # the network is immutable
-            object.__setattr__(self, name, a)
-        object.__setattr__(
-            self, "node_index", {name: i for i, name in enumerate(self.nodes)}
-        )
+            put(name, a)
+        put("node_index", {name: i for i, name in enumerate(nodes)})
         # Every path delay is at most the sum of all delays, so path delays
         # and rate-weighted delay sums stay finite.
-        if not math.isfinite(sum(e.delay for e in self.edges)):
+        if not math.isfinite(sum(self.delays)):
             raise TopologyError("the sum of edge delays overflows a float")
-        longest = sorted(self.delay_array.tolist(), reverse=True)[: len(self.nodes) - 1]
-        object.__setattr__(self, "max_path_delay", sum(longest))
-        cap = max((e.capacity for e in self.edges), default=0.0)
+        put("max_path_delay", sum(np.sort(delay)[::-1][: n - 1].tolist()))
+        cap = float(capacity.max()) if capacity.size else 0.0
         mantissa, exp = math.frexp(cap)  # cap = mantissa * 2**exp, exactly
         try:
             unit = math.ldexp(1.0, exp - (mantissa == 0.5)) if cap > 0 else 1.0
@@ -131,9 +177,44 @@ class Network:
             raise TopologyError(
                 f"capacity {cap} is too large: its flow unit 2**{exp} overflows a float"
             ) from None
-        object.__setattr__(self, "flow_unit", unit)
-        object.__setattr__(self, "zero_tol", ZERO_TOL * unit)
-        object.__setattr__(self, "check_tol", CHECK_TOL * unit)
+        put("flow_unit", unit)
+        put("zero_tol", ZERO_TOL * unit)
+        put("check_tol", CHECK_TOL * unit)
+        put("_edges", None)
+        put("_least_delays", None)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.nodes, self.tails, self.heads, self.delays) == (
+            other.nodes,
+            other.tails,
+            other.heads,
+            other.delays,
+        ) and np.array_equal(self.capacity_array, other.capacity_array)
+
+    def __hash__(self):
+        return hash((self.nodes, self.tails, self.heads, self.delays))
+
+    def __repr__(self):
+        return f"Network(nodes={self.nodes!r}, edges={self.edges!r})"
+
+    # ``edges`` and ``least_delays`` are kept by ``object.__setattr__``. A
+    # cached_property would write ``__dict__``, after which CPython 3.11
+    # reads every attribute of the network slower.
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        if self._edges is None:
+            caps = self.capacity_array.tolist()
+            edges = tuple(map(Edge, self.tails, self.heads, self.delays, caps))
+            object.__setattr__(self, "_edges", edges)
+        return self._edges
 
     @property
     def least_delays(self) -> np.ndarray:
@@ -162,7 +243,7 @@ class Network:
         return self.capacity_array.copy()
 
     def has_integer_delays(self) -> bool:
-        return all(float(e.delay).is_integer() for e in self.edges)
+        return all(float(d).is_integer() for d in self.delays)
 
 
 def adjacency(n: int, tails, heads) -> tuple[list[list[int]], list[list[int]]]:
@@ -206,18 +287,20 @@ class Path:
     edges: tuple[int, ...]
 
     def nodes(self, net: Network) -> tuple[str, ...]:
-        seq = [net.edges[self.edges[0]].u]
+        tails, heads, nodes = net.tails, net.heads, net.nodes
+        u = tails[self.edges[0]]
+        names = [nodes[u]]
         for k in self.edges:
-            if net.edges[k].u != seq[-1]:
+            if tails[k] != u:
                 raise ValueError("path edges are not contiguous")
-            seq.append(net.edges[k].v)
-        names = tuple(net.nodes[i] for i in seq)
+            u = heads[k]
+            names.append(nodes[u])
         if len(set(names)) != len(names):
             raise ValueError("path repeats a node")
-        return names
+        return tuple(names)
 
     def delay(self, net: Network) -> float:
-        return sum(net.edges[k].delay for k in self.edges)
+        return sum([net.delays[k] for k in self.edges])
 
 
 def _parse_number(token: str, what: str, lineno: int) -> float:
@@ -232,46 +315,88 @@ def _parse_number(token: str, what: str, lineno: int) -> float:
     return value
 
 
+def _check_numbers(lines: list[str], rows: list[int], delays, capacities) -> None:
+    """Raise the error of the first edge whose delay or capacity is
+    non-finite or negative: edge k was read from line ``rows[k]``, whose
+    numbers ``_parse_number`` reads again. Each list is checked whole
+    first: a finite sum has no NaN or infinity in it, and then its least
+    value shows a negative one. A sum that overflows only costs the scan."""
+    if all(math.isfinite(sum(x)) and min(x, default=0.0) >= 0 for x in (delays, capacities)):
+        return
+    for k, (d, c) in enumerate(zip(delays, capacities)):
+        if not (0 <= d < math.inf and 0 <= c < math.inf):
+            lineno = rows[k]
+            _, _, _, delay, capacity = lines[lineno - 1].split()
+            _parse_number(delay, "delay", lineno)
+            _parse_number(capacity, "capacity", lineno)
+
+
 def load_topology(text: str) -> Network:
     """Parse a line-oriented topology file.
 
     Directives: ``node <id>``, ``edge <u> <v> <delay_ms> <capacity_mbps>``,
-    ``uedge ...`` (expands to both directions), ``#`` comments.
+    ``uedge ...`` (expands to both directions), ``#`` comments. Lines are
+    counted as ``str.splitlines`` splits them, and numbers read by Python
+    ``float``. Each line goes into index and number lists; the numbers are
+    checked over the whole lists, and an error names the first faulty line.
     """
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
     nodes: list[str] = []
-    edges: list[Edge] = []
     index: dict[str, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        kind = parts[0]
-        if kind == "node":
-            if len(parts) != 2:
-                raise TopologyError(f"line {lineno}: expected 'node <id>'")
-            name = parts[1]
-            if name in index:
-                raise TopologyError(f"line {lineno}: duplicate node {name!r}")
-            index[name] = len(nodes)
-            nodes.append(name)
-        elif kind in ("edge", "uedge"):
-            if len(parts) != 5:
-                raise TopologyError(
-                    f"line {lineno}: expected '{kind} <u> <v> <delay> <capacity>'"
-                )
-            u, v = parts[1], parts[2]
-            for name in (u, v):
-                if name not in index:
-                    raise TopologyError(f"line {lineno}: unknown node {name!r}")
-            d = _parse_number(parts[3], "delay", lineno)
-            c = _parse_number(parts[4], "capacity", lineno)
-            edges.append(Edge(index[u], index[v], d, c))
-            if kind == "uedge":
-                edges.append(Edge(index[v], index[u], d, c))
-        else:
-            raise TopologyError(f"line {lineno}: unknown directive {kind!r}")
-    return Network(tuple(nodes), tuple(edges))
+    tails: list[int] = []
+    heads: list[int] = []
+    delays: list[float] = []
+    capacities: list[float] = []
+    rows: list[int] = []  # the line each edge was read from
+    try:
+        for lineno, parts in enumerate(map(str.split, lines), start=1):
+            if not parts:
+                continue
+            kind = parts[0]
+            if kind == "edge" or kind == "uedge":
+                if len(parts) != 5:
+                    raise TopologyError(
+                        f"line {lineno}: expected '{kind} <u> <v> <delay> <capacity>'"
+                    )
+                _, u, v, d, c = parts
+                try:
+                    a, b = index[u], index[v]
+                except KeyError:
+                    name = v if u in index else u
+                    raise TopologyError(f"line {lineno}: unknown node {name!r}") from None
+                try:
+                    d, c = float(d), float(c)
+                except ValueError:  # one of them raises
+                    _parse_number(d, "delay", lineno)
+                    _parse_number(c, "capacity", lineno)
+                tails.append(a)
+                heads.append(b)
+                delays.append(d)
+                capacities.append(c)
+                rows.append(lineno)
+                if kind == "uedge":
+                    tails.append(b)
+                    heads.append(a)
+                    delays.append(d)
+                    capacities.append(c)
+                    rows.append(lineno)
+            elif kind == "node":
+                if len(parts) != 2:
+                    raise TopologyError(f"line {lineno}: expected 'node <id>'")
+                name = parts[1]
+                if name in index:
+                    raise TopologyError(f"line {lineno}: duplicate node {name!r}")
+                index[name] = len(nodes)
+                nodes.append(name)
+            else:
+                raise TopologyError(f"line {lineno}: unknown directive {kind!r}")
+    except TopologyError:
+        _check_numbers(lines, rows, delays, capacities)  # an earlier line wins
+        raise
+    _check_numbers(lines, rows, delays, capacities)
+    return Network.from_arrays(nodes, tails, heads, delays, capacities)
 
 
 def _fmt(x: float) -> str:
@@ -279,12 +404,18 @@ def _fmt(x: float) -> str:
 
 
 def serialize_topology(net: Network) -> str:
-    """Normalized topology text; inverse of load_topology on its own output."""
-    lines = [f"node {n}" for n in net.nodes]
-    for e in net.edges:
-        lines.append(
-            f"edge {net.nodes[e.u]} {net.nodes[e.v]} {_fmt(e.delay)} {_fmt(e.capacity)}"
-        )
+    """Normalized topology text; inverse of load_topology on its own output.
+    Each distinct number is formatted once."""
+    names = net.nodes
+    capacities = net.capacity_array.tolist()
+    text = dict.fromkeys([*net.delays, *capacities])
+    for x in text:
+        text[x] = _fmt(x)
+    lines = [f"node {n}" for n in names]
+    lines += [
+        f"edge {names[u]} {names[v]} {text[d]} {text[c]}"
+        for u, v, d, c in zip(net.tails, net.heads, net.delays, capacities)
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -336,7 +467,7 @@ def shortest_path_by_delay(
     if si == ti:
         raise ValueError("source and sink must differ")
     residual = np.asarray(residual, dtype=np.float64)
-    if residual.shape != (len(net.edges),):
+    if residual.shape != (len(net.heads),):
         raise ValueError("residual must have one entry per edge")
     if np.any(residual < -net.zero_tol):
         raise ValueError("residual entries must be nonnegative")
@@ -344,24 +475,23 @@ def shortest_path_by_delay(
     # Dijkstra with (delay, node-name path) keys; the path component makes
     # the tie-break deterministic. Graphs here are small enough that carrying
     # the path in the heap is cheap.
+    blocked = (residual <= net.zero_tol).tolist()
+    heads, delays, names = net.heads, net.delays, net.nodes
     heap: list[tuple[float, tuple[str, ...], int, tuple[int, ...]]] = [
-        (0.0, (net.nodes[si],), si, ())
+        (0.0, (names[si],), si, ())
     ]
-    settled: set[int] = set()
+    settled = [False] * len(names)
     while heap:
-        dist, names, u, edge_seq = heapq.heappop(heap)
-        if u in settled:
+        dist, seq, u, edge_seq = heapq.heappop(heap)
+        if settled[u]:
             continue
-        settled.add(u)
+        settled[u] = True
         if u == ti:
             return Path(edge_seq)
         for k in net.out_edges[u]:
-            e = net.edges[k]
+            v = heads[k]
             # The popped path's nodes are all settled, so paths stay simple.
-            if residual[k] <= net.zero_tol or e.v in settled:
+            if blocked[k] or settled[v]:
                 continue
-            heapq.heappush(
-                heap,
-                (dist + e.delay, names + (net.nodes[e.v],), e.v, edge_seq + (k,)),
-            )
+            heapq.heappush(heap, (dist + delays[k], seq + (names[v],), v, edge_seq + (k,)))
     return None

@@ -231,7 +231,7 @@ class FlowSolution:
         flow = self.flows[i]
         edges = np.array([k for path, _ in flow for k in path.edges], dtype=np.intp)
         rates = [rate for path, rate in flow for _ in path.edges]
-        return np.bincount(edges, weights=rates, minlength=len(net.edges))
+        return np.bincount(edges, weights=rates, minlength=len(net.heads))
 
     def check_feasible(
         self, net: Network, commodities: tuple[Commodity, ...], tol: float | None = None
@@ -241,7 +241,7 @@ class FlowSolution:
         if tol is None:
             tol = net.check_tol
         issues = []
-        total = np.zeros(len(net.edges))
+        total = np.zeros(len(net.heads))
         for i, flow in enumerate(self.flows):
             for path, rate in flow:
                 if rate < -tol:
@@ -260,10 +260,9 @@ class FlowSolution:
                     f"(in {ins}, out {outs})"
                 )
         for k in np.flatnonzero(total > net.capacity_array + tol).tolist():
-            e = net.edges[k]
+            u, v = net.nodes[net.tails[k]], net.nodes[net.heads[k]]
             issues.append(
-                f"capacity exceeded on {net.nodes[e.u]}->{net.nodes[e.v]} "
-                f"({total[k]} > {e.capacity})"
+                f"capacity exceeded on {u}->{v} ({total[k]} > {float(net.capacity_array[k])})"
             )
         return issues
 
@@ -282,9 +281,10 @@ def evaluate_metrics(net: Network, sol: FlowSolution) -> tuple[CommodityMetrics,
     T(f), the rate-weighted delay sum; and T(f)/|f| (0 when |f| is 0)."""
     out = []
     for flow in sol.flows:
+        delays = [p.delay(net) for p, _ in flow]
         thr = sum(rate for _, rate in flow)
-        total_d = sum(r * p.delay(net) for p, r in flow)
-        max_d = max((p.delay(net) for p, r in flow if r > net.zero_tol), default=0.0)
+        total_d = sum(r * d for (_, r), d in zip(flow, delays))
+        max_d = max((d for (_, r), d in zip(flow, delays) if r > net.zero_tol), default=0.0)
         avg_d = total_d / thr if thr > 0 else 0.0
         out.append(CommodityMetrics(thr, max_d, total_d, avg_d))
     return tuple(out)
@@ -373,7 +373,7 @@ def build_counterpart(
         paths = [None] * K
     col_base = [0]
     for ps in paths:
-        col_base.append(col_base[-1] + (len(net.edges) if ps is None else len(ps.paths)))
+        col_base.append(col_base[-1] + (len(net.heads) if ps is None else len(ps.paths)))
     rate0 = col_base[-1]  # |f_i| is column rate0 + i
     aux0 = nvars = rate0 + K  # then the epigraph columns, or the scale t
     bound_var = None
@@ -386,7 +386,7 @@ def build_counterpart(
             nvars += 1
 
     is_delay = spec.objective.is_delay
-    every_edge = np.arange(len(net.edges))
+    every_edge = np.arange(len(net.heads))
     # Column-sized blocks as (row, column, value) arrays; the few
     # per-commodity entries as lists, the last block.
     all_cols = np.arange(rate0)
@@ -483,7 +483,7 @@ def build_counterpart(
     # uses, in edge order (on the physical network, every edge).
     cap_col = np.concatenate(cap_cols)
     cap_edge = np.concatenate(cap_edges)
-    used = np.bincount(cap_edge, minlength=len(net.edges)) > 0
+    used = np.bincount(cap_edge, minlength=len(net.heads)) > 0
     cap_rows = (len(rhs) - 1 + np.cumsum(used))[cap_edge]
     cap_rhs = net.capacity_array[used]
     blocks.append((cap_rows, cap_col, np.ones(cap_col.size)))
