@@ -10,18 +10,17 @@ import functools
 import json
 import math
 import sys
-from collections import Counter
 
 import numpy as np
 
 from delayflow.algorithms import (
+    Counterpart,
     InfeasibleError,
     SolveReport,
     apply_pass,
     apply_pass_m,
     apply_pass_t,
     missed_guarantees,
-    removed_fraction,
     solve_counterpart,
     solve_pass,
     solve_pass_m,
@@ -190,15 +189,12 @@ def _mismatch(name: str, recorded, got: float) -> list[str]:
     return [f"recorded {name} {recorded} != recomputed {got}"]
 
 
-def _tagged(flows) -> Counter:
-    """The (commodity, path, rate) triples of a solution's path flows."""
-    return Counter((i, p, r) for i, pf in enumerate(flows) for p, r in pf)
-
-
 def verify_report(doc: dict) -> list[str]:
     """Re-derive every claim in a serialized report from its embedded
     topology, problem, and flows. Returns a list of violations: those of
-    the report's own fields, then ``missed_guarantees`` of its algorithm.
+    the report's own fields, those of a PASS-family report's replay of its
+    rule on its ``counterpart_flows``, then ``missed_guarantees`` of its
+    algorithm.
 
     Feasibility allows the network's ``check_tol``, recorded values
     ``bound_tol``."""
@@ -228,42 +224,37 @@ def verify_report(doc: dict) -> list[str]:
     issues += _mismatch("objective", doc["objective"], objective_value(spec, metrics))
 
     algo = doc["algorithm"]
-    hat = hat_metrics = eps = eps_max = None
-    if "counterpart_flows" in doc:
+    hat_metrics = eps = eps_max = None
+    if algo in ("PASS", "PASS-M", "PASS-T"):
         hat, hat_issues = _flows_from_json(doc["counterpart_flows"], spec)
         issues += [
             "counterpart: " + s
             for s in hat_issues + hat.check_feasible(net, spec.commodities)
         ]
-        hat_metrics = evaluate_metrics(net, hat)
-    if algo == "PASS":
-        eps = float(doc["epsilon"])
-        if not 0.0 < eps < 1.0:
-            # A NaN, infinite or zero epsilon would void or break every
-            # certificate below.
-            issues.append(f"epsilon {doc['epsilon']} outside (0, 1)")
-            return issues
-    elif algo == "PASS-T" and hat is not None and sol.flows != hat.flows:
-        issues.append("flows differ from counterpart_flows")
-    elif algo == "PASS-M" and hat is not None:
-        # PASS-M keeps whole counterpart paths at their counterpart rates.
-        for i, p, r in _tagged(sol.flows) - _tagged(hat.flows):
-            issues.append(
-                f"commodity {i}: path {list(p.edges)} at rate {r} is not a "
-                "counterpart path at that rate"
-            )
-        eps_max = float(doc["epsilon_max"])
-        # A deletion that removes nothing can read a rounding below 0.
-        if -bound_tol(0.0) <= eps_max <= 1.0:
-            removed = [
-                removed_fraction(net, h.throughput, m.throughput)
-                for h, m in zip(hat_metrics, metrics)
-            ]
-            issues += _mismatch("epsilon_max", doc["epsilon_max"], max(removed, default=0.0))
-            issues += _mismatch("epsilon_min", doc["epsilon_min"], min(removed, default=0.0))
-        else:
-            issues.append(f"epsilon_max {doc['epsilon_max']} outside [0, 1]")
-            eps_max = None
+        cp = Counterpart(spec, hat, 0.0)
+        if algo == "PASS":
+            eps = float(doc["epsilon"])
+            if not 0.0 < eps < 1.0:
+                # A NaN, infinite or zero epsilon would void or break every
+                # certificate below.
+                issues.append(f"epsilon {doc['epsilon']} outside (0, 1)")
+                return issues
+        try:
+            if algo == "PASS":
+                replay = apply_pass(cp, eps)
+            else:
+                replay = apply_pass_m(cp) if algo == "PASS-M" else apply_pass_t(cp)
+        except ValueError as e:  # a negative counterpart total, or an infinite D for PASS-M
+            return issues + [f"{algo} cannot be replayed on counterpart_flows: {e}"]
+        if sol.flows != replay.solution.flows:
+            issues.append(f"flows differ from {algo} replayed on counterpart_flows")
+        hat_metrics, eps_max = evaluate_metrics(net, hat), replay.epsilon_max
+        if eps_max is not None:
+            issues += _mismatch("epsilon_max", doc["epsilon_max"], eps_max)
+            issues += _mismatch("epsilon_min", doc["epsilon_min"], replay.epsilon_min)
+    if not feasible and (algo != "GREEDY" or not missed_guarantees(spec, algo, metrics)):
+        # solve_greedy's rule; every other solver's result is feasible.
+        issues.append("feasible false, but only a GREEDY result that misses a requirement is")
     try:
         return issues + missed_guarantees(
             spec, algo, metrics, hat_metrics, eps, eps_max, feasible

@@ -183,7 +183,10 @@ def _holds(lp: LinearProgram, x: np.ndarray) -> bool:
     if not (np.isfinite(x).all() and (x >= -tol).all()):
         return False
     rows = lp.rows
-    ax = np.bincount(rows.row_of(), weights=rows.data * x[rows.indices], minlength=lp.num_rows)
+    # A product past the float range reads as an infinity of its sign
+    # (a delay bound of 1e308 times a rate above 1.8, say).
+    with np.errstate(over="ignore"):
+        ax = np.bincount(rows.row_of(), weights=rows.data * x[rows.indices], minlength=lp.num_rows)
     return all(
         g <= tol if r == "<=" else g >= -tol if r == ">=" else abs(g) <= tol
         for g, r in zip((ax - lp.rhs).tolist(), lp.relations)

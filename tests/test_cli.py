@@ -18,6 +18,7 @@ from delayflow.graph import Path, load_topology, serialize_topology
 from delayflow.problem import (
     FlowSolution,
     evaluate_metrics,
+    make_tcdm,
     objective_value,
     problem_from_json,
     problem_to_json,
@@ -140,6 +141,13 @@ def _slow_path_only(doc):
     _rerecord(doc)
 
 
+def _half_rate(doc):
+    """Halve PASS-M's kept path: below (1-eps_max)*|f_hat| = 0.5*2, with
+    eps_max replayed from the counterpart, not read from the report."""
+    doc["flows"][0][0]["rate"] = 0.5
+    _rerecord(doc)
+
+
 def _commodity(**fields):
     return lambda doc: doc["problem"]["commodities"][0].update(fields)
 
@@ -152,8 +160,8 @@ def _commodity(**fields):
         ("pass", None, _slow_path_only,
          "commodity 0: deletion inequality violated (slack -9.0)"),
         ("pass-m", 6.0, _commodity(D=0.5), "commodity 0: max delay 1.0 exceeds bound 0.5"),
-        ("pass-m", 6.0, lambda doc: doc.update(epsilon_max=0.0),
-         "commodity 0: throughput 1.0 below (1-eps_max)*counterpart = 2.0"),
+        ("pass-m", 6.0, _half_rate,
+         "commodity 0: throughput 0.5 below (1-eps_max)*counterpart = 1.0"),
         ("pass-t", None, _commodity(R=3.0), "commodity 0: throughput 2.0 below requirement 3.0"),
         ("greedy", None, _commodity(D=5.0), "commodity 0: max delay 10.0 exceeds bound 5.0"),
         ("greedy", None, _commodity(R=3.0), "commodity 0: throughput 2.0 below requirement 3.0"),
@@ -178,31 +186,60 @@ def _pass_m_strays(doc):
     doc["counterpart_flows"][0] = []
 
 
+def _no_flows(doc):
+    """Delete every flow and record the metrics of none: every PASS
+    guarantee on EC2 DCUM (R = 0) still holds."""
+    doc["flows"] = [[] for _ in doc["flows"]]
+    _rerecord(doc)
+
+
+def _no_counterpart(doc):
+    _no_flows(doc)
+    del doc["counterpart_flows"]
+
+
+def _negative_counterpart(doc):
+    for p in doc["counterpart_flows"][0]:
+        p["rate"] = -p["rate"]
+
+
 @pytest.mark.parametrize(
-    "algo,corrupt,message",
+    "algo,corrupt,rc,message",
     [
-        ("pass-t", lambda doc: doc["counterpart_flows"][0][0].update(rate=0.0),
-         "flows differ from counterpart_flows"),
-        ("pass-t", lambda doc: doc["counterpart_flows"][0][0].update(rate=5.0),
-         "flows differ from counterpart_flows"),
-        ("pass-m", _pass_m_strays,
-         "commodity 0: path [0] at rate 1.0 is not a counterpart path at that rate"),
-        ("pass-m", lambda doc: doc.update(epsilon_max=True),
+        ("pass-t", lambda doc: doc["counterpart_flows"][0][0].update(rate=0.0), 2,
+         "flows differ from PASS-T replayed on counterpart_flows"),
+        ("pass-t", lambda doc: doc["counterpart_flows"][0][0].update(rate=5.0), 2,
+         "flows differ from PASS-T replayed on counterpart_flows"),
+        ("pass-m", _pass_m_strays, 2, "flows differ from PASS-M replayed on counterpart_flows"),
+        ("pass-m", lambda doc: doc.update(epsilon_max=True), 2,
          "recorded epsilon_max True != recomputed 0.5"),
-        ("pass-m", lambda doc: doc.update(epsilon_min=0.25),
+        ("pass-m", lambda doc: doc.update(epsilon_min=0.25), 2,
          "recorded epsilon_min 0.25 != recomputed 0.5"),
+        ("ec2-pass", _no_flows, 2, "flows differ from PASS replayed on counterpart_flows"),
+        ("ec2-pass-m", _no_counterpart, 1, "error: corrupt report: 'counterpart_flows'"),
+        ("pass", _negative_counterpart, 2,
+         "PASS cannot be replayed on counterpart_flows: deletion amount -1.0 outside [0, -2.0]"),
+        ("pass-m", _commodity(D="inf"), 2, "PASS-M cannot be replayed on counterpart_flows: "
+         "commodity 0: PASS-M needs a finite delay bound"),
     ],
     ids=["pass-t-rate-0", "pass-t-rate-5", "pass-m-strays", "pass-m-eps-max-true",
-         "pass-m-eps-min"],
+         "pass-m-eps-min", "ec2-pass-no-flows", "ec2-pass-m-no-counterpart",
+         "pass-negative-counterpart", "pass-m-unbounded"],
 )
 def test_verify_binds_report_to_its_counterpart(
-    two_parallel_files, tmp_path, capsys, algo, corrupt, message
+    two_parallel_files, tmp_path, capsys, request, algo, corrupt, rc, message
 ):
-    doc = _report(two_parallel_files, tmp_path, algo, 6.0 if algo == "pass-m" else None)
+    """Each PASS-family report's flows and epsilons are its rule replayed on
+    its counterpart flows, which it must carry. An ``ec2-`` case corrupts
+    a report of ``ec2_dcum_reports``, the others one on two_parallel."""
+    if algo.startswith("ec2-"):
+        doc = json.loads(request.getfixturevalue("ec2_dcum_reports")[algo[4:]])
+    else:
+        doc = _report(two_parallel_files, tmp_path, algo, 6.0 if algo == "pass-m" else None)
     corrupt(doc)
     out = tmp_path / "report.json"
     out.write_text(json.dumps(doc))
-    assert main(["verify", str(out)]) == 2
+    assert main(["verify", str(out)]) == rc
     assert message + "\n" in capsys.readouterr().err
 
 
@@ -468,12 +505,18 @@ def ec2_dcum_reports(ec2_sweeps):
     }
 
 
+#: PASS-M's epsilon_max on EC2 DCUM at D = 150.
+_DCUM_EPS_MAX = 0.5065415721095999
+
+
 @pytest.mark.parametrize(
     "algo,value,message",
     [
-        ("pass-m", float("nan"), "epsilon_max nan outside [0, 1]"),
-        ("pass-m", float("inf"), "epsilon_max inf outside [0, 1]"),
-        ("pass-m", 5.0, "epsilon_max 5.0 outside [0, 1]"),
+        *(
+            pytest.param("pass-m", v, f"recorded epsilon_max {v} != recomputed {_DCUM_EPS_MAX}",
+                         id=f"pass-m-{v}")
+            for v in (float("nan"), float("inf"), 5.0)
+        ),
         ("pass", float("nan"), "epsilon nan outside (0, 1)"),
         ("pass", float("inf"), "epsilon inf outside (0, 1)"),
         ("pass", 0.0, "epsilon 0.0 outside (0, 1)"),
@@ -769,6 +812,13 @@ _GENERATED = {
                 "points": [[0.0, 791.3274798947882], [67.23152065341365, 2856.7353965781435]]}},
         ],
     }),
+    # The row check of the tableau's optimum multiplied D = 1e308 by a rate
+    # above 1.8, which overflows a float: numpy's overflow warning.
+    "delay-bound-1e308": ("pass --eps 0.03", {
+        "objective": "SumThroughputUtility",
+        "commodities": [{"src": "VA", "dst": "SI", "D": 1e308},
+                        {"src": "OR", "dst": "TO", "D": 150}],
+    }),
 }
 
 _PENALTY_POINTS = {"points": [
@@ -976,6 +1026,33 @@ def test_infeasible_report_names_the_commodity_that_misses(tmp_path, capsys):
     )
     assert json.loads(out.read_text())["feasible"] is False
     assert main(["verify", str(out)]) == 0
+
+
+def _first_path_only(doc):
+    """Cut EXACT's three VA->SI paths to the first, throughput 52 < R = 100."""
+    doc["flows"][0] = doc["flows"][0][:1]
+    _rerecord(doc)
+
+
+@pytest.mark.parametrize(
+    "solve,corrupt",
+    [(baselines.solve_exact, _first_path_only), (baselines.solve_greedy, lambda doc: None),
+     (algorithms.solve_pass_t, lambda doc: None)],
+    ids=["exact-cut", "greedy-untouched", "pass-t-untouched"],
+)
+def test_verify_derives_feasible(ec2, tmp_path, capsys, solve, corrupt):
+    """Only a GREEDY result that misses a requirement may say it is
+    infeasible; any other report flagged so is one violation."""
+    spec = make_tcdm(ec2, [("VA", "SI", 100.0, 1.0)])
+    doc = json.loads(json.dumps(report_to_json(spec, solve(spec))))
+    corrupt(doc)
+    doc["feasible"] = False
+    out = tmp_path / "report.json"
+    out.write_text(json.dumps(doc))
+    assert main(["verify", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "feasible false, but only a GREEDY result that misses a requirement is\n"
+    )
 
 
 #: Row count and sha256 of each sweep's CSV. The digests pin the output

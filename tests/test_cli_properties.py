@@ -1,6 +1,6 @@
 """``delayflow verify`` on reports, and ``delayflow solve`` on problems,
-with one field replaced by a value of the wrong kind: each exits 0, 1 or 2
-and never raises, and every report ``solve`` writes verifies."""
+with one field replaced by a value of the wrong kind or removed: each exits
+0, 1 or 2 and never raises, and every report ``solve`` writes verifies."""
 
 import json
 import math
@@ -36,12 +36,17 @@ def _fields(node, at=()):
 
 
 def _mutate(doc, data) -> None:
-    """Replace one field of ``doc``, drawn by ``data``, by one of _VALUES."""
+    """Replace one field of ``doc``, drawn by ``data``, by one of _VALUES,
+    or remove it: a key of a report, commodity or path record, or an
+    element of a list."""
     *parent, last = data.draw(st.sampled_from(list(_fields(doc))))
     node = doc
     for key in parent:
         node = node[key]
-    node[last] = data.draw(st.sampled_from(_VALUES))
+    if data.draw(st.booleans()):
+        del node[last]
+    else:
+        node[last] = data.draw(st.sampled_from(_VALUES))
 
 
 @pytest.fixture(scope="module")
@@ -56,7 +61,7 @@ def report_file(tmp_path_factory):
     return tmp_path_factory.mktemp("verify") / "report.json"
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_verify_never_raises_on_a_mutated_field(reports, report_file, data):
     doc = json.loads(data.draw(st.sampled_from(reports)))
@@ -88,7 +93,7 @@ _ALGOS = [["pass", "--eps", "0.03"], ["pass-m"], ["pass-t"], ["greedy"]]
 
 # A numpy RuntimeWarning (an overflow in the tableau, say) is a failure.
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_solve_never_raises_on_a_mutated_problem_field(report_file, data):
     doc = json.loads(data.draw(st.sampled_from(_PROBLEMS)))

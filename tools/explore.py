@@ -1,4 +1,5 @@
-"""Solve generated EC2 problems and log every call that exits 1 or raises.
+"""Solve generated EC2 problems, verify each written report, and log every
+call that exits 1 or raises and every report that does not verify.
 
     PYTHONPATH=src python3 tools/explore.py --problems 2000 --log explore.jsonl
 
@@ -6,9 +7,12 @@ Run from the root of a checkout. Draws problems from the ``_ec2_problem``
 strategy of tests/test_valid_inputs.py (all four objectives, not
 derandomized unless --seed is given) and solves each in-process with
 ``cli.main`` by PASS (eps 0.1), PASS-M (when every D is finite), PASS-T,
-GREEDY and EXACT. Exit 0 and exit 2 (infeasible) are answers. Every other
-outcome is appended to the log as one JSON line: the algorithm, the exit
-code or exception, the last stderr line, the seconds and the problem.
+GREEDY and EXACT, each writing its report with ``--out`` to a temporary
+directory. Exit 0 and exit 2 (infeasible) are answers, and each report
+written is then verified. Every other outcome, and every written report
+that ``verify`` does not pass with exit 0, is appended to the log as one
+JSON line: the algorithm, the command (``solve`` or ``verify``), its exit
+code or exception, its last stderr line, the seconds and the problem.
 Ctrl-C stops the run; either way it ends by printing its counts.
 """
 
@@ -26,7 +30,7 @@ from pathlib import Path
 
 from hypothesis import HealthCheck, given, seed, settings
 
-from delayflow.cli import main as solve_main
+from delayflow.cli import main as cli_main
 
 VALID_INPUTS = Path(__file__).resolve().parent.parent / "tests" / "test_valid_inputs.py"
 
@@ -38,51 +42,69 @@ def _problems():
     return module._ec2_problem()
 
 
+def _run(argv) -> tuple[int | str, str]:
+    """``cli.main(argv)``'s exit code, or the exception it raised, and its
+    last stderr line."""
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = cli_main(argv)
+    except Exception as e:  # a raise is a finding, logged, not re-raised
+        code = f"{type(e).__name__}: {e}"
+    return code, (err.getvalue().splitlines() or [""])[-1]
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--problems", type=int, default=1000, help="problems to draw")
     p.add_argument("--seed", type=int, help="Hypothesis seed (default: random)")
     p.add_argument("--log", default="explore.jsonl", help="JSON lines appended here")
     args = p.parse_args(argv)
-    problems = calls = findings = 0
+    problems = calls = reports = findings = 0
     with tempfile.TemporaryDirectory() as work, open(args.log, "a") as log:
         problem = Path(work) / "problem.json"
+        report = Path(work) / "report.json"
+
+        def finding(algo, command, code, last, t0, doc):
+            nonlocal findings
+            findings += 1
+            log.write(json.dumps({
+                "algo": algo, "command": command, "exit": code, "stderr": last,
+                "seconds": time.perf_counter() - t0, "problem": doc,
+            }) + "\n")
+            log.flush()
 
         @settings(max_examples=args.problems, deadline=None, database=None,
                   suppress_health_check=list(HealthCheck))
         @given(doc=_problems())
         def explore(doc):
-            nonlocal problems, calls, findings
+            nonlocal problems, calls, reports
             problems += 1
             problem.write_text(json.dumps(doc))
             algos = [["pass", "--eps", "0.1"], ["pass-t"], ["greedy"], ["exact"]]
             if all(c["D"] != "inf" and math.isfinite(c["D"]) for c in doc["commodities"]):
                 algos.insert(1, ["pass-m"])
             for algo in algos:
-                err = io.StringIO()
+                report.unlink(missing_ok=True)
                 t0 = time.perf_counter()
-                try:
-                    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-                        code = solve_main(
-                            ["solve", "--topo", "ec2", "--problem", str(problem), "--algo", *algo]
-                        )
-                except Exception as e:  # a raise is a finding, logged, not re-raised
-                    code = f"{type(e).__name__}: {e}"
+                code, last = _run(["solve", "--topo", "ec2", "--problem", str(problem),
+                                   "--algo", *algo, "--out", str(report)])
                 calls += 1
                 if code not in (0, 2):
-                    findings += 1
-                    lines = err.getvalue().splitlines() or [""]
-                    log.write(json.dumps({
-                        "algo": algo, "exit": code, "stderr": lines[-1],
-                        "seconds": time.perf_counter() - t0, "problem": doc,
-                    }) + "\n")
-                    log.flush()
+                    finding(algo, "solve", code, last, t0, doc)
+                elif report.exists():
+                    reports += 1
+                    t0 = time.perf_counter()
+                    code, last = _run(["verify", str(report)])
+                    if code != 0:
+                        finding(algo, "verify", code, last, t0, doc)
 
         try:
             (explore if args.seed is None else seed(args.seed)(explore))()
         except KeyboardInterrupt:
             print("interrupted")
-    print(f"{problems} problems, {calls} calls, {findings} logged to {args.log}")
+    print(f"{problems} problems, {calls} calls, {reports} reports verified, "
+          f"{findings} logged to {args.log}")
     return 1 if findings else 0
 
 
