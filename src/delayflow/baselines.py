@@ -5,7 +5,6 @@ deadline (integer delays only).
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import math
 import time
@@ -27,6 +26,9 @@ from delayflow.problem import FlowSolution, PathSet, ProblemSpec, build_counterp
 #: The most simple paths the exact solver enumerates for one endpoint pair
 #: within its deadline.
 PATH_BUDGET = 100_000
+
+#: The most deadline vectors a delay-objective exact search pops.
+DEADLINE_BUDGET = 200_000
 
 
 def push_shortest(
@@ -72,37 +74,10 @@ def solve_greedy(spec: ProblemSpec) -> SolveReport:
     return report
 
 
-class _PairPaths:
+def _enumerate_paths(net: Network, s: int, t: int, cap: float) -> PathSet:
     """Every simple s->t path of delay at most ``cap``, sorted by (delay,
-    edge tuple), as the ``PathSet`` columns its prefixes give: the paths
-    within deadline d are the first ``bisect_right(delays, d)``.
-    ``distinct`` holds their distinct delays, ascending."""
-
-    def __init__(self, net: Network, s: int, t: int, cap: float):
-        found = _enumerate_paths(net, s, t, cap)
-        self.cap = cap
-        self.delays = [d for d, _ in found]
-        self.distinct = sorted(set(self.delays))
-        self.paths = tuple(Path(edges) for _, edges in found)
-        lengths = [len(edges) for _, edges in found]
-        self.ends = np.cumsum([0] + lengths).tolist()
-        self.edges = np.array([k for _, edges in found for k in edges], dtype=np.intp)
-        self.owner = np.repeat(np.arange(len(found)), lengths)
-        self.delay_array = np.array(self.delays)
-
-    def within(self, deadline: float) -> PathSet:
-        """The columns of the paths of delay at most ``deadline``."""
-        m = bisect.bisect_right(self.delays, deadline)
-        e = self.ends[m]
-        return PathSet(self.paths[:m], self.delay_array[:m], self.edges[:e], self.owner[:e])
-
-
-def _enumerate_paths(
-    net: Network, s: int, t: int, cap: float
-) -> list[tuple[float, tuple[int, ...]]]:
-    """(delay, edges) of every simple s->t path of delay at most ``cap``,
-    sorted, by one depth-first search. A prefix ending at v is dropped once
-    its delay plus ``net.least_delays[v, t]`` passes ``cap``. Raises
+    edge tuple), by one depth-first search. A prefix ending at v is dropped
+    once its delay plus ``net.least_delays[v, t]`` passes ``cap``. Raises
     SolverError as soon as more than ``PATH_BUDGET`` paths are found."""
     dist = net.least_delays[:, t].tolist()
     delay = net.delay_array.tolist()
@@ -137,34 +112,41 @@ def _enumerate_paths(
     elif dist[s] <= cap:
         extend(s, 0.0)
     found.sort()
-    return found
+    lengths = [len(p) for _, p in found]
+    return PathSet(
+        tuple(Path(p) for _, p in found),
+        np.array([d for d, _ in found]),
+        np.array([k for _, p in found for k in p], dtype=np.intp),
+        np.repeat(np.arange(len(found)), lengths),
+    )
+
+
+def _within(ps: PathSet, deadline: float) -> PathSet:
+    """The prefix of ``ps`` (sorted by delay) of delay at most ``deadline``;
+    ``owner`` never decreases, so its edges are a prefix too."""
+    m = int(ps.delays.searchsorted(deadline, "right"))
+    e = int(ps.owner.searchsorted(m))
+    return PathSet(ps.paths[:m], ps.delays[:m], ps.edges[:e], ps.owner[:e])
 
 
 def simple_path_delays(net: Network, s: str, t: str) -> list[float]:
     """Sorted distinct delays of all simple s->t paths; raises SolverError
     past ``PATH_BUDGET`` paths."""
     found = _enumerate_paths(net, net.index_of(s), net.index_of(t), math.inf)
-    return sorted({d for d, _ in found})
+    return sorted(set(found.delays.tolist()))
 
 
-def _pair_paths(net: Network, cache: dict, c, cap: float) -> _PairPaths:
-    """The cached paths of ``c``'s endpoints, enumerated anew only when
-    ``cap`` passes the cap they were enumerated at."""
+def _pair_paths(net: Network, cache: dict, c, cap: float) -> PathSet:
+    """``c``'s simple paths within ``cap``, sliced from its endpoints'
+    cached (cap, PathSet) entry, which is enumerated anew only when ``cap``
+    passes the cap it was enumerated at."""
     pairs = cache.setdefault("paths", {})
     ends = (c.source, c.sink)
-    pp = pairs.get(ends)
-    if pp is None or pp.cap < cap:
-        pp = pairs[ends] = _PairPaths(net, net.index_of(c.source), net.index_of(c.sink), cap)
-    return pp
-
-
-def _exact_lp(spec: ProblemSpec, sets: list[PathSet], profile: list[float] | None):
-    """Solve the counterpart LP over the path sets ``sets``, one per
-    commodity; ``profile`` is ``build_counterpart``'s. Returns
-    (LpSolution, CounterpartMap); the solution is optimal or infeasible. A
-    commodity with no path gets the row -|f_i| = 0, so its rate is 0."""
-    lp, cmap = build_counterpart(spec, sets, profile)
-    return solve_lp(lp), cmap
+    entry = pairs.get(ends)
+    if entry is None or entry[0] < cap:
+        s, t = net.index_of(c.source), net.index_of(c.sink)
+        entry = pairs[ends] = (cap, _enumerate_paths(net, s, t, cap))
+    return _within(entry[1], cap)
 
 
 def _path_flows(
@@ -214,17 +196,20 @@ def solve_exact(
     ``cache`` is a dict the caller owns, empty at first; without one each
     call uses a fresh dict. It is bound to the first call's network and
     holds that network's work: each (source, sink)'s simple paths within
-    the largest deadline asked of it, sorted by delay, and, per deadline
-    vector tried, the largest common scale h of the relative requirement
-    profile with the LP result it came from, keyed by the commodities'
-    endpoints, the deadlines and the profile. So one cache may be shared by
-    any specs on one network, whatever their endpoints, rates and
-    objectives; a spec on another network (compared with ``is``, then
-    ``==``) raises ValueError. Raises InfeasibleError when no flow meets
-    the requirements, before any LP when ``check_endpoint_capacities``
-    finds an endpoint short; and SolverError when an LP fails, an endpoint
-    pair has more than ``PATH_BUDGET`` paths within its deadline, or the
-    search exceeds its budget.
+    the largest deadline asked of it, as (that deadline, one ``PathSet``
+    sorted by delay) whose prefixes are the columns of smaller deadlines,
+    and, per deadline vector tried, the largest common scale h of the
+    relative requirement profile with the LP result it came from, keyed by
+    the commodities' endpoints, the deadlines and the profile. So one cache
+    may be shared by any specs on one network, whatever their endpoints,
+    rates and objectives; a spec on another network (compared with ``is``,
+    then ``==``) raises ValueError. Raises InfeasibleError when no flow
+    meets the requirements, before any LP when ``check_endpoint_capacities``
+    finds an endpoint short, or when the search pops more than
+    ``DEADLINE_BUDGET`` vectors and the cap vector's LP (every column) falls
+    short too; and SolverError when an LP fails, an endpoint pair has more
+    than ``PATH_BUDGET`` paths within its deadline, or the search passes its
+    budget while the cap vector's LP meets the requirements.
     """
     if not spec.network.has_integer_delays():
         raise ValueError("integer delays required for the exact solver")
@@ -238,17 +223,18 @@ def solve_exact(
     pairs = [_pair_paths(net, cache, c, cap) for c, cap in zip(comms, caps)]
 
     if not spec.objective.is_delay:
-        sets = [pp.within(cap) for pp, cap in zip(pairs, caps)]
-        sol, cmap = _exact_lp(spec, sets, None)
+        # A commodity with no path gets the row -|f_i| = 0, so its rate is 0.
+        lp, cmap = build_counterpart(spec, pairs)
+        sol = solve_lp(lp)
         if sol.status == "infeasible":
             raise InfeasibleError("no feasible flow within the delay bounds")
-        flows = _path_flows(net, sets, cmap, sol.x)
+        flows = _path_flows(net, pairs, cmap, sol.x)
         return build_report(spec, "EXACT", FlowSolution(flows), t0)
 
     # Delay objective: best-first over candidate deadline vectors.
     cands = []
-    for c, cap, pp in zip(comms, caps, pairs):
-        ds = pp.distinct[: bisect.bisect_right(pp.distinct, cap)]
+    for c, ps in zip(comms, pairs):
+        ds = sorted(set(ps.delays.tolist()))
         if not ds:
             raise InfeasibleError(f"no {c.source}->{c.sink} path within delay bound {c.D}")
         cands.append(ds)
@@ -276,8 +262,9 @@ def solve_exact(
         """Whether h of ``deltas`` reaches ``needed``; one LP per vector,
         cached."""
         if deltas not in scales:
-            sets = [pp.within(d) for pp, d in zip(pairs, deltas)]
-            sol, cmap = _exact_lp(spec, sets, profile)
+            sets = [_within(ps, d) for ps, d in zip(pairs, deltas)]
+            lp, cmap = build_counterpart(spec, sets, profile)
+            sol = solve_lp(lp)
             h = sol.objective if sol.status == "optimal" else 0.0
             scales[deltas] = (h, sol, sets, cmap)
         return scales[deltas][0] >= needed
@@ -285,10 +272,13 @@ def solve_exact(
     start = tuple(0 for _ in comms)
     heap = [(value(start), start)]
     visited = {start}
-    budget = 200_000
+    budget = DEADLINE_BUDGET
     while heap:
         budget -= 1
         if budget < 0:
+            # No vector's h passes the cap vector's, which has every column.
+            if not feasible(tuple(ds[-1] for ds in cands)):
+                break
             raise SolverError("deadline enumeration budget exceeded")
         _, idx = heapq.heappop(heap)
         deltas = tuple(cands[i][j] for i, j in enumerate(idx))

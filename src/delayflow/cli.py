@@ -181,10 +181,14 @@ def report_to_json(spec: ProblemSpec, report: SolveReport) -> dict:
     return doc
 
 
-def _mismatch(name: str, recorded, got: float) -> list[str]:
+def _mismatch(name: str, recorded, got: float | None) -> list[str]:
     """The issue of a report whose ``recorded`` value of ``name`` is not the
-    recomputed ``got``, if it is not."""
-    if abs(got - float(recorded)) <= bound_tol(got):
+    recomputed ``got``, if it is not; where ``got`` is None, only null is."""
+    if got is None:
+        if recorded is None:
+            return []
+        got = "null"
+    elif abs(got - float(recorded)) <= bound_tol(got):
         return []
     return [f"recorded {name} {recorded} != recomputed {got}"]
 
@@ -224,7 +228,7 @@ def verify_report(doc: dict) -> list[str]:
     issues += _mismatch("objective", doc["objective"], objective_value(spec, metrics))
 
     algo = doc["algorithm"]
-    hat_metrics = eps = eps_max = None
+    hat_metrics = eps = eps_max = replay = None
     if algo in ("PASS", "PASS-M", "PASS-T"):
         hat, hat_issues = _flows_from_json(doc["counterpart_flows"], spec)
         issues += [
@@ -249,9 +253,9 @@ def verify_report(doc: dict) -> list[str]:
         if sol.flows != replay.solution.flows:
             issues.append(f"flows differ from {algo} replayed on counterpart_flows")
         hat_metrics, eps_max = evaluate_metrics(net, hat), replay.epsilon_max
-        if eps_max is not None:
-            issues += _mismatch("epsilon_max", doc["epsilon_max"], eps_max)
-            issues += _mismatch("epsilon_min", doc["epsilon_min"], replay.epsilon_min)
+    for name in ("epsilon", "epsilon_max", "epsilon_min"):
+        # GREEDY and EXACT record none.
+        issues += _mismatch(name, doc[name], getattr(replay, name, None))
     if not feasible and (algo != "GREEDY" or not missed_guarantees(spec, algo, metrics)):
         # solve_greedy's rule; every other solver's result is feasible.
         issues.append("feasible false, but only a GREEDY result that misses a requirement is")

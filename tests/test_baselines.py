@@ -5,12 +5,14 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from delayflow import baselines
 from delayflow.baselines import simple_path_delays, solve_exact, solve_greedy
 from delayflow.algorithms import InfeasibleError, missed_guarantees
-from delayflow.cli import EC2_PAIRS
+from delayflow.cli import EC2_PAIRS, report_to_json, verify_report
 from delayflow.gen import random_problem
 from delayflow.graph import Edge, Network, Path, builtin_ec2
 from delayflow.lp import SolverError
@@ -18,9 +20,11 @@ from delayflow.problem import (
     IDENTITY,
     Commodity,
     Objective,
+    PLFunction,
     ProblemSpec,
     make_dcum,
     make_tcdm,
+    problem_from_json,
     scaled_identity,
 )
 
@@ -197,6 +201,26 @@ def test_exact_pre_check_allows_what_the_ends_carry(monkeypatch, ec2):
     assert len(calls) == 1
 
 
+def test_exact_search_past_its_budget_is_settled_by_the_cap_vector(monkeypatch, ec2):
+    """Past ``DEADLINE_BUDGET`` popped vectors, the cap vector's LP, whose
+    columns are every path, decides. These three commodities are short
+    across a cut that is no endpoint's (h of the cap vector is about 253.1
+    < 254.26), so every deadline vector is infeasible: InfeasibleError, not
+    a solver failure after 62 x 57 x 57 vectors. A feasible spec still
+    fails at the budget."""
+    commodities = [("TO", "IR", 254.26), ("OR", "VA", 0.5), ("OR", "VA", 239.42)]
+    doc = {
+        "objective": "SumDelayPenalty",
+        "commodities": [{"src": s, "dst": t, "R": r} for s, t, r in commodities],
+    }
+    monkeypatch.setattr(baselines, "DEADLINE_BUDGET", 100)
+    with pytest.raises(InfeasibleError, match="throughput requirements cannot be met"):
+        solve_exact(problem_from_json(doc, ec2))
+    monkeypatch.setattr(baselines, "DEADLINE_BUDGET", 0)
+    with pytest.raises(SolverError, match="deadline enumeration budget exceeded"):
+        solve_exact(make_tcdm(ec2, [("VA", "SI", 100.0, 1.0)]))
+
+
 def test_exact_commodity_without_timely_path(diamond):
     # s->t takes at least 2, so commodity 0 (D=1, R=0) has no path within
     # its deadline; commodity 1 (D=4) gets both 2- and 4-delay paths.
@@ -248,7 +272,7 @@ def _forbid_caps_past_bound(monkeypatch) -> list:
     def bounded(net, s, t, cap):
         assert cap <= net.max_path_delay, f"unclamped cap {cap}"
         found = enumerate_paths(net, s, t, cap)
-        ran.append((cap, len(found)))
+        ran.append((cap, len(found.paths)))
         return found
 
     monkeypatch.setattr(baselines, "_enumerate_paths", bounded)
@@ -263,7 +287,7 @@ def test_exact_huge_deadline_on_a_dag_caches_clamped_graphs():
     cache: dict = {}
     rep = solve_exact(make_dcum(net, [("s", "t", 1e308, IDENTITY)]), cache=cache)
     assert rep.objective == pytest.approx(3.0)
-    assert [(ends, pp.cap, pp.delays) for ends, pp in cache["paths"].items()] == [
+    assert [(ends, cap, ps.delays.tolist()) for ends, (cap, ps) in cache["paths"].items()] == [
         (("s", "t"), 6.0, [3.0, 4.0])
     ]
     assert net.max_path_delay == 6.0
@@ -324,7 +348,7 @@ def test_exact_cache_enumerates_again_only_for_a_larger_cap(monkeypatch, ec2):
     caps = [cap for cap, _ in ran]
     # Each fresh solve enumerates once; the shared cache adds two caps.
     assert caps == [150.0, 150.0, 150.0, ec2.max_path_delay, ec2.max_path_delay, 150.0, 160.0]
-    assert cache["paths"][("VA", "SI")].cap == ec2.max_path_delay
+    assert cache["paths"][("VA", "SI")][0] == ec2.max_path_delay
 
 
 def test_max_path_delay_bounds_every_simple_path(ec2):
@@ -366,7 +390,8 @@ def _offsets(paths_per_comm):
 
 
 def _oracle_throughput(spec):
-    """Maximize the throughput objective over explicit path rates."""
+    """Maximize the throughput objective over explicit path rates; None
+    when no rates meet the requirements."""
     net = spec.network
     comms = spec.commodities
     paths = [
@@ -420,18 +445,22 @@ def _oracle_throughput(spec):
     else:
         c_vec[bound] = -1.0
     res = linprog(c_vec, A_ub=np.array(a_ub), b_ub=np.array(b_ub), method="highs")
+    if res.status == 2:
+        return None
     assert res.status == 0
     return -res.fun
 
 
 def _oracle_delay(spec):
     """Minimize the delay penalty: scan deadline vectors over achievable
-    simple-path delays in order of penalty; first feasible vector wins."""
+    simple-path delays within D in order of penalty; first feasible vector
+    wins. None when no vector is feasible."""
     net = spec.network
     comms = spec.commodities
     all_paths = [_simple_paths(net, c.source, c.sink) for c in comms]
     delays = [
-        sorted({sum(net.edges[k].delay for k in p) for p in ps}) for ps in all_paths
+        sorted({d for p in ps if (d := sum(net.edges[k].delay for k in p)) <= c.D})
+        for c, ps in zip(comms, all_paths)
     ]
     combos = []
     for idx in itertools.product(*(range(len(d)) for d in delays)):
@@ -481,7 +510,7 @@ def _oracle_delay(spec):
         )
         if res.status == 0:
             return v
-    raise AssertionError("oracle found no feasible deadline vector")
+    return None
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -496,6 +525,66 @@ def test_exact_matches_path_enumeration_oracle(seed):
         want = _oracle_throughput(spec)
         assert rep.objective == pytest.approx(want, abs=1e-6)
     assert rep.solution.check_feasible(spec.network, spec.commodities, 1e-5) == []
+
+
+_PENALTIES = (IDENTITY, scaled_identity(3.0), PLFunction(((0.0, 4.0), (2.0, 5.0), (4.0, 9.0))))
+_UTILITIES = (IDENTITY, scaled_identity(2.0), PLFunction(((0.0, 0.0), (2.0, 4.0), (5.0, 7.0))))
+
+
+@st.composite
+def _small_specs(draw):
+    """3-6 nodes on a ring n0 -> n1 -> ... -> n0, plus up to 10 more edges
+    (parallel ones allowed), each of integer delay 0..6 and capacity 1..6;
+    any objective; one or two commodities with a D of 1..12 or none, and an
+    R of 1..3 (delay objectives) or 0..5. Zero delays and equal path delays
+    are common, and nearly half of the specs are infeasible."""
+    n = draw(st.integers(3, 6))
+    ends = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    ring = [(u, (u + 1) % n) for u in range(n)]
+    pairs = ring + draw(st.lists(ends, max_size=10))
+    nodes = tuple(f"n{i}" for i in range(n))
+    edges = tuple(
+        Edge(u, v, float(draw(st.integers(0, 6))), float(draw(st.integers(1, 6))))
+        for u, v in pairs
+    )
+    net = Network(nodes, edges)
+    objective = draw(st.sampled_from(list(Objective)))
+    comms = []
+    for _ in range(draw(st.integers(1, 2))):
+        s, t = draw(ends)
+        d = draw(st.one_of(st.just(math.inf), st.integers(1, 12).map(float)))
+        if objective.is_delay:
+            r, fields = draw(st.integers(1, 3)), {"utility_d": draw(st.sampled_from(_PENALTIES))}
+        else:
+            r, fields = draw(st.integers(0, 5)), {"utility_t": draw(st.sampled_from(_UTILITIES))}
+        comms.append(Commodity(nodes[s], nodes[t], R=float(r), D=d, **fields))
+    return ProblemSpec(net, tuple(comms), objective)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_small_specs())
+def test_exact_matches_oracles_on_small_generated_networks(spec):
+    """EXACT equals the path-enumeration oracles within 1e-6, says
+    infeasible exactly when they do, and its report verifies. Each
+    endpoint pair's columns within a path delay are a prefix of its
+    columns within ``max_path_delay``."""
+    net = spec.network
+    want = (_oracle_delay if spec.objective.is_delay else _oracle_throughput)(spec)
+    try:
+        rep = solve_exact(spec)
+    except InfeasibleError:
+        assert want is None
+    else:
+        assert rep.objective == pytest.approx(want, abs=1e-6)
+        assert verify_report(report_to_json(spec, rep)) == []
+    for c in spec.commodities:
+        s, t = net.index_of(c.source), net.index_of(c.sink)
+        every = baselines._enumerate_paths(net, s, t, net.max_path_delay)
+        for d in np.unique(every.delays).tolist():
+            got, enumerated = baselines._within(every, d), baselines._enumerate_paths(net, s, t, d)
+            assert got.paths == enumerated.paths
+            for name in ("delays", "edges", "owner"):
+                assert getattr(got, name).tolist() == getattr(enumerated, name).tolist()
 
 
 # -- pruned enumeration against the exhaustive one ---------------------------
@@ -533,8 +622,10 @@ def test_pruned_build_matches_reference_on_hand_graphs(name):
         (sum(net.edges[k].delay for k in p), p) for p in _simple_paths(net, "s", "t")
     )
     got = baselines._enumerate_paths(net, 0, 3, float(deadline))
-    assert got == [(d, p) for d, p in want if d <= deadline]
-    assert len(got) == n_paths
+    assert list(zip(got.delays.tolist(), (p.edges for p in got.paths))) == [
+        (d, p) for d, p in want if d <= deadline
+    ]
+    assert len(got.paths) == n_paths
 
 
 def _ec2_tcdm(net, pairs, r):
@@ -586,14 +677,14 @@ def test_shared_exact_cache_matches_fresh_and_repeats_no_work(monkeypatch, ec2):
     fresh = [solve_exact(spec, deadline_cap=900.0) for spec in specs]
 
     lp_keys, solved, ran = [], [], []
-    exact_lp, solve = baselines._exact_lp, baselines.solve_lp
+    build, solve = baselines.build_counterpart, baselines.solve_lp
     enumerate_paths = baselines._enumerate_paths
 
-    def recorded_exact_lp(spec, sets, profile):
+    def recorded_build(spec, sets, profile):
         # A deadline's columns are a prefix of its pair's paths.
         ends = tuple((c.source, c.sink) for c in spec.commodities)
         lp_keys.append((ends, tuple(len(ps.paths) for ps in sets), tuple(profile)))
-        return exact_lp(spec, sets, profile)
+        return build(spec, sets, profile)
 
     def recorded_solve(lp):
         solved.append(lp)
@@ -603,7 +694,7 @@ def test_shared_exact_cache_matches_fresh_and_repeats_no_work(monkeypatch, ec2):
         ran.append((s, t))
         return enumerate_paths(net, s, t, cap)
 
-    monkeypatch.setattr(baselines, "_exact_lp", recorded_exact_lp)
+    monkeypatch.setattr(baselines, "build_counterpart", recorded_build)
     monkeypatch.setattr(baselines, "solve_lp", recorded_solve)
     monkeypatch.setattr(baselines, "_enumerate_paths", recorded_enumerate)
     cache: dict = {}

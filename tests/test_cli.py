@@ -221,10 +221,15 @@ def _negative_counterpart(doc):
          "PASS cannot be replayed on counterpart_flows: deletion amount -1.0 outside [0, -2.0]"),
         ("pass-m", _commodity(D="inf"), 2, "PASS-M cannot be replayed on counterpart_flows: "
          "commodity 0: PASS-M needs a finite delay bound"),
+        ("ec2-pass", lambda doc: doc.update(epsilon_max=0.7, epsilon_min="x"), 2,
+         "recorded epsilon_max 0.7 != recomputed null"),
+        ("ec2-greedy", lambda doc: doc.update(epsilon=0.5, epsilon_max=0.9), 2,
+         "recorded epsilon 0.5 != recomputed null"),
     ],
     ids=["pass-t-rate-0", "pass-t-rate-5", "pass-m-strays", "pass-m-eps-max-true",
          "pass-m-eps-min", "ec2-pass-no-flows", "ec2-pass-m-no-counterpart",
-         "pass-negative-counterpart", "pass-m-unbounded"],
+         "pass-negative-counterpart", "pass-m-unbounded", "ec2-pass-eps-max",
+         "ec2-greedy-eps"],
 )
 def test_verify_binds_report_to_its_counterpart(
     two_parallel_files, tmp_path, capsys, request, algo, corrupt, rc, message
@@ -497,11 +502,12 @@ def test_malformed_problem_exits_1(two_parallel_files, tmp_path, capsys, body, m
 
 @pytest.fixture(scope="module")
 def ec2_dcum_reports(ec2_sweeps):
-    """JSON reports of PASS (eps 0.3) and PASS-M of the dcum-eps sweep."""
+    """JSON reports of PASS (eps 0.3), PASS-M and GREEDY of the dcum-eps
+    sweep."""
     return {
         rep.algorithm.lower(): json.dumps(report_to_json(spec, rep))
         for params, spec, rep in ec2_sweeps["dcum-eps"].rows
-        if params["eps"] == 0.3 and rep.algorithm in ("PASS", "PASS-M")
+        if params["eps"] == 0.3 and rep.algorithm in ("PASS", "PASS-M", "GREEDY")
     }
 
 
