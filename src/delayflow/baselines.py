@@ -30,6 +30,10 @@ PATH_BUDGET = 100_000
 #: The most deadline vectors a delay-objective exact search pops.
 DEADLINE_BUDGET = 200_000
 
+#: The popped vectors after which a delay-objective exact search solves the
+#: cap vector's LP, so that an infeasible search ends early.
+CAP_CHECK_POPS = 256
+
 
 def push_shortest(
     net: Network, residual: np.ndarray, s: str, t: str, target=math.inf, deadline=math.inf
@@ -107,9 +111,7 @@ def _enumerate_paths(net: Network, s: int, t: int, cap: float) -> PathSet:
                 on_path[v] = False
             edges.pop()
 
-    if s == t:  # the empty path
-        found.append((0.0, ()))
-    elif dist[s] <= cap:
+    if dist[s] <= cap:
         extend(s, 0.0)
     found.sort()
     lengths = [len(p) for _, p in found]
@@ -127,13 +129,6 @@ def _within(ps: PathSet, deadline: float) -> PathSet:
     m = int(ps.delays.searchsorted(deadline, "right"))
     e = int(ps.owner.searchsorted(m))
     return PathSet(ps.paths[:m], ps.delays[:m], ps.edges[:e], ps.owner[:e])
-
-
-def simple_path_delays(net: Network, s: str, t: str) -> list[float]:
-    """Sorted distinct delays of all simple s->t paths; raises SolverError
-    past ``PATH_BUDGET`` paths."""
-    found = _enumerate_paths(net, net.index_of(s), net.index_of(t), math.inf)
-    return sorted(set(found.delays.tolist()))
 
 
 def _pair_paths(net: Network, cache: dict, c, cap: float) -> PathSet:
@@ -206,10 +201,11 @@ def solve_exact(
     then ``==``) raises ValueError. Raises InfeasibleError when no flow
     meets the requirements, before any LP when ``check_endpoint_capacities``
     finds an endpoint short, or when the search pops more than
-    ``DEADLINE_BUDGET`` vectors and the cap vector's LP (every column) falls
-    short too; and SolverError when an LP fails, an endpoint pair has more
-    than ``PATH_BUDGET`` paths within its deadline, or the search passes its
-    budget while the cap vector's LP meets the requirements.
+    ``CAP_CHECK_POPS`` vectors (or ``DEADLINE_BUDGET``, if fewer) and the
+    cap vector's LP (every column) falls short too; and SolverError when
+    an LP fails, an endpoint pair has more than ``PATH_BUDGET`` paths within
+    its deadline, or the search passes its budget while the cap vector's LP
+    meets the requirements.
     """
     if not spec.network.has_integer_delays():
         raise ValueError("integer delays required for the exact solver")
@@ -272,13 +268,14 @@ def solve_exact(
     start = tuple(0 for _ in comms)
     heap = [(value(start), start)]
     visited = {start}
-    budget = DEADLINE_BUDGET
+    top = tuple(ds[-1] for ds in cands)
+    pops = 0
     while heap:
-        budget -= 1
-        if budget < 0:
-            # No vector's h passes the cap vector's, which has every column.
-            if not feasible(tuple(ds[-1] for ds in cands)):
-                break
+        pops += 1
+        # No vector's h passes the cap vector's, which has every column.
+        if pops > min(CAP_CHECK_POPS, DEADLINE_BUDGET) and not feasible(top):
+            break
+        if pops > DEADLINE_BUDGET:
             raise SolverError("deadline enumeration budget exceeded")
         _, idx = heapq.heappop(heap)
         deltas = tuple(cands[i][j] for i, j in enumerate(idx))

@@ -45,6 +45,7 @@ from delayflow.problem import (
     Objective,
     ProblemSpec,
     evaluate_metrics,
+    json_number,
     make_dcum,
     make_tcdm,
     objective_value,
@@ -107,7 +108,7 @@ def _flows_from_json(doc, spec: ProblemSpec) -> tuple[FlowSolution, list[str]]:
     """Path flows of a report, and the issues of path records whose
     ``nodes`` or ``delay`` are not the ones their edges give. Each path must
     be a simple path from its commodity's source to its sink, with a list
-    of nodes and a numeric delay."""
+    of nodes; its rate and delay are JSON numbers (``json_number``)."""
     if not isinstance(doc, list) or not all(isinstance(pf, list) for pf in doc):
         raise ValueError("corrupt report: path flows must be a list of path lists")
     if len(doc) != len(spec.commodities):
@@ -138,24 +139,20 @@ def _flows_from_json(doc, spec: ProblemSpec) -> tuple[FlowSolution, list[str]]:
                     f"corrupt report: commodity {i}: edges {list(path.edges)} are "
                     f"not a simple path from {c.source} to {c.sink}"
                 )
-            rate = float(p["rate"])
+            where = f"commodity {i}: path {list(path.edges)}: "
+            rate = json_number(p["rate"], f"corrupt report: {where}rate")
             if not math.isfinite(rate):
                 raise ValueError(
                     f"corrupt report: commodity {i}: path rate {rate} is not finite"
                 )
-            recorded, delay = p["nodes"], p["delay"]
+            recorded = p["nodes"]
             if not isinstance(recorded, list):
                 raise ValueError(
                     f"corrupt report: commodity {i}: path nodes {recorded!r} are not a list"
                 )
-            if type(delay) not in (int, float):
-                raise ValueError(
-                    f"corrupt report: commodity {i}: path delay {delay!r} is not a number"
-                )
-            found = _mismatch("delay", delay, path.delay(net))
+            issues += _mismatch("delay", p["delay"], path.delay(net), where)
             if recorded != list(nodes):
-                found.append(f"recorded nodes {recorded} != recomputed {list(nodes)}")
-            issues += [f"commodity {i}: path {list(path.edges)}: {s}" for s in found]
+                issues.append(f"{where}recorded nodes {recorded} != recomputed {list(nodes)}")
             paths.append((path, rate))
         flows.append(paths)
     return FlowSolution(flows), issues
@@ -181,16 +178,18 @@ def report_to_json(spec: ProblemSpec, report: SolveReport) -> dict:
     return doc
 
 
-def _mismatch(name: str, recorded, got: float | None) -> list[str]:
-    """The issue of a report whose ``recorded`` value of ``name`` is not the
-    recomputed ``got``, if it is not; where ``got`` is None, only null is."""
+def _mismatch(name: str, recorded, got: float | None, where: str = "") -> list[str]:
+    """The issue, prefixed by ``where``, of a report whose ``recorded``
+    value of ``name`` is not the recomputed ``got``, if it is not; where
+    ``got`` is None, only null is. Otherwise a ``recorded`` value that is
+    not a JSON number makes the report corrupt (ValueError)."""
     if got is None:
         if recorded is None:
             return []
         got = "null"
-    elif abs(got - float(recorded)) <= bound_tol(got):
+    elif abs(got - json_number(recorded, f"corrupt report: {where}{name}")) <= bound_tol(got):
         return []
-    return [f"recorded {name} {recorded} != recomputed {got}"]
+    return [f"{where}recorded {name} {recorded} != recomputed {got}"]
 
 
 def verify_report(doc: dict) -> list[str]:
@@ -220,11 +219,8 @@ def verify_report(doc: dict) -> list[str]:
     issues += sol.check_feasible(net, spec.commodities)
     metrics = evaluate_metrics(net, sol)
     for i, (m, rec) in enumerate(zip(metrics, doc["metrics"])):
-        issues += [
-            f"commodity {i}: {s}"
-            for name in _METRICS
-            for s in _mismatch(name, rec[name], getattr(m, name))
-        ]
+        for name in _METRICS:
+            issues += _mismatch(name, rec[name], getattr(m, name), f"commodity {i}: ")
     issues += _mismatch("objective", doc["objective"], objective_value(spec, metrics))
 
     algo = doc["algorithm"]
@@ -237,7 +233,7 @@ def verify_report(doc: dict) -> list[str]:
         ]
         cp = Counterpart(spec, hat, 0.0)
         if algo == "PASS":
-            eps = float(doc["epsilon"])
+            eps = json_number(doc["epsilon"], "corrupt report: epsilon")
             if not 0.0 < eps < 1.0:
                 # A NaN, infinite or zero epsilon would void or break every
                 # certificate below.

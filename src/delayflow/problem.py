@@ -540,19 +540,26 @@ def make_dcum(
 _OBJECTIVE_NAMES = {o.value: o for o in Objective}
 
 
-def _number(obj: dict, key: str, default) -> float:
-    value = obj.get(key, default)
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{key} must be a number, got {value!r}") from None
+def json_number(value, what: str) -> float:
+    """``value``, a number read from a JSON document, as a float: an int or
+    float that is not a bool, or the string "inf" that ``problem_to_json``
+    writes for an infinite D. Anything else, or an int past the float
+    range, raises ValueError naming ``what``."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    elif value == "inf":
+        return math.inf
+    raise ValueError(f"{what} must be a number, got {value!r}")
 
 
 def _pl_from_json(obj, key: str) -> PLFunction:
     points = obj.get("points") if isinstance(obj, dict) else None
     try:
-        pts = tuple((float(a), float(u)) for a, u in points)
-    except (TypeError, ValueError, OverflowError):
+        pts = tuple((json_number(a, key), json_number(u, key)) for a, u in points)
+    except (TypeError, ValueError):
         raise ValueError(f"{key} points must be a list of [a, u] number pairs") from None
     try:
         return PLFunction(pts)
@@ -581,9 +588,9 @@ def _commodity_from_json(c) -> Commodity:
     return Commodity(
         source=c["src"],
         sink=c["dst"],
-        R=_number(c, "R", 0.0),
-        D=_number(c, "D", "inf"),
-        w=_number(c, "w", 1.0),
+        R=json_number(c.get("R", 0.0), "R"),
+        D=json_number(c.get("D", "inf"), "D"),
+        w=json_number(c.get("w", 1.0), "w"),
         utility_t=_pl_from_json(c["utility_t"], "utility_t") if "utility_t" in c else IDENTITY,
         utility_d=_pl_from_json(c["utility_d"], "utility_d") if "utility_d" in c else IDENTITY,
     )

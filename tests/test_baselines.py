@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from delayflow import baselines
-from delayflow.baselines import simple_path_delays, solve_exact, solve_greedy
+from delayflow.baselines import _enumerate_paths, solve_exact, solve_greedy
 from delayflow.algorithms import InfeasibleError, missed_guarantees
 from delayflow.cli import EC2_PAIRS, report_to_json, verify_report
 from delayflow.gen import random_problem
@@ -107,16 +107,16 @@ def test_exact_infeasible_requirement(two_parallel):
         solve_exact(make_tcdm(two_parallel, [("s", "t", 3.0, 1.0)]))
 
 
-def _lp_spy(monkeypatch) -> list:
-    """Count the exact solver's LPs; the 21st raises, so a search over
-    every deadline vector fails fast."""
+def _lp_spy(monkeypatch, limit: int = 20) -> list:
+    """Count the exact solver's LPs; the one past ``limit`` raises, so a
+    search over every deadline vector fails fast."""
     calls = []
     solve = baselines.solve_lp
 
     def spy(lp):
         calls.append(lp)
-        if len(calls) > 20:
-            raise AssertionError("more than 20 exact LPs")
+        if len(calls) > limit:
+            raise AssertionError(f"more than {limit} exact LPs")
         return solve(lp)
 
     monkeypatch.setattr(baselines, "solve_lp", spy)
@@ -221,6 +221,23 @@ def test_exact_search_past_its_budget_is_settled_by_the_cap_vector(monkeypatch, 
         solve_exact(make_tcdm(ec2, [("VA", "SI", 100.0, 1.0)]))
 
 
+def test_exact_inner_cut_is_settled_after_cap_check_pops(monkeypatch, ec2):
+    """At the real ``DEADLINE_BUDGET``, the cap vector's LP after
+    ``CAP_CHECK_POPS`` popped vectors settles the problem above, short
+    across an inner cut: at most one LP per popped vector, plus the cap
+    vector's."""
+    assert baselines.CAP_CHECK_POPS == 256 < baselines.DEADLINE_BUDGET
+    calls = _lp_spy(monkeypatch, limit=257)
+    commodities = [("TO", "IR", 254.26), ("OR", "VA", 0.5), ("OR", "VA", 239.42)]
+    doc = {
+        "objective": "SumDelayPenalty",
+        "commodities": [{"src": s, "dst": t, "R": r} for s, t, r in commodities],
+    }
+    with pytest.raises(InfeasibleError, match="throughput requirements cannot be met"):
+        solve_exact(problem_from_json(doc, ec2))
+    assert len(calls) == 257
+
+
 def test_exact_commodity_without_timely_path(diamond):
     # s->t takes at least 2, so commodity 0 (D=1, R=0) has no path within
     # its deadline; commodity 1 (D=4) gets both 2- and 4-delay paths.
@@ -232,9 +249,15 @@ def test_exact_commodity_without_timely_path(diamond):
     assert rep.objective == pytest.approx(10.0)
 
 
+def _simple_path_delays(net, s, t):
+    """Sorted distinct delays of every simple s->t path."""
+    s, t = net.index_of(s), net.index_of(t)
+    return sorted(set(_enumerate_paths(net, s, t, math.inf).delays.tolist()))
+
+
 def test_simple_path_delays(diamond):
-    assert simple_path_delays(diamond, "s", "t") == [2.0, 4.0, 9.0]
-    assert simple_path_delays(diamond, "t", "s") == []
+    assert _simple_path_delays(diamond, "s", "t") == [2.0, 4.0, 9.0]
+    assert _simple_path_delays(diamond, "t", "s") == []
 
 
 def test_path_enumeration_stops_past_its_budget(monkeypatch):
@@ -244,7 +267,7 @@ def test_path_enumeration_stops_past_its_budget(monkeypatch):
     chain = Network(
         tuple(f"n{i}" for i in range(n)), tuple(Edge(i, i + 1, 1.0, 1.0) for i in range(n - 1))
     )
-    assert simple_path_delays(chain, "n0", f"n{n - 1}") == [12.0]
+    assert _simple_path_delays(chain, "n0", f"n{n - 1}") == [12.0]
     # s->t directly and through each of a, b, c: four paths.
     fan = Network(
         ("s", "a", "b", "c", "t"),
@@ -253,10 +276,10 @@ def test_path_enumeration_stops_past_its_budget(monkeypatch):
         + (Edge(0, 4, 3.0, 1.0),),
     )
     monkeypatch.setattr(baselines, "PATH_BUDGET", 4)
-    assert simple_path_delays(fan, "s", "t") == [2.0, 3.0]
+    assert _simple_path_delays(fan, "s", "t") == [2.0, 3.0]
     monkeypatch.setattr(baselines, "PATH_BUDGET", 3)
     with pytest.raises(SolverError, match=r"more than 3 simple s->t paths within delay inf"):
-        simple_path_delays(fan, "s", "t")
+        _simple_path_delays(fan, "s", "t")
 
 
 # -- large deadlines: every deadline is clamped to max_path_delay -------------
@@ -356,7 +379,7 @@ def test_max_path_delay_bounds_every_simple_path(ec2):
         for s in net.nodes:
             for t in net.nodes:
                 if s != t:
-                    assert max(simple_path_delays(net, s, t), default=0.0) <= net.max_path_delay
+                    assert max(_simple_path_delays(net, s, t), default=0.0) <= net.max_path_delay
 
 
 # -- independent oracle via full simple-path enumeration ---------------------

@@ -211,8 +211,8 @@ def _negative_counterpart(doc):
         ("pass-t", lambda doc: doc["counterpart_flows"][0][0].update(rate=5.0), 2,
          "flows differ from PASS-T replayed on counterpart_flows"),
         ("pass-m", _pass_m_strays, 2, "flows differ from PASS-M replayed on counterpart_flows"),
-        ("pass-m", lambda doc: doc.update(epsilon_max=True), 2,
-         "recorded epsilon_max True != recomputed 0.5"),
+        ("pass-m", lambda doc: doc.update(epsilon_max=True), 1,
+         "error: corrupt report: epsilon_max must be a number, got True"),
         ("pass-m", lambda doc: doc.update(epsilon_min=0.25), 2,
          "recorded epsilon_min 0.25 != recomputed 0.5"),
         ("ec2-pass", _no_flows, 2, "flows differ from PASS replayed on counterpart_flows"),
@@ -290,20 +290,35 @@ def _set_path(key, value, flows="flows"):
         (_set_path("nodes", {}), 1,
          "error: corrupt report: commodity 0: path nodes {} are not a list"),
         (_set_path("delay", "x"), 1,
-         "error: corrupt report: commodity 0: path delay 'x' is not a number"),
+         "error: corrupt report: commodity 0: path [0]: delay must be a number, got 'x'"),
         (_set_path("delay", None), 1,
-         "error: corrupt report: commodity 0: path delay None is not a number"),
+         "error: corrupt report: commodity 0: path [0]: delay must be a number, got None"),
         (_set_path("delay", True), 1,
-         "error: corrupt report: commodity 0: path delay True is not a number"),
+         "error: corrupt report: commodity 0: path [0]: delay must be a number, got True"),
+        # Each value below equals the recorded number it replaces.
+        (_set_path("rate", "1.0"), 1,
+         "error: corrupt report: commodity 0: path [0]: rate must be a number, got '1.0'"),
+        (lambda doc: doc["metrics"][0].update(throughput=" 1.0 "), 1,
+         "error: corrupt report: commodity 0: throughput must be a number, got ' 1.0 '"),
+        (lambda doc: doc["metrics"][0].update(max_delay=True), 1,
+         "error: corrupt report: commodity 0: max_delay must be a number, got True"),
+        (lambda doc: doc.update(objective="1.0"), 1,
+         "error: corrupt report: objective must be a number, got '1.0'"),
+        (lambda doc: doc.update(epsilon="0.5"), 1,
+         "error: corrupt report: epsilon must be a number, got '0.5'"),
+        (lambda doc: doc.update(epsilon=None), 1,
+         "error: corrupt report: epsilon must be a number, got None"),
     ],
     ids=["delay-negative", "delay-nan", "nodes-other", "nodes-empty", "counterpart-delay",
-         "nodes-str", "nodes-object", "delay-str", "delay-none", "delay-bool"],
+         "nodes-str", "nodes-object", "delay-str", "delay-none", "delay-bool", "rate-str",
+         "metric-str", "metric-bool", "objective-str", "epsilon-str", "epsilon-none"],
 )
 def test_verify_recomputes_path_nodes_and_delay(
     two_parallel_files, tmp_path, capsys, corrupt, rc, message
 ):
     """A path record's ``nodes`` and ``delay`` restate its ``edges``: a
-    mismatch is a violation, and a mistyped value a corrupt report."""
+    mismatch is a violation. A mistyped value, or a recorded number that is
+    not a JSON number (``json_number``), makes a corrupt report."""
     doc = _report(two_parallel_files, tmp_path, "pass")
     corrupt(doc)
     out = tmp_path / "report.json"
@@ -479,6 +494,18 @@ _BAD_PROBLEMS = [
      "commodity 0 delay utility: slopes decrease at segment 1"),
     ({"objective": "MaxDelayPenalty", "commodities": [{"src": "s", "dst": "t", "R": 0}]},
      "commodity 0: delay objectives need R > 0"),
+    # Strings and booleans are not JSON numbers, whatever float() makes of them.
+    ({"objective": "SumDelayPenalty",
+      "commodities": [{"src": "s", "dst": "t", "R": 2.0, "D": " 150 "}]},
+     "commodity 0: D must be a number, got ' 150 '"),
+    ({"objective": "SumDelayPenalty",
+      "commodities": [{"src": "s", "dst": "t", "R": 2.0, "w": True}]},
+     "commodity 0: w must be a number, got True"),
+    ({"objective": "SumDelayPenalty", "commodities": [{"src": "s", "dst": "t", "R": "5"}]},
+     "commodity 0: R must be a number, got '5'"),
+    ({"objective": "SumThroughputUtility",
+      "commodities": [{"src": "s", "dst": "t", "utility_t": {"points": [[0, 0], ["1", "1"]]}}]},
+     "commodity 0: utility_t points must be a list of [a, u] number pairs"),
 ]
 
 
@@ -1119,5 +1146,8 @@ def test_reports_pass_verify_for_all_algorithms(ec2_sweeps):
     algos = {rep.algorithm for *_, rep in rows}
     assert algos == {"PASS", "PASS-M", "PASS-T", "GREEDY", "EXACT"}
     for _, spec, rep in rows:
-        doc = json.loads(json.dumps(report_to_json(spec, rep)))
+        doc = report_to_json(spec, rep)
+        # In memory, rates and metrics are numpy float64, a float subclass.
         assert verify_report(doc) == [], rep.algorithm
+        assert verify_report(json.loads(json.dumps(doc))) == [], rep.algorithm
+    assert {type(m.throughput) for *_, rep in rows for m in rep.metrics} >= {np.float64}

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CORPUS_SIZE
-from delayflow.baselines import simple_path_delays
+from delayflow.baselines import _enumerate_paths
 from delayflow.gen import random_problem
 from delayflow.graph import (
     Edge,
@@ -271,10 +271,11 @@ def test_least_delays_match_simple_path_delays():
     nets = [builtin_ec2(), _zero_delay_cycle()]
     nets += [random_problem(np.random.default_rng(seed)).network for seed in range(CORPUS_SIZE)]
     for net in nets:
-        for u, v in itertools.product(net.nodes, repeat=2):
-            delays = simple_path_delays(net, u, v)  # [0.0] when u == v
+        assert np.diagonal(net.least_delays).tolist() == [0.0] * len(net.nodes)
+        for s, t in itertools.permutations(range(len(net.nodes)), 2):
+            delays = sorted(set(_enumerate_paths(net, s, t, math.inf).delays.tolist()))
             want = delays[0] if delays else math.inf
-            assert net.least_delays[net.index_of(u), net.index_of(v)] == want, (net, u, v)
+            assert net.least_delays[s, t] == want, (net, s, t)
 
 
 def test_least_delays_is_read_only_and_cached():
