@@ -45,7 +45,7 @@ from delayflow.problem import (
     Objective,
     ProblemSpec,
     evaluate_metrics,
-    json_number,
+    json_field,
     make_dcum,
     make_tcdm,
     objective_value,
@@ -55,6 +55,8 @@ from delayflow.problem import (
 )
 
 _SOLVERS = ("pass", "pass-m", "pass-t", "greedy", "exact")
+#: The ``algorithm`` of a report, one per solver.
+_ALGORITHMS = tuple(name.upper() for name in _SOLVERS)
 #: A commodity's metrics, in report key and CSV column order.
 _METRICS = tuple(f.name for f in dataclasses.fields(CommodityMetrics))
 
@@ -78,79 +80,78 @@ def _run_solver(spec: ProblemSpec, algo: str, eps: float | None) -> SolveReport:
         if eps is None:
             raise UsageError("--eps is required for --algo pass")
         return solve_pass(spec, eps)
-    if algo == "pass-m":
-        return solve_pass_m(spec)
-    if algo == "pass-t":
-        return solve_pass_t(spec)
-    if algo == "greedy":
-        return solve_greedy(spec)
-    return solve_exact(spec)
+    solve = {"pass-m": solve_pass_m, "pass-t": solve_pass_t, "greedy": solve_greedy}
+    return solve.get(algo, solve_exact)(spec)
 
 
 def _flows_to_json(net: Network, flows) -> list:
-    out = []
-    for pf in flows:
-        out.append(
-            [
-                {
-                    "edges": list(p.edges),
-                    "nodes": list(p.nodes(net)),
-                    "rate": r,
-                    "delay": p.delay(net),
-                }
-                for p, r in pf
-            ]
-        )
-    return out
+    return [
+        [
+            {"edges": list(p.edges), "nodes": list(p.nodes(net)), "rate": r, "delay": p.delay(net)}
+            for p, r in pf
+        ]
+        for pf in flows
+    ]
 
 
-def _flows_from_json(doc, spec: ProblemSpec) -> tuple[FlowSolution, list[str]]:
-    """Path flows of a report, and the issues of path records whose
+def _field(record, key: str | int, kind: str | tuple, where: str = ""):
+    """``json_field`` of a report, which a wrong or missing field corrupts."""
+    return json_field(record, key, kind, "corrupt report: " + where)
+
+
+def _embedded(key: str, parse, value, *args):
+    """``parse(value, *args)``, whose ValueError corrupts the report field ``key``."""
+    try:
+        return parse(value, *args)
+    except ValueError as e:
+        raise ValueError(f"corrupt report: {key}: {e}") from None
+
+
+def _per_commodity(doc: dict, key: str, kind: str, count: int) -> list:
+    """``doc[key]``: a list of ``count`` values of ``kind``, one per commodity."""
+    items = _field(doc, key, "a list")
+    if len(items) != count:
+        raise ValueError(f"corrupt report: {key} holds {len(items)} entries for {count} "
+                         "commodities")
+    return [_field(items, i, kind, key) for i in range(len(items))]
+
+
+def _flows_from_json(doc: dict, key: str, spec: ProblemSpec) -> tuple[FlowSolution, list[str]]:
+    """The path flows of ``doc[key]``, and the issues of path records whose
     ``nodes`` or ``delay`` are not the ones their edges give. Each path must
-    be a simple path from its commodity's source to its sink, with a list
-    of nodes; its rate and delay are JSON numbers (``json_number``)."""
-    if not isinstance(doc, list) or not all(isinstance(pf, list) for pf in doc):
-        raise ValueError("corrupt report: path flows must be a list of path lists")
-    if len(doc) != len(spec.commodities):
-        raise ValueError(
-            f"corrupt report: {len(doc)} path-flow lists for "
-            f"{len(spec.commodities)} commodities"
-        )
+    be a simple path from its commodity's source to its sink."""
     net = spec.network
     n_edges = len(net.heads)
     flows = []
     issues = []
-    for i, (pf, c) in enumerate(zip(doc, spec.commodities)):
+    comms = spec.commodities
+    for i, (pf, c) in enumerate(zip(_per_commodity(doc, key, "a list", len(comms)), comms)):
         paths = []
-        for p in pf:
-            path = Path(tuple(p["edges"]))
-            for k in path.edges:
-                if type(k) is not int or not 0 <= k < n_edges:
+        for j in range(len(pf)):
+            p = _field(pf, j, "a JSON object", f"{key}[{i}]")
+            edges = _field(p, "edges", "a list", f"{key}[{i}][{j}].")
+            for k, e in enumerate(edges):
+                if type(e) is not int or not 0 <= e < n_edges:
                     raise ValueError(
-                        f"corrupt report: path edge index {k!r} is not an "
-                        f"edge of the topology (0..{n_edges - 1})"
+                        f"corrupt report: {key}[{i}][{j}].edges[{k}] must be an edge "
+                        f"index (0..{n_edges - 1}), got {e!r}"
                     )
+            path = Path(tuple(edges))
             try:
-                nodes = path.nodes(net) if path.edges else None
+                nodes = path.nodes(net) if edges else None
             except ValueError:  # not contiguous, or repeats a node
                 nodes = None
             if nodes is None or (nodes[0], nodes[-1]) != (c.source, c.sink):
                 raise ValueError(
-                    f"corrupt report: commodity {i}: edges {list(path.edges)} are "
+                    f"corrupt report: commodity {i}: edges {edges} are "
                     f"not a simple path from {c.source} to {c.sink}"
                 )
-            where = f"commodity {i}: path {list(path.edges)}: "
-            rate = json_number(p["rate"], f"corrupt report: {where}rate")
+            where = f"commodity {i}: path {edges}: "
+            rate = _field(p, "rate", "a number", where)
             if not math.isfinite(rate):
-                raise ValueError(
-                    f"corrupt report: commodity {i}: path rate {rate} is not finite"
-                )
-            recorded = p["nodes"]
-            if not isinstance(recorded, list):
-                raise ValueError(
-                    f"corrupt report: commodity {i}: path nodes {recorded!r} are not a list"
-                )
-            issues += _mismatch("delay", p["delay"], path.delay(net), where)
+                raise ValueError(f"corrupt report: commodity {i}: path rate {rate} is not finite")
+            recorded = _field(p, "nodes", "a list", where)
+            issues += _mismatch(p, "delay", path.delay(net), where)
             if recorded != list(nodes):
                 issues.append(f"{where}recorded nodes {recorded} != recomputed {list(nodes)}")
             paths.append((path, rate))
@@ -178,62 +179,55 @@ def report_to_json(spec: ProblemSpec, report: SolveReport) -> dict:
     return doc
 
 
-def _mismatch(name: str, recorded, got: float | None, where: str = "") -> list[str]:
-    """The issue, prefixed by ``where``, of a report whose ``recorded``
-    value of ``name`` is not the recomputed ``got``, if it is not; where
-    ``got`` is None, only null is. Otherwise a ``recorded`` value that is
-    not a JSON number makes the report corrupt (ValueError)."""
+def _mismatch(record: dict, name: str, got: float | None, where: str = "") -> list[str]:
+    """The issue, prefixed by ``where``, of a ``record`` whose value of
+    ``name`` is not the recomputed ``got``, if it is not; where ``got`` is
+    None, only null is. Otherwise a value that is not a JSON number makes
+    the report corrupt."""
     if got is None:
-        if recorded is None:
+        if _field(record, name, "present", where) is None:
             return []
         got = "null"
-    elif abs(got - json_number(recorded, f"corrupt report: {where}{name}")) <= bound_tol(got):
+    elif abs(got - _field(record, name, "a number", where)) <= bound_tol(got):
         return []
-    return [f"{where}recorded {name} {recorded} != recomputed {got}"]
+    return [f"{where}recorded {name} {record[name]} != recomputed {got}"]
 
 
-def verify_report(doc: dict) -> list[str]:
+def verify_report(doc) -> list[str]:
     """Re-derive every claim in a serialized report from its embedded
     topology, problem, and flows. Returns a list of violations: those of
     the report's own fields, those of a PASS-family report's replay of its
     rule on its ``counterpart_flows``, then ``missed_guarantees`` of its
-    algorithm.
+    algorithm. A report that is not a JSON object, or a field of it of the
+    wrong kind or missing (``json_field``), raises ValueError.
 
     Feasibility allows the network's ``check_tol``, recorded values
     ``bound_tol``."""
-    topology, feasible = doc["topology"], doc["feasible"]
-    if not isinstance(topology, str):
-        raise ValueError(
-            f"corrupt report: topology must be a string, not {type(topology).__name__}"
-        )
-    if not isinstance(feasible, bool):
-        raise ValueError(f"corrupt report: feasible must be true or false, not {feasible!r}")
-    net = load_topology(topology)
-    spec = problem_from_json(doc["problem"], net)
-    sol, issues = _flows_from_json(doc["flows"], spec)
-    if len(doc["metrics"]) != len(spec.commodities):
-        raise ValueError(
-            f"corrupt report: {len(doc['metrics'])} metrics records for "
-            f"{len(spec.commodities)} commodities"
-        )
+    if not isinstance(doc, dict):
+        raise ValueError(f"corrupt report: the report must be a JSON object, got {doc!r}")
+    algo = _field(doc, "algorithm", _ALGORITHMS)
+    net = _embedded("topology", load_topology, _field(doc, "topology", "a string"))
+    feasible = _field(doc, "feasible", "true or false")
+    spec = _embedded("problem", problem_from_json, _field(doc, "problem", "present"), net)
+    sol, issues = _flows_from_json(doc, "flows", spec)
+    records = _per_commodity(doc, "metrics", "a JSON object", len(spec.commodities))
     issues += sol.check_feasible(net, spec.commodities)
     metrics = evaluate_metrics(net, sol)
-    for i, (m, rec) in enumerate(zip(metrics, doc["metrics"])):
+    for i, (m, rec) in enumerate(zip(metrics, records)):
         for name in _METRICS:
-            issues += _mismatch(name, rec[name], getattr(m, name), f"commodity {i}: ")
-    issues += _mismatch("objective", doc["objective"], objective_value(spec, metrics))
+            issues += _mismatch(rec, name, getattr(m, name), f"commodity {i}: ")
+    issues += _mismatch(doc, "objective", objective_value(spec, metrics))
 
-    algo = doc["algorithm"]
     hat_metrics = eps = eps_max = replay = None
     if algo in ("PASS", "PASS-M", "PASS-T"):
-        hat, hat_issues = _flows_from_json(doc["counterpart_flows"], spec)
+        hat, hat_issues = _flows_from_json(doc, "counterpart_flows", spec)
         issues += [
             "counterpart: " + s
             for s in hat_issues + hat.check_feasible(net, spec.commodities)
         ]
         cp = Counterpart(spec, hat, 0.0)
         if algo == "PASS":
-            eps = json_number(doc["epsilon"], "corrupt report: epsilon")
+            eps = _field(doc, "epsilon", "a number")
             if not 0.0 < eps < 1.0:
                 # A NaN, infinite or zero epsilon would void or break every
                 # certificate below.
@@ -251,16 +245,11 @@ def verify_report(doc: dict) -> list[str]:
         hat_metrics, eps_max = evaluate_metrics(net, hat), replay.epsilon_max
     for name in ("epsilon", "epsilon_max", "epsilon_min"):
         # GREEDY and EXACT record none.
-        issues += _mismatch(name, doc[name], getattr(replay, name, None))
+        issues += _mismatch(doc, name, getattr(replay, name, None))
     if not feasible and (algo != "GREEDY" or not missed_guarantees(spec, algo, metrics)):
         # solve_greedy's rule; every other solver's result is feasible.
         issues.append("feasible false, but only a GREEDY result that misses a requirement is")
-    try:
-        return issues + missed_guarantees(
-            spec, algo, metrics, hat_metrics, eps, eps_max, feasible
-        )
-    except ValueError as e:  # an unknown algorithm
-        return issues + [str(e)]
+    return issues + missed_guarantees(spec, algo, metrics, hat_metrics, eps, eps_max, feasible)
 
 
 # -- experiments -------------------------------------------------------------
@@ -286,11 +275,7 @@ def _fmt6(x) -> str:
 def _csv_row(experiment, params, report: SolveReport) -> list[str]:
     cells = [
         experiment,
-        params.get("R"),
-        params.get("D"),
-        params.get("w1"),
-        params.get("w2"),
-        params.get("eps"),
+        *(params.get(key) for key in ("R", "D", "w1", "w2", "eps")),
         report.algorithm,
         report.objective,
         report.feasible,
@@ -393,9 +378,7 @@ def cmd_solve(args) -> int:
     except InfeasibleError as e:
         print(f"infeasible: {e}", file=sys.stderr)
         return 2
-    doc = report_to_json(spec, report)
-    text = json.dumps(doc, indent=2)
-    _write_out(args.out, text)
+    _write_out(args.out, json.dumps(report_to_json(spec, report), indent=2))
     if not report.feasible:
         # Only a result's missed guarantee makes a solver flag it infeasible.
         missed = missed_guarantees(spec, report.algorithm, report.metrics)
@@ -408,11 +391,11 @@ def cmd_verify(args) -> int:
     try:
         with open(args.report) as fh:
             doc = json.load(fh)
-        issues = verify_report(doc)
     except OSError as e:
         raise UsageError(f"cannot read report: {e}") from None
-    except (KeyError, TypeError, json.JSONDecodeError) as e:
+    except json.JSONDecodeError as e:
         raise UsageError(f"corrupt report: {e}") from None
+    issues = verify_report(doc)
     for msg in issues:
         print(msg, file=sys.stderr)
     if issues:
@@ -434,12 +417,8 @@ def cmd_experiment(args) -> int:
 def cmd_gen(args) -> int:
     rng = np.random.default_rng(args.seed)
     spec = random_problem(rng)
-    doc = {
-        "topology": serialize_topology(spec.network),
-        "problem": problem_to_json(spec),
-    }
-    text = json.dumps(doc, indent=2)
-    _write_out(args.out, text)
+    doc = {"topology": serialize_topology(spec.network), "problem": problem_to_json(spec)}
+    _write_out(args.out, json.dumps(doc, indent=2))
     return 0
 
 

@@ -366,9 +366,9 @@ def simplex_iterations(T: np.ndarray, basis: np.ndarray, n_enterable: int, max_i
     T has shape (m+1, n+1): m constraint rows plus the objective row last,
     n columns plus the rhs column last. The objective row holds reduced
     costs for a maximization; a column j with T[m, j] < -PIVOT_TOL can
-    improve. Only columns < n_enterable may enter (artificials stay out
-    in phase 2). Returns True at an optimum, and False when an improving
-    column has no leaving row or ``max_iter`` pivots reach no optimum.
+    improve. Only columns < n_enterable may enter. Returns True at an
+    optimum, and False when an improving column has no leaving row or
+    ``max_iter`` pivots reach no optimum.
     """
     m = T.shape[0] - 1
     reduced = T[m, :n_enterable]
@@ -406,7 +406,8 @@ _SLACK_SIGN = {"<=": 1.0, "=": 0.0, ">=": -1.0}
 def _tableau(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
     """The phase-1 tableau of ``lp`` before its objective row: returns T,
     the starting basis, the number of slack columns and the rows that have
-    an artificial column."""
+    an artificial variable. An artificial never enters, so it has no
+    column: it is only a basis label, numbered past the slacks."""
     n = lp.num_vars
     m = lp.num_rows
     rows = lp.rows
@@ -427,21 +428,19 @@ def _tableau(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray, int, np.ndarray
 
     # Slack columns (one per inequality) then artificials (one per row that
     # is not "<="), each numbered in row order. ``aux`` is each row's
-    # starting basic column: its artificial if it has one, else its slack.
+    # starting basic variable: its artificial if it has one, else its slack.
     slack_rows = slack_sign.nonzero()[0]
     art_rows = (slack_sign <= 0).nonzero()[0]
-    n_slack, n_art = slack_rows.size, art_rows.size
-    ncols = n + n_slack + n_art
+    n_slack = slack_rows.size
     aux = np.empty(m, dtype=np.int64)
     aux[slack_rows] = n + np.arange(n_slack)
-    aux[art_rows] = n + n_slack + np.arange(n_art)
-    T = np.zeros((m + 1, ncols + 1))
+    aux[art_rows] = n + n_slack + np.arange(art_rows.size)
+    T = np.zeros((m + 1, n + n_slack + 1))
     a = rows.toarray(out=T[:m, :n])
     a /= scale[:, None]
     a *= orient[:, None]
     T[:m, -1] = b
     T[slack_rows, n + np.arange(n_slack)] = slack_sign[slack_rows]
-    T[art_rows, aux[art_rows]] = 1.0
     return T, aux, n_slack, art_rows
 
 
@@ -458,7 +457,7 @@ def _solve_simplex(lp: LinearProgram) -> LpSolution | None:
     m = lp.num_rows
     T, basis, n_slack, art_rows = _tableau(lp)
     ncols = T.shape[1] - 1
-    max_iter = _PIVOTS_PER_LINE * sum(T.shape)
+    max_iter = _PIVOTS_PER_LINE * (sum(T.shape) + art_rows.size)  # as if with artificials
 
     # Phase 1: maximize -(sum of artificials).
     if art_rows.size:

@@ -555,6 +555,33 @@ def json_number(value, what: str) -> float:
     raise ValueError(f"{what} must be a number, got {value!r}")
 
 
+#: What ``json_field`` reads for a missing field: "nothing" in messages.
+_MISSING = type("Missing", (), {"__repr__": lambda self: "nothing"})()
+#: The type of a value of each ``json_field`` kind ("present": any value).
+_KINDS = {"a string": str, "a node name": str, "a list": list, "a JSON object": dict,
+          "true or false": bool, "present": object}
+
+
+def json_field(record, key: str | int, kind: str | tuple, where: str = "", default=_MISSING):
+    """``record[key]``, a field of a JSON object or an item of a JSON list,
+    when it is of ``kind``: "a number" (read by ``json_number``), a kind of
+    ``_KINDS``, or a tuple of the values allowed. A missing field reads
+    ``default``, if given. Anything else raises ValueError "<where><key>
+    must be <kind>, got <value!r>" (an index as [i], a missing field as
+    nothing)."""
+    name = f"{where}{key}" if isinstance(key, str) else f"{where}[{key}]"
+    value = record[key] if isinstance(record, list) or key in record else default
+    if kind == "a number":
+        return json_number(value, name)
+    if isinstance(kind, tuple):
+        if value in kind:
+            return value
+        kind = "one of " + ", ".join(kind)
+    elif value is not _MISSING and isinstance(value, _KINDS[kind]):
+        return value
+    raise ValueError(f"{name} must be {kind}, got {value!r}")
+
+
 def _pl_from_json(obj, key: str) -> PLFunction:
     points = obj.get("points") if isinstance(obj, dict) else None
     try:
@@ -582,15 +609,12 @@ def _commodity_from_json(c) -> Commodity:
     if not isinstance(c, dict):
         raise ValueError(f"must be a JSON object, got {c!r}")
     _known_keys(c, ("src", "dst", "R", "D", "w", "utility_t", "utility_d"))
-    for key in ("src", "dst"):
-        if not isinstance(c.get(key), str):
-            raise ValueError(f"{key} must be a node name, got {c.get(key)!r}")
     return Commodity(
-        source=c["src"],
-        sink=c["dst"],
-        R=json_number(c.get("R", 0.0), "R"),
-        D=json_number(c.get("D", "inf"), "D"),
-        w=json_number(c.get("w", 1.0), "w"),
+        source=json_field(c, "src", "a node name", default=None),
+        sink=json_field(c, "dst", "a node name", default=None),
+        R=json_field(c, "R", "a number", default=0.0),
+        D=json_field(c, "D", "a number", default="inf"),
+        w=json_field(c, "w", "a number", default=1.0),
         utility_t=_pl_from_json(c["utility_t"], "utility_t") if "utility_t" in c else IDENTITY,
         utility_d=_pl_from_json(c["utility_d"], "utility_d") if "utility_d" in c else IDENTITY,
     )
@@ -605,9 +629,7 @@ def problem_from_json(doc, net: Network) -> ProblemSpec:
     name = doc.get("objective")
     if not isinstance(name, str) or name not in _OBJECTIVE_NAMES:
         raise ValueError(f"unknown objective {name!r}")
-    raw = doc.get("commodities")
-    if not isinstance(raw, list):
-        raise ValueError(f"commodities must be a list, got {raw!r}")
+    raw = json_field(doc, "commodities", "a list", default=None)
     comms = []
     for i, c in enumerate(raw):
         try:

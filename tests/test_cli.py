@@ -216,7 +216,8 @@ def _negative_counterpart(doc):
         ("pass-m", lambda doc: doc.update(epsilon_min=0.25), 2,
          "recorded epsilon_min 0.25 != recomputed 0.5"),
         ("ec2-pass", _no_flows, 2, "flows differ from PASS replayed on counterpart_flows"),
-        ("ec2-pass-m", _no_counterpart, 1, "error: corrupt report: 'counterpart_flows'"),
+        ("ec2-pass-m", _no_counterpart, 1,
+         "error: corrupt report: counterpart_flows must be a list, got nothing"),
         ("pass", _negative_counterpart, 2,
          "PASS cannot be replayed on counterpart_flows: deletion amount -1.0 outside [0, -2.0]"),
         ("pass-m", _commodity(D="inf"), 2, "PASS-M cannot be replayed on counterpart_flows: "
@@ -251,20 +252,32 @@ def test_verify_binds_report_to_its_counterpart(
 @pytest.mark.parametrize(
     "corrupt,message",
     [
-        (lambda doc: doc.update(feasible=1), "feasible must be true or false, not 1"),
-        (lambda doc: doc.update(feasible="yes"), "feasible must be true or false, not 'yes'"),
-        (lambda doc: doc.update(feasible=None), "feasible must be true or false, not None"),
-        (lambda doc: doc["flows"].__setitem__(0, {}), "path flows must be a list of path lists"),
-        (lambda doc: doc.update(flows={}), "path flows must be a list of path lists"),
+        (lambda doc: doc.update(feasible=1), "feasible must be true or false, got 1"),
+        (lambda doc: doc.update(feasible="yes"), "feasible must be true or false, got 'yes'"),
+        (lambda doc: doc.update(feasible=None), "feasible must be true or false, got None"),
+        (lambda doc: doc["flows"].__setitem__(0, {}), "flows[0] must be a list, got {}"),
+        (lambda doc: doc.update(flows={}), "flows must be a list, got {}"),
         (lambda doc: doc["counterpart_flows"].__setitem__(0, {}),
-         "path flows must be a list of path lists"),
+         "counterpart_flows[0] must be a list, got {}"),
+        (lambda doc: doc.update(metrics=None), "metrics must be a list, got None"),
+        (lambda doc: doc["metrics"].__setitem__(0, list(doc["metrics"][0].values())),
+         "metrics[0] must be a JSON object, got [1.0, 1.0, 1.0, 1.0]"),
+        (lambda doc: doc["flows"][0][0].update(edges=5), "flows[0][0].edges must be a list, got 5"),
+        (lambda doc: doc["metrics"][0].__delitem__("throughput"),
+         "commodity 0: throughput must be a number, got nothing"),
+        (lambda doc: doc.update(algorithm=5),
+         "algorithm must be one of PASS, PASS-M, PASS-T, GREEDY, EXACT, got 5"),
+        (lambda doc: [doc["algorithm"]], "the report must be a JSON object, got ['PASS']"),
     ],
     ids=["feasible-1", "feasible-str", "feasible-none", "path-list-object", "flows-object",
-         "counterpart-path-list-object"],
+         "counterpart-path-list-object", "metrics-null", "metrics-record-list", "edges-int",
+         "throughput-missing", "algorithm-int", "report-list"],
 )
 def test_verify_rejects_mistyped_fields(two_parallel_files, tmp_path, capsys, corrupt, message):
+    """Each case edits a PASS report in place, or returns the document that
+    replaces it."""
     doc = _report(two_parallel_files, tmp_path, "pass")
-    corrupt(doc)
+    doc = corrupt(doc) or doc
     out = tmp_path / "report.json"
     out.write_text(json.dumps(doc))
     assert main(["verify", str(out)]) == 1
@@ -286,9 +299,9 @@ def _set_path(key, value, flows="flows"):
         (_set_path("delay", 99, "counterpart_flows"), 2,
          "counterpart: commodity 0: path [0]: recorded delay 99 != recomputed 1.0"),
         (_set_path("nodes", "st"), 1,
-         "error: corrupt report: commodity 0: path nodes 'st' are not a list"),
+         "error: corrupt report: commodity 0: path [0]: nodes must be a list, got 'st'"),
         (_set_path("nodes", {}), 1,
-         "error: corrupt report: commodity 0: path nodes {} are not a list"),
+         "error: corrupt report: commodity 0: path [0]: nodes must be a list, got {}"),
         (_set_path("delay", "x"), 1,
          "error: corrupt report: commodity 0: path [0]: delay must be a number, got 'x'"),
         (_set_path("delay", None), 1,
@@ -409,23 +422,29 @@ def _nan_records(doc):
 _NOT_CORRUPT = {
     "recorded objective nan != recomputed": (
         2, "commodity 0: recorded max_delay nan != recomputed 10.0"),
-    "R must be finite and nonnegative, got nan": (1, "error: commodity 0: "),
 }
 
 
 @pytest.mark.parametrize(
     "corrupt,message",
     [
-        (lambda doc: doc["flows"][0][0].update(edges=[999]), "edge index 999"),
-        (lambda doc: doc["flows"].append(doc["flows"][0]), "2 path-flow lists"),
-        (lambda doc: doc.update(metrics=[]), "0 metrics records for 1 commodities"),
+        # An explicit id names the case where the message no longer does.
+        pytest.param(lambda doc: doc["flows"][0][0].update(edges=[999]),
+                     "flows[0][0].edges[0] must be an edge index (0..1), got 999",
+                     id="<lambda>-edge index 999"),
+        pytest.param(lambda doc: doc["flows"].append(doc["flows"][0]),
+                     "flows holds 2 entries for 1 commodities", id="<lambda>-2 path-flow lists"),
+        pytest.param(lambda doc: doc.update(metrics=[]),
+                     "metrics holds 0 entries for 1 commodities",
+                     id="<lambda>-0 metrics records for 1 commodities"),
         (lambda doc: doc["flows"][0][0].update(edges=[]), "not a simple path from s to t"),
         (lambda doc: doc["flows"][0][0].update(edges=[0, 1]), "edges [0, 1] are not a simple"),
         # json.loads reads 1e400 as float("inf"), written back as Infinity.
         *(
-            (lambda doc, v=v: doc.update(topology=v), f"topology must be a string, not {name}")
-            for v, name in [(None, "NoneType"), (5, "int"), (float("inf"), "float"),
-                            ([], "list"), ({}, "dict"), (True, "bool")]
+            pytest.param(lambda doc, v=v: doc.update(topology=v),
+                         f"topology must be a string, got {v!r}",
+                         id=f"<lambda>-topology must be a string, not {type(v).__name__}")
+            for v in [None, 5, float("inf"), [], {}, True]
         ),
         (_nan_rates, "commodity 0: path rate nan is not finite"),
         (_nan_records, "recorded objective nan != recomputed"),
@@ -524,7 +543,7 @@ def test_malformed_problem_exits_1(two_parallel_files, tmp_path, capsys, body, m
     doc["problem"] = body
     out.write_text(json.dumps(doc))
     assert main(["verify", str(out)]) == 1
-    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert capsys.readouterr().err.startswith(f"error: corrupt report: problem: {message}")
 
 
 @pytest.fixture(scope="module")
@@ -673,7 +692,7 @@ def test_overflowing_topology_exits_1(two_parallel_files, tmp_path, capsys, topo
     doc["topology"] = topology
     out.write_text(json.dumps(doc))
     assert main(["verify", str(out)]) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: corrupt report: topology: {message}\n"
 
 
 def test_solve_rejects_bad_epsilon(two_parallel_files, capsys):
@@ -964,7 +983,7 @@ def test_verify_rejects_overflowing_objective(two_parallel_files, tmp_path, caps
     out.write_text(json.dumps(doc))
     assert main(["verify", str(out)]) == 1
     assert capsys.readouterr().err == (
-        "error: the SumDelayPenalty objective overflows a float (inf)\n"
+        "error: corrupt report: problem: the SumDelayPenalty objective overflows a float (inf)\n"
     )
 
 

@@ -2,6 +2,8 @@
 with one field replaced by a value of the wrong kind or removed: each exits
 0, 1 or 2 and never raises, and every report ``solve`` writes verifies."""
 
+import contextlib
+import io
 import json
 import math
 
@@ -35,11 +37,12 @@ def _fields(node, at=()):
             yield from _fields(child, at + (key,))
 
 
-def _mutate(doc, data) -> None:
+def _mutate(doc, data) -> tuple:
     """Replace one field of ``doc``, drawn by ``data``, by one of _VALUES,
     or remove it: a key of a report, commodity or path record, or an
-    element of a list."""
-    *parent, last = data.draw(st.sampled_from(list(_fields(doc))))
+    element of a list. Returns the field's key path."""
+    field = data.draw(st.sampled_from(list(_fields(doc))))
+    *parent, last = field
     node = doc
     for key in parent:
         node = node[key]
@@ -47,6 +50,21 @@ def _mutate(doc, data) -> None:
         del node[last]
     else:
         node[last] = data.draw(st.sampled_from(_VALUES))
+    return field
+
+
+#: The lists of a report that hold one entry per commodity.
+_PER_COMMODITY = ("flows", "counterpart_flows", "metrics", "commodities")
+
+
+def _names(field: tuple) -> list[str]:
+    """What names ``field`` or a field that holds it in a message: each
+    key on its path, and "commodity i" for entry i of a per-commodity list."""
+    return [
+        key if isinstance(key, str) else f"commodity {key}"
+        for holder, key in zip((None, *field), field)
+        if isinstance(key, str) or holder in _PER_COMMODITY
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -64,10 +82,19 @@ def report_file(tmp_path_factory):
 @settings(max_examples=600, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_verify_never_raises_on_a_mutated_field(reports, report_file, data):
+    """A corrupt report (exit 1) is named by the mutated key or by a field
+    that holds it (``_names``); the topology or problem embedded in a
+    report is one field."""
     doc = json.loads(data.draw(st.sampled_from(reports)))
-    _mutate(doc, data)
+    field = _mutate(doc, data)
     report_file.write_text(json.dumps(doc))
-    assert main(["verify", str(report_file)]) in (0, 1, 2)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main(["verify", str(report_file)])
+    assert rc in (0, 1, 2)
+    if rc == 1:
+        for line in err.getvalue().splitlines():
+            assert any(name in line for name in _names(field)), (field, line)
 
 
 def _problems() -> list[str]:
