@@ -96,7 +96,10 @@ def _flows_to_json(net: Network, flows) -> list:
 
 def _field(record, key: str | int, kind: str | tuple, where: str = ""):
     """``json_field`` of a report, which a wrong or missing field corrupts."""
-    return json_field(record, key, kind, "corrupt report: " + where)
+    try:
+        return json_field(record, key, kind, where)
+    except ValueError as e:
+        raise ValueError(f"corrupt report: {e}") from None
 
 
 def _embedded(key: str, parse, value, *args):
@@ -216,7 +219,13 @@ def verify_report(doc) -> list[str]:
     for i, (m, rec) in enumerate(zip(metrics, records)):
         for name in _METRICS:
             issues += _mismatch(rec, name, getattr(m, name), f"commodity {i}: ")
-    issues += _mismatch(doc, "objective", objective_value(spec, metrics))
+    try:
+        objective = objective_value(spec, metrics)
+    except ValueError as e:  # a rate far past capacity overflows it, a negative one breaks it
+        recorded = _field(doc, "objective", "a number")
+        issues.append(f"recorded objective {recorded} cannot be recomputed: {e}")
+    else:
+        issues += _mismatch(doc, "objective", objective)
 
     hat_metrics = eps = eps_max = replay = None
     if algo in ("PASS", "PASS-M", "PASS-T"):

@@ -6,11 +6,13 @@ plain numpy arrays in compressed sparse row form. HiGHS's dual simplex
 (Huangfu & Hall, Math. Prog. Comp. 10, 2018) is the one authority on an
 LP's outcome. A from-scratch two-phase dense-tableau simplex (Bland's
 rule, deterministic, each pivot one numpy rank-1 update) is its fast path
-for LPs that fit a dense tableau: it returns an optimum whose x holds on
-every row, or nothing, and then HiGHS solves the LP. So identical inputs
-always take the same route and yield bit-identical solutions, optimal or
-infeasible; only HiGHS calls an LP infeasible, and when it calls one
-unbounded or fails, ``SolverError`` is raised.
+for small LPs, those whose dense tableau fits ``_AUTO_TABLEAU_CELLS``
+(10,000 cells, about where HiGHS becomes the faster of the two): it
+returns an optimum whose x holds on every row, or nothing, and then HiGHS
+solves the LP. So identical inputs always take the same route and yield
+bit-identical solutions, optimal or infeasible; only HiGHS calls an LP
+infeasible, and when it calls one unbounded or fails, ``SolverError`` is
+raised.
 
 HiGHS is called through scipy's bundled binding
 ``scipy.optimize._highspy._core``, a private API (pyproject.toml pins the
@@ -45,8 +47,12 @@ PIVOT_TOL = 1e-9
 #: Phase-1 feasibility tolerance of the tableau simplex (after row scaling).
 SOLUTION_TOL = 1e-7
 
-#: Above this many tableau cells, ``solve_lp`` goes straight to HiGHS.
-_AUTO_TABLEAU_CELLS = 250_000
+#: Above this many tableau cells (``tableau_cells``), ``solve_lp`` goes
+#: straight to HiGHS. Measured on generated counterparts: up to 7,426 cells
+#: the tableau takes a median 0.8x HiGHS's time, at 7,427-10,000 cells
+#: 0.95-1.1x, and above 10,000 cells 1.2-4x, up to 274x. It stays at or
+#: above 7,426, the largest tableau of the four EC2 sweeps.
+_AUTO_TABLEAU_CELLS = 10_000
 
 #: Pivots per tableau row and column that a simplex phase may take before
 #: the tableau hands the LP to HiGHS.
@@ -158,17 +164,23 @@ class LpSolution:
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
     """Solve ``lp`` over x >= 0; the solution is optimal or infeasible.
-    One rule: an LP whose dense tableau fits ``_AUTO_TABLEAU_CELLS`` goes
-    to the tableau, and its optimum stands (its x ``_holds``). HiGHS
-    solves every other LP: one too large for the tableau, and one the
-    tableau gives up. The first of them loads scipy's HiGHS binding.
-    HiGHS alone calls an LP infeasible, and its x too must ``_holds``.
-    Raises ``SolverError`` when HiGHS fails or calls the LP unbounded
-    (every LP this package builds is bounded by link capacities), or the
-    binding cannot be imported."""
-    cells = (lp.num_rows + 1) * (lp.num_vars + 2 * lp.num_rows + 2)
-    sol = _solve_simplex(lp) if cells <= _AUTO_TABLEAU_CELLS else None
+    One rule: an LP whose ``tableau_cells`` fit ``_AUTO_TABLEAU_CELLS``
+    (10,000, where HiGHS's dual simplex starts to win) goes to the
+    tableau, and its optimum stands (its x ``_holds``). HiGHS solves every
+    other LP: one too large for the tableau, and one the tableau gives up.
+    The first of them loads scipy's HiGHS binding. HiGHS alone calls an LP
+    infeasible, and its x too must ``_holds``. Raises ``SolverError`` when
+    HiGHS fails or calls the LP unbounded (every LP this package builds is
+    bounded by link capacities), or the binding cannot be imported."""
+    sol = _solve_simplex(lp) if tableau_cells(lp) <= _AUTO_TABLEAU_CELLS else None
     return _solve_highs(lp) if sol is None else sol
+
+
+def tableau_cells(lp: LinearProgram) -> int:
+    """The dense-tableau size that ``solve_lp`` routes ``lp`` by: (m + 1) x
+    (n + 2m + 2) for m rows and n variables, room for a slack and an
+    artificial column per row."""
+    return (lp.num_rows + 1) * (lp.num_vars + 2 * lp.num_rows + 2)
 
 
 #: Slack of linprog's post-solve check on HiGHS's x: 10 * sqrt(1e-9).

@@ -568,18 +568,25 @@ def json_field(record, key: str | int, kind: str | tuple, where: str = "", defau
     ``_KINDS``, or a tuple of the values allowed. A missing field reads
     ``default``, if given. Anything else raises ValueError "<where><key>
     must be <kind>, got <value!r>" (an index as [i], a missing field as
-    nothing)."""
-    name = f"{where}{key}" if isinstance(key, str) else f"{where}[{key}]"
+    nothing). The name is built only for a message, and a float, the
+    common number, returns at once."""
     value = record[key] if isinstance(record, list) or key in record else default
     if kind == "a number":
-        return json_number(value, name)
+        if type(value) is float:
+            return value
+        return json_number(value, _field_name(key, where))
     if isinstance(kind, tuple):
         if value in kind:
             return value
         kind = "one of " + ", ".join(kind)
     elif value is not _MISSING and isinstance(value, _KINDS[kind]):
         return value
-    raise ValueError(f"{name} must be {kind}, got {value!r}")
+    raise ValueError(f"{_field_name(key, where)} must be {kind}, got {value!r}")
+
+
+def _field_name(key: str | int, where: str) -> str:
+    """A field as ``json_field``'s messages name it: an index as [i]."""
+    return f"{where}{key}" if isinstance(key, str) else f"{where}[{key}]"
 
 
 def _pl_from_json(obj, key: str) -> PLFunction:

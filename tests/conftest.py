@@ -40,8 +40,9 @@ def ec2():
 class Sweep:
     """One ``delayflow experiment`` sweep: its CSV text, its (params, spec,
     report) rows in row order, the LP of every HiGHS call it made, the spec
-    of every counterpart LP the PASS family built, and how many LPs the
-    exact solver solved and simple-path enumerations it ran."""
+    of every counterpart LP the PASS family built, how many LPs the exact
+    solver solved and simple-path enumerations it ran, and the
+    ``lp.tableau_cells`` of the largest LP, counterpart or exact, it built."""
 
     text: str = field(repr=False)
     rows: list = field(repr=False)
@@ -49,6 +50,7 @@ class Sweep:
     counterpart_specs: list = field(repr=False)
     exact_lps: int
     exact_enumerations: int
+    largest_lp: int
 
 
 @pytest.fixture(scope="session")
@@ -59,14 +61,27 @@ def ec2_sweeps():
     built: list = []
     exact_lps: list = []
     enumerations: list = []
+    cells: list = []
     real = lp._solve_highs
     build = algorithms.build_counterpart
     solve = baselines.solve_lp
     enumerate_paths = baselines._enumerate_paths
+
+    def build_counterpart(spec):
+        built.append(spec)
+        prog, cmap = build(spec)
+        cells.append(lp.tableau_cells(prog))
+        return prog, cmap
+
+    def solve_exact_lp(prog):
+        exact_lps.append(prog)
+        cells.append(lp.tableau_cells(prog))
+        return solve(prog)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lp, "_solve_highs", lambda prog: calls.append(prog) or real(prog))
-        mp.setattr(algorithms, "build_counterpart", lambda spec: built.append(spec) or build(spec))
-        mp.setattr(baselines, "solve_lp", lambda prog: exact_lps.append(prog) or solve(prog))
+        mp.setattr(algorithms, "build_counterpart", build_counterpart)
+        mp.setattr(baselines, "solve_lp", solve_exact_lp)
         mp.setattr(
             baselines,
             "_enumerate_paths",
@@ -76,9 +91,10 @@ def ec2_sweeps():
             buf = io.StringIO()
             rows = run_experiment(name, csv.writer(buf))
             sweeps[name] = Sweep(
-                buf.getvalue(), rows, calls[:], built[:], len(exact_lps), len(enumerations)
+                buf.getvalue(), rows, calls[:], built[:], len(exact_lps), len(enumerations),
+                max(cells),
             )
-            for seen in (calls, built, exact_lps, enumerations):
+            for seen in (calls, built, exact_lps, enumerations, cells):
                 seen.clear()
     return sweeps
 

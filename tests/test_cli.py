@@ -987,6 +987,30 @@ def test_verify_rejects_overflowing_objective(two_parallel_files, tmp_path, caps
     )
 
 
+def test_verify_flags_flows_whose_objective_overflows(tmp_path, capsys):
+    """A rate far past capacity can overflow the recomputed objective. The
+    report is a violation: verify names the capacity it breaks and the
+    objective it cannot recompute, and exits 2."""
+    prob = tmp_path / "prob.json"
+    prob.write_text(json.dumps(
+        _overflowing("SumThroughputUtility", D=150, utility_t={"points": [[0, 0], [1, 1e300]]})
+    ))
+    out = tmp_path / "report.json"
+    argv = ["solve", "--topo", "ec2", "--problem", str(prob), "--algo", "greedy", "--out", str(out)]
+    assert main(argv) == 0
+    doc = json.loads(out.read_text())
+    doc["flows"][0][0]["rate"] = 1e308
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "capacity exceeded on VA->SI (1e+308 > 52.0)"
+    assert err[-1] == (
+        f"recorded objective {doc['objective']} cannot be recomputed: "
+        f"{_OVERFLOWS.format('SumThroughputUtility')}"
+    )
+
+
 def test_exact_rejects_fractional_delays(tmp_path, capsys):
     topo = tmp_path / "net.topo"
     topo.write_text("node s\nnode t\nedge s t 1.5 1\n")

@@ -89,9 +89,7 @@ def _large_lp() -> lp_module.LinearProgram:
     prog = lp_module.LinearProgram(
         "max", rng.uniform(0.0, 1.0, 400), lp_module.CsrRows.from_dense(dense), ("<=",) * 301, rhs
     )
-    assert (prog.num_rows + 1) * (prog.num_vars + 2 * prog.num_rows + 2) > (
-        lp_module._AUTO_TABLEAU_CELLS
-    )
+    assert lp_module.tableau_cells(prog) > lp_module._AUTO_TABLEAU_CELLS
     return prog
 
 

@@ -217,6 +217,34 @@ def test_auto_engine_picks_simplex_for_small(monkeypatch):
     assert sol.x.tolist() == [1.0]
 
 
+def test_every_ec2_sweep_lp_fits_the_tableau(ec2_sweeps):
+    """Every LP the four ``delayflow experiment`` sweeps build, each
+    counterpart and each of the exact solver's path LPs, fits
+    ``_AUTO_TABLEAU_CELLS``, so the sweeps keep the tableau's vertices.
+    The largest, 7,426 cells, is the floor of the threshold."""
+    largest = max(sweep.largest_lp for sweep in ec2_sweeps.values())
+    assert largest == 7426
+    assert largest <= lp_module._AUTO_TABLEAU_CELLS
+
+
+def test_counterpart_above_the_threshold_goes_to_highs_alone(monkeypatch):
+    """A generated counterpart just above ``_AUTO_TABLEAU_CELLS``, in the
+    band where HiGHS was measured faster, reaches HiGHS with no tableau
+    attempt."""
+    lp, _ = build_counterpart(random_problem(np.random.default_rng(52)))
+    assert lp_module._AUTO_TABLEAU_CELLS < lp_module.tableau_cells(lp) <= 16_384
+
+    def no_tableau(prog):
+        raise AssertionError("LP above the threshold sent to the tableau")
+
+    calls = []
+    real = lp_module._solve_highs
+    monkeypatch.setattr(lp_module, "_solve_simplex", no_tableau)
+    monkeypatch.setattr(lp_module, "_solve_highs", lambda prog: calls.append(prog) or real(prog))
+    assert solve_lp(lp).status == "optimal"
+    assert len(calls) == 1 and calls[0] is lp
+
+
 # -- reference engine ---------------------------------------------------------
 # A scalar two-phase tableau simplex with one Python loop per row and per
 # column, with its own status codes. Wherever the array engine settles an
